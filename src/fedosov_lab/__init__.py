@@ -37,7 +37,7 @@ from .analysis import (beta_form, bivector_probe, CalR, cal_r,
 from .io import (Check, load_scenario, ParseError, parse_poly,
                  parse_rational, Report, Scenario, ScenarioError)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "GaussianRational", "HbarSeries", "Polynomial",

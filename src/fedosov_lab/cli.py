@@ -224,7 +224,9 @@ def run(command, scenario, order=None, coeff_limit=None):
     elif command == "compare":
         checks = _compare_checks(scenario)
     elif command == "coeffs":
-        limit = coeff_limit or (scenario.coeff_limit if scenario else 8)
+        limit = coeff_limit
+        if limit is None:
+            limit = scenario.coeff_limit if scenario else 8
         checks, _ = _coeffs_checks(scenario, limit)
     elif command == "poisson":
         checks = _poisson_checks(scenario)
@@ -245,6 +247,9 @@ def main(argv=None):
                         help="expansion order (coeffs: table limit)")
     parser.add_argument("--out", help="write the JSON report to this path")
     args = parser.parse_args(argv)
+    if args.order is not None and args.order < 1:
+        print("error: --order must be at least 1, got %d" % args.order, file=sys.stderr)
+        return 2
 
     try:
         scenario = None

@@ -19,6 +19,15 @@ exact through degree D-2, so a cap of 2N+2 delivers every product
 coefficient through hbar^N exactly; the comfort margin is asserted by a
 cap-sensitivity test rather than trusted.
 
+The section equation is linear over constants in f, so
+
+    section(sum c_{n,m} hbar^n x^m) = sum c_{n,m} section(hbar^n x^m).
+
+StarEngine uses this at two cache levels: it solves the recursion once per
+monomial hbar^n x^m, and it memoizes each observable's section assembled
+from those.  ``flat_section`` solves a whole observable directly and is the
+reference the assembled sections are tested against.
+
 The module also houses the scalar sequences sigma_p, kappa_p, c_p that
 govern the perturbation series in the flat/constant case: they satisfy
 
@@ -277,7 +286,14 @@ class StarResult:
 
 
 class StarEngine:
-    """Caches the r-solution and sections for one curvature spec and order."""
+    """Products for one curvature spec and order, with solves cached.
+
+    The r-solution is solved once.  Sections are cached at two levels,
+    both keyed by exact content: the section of each monomial hbar^n x^m,
+    solved once by ``flat_section``, and the section of each observable,
+    assembled from its monomials' sections by linearity.  A polynomial
+    observable f is the hbar-series {0: f}.
+    """
 
     def __init__(self, spec, order, cap=None):
         if order < 1:
@@ -286,40 +302,43 @@ class StarEngine:
         self.order = order
         self.cap = 2 * order + 2 if cap is None else cap
         self._r = None
-        self._sections = {}
+        self._sections = {}   # observable key -> assembled section
+        self._monomials = {}  # (hbar power, exponent) -> section of hbar^n x^exp
 
     def r(self):
         if self._r is None:
             self._r = solve_r(self.spec, self.cap)
         return self._r
 
-    @staticmethod
-    def _key(f):
-        if isinstance(f, Polynomial):
-            return str(f)
-        return tuple((n, str(p)) for n, p in sorted(f.coeffs.items()))
+    def _monomial_section(self, n, exp):
+        a = self._monomials.get((n, exp))
+        if a is None:
+            mono = HbarSeries(n, {n: Polynomial.monomial(self.spec.dim, exp)})
+            a = flat_section(mono, self.spec, self.r(), self.cap)
+            self._monomials[(n, exp)] = a
+        return a
 
     def section(self, f):
-        key = self._key(f)
+        """The flat section with scalar part f (a polynomial or hbar-series)."""
+        coeffs = sorted(({0: f} if isinstance(f, Polynomial) else f.coeffs).items())
+        key = tuple((n, str(p)) for n, p in coeffs)
         a = self._sections.get(key)
         if a is None:
-            a = flat_section(f, self.spec, self.r(), self.cap)
+            a = WeylForm.zero(self.spec.dim, self.cap)
+            for n, p in coeffs:
+                for exp, c in p.terms.items():
+                    a = a + self._monomial_section(n, exp).scale(c)
             self._sections[key] = a
         return a
 
-    def product_series(self, f, g):
-        """sigma(section(f) o section(g)) through the engine order."""
-        a = self.section(f)
-        b = self.section(g)
-        return moyal_sigma(a, b, self.spec.geometry, order=self.order)
-
     def star(self, f, g):
-        hs = self.product_series(f, g)
-        return StarResult(f, g, self.order, dict(hs.coeffs))
+        return StarResult(f, g, self.order, dict(self.star_series(f, g).coeffs))
 
-    def star_series(self, fs, gs):
-        """Product of two hbar-series observables, as an hbar-series."""
-        return self.product_series(fs, gs)
+    def star_series(self, f, g):
+        """sigma(section(f) o section(g)) through the engine order, as an
+        hbar-series; f and g are polynomials or hbar-series."""
+        return moyal_sigma(self.section(f), self.section(g), self.spec.geometry,
+                           order=self.order)
 
 
 def star(f, g, spec, order):

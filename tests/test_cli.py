@@ -159,3 +159,22 @@ def test_run_rejects_unknown_command(tmp_path):
     sc = load_scenario(FLAT_PLAIN)
     with pytest.raises(ScenarioError):
         cli.run("nope", sc)
+
+
+@pytest.mark.parametrize("command", ["verify", "star", "compare", "coeffs", "poisson"])
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_order_below_one_is_usage_error(tmp_path, capsys, command, order):
+    path = write_scenario(tmp_path, FLAT_PERTURBED)
+    assert cli.main([command, "--scenario", path, "--order", order]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--order must be at least 1" in err
+
+
+def test_coeffs_order_zero_without_scenario_is_usage_error(capsys):
+    assert cli.main(["coeffs", "--order", "0"]) == 2
+    assert "--order must be at least 1" in capsys.readouterr().err
+
+
+def test_run_coeffs_limit_zero_is_not_the_default():
+    with pytest.raises(ValueError):
+        cli.run("coeffs", None, coeff_limit=0)

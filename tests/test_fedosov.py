@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fedosov_lab import fedosov
 from fedosov_lab.algebra import GaussianRational, HbarSeries, I, ONE, Polynomial
 from fedosov_lab.fedosov import (CoeffTable, PerturbationError, StarEngine,
                                  WeylCurvatureSpec, abelian_residual,
@@ -16,10 +17,10 @@ from fedosov_lab.fedosov import (CoeffTable, PerturbationError, StarEngine,
 from fedosov_lab.geometry import Geometry
 from fedosov_lab.tensors import (Tensor2, TensorSeries, diamond_power, mu,
                                  series_inverse)
-from fedosov_lab.weyl import WeylForm, delta_inv, y_dx_form
+from fedosov_lab.weyl import WeylForm, delta_inv, moyal_sigma, y_dx_form
 
-from conftest import (rand_cubic, rand_curved_geometry, rand_poly,
-                      rand_quadratic, rand_skew_constant)
+from conftest import (rand_closed_skew_poly, rand_cubic, rand_curved_geometry,
+                      rand_poly, rand_quadratic, rand_skew_constant)
 
 F = Fraction
 
@@ -389,6 +390,55 @@ def test_star_series_hbar_linearity(rng):
     for n in range(4):
         assert prod.coeff(n, Polynomial.zero(2)) == want.coeff(n, Polynomial.zero(2)), n
 
+
+
+def test_engine_sections_match_direct_solves(rng):
+    """Sections assembled from monomial sections equal whole-observable
+    solves on a curved, perturbed chart, and so do the products."""
+    order = 2
+    geom = rand_curved_geometry(rng, 2)
+    alpha = rand_closed_skew_poly(rng, 2, deg=1)
+    spec = WeylCurvatureSpec(
+        geom, TensorSeries.from_terms(2, "lower", order, [(1, alpha)]))
+    eng = StarEngine(spec, order)
+    obs = [rand_poly(rng, 2, deg=2, terms=4) for _ in range(3)]
+    obs.append(HbarSeries(order, {0: rand_poly(rng, 2, deg=2),
+                                  1: rand_poly(rng, 2, deg=1, terms=2)}))
+    obs.append(Polynomial.zero(2))
+    direct = [flat_section(f, spec, eng.r(), eng.cap) for f in obs]
+    for f, a in zip(obs, direct):
+        assert eng.section(f) == a
+        assert str(eng.section(f)) == str(a)
+    for i in range(len(obs)):
+        j = (i + 1) % len(obs)
+        want = moyal_sigma(direct[i], direct[j], geom, order=order)
+        assert eng.star_series(obs[i], obs[j]) == want
+        if isinstance(obs[i], Polynomial) and isinstance(obs[j], Polynomial):
+            assert eng.star(obs[i], obs[j]).as_series() == want
+
+
+def test_flat_section_runs_once_per_monomial(rng, monkeypatch):
+    solved = []
+    direct = fedosov.flat_section
+
+    def counting(f, spec, r, cap):
+        (n, p), = f.coeffs.items()
+        (exp, c), = p.terms.items()
+        assert c == ONE
+        solved.append((n, exp))
+        return direct(f, spec, r, cap)
+
+    monkeypatch.setattr(fedosov, "flat_section", counting)
+    eng = StarEngine(WeylCurvatureSpec(rand_curved_geometry(rng, 2)), order=2)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f = HbarSeries(2, {0: x1 * x1 + (x1 * x2).scale(3), 1: x1})
+    g = x1 + x2 + (x1 * x1).scale(F(2, 3))
+    eng.section(f)
+    eng.section(g)
+    eng.star(g, x1 - x2)
+    eng.star_series(f, HbarSeries(2, {1: x2}))
+    assert sorted(solved) == [(0, (0, 1)), (0, (1, 0)), (0, (1, 1)),
+                              (0, (2, 0)), (1, (0, 1)), (1, (1, 0))]
 
 # -- validation ------------------------------------------------------------------------
 
