@@ -8,13 +8,20 @@ Three layers, all exact (no floating point anywhere):
                           truncated at a fixed order.
 
 Values are immutable by convention: every operation returns a new object.
+
+No sparse container stores a zero: a ``Polynomial`` holds only nonzero
+coefficients and a ``WeylForm`` only nonzero polynomials, so equality can
+compare the term dicts directly.  Every term sum in the package goes through
+``accumulate``, the one place that adds into a sparse dict and drops the key
+when the sum cancels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["GaussianRational", "Polynomial", "HbarSeries", "ZERO", "ONE", "I"]
+__all__ = ["GaussianRational", "Polynomial", "HbarSeries", "ZERO", "ONE", "I",
+           "accumulate"]
 
 
 def _frac(x):
@@ -26,6 +33,26 @@ def _frac(x):
 
 
 _F0 = Fraction(0)
+
+
+def accumulate(out, key, v, subtract=False):
+    """Add ``v`` into ``out[key]`` (subtract it with ``subtract``), storing no zero.
+
+    A missing key receives ``v`` (or ``-v``) only when that value is nonzero,
+    and a key whose sum cancels is deleted.  The zero test is truthiness;
+    tensor coefficients of an ``HbarSeries`` have no truth value of their
+    own, so ``HbarSeries`` drops zeros in its constructor as well.
+    """
+    prev = out.get(key)
+    if prev is None:
+        if v:
+            out[key] = -v if subtract else v
+        return
+    s = prev - v if subtract else prev + v
+    if s:
+        out[key] = s
+    else:
+        del out[key]
 
 
 class GaussianRational:
@@ -230,7 +257,7 @@ class Polynomial:
         if self.dim != other.dim:
             raise ValueError("polynomial dims differ: %d vs %d" % (self.dim, other.dim))
 
-    def __add__(self, other):
+    def _combine(self, other, subtract):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Polynomial.constant(self.dim, other)
         if not isinstance(other, Polynomial):
@@ -238,31 +265,16 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            prev = out.get(exp)
-            s = c if prev is None else prev + c
-            if s:
-                out[exp] = s
-            elif prev is not None:
-                del out[exp]
+            accumulate(out, exp, c, subtract)
         return Polynomial._make(self.dim, out)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(self.dim, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            prev = out.get(exp)
-            s = (-c) if prev is None else prev - c
-            if s:
-                out[exp] = s
-            elif prev is not None:
-                del out[exp]
-        return Polynomial._make(self.dim, out)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -291,14 +303,7 @@ class Polynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = out.get(e)
-                s = c if prev is None else prev + c
-                if s:
-                    out[e] = s
-                elif prev is not None:
-                    del out[e]
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Polynomial._make(self.dim, out)
 
     def __rmul__(self, other):
@@ -322,13 +327,7 @@ class Polynomial:
         for exp, c in self.terms.items():
             k = exp[j]
             if k:
-                e = exp[:j] + (k - 1,) + exp[j + 1:]
-                prev = out.get(e)
-                s = c * k if prev is None else prev + c * k
-                if s:
-                    out[e] = s
-                elif prev is not None:
-                    del out[e]
+                accumulate(out, exp[:j] + (k - 1,) + exp[j + 1:], c * k)
         return Polynomial._make(self.dim, out)
 
     # -- predicates --------------------------------------------------------
@@ -432,13 +431,8 @@ class HbarSeries:
         order = min(self.order, other.order)
         out = {n: v for n, v in self.coeffs.items() if n <= order}
         for n, v in other.coeffs.items():
-            if n > order:
-                continue
-            s = v if n not in out else out[n] + v
-            if _is_zero(s):
-                out.pop(n, None)
-            else:
-                out[n] = s
+            if n <= order:
+                accumulate(out, n, v)
         return HbarSeries(order, out)
 
     def __sub__(self, other):

@@ -8,8 +8,9 @@ computes those probes, the predicted bivector series
 
     T_n = (i/2) [ sum_{p >= 1} (mu alpha^hbar)^{<> p} ]_{n-1},
 
-their comparison, and a family of curvature identities that pin the constant
-prefactors of the first curvature-dependent corrections.
+a shift of the formal Poisson bivector, their comparison, and a family of
+curvature identities that pin the constant prefactors of the first
+curvature-dependent corrections.
 
 Curvature bookkeeping.  With A_l = R_{ijkl} y^i y^j y^k, the triple
 contraction A_{l1} o_3 A_{l2} is i hbar^3 times a real polynomial matrix;
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GaussianRational, HbarSeries, Polynomial, I
-from .tensors import Tensor2, TensorSeries, mu, series_diamond, two_form_d
+from .algebra import GaussianRational, HbarSeries, Polynomial, I, accumulate
+from .tensors import Tensor2, formal_poisson, mu, two_form_d
 from .weyl import (WeylForm, central_two_form, delta_inv, i_over_hbar, moyal,
                    odd_bracket, sigma, two_form_to_tensor, y_dx_form,
                    y_gradient)
@@ -45,7 +46,7 @@ __all__ = [
     "curvature_onediff_identities",
 ]
 
-_HALF_I = GaussianRational(0, Fraction(1, 2))
+_MINUS_HALF_I = GaussianRational(0, Fraction(-1, 2))
 _MINUS_I = GaussianRational(0, -1)
 
 
@@ -96,9 +97,7 @@ def cal_r(geom):
                     u[i] += 1
                     u[j] += 1
                     u[k] += 1
-                    key = (0, tuple(u), ())
-                    terms[key] = terms.get(key, Polynomial.zero(dim)) + v
-        terms = {key: p for key, p in terms.items() if not p.is_zero()}
+                    accumulate(terms, (0, tuple(u), ()), v)
         a_weyl.append(WeylForm(dim, terms))
     rows = [[Polynomial.zero(dim) for _ in range(dim)] for _ in range(dim)]
     for l1 in range(dim):
@@ -208,28 +207,15 @@ def predicted_onediff(alpha_h, geom, order):
 
     Returns the HbarSeries with coefficient (i/2) [sum_{p>=1}
     (mu alpha^hbar)^{<> p}]_{n-1} at hbar^n — the expected coordinate probe
-    of the perturbed-minus-unperturbed product at each order.  Adding the
-    hbar^0 bivector wbar to the inner sum (with sign) reassembles the formal
-    Poisson bivector, which ``formal_poisson`` computes independently.
+    of the perturbed-minus-unperturbed product at each order.  The inner sum
+    is wbar minus the formal Poisson bivector, so for n >= 2 the coefficient
+    is -(i/2) times the hbar^{n-1} coefficient of
+    ``formal_poisson(alpha_h, geom, order - 1)``, and it is zero at n <= 1.
+    The input checks are those of ``formal_poisson``.
     """
-    if alpha_h.variance != "lower":
-        raise ValueError("perturbation must be a lower tensor series")
-    if alpha_h.dim != geom.dim:
-        raise ValueError("perturbation dim does not match chart dim")
-    inner = order - 1
-    abar = alpha_h.with_order(inner).map_tensors(lambda t: mu(t, geom),
-                                                 variance="upper")
-    total = TensorSeries(geom.dim, "upper", HbarSeries(inner, {}))
-    power = abar
-    while not power.is_zero():
-        total = total + power
-        power = series_diamond(abar, power, geom, inner)
-    out = {}
-    for m, t in total.hs.coeffs.items():
-        scaled = t.scale(_HALF_I)
-        if not scaled.is_zero():
-            out[m + 1] = scaled
-    return HbarSeries(order, out)
+    fp = formal_poisson(alpha_h, geom, order - 1)
+    return HbarSeries(order, {m + 1: t.scale(_MINUS_HALF_I)
+                              for m, t in fp.hs.coeffs.items() if m >= 1})
 
 
 class OrderComparison:
@@ -338,26 +324,6 @@ def _check_series(anchor, lhs, rhs, detail=""):
     return IdentityCheck(anchor, str(res), res.is_zero(), detail)
 
 
-def _grad_pair_series(upper, f, g, coeff, hpow):
-    """HbarSeries with hbar^hpow term  coeff * upper^{mn} d_m f d_n g."""
-    dim = upper.dim
-    acc = Polynomial.zero(dim)
-    for m in range(dim):
-        df = f.partial(m)
-        if df.is_zero():
-            continue
-        for nn in range(dim):
-            dg = g.partial(nn)
-            if dg.is_zero():
-                continue
-            v = upper.entry(m, nn)
-            if v.is_zero():
-                continue
-            acc = acc + v * df * dg
-    acc = acc.scale(coeff)
-    return HbarSeries(hpow, {} if acc.is_zero() else {hpow: acc})
-
-
 def curvature_onediff_identities(geom, f, g):
     """Exact checks of the curvature corrections entering the probe orders.
 
@@ -412,10 +378,7 @@ def curvature_onediff_identities(geom, f, g):
                         uu[i] += 1
                         uu[j] += 1
                         uu[k] += 1
-                        key = (0, tuple(uu), ())
-                        term = (v * dmf).scale(w)
-                        expect[key] = expect.get(key, Polynomial.zero(dim)) + term
-    expect = {kk: vv for kk, vv in expect.items() if not vv.is_zero()}
+                        accumulate(expect, (0, tuple(uu), ()), (v * dmf).scale(w))
     rhs24 = WeylForm(dim, expect).scale(GaussianRational(Fraction(-1, 24)))
     checks.append(_check_forms(
         "transport.cubic-curvature-term", ta, rhs24,
@@ -436,9 +399,9 @@ def curvature_onediff_identities(geom, f, g):
         "two-form of the curvature transport square"))
 
     # identity (pair product of two transported sections)
+    pair = p_upper.pair(f, g)
     lhs1 = sigma(moyal(ta, tb, geom))
-    rhs1 = _grad_pair_series(p_upper, f, g,
-                             GaussianRational(0, Fraction(-1, 576)), 3)
+    rhs1 = HbarSeries(3, {3: pair.scale(GaussianRational(0, Fraction(-1, 576)))})
     checks.append(_check_series(
         "onediff.transport-pair-product", lhs1, rhs1,
         "sigma of transported-section pair"))
@@ -446,8 +409,7 @@ def curvature_onediff_identities(geom, f, g):
     # identity (double transport against an untouched section)
     lhs2 = sigma(moyal(transport(ta), b1, geom)) \
         + sigma(moyal(a1, transport(tb), geom))
-    rhs2 = _grad_pair_series(p_upper, f, g,
-                             GaussianRational(0, Fraction(-1, 96)), 3)
+    rhs2 = HbarSeries(3, {3: pair.scale(GaussianRational(0, Fraction(-1, 96)))})
     checks.append(_check_series(
         "onediff.double-transport", lhs2, rhs2,
         "twice-transported section against a plain one"))
@@ -458,8 +420,7 @@ def curvature_onediff_identities(geom, f, g):
 
     lhs3 = sigma(moyal(central_transport(a1), b1, geom)) \
         + sigma(moyal(a1, central_transport(b1), geom))
-    rhs3 = _grad_pair_series(p_upper, f, g,
-                             GaussianRational(0, Fraction(-1, 64)), 3)
+    rhs3 = HbarSeries(3, {3: pair.scale(GaussianRational(0, Fraction(-1, 64)))})
     checks.append(_check_series(
         "onediff.central-form-transport", lhs3, rhs3,
         "central curvature form against plain sections"))

@@ -151,10 +151,6 @@ class WeylCurvatureSpec:
             self.dim, self.geometry.is_flat(), self.is_perturbed)
 
 
-def _i_over_hbar_or_zero(a):
-    return a if a.is_zero() else i_over_hbar(a)
-
-
 def solve_r(spec, cap, max_passes=None):
     """Solve  r = delta_inv(Q + par r + (i/hbar) r o r)  through the cap.
 
@@ -183,7 +179,7 @@ def solve_r(spec, cap, max_passes=None):
                 "r-recursion did not stabilize within %d passes" % limit)
         upd = cov_ext_deriv(step, geom)
         cross = odd_bracket(r, step, geom) + moyal(step, step, geom, parity=1)
-        upd = upd + _i_over_hbar_or_zero(cross)
+        upd = upd + i_over_hbar(cross)
         body = body + upd
         r = r + step
     if not delta_inv(r).is_zero():
@@ -221,7 +217,7 @@ def flat_section(f, spec, r, cap):
                 "section recursion did not stabilize within %d passes" % limit)
         upd = cov_ext_deriv(step, geom)
         if use_r:
-            upd = upd + _i_over_hbar_or_zero(odd_bracket(r, step, geom))
+            upd = upd + i_over_hbar(odd_bracket(r, step, geom))
         body = body + upd
         a = a + step
     return a
@@ -236,7 +232,7 @@ def abelian_residual(a, spec, r, drop_above=None):
     from .weyl import delta as _delta
     out = cov_ext_deriv(a, spec.geometry) - _delta(a)
     if not r.is_zero():
-        out = out + _i_over_hbar_or_zero(odd_bracket(r, a, spec.geometry))
+        out = out + i_over_hbar(odd_bracket(r, a, spec.geometry))
     if drop_above is not None:
         out = out.capped(drop_above)
     return out
@@ -249,7 +245,7 @@ def curvature_residual(r, spec, drop_above=None):
     cap = r.cap
     body = spec.q_form(cap) + cov_ext_deriv(r, geom)
     sq = moyal(r, r, geom, parity=1)
-    body = body + _i_over_hbar_or_zero(sq)
+    body = body + i_over_hbar(sq)
     out = _delta(r) - body
     if drop_above is not None:
         out = out.capped(drop_above)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GaussianRational, Polynomial, ONE
+from .algebra import GaussianRational, Polynomial, ONE, accumulate
 from .tensors import (SingularMatrixError, Tensor2, invert_scalar_matrix)
 from . import weyl as _weyl
 from .weyl import WeylForm, exterior_d, i_over_hbar, odd_bracket, pairing_table
@@ -138,10 +138,7 @@ class Geometry:
                         p = self.christoffel(i, j, k)
                         if p.is_zero():
                             continue
-                        key = (0, u, (k,))
-                        v = p.scale(half)
-                        prev = terms.get(key)
-                        terms[key] = v if prev is None else prev + v
+                        accumulate(terms, (0, u, (k,)), p.scale(half))
             self._gamma_weyl = WeylForm(self.dim, terms)
         return self._gamma_weyl
 
@@ -273,9 +270,7 @@ class Curvature4:
 
     def _build_weyl_form(self):
         dim = self.dim
-        quarter = Fraction(1, 4)
         terms = {}
-        form = WeylForm.zero(dim)
         for i in range(dim):
             for j in range(dim):
                 u = [0] * dim
@@ -288,14 +283,7 @@ class Curvature4:
                         v = self.entries[i][j][k][l]
                         if v.is_zero():
                             continue
-                        key = (0, u, (k, l))
-                        p = v.scale(Fraction(1, 2))
-                        prev = terms.get(key)
-                        s = p if prev is None else prev + p
-                        if s.is_zero():
-                            terms.pop(key, None)
-                        else:
-                            terms[key] = s
+                        accumulate(terms, (0, u, (k, l)), v.scale(Fraction(1, 2)))
         return WeylForm(dim, terms)
 
 

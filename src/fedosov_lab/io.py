@@ -135,7 +135,11 @@ def parse_poly(text, dim):
 
 
 class Scenario:
-    """A chart, an optional perturbation, an order, and observables."""
+    """A chart, an optional perturbation, an order, and observables.
+
+    The spec is built here, so a perturbation that is not skew and closed
+    fails when the scenario is made, not at its first use.
+    """
 
     def __init__(self, scenario_id, geometry, perturbation=None, order=4,
                  observables=None, coeff_limit=8):
@@ -145,9 +149,10 @@ class Scenario:
         self.order = order
         self.observables = observables or {}
         self.coeff_limit = coeff_limit
+        self._spec = WeylCurvatureSpec(geometry, perturbation)
 
     def build_spec(self):
-        return WeylCurvatureSpec(self.geometry, self.perturbation)
+        return self._spec
 
     def observable(self, name):
         p = self.observables.get(name)
@@ -199,6 +204,12 @@ def _scenario_from_dict(data):
         key = tuple(int(j) - 1 for j in idx)
         gamma[key] = parse_poly(str(value), dim)
     geometry = Geometry(dim, omega=omega, gamma=gamma or None)
+    order = int(data.get("order", 4))
+    if order < 1:
+        raise ScenarioError("order must be at least 1, got %d" % order)
+    coeff_limit = int(data.get("coeff_limit", 8))
+    if coeff_limit < 1:
+        raise ScenarioError("coeff_limit must be at least 1, got %d" % coeff_limit)
 
     perturbation = None
     plist = data.get("perturbation", [])
@@ -212,7 +223,6 @@ def _scenario_from_dict(data):
             rows = _parse_matrix(entry["alpha"], dim, "alpha")
             terms.append((k, Tensor2(dim, "lower", rows)))
             top = max(top, k)
-        order = int(data.get("order", 4))
         perturbation = TensorSeries.from_terms(dim, "lower",
                                                max(order, top), terms)
 
@@ -224,9 +234,9 @@ def _scenario_from_dict(data):
         scenario_id=str(data.get("id", "unnamed")),
         geometry=geometry,
         perturbation=perturbation,
-        order=int(data.get("order", 4)),
+        order=order,
         observables=observables,
-        coeff_limit=int(data.get("coeff_limit", 8)),
+        coeff_limit=coeff_limit,
     )
 
 

@@ -23,7 +23,7 @@ check.
 
 from __future__ import annotations
 
-from .algebra import GaussianRational, HbarSeries, Polynomial, ONE, ZERO
+from .algebra import GaussianRational, HbarSeries, Polynomial, ONE, ZERO, accumulate
 
 __all__ = [
     "Tensor2",
@@ -486,11 +486,7 @@ def series_schouten(A, B, order=None):
 def _t3_add(a, b):
     entries = dict(a.entries)
     for key, v in b.entries.items():
-        s = entries[key] + v if key in entries else v
-        if s.is_zero():
-            entries.pop(key, None)
-        else:
-            entries[key] = s
+        accumulate(entries, key, v)
     return Tensor3(a.dim, entries)
 
 

@@ -36,7 +36,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .algebra import GaussianRational, HbarSeries, Polynomial, I, ONE
+from .algebra import GaussianRational, HbarSeries, Polynomial, I, ONE, accumulate
 
 __all__ = [
     "WeylForm",
@@ -191,7 +191,7 @@ class WeylForm:
             return self.cap
         return min(self.cap, other.cap)
 
-    def __add__(self, other):
+    def _combine(self, other, subtract):
         if not isinstance(other, WeylForm):
             return NotImplemented
         if self.dim != other.dim:
@@ -200,34 +200,15 @@ class WeylForm:
         out = {k: p for k, p in self.terms.items()
                if cap is None or 2 * k[0] + sum(k[1]) <= cap}
         for k, p in other.terms.items():
-            if cap is not None and 2 * k[0] + sum(k[1]) > cap:
-                continue
-            prev = out.get(k)
-            s = p if prev is None else prev + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            if cap is None or 2 * k[0] + sum(k[1]) <= cap:
+                accumulate(out, k, p, subtract)
         return WeylForm._make(self.dim, out, cap)
 
+    def __add__(self, other):
+        return self._combine(other, False)
+
     def __sub__(self, other):
-        if not isinstance(other, WeylForm):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("weyl form dims differ")
-        cap = self._merge_cap(other)
-        out = {k: p for k, p in self.terms.items()
-               if cap is None or 2 * k[0] + sum(k[1]) <= cap}
-        for k, p in other.terms.items():
-            if cap is not None and 2 * k[0] + sum(k[1]) > cap:
-                continue
-            prev = out.get(k)
-            s = (-p) if prev is None else prev - p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return WeylForm._make(self.dim, out, cap)
+        return self._combine(other, True)
 
     def __neg__(self):
         return WeylForm._make(self.dim,
@@ -399,17 +380,10 @@ def moyal(a, b, geom, only_k=None, parity=None):
                         continue
                     if pab is None:
                         pab = pa * pb
-                    c = pref * w * (ff * ff2)
                     key = (ha + hb + k,
                            tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e)),
                            IJ)
-                    v = pab.scale(c)
-                    prev = out.get(key)
-                    s = v if prev is None else prev + v
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    accumulate(out, key, pab.scale(pref * w * (ff * ff2)))
     return WeylForm._make(a.dim, out, cap)
 
 
@@ -482,14 +456,7 @@ def moyal_sigma(a, b, geom, order=None):
             if w is None:
                 continue
             c = prefactors[k] * w * (fa * _exps_factorial(ub))
-            h = ha + hb + k
-            v = (pa * pb).scale(c)
-            prev = out.get(h)
-            s = v if prev is None else prev + v
-            if s.is_zero():
-                out.pop(h, None)
-            else:
-                out[h] = s
+            accumulate(out, ha + hb + k, (pa * pb).scale(c))
     if order is None:
         order = cap // 2 if cap is not None else max(out, default=0)
         order = max(order, max(out, default=0))
@@ -539,15 +506,7 @@ def delta(a):
             if merged is None:
                 continue
             sign, nf = merged
-            nu = u[:k] + (e - 1,) + u[k + 1:]
-            v = p.scale(e * sign)
-            key = (h, nu, nf)
-            prev = out.get(key)
-            s = v if prev is None else prev + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, (h, u[:k] + (e - 1,) + u[k + 1:], nf), p.scale(e * sign))
     return WeylForm._make(a.dim, out, a.cap)
 
 
@@ -566,15 +525,7 @@ def delta_inv(a):
         for pos, k in enumerate(form):
             nu = u[:k] + (u[k] + 1,) + u[k + 1:]
             nf = form[:pos] + form[pos + 1:]
-            c = w if pos % 2 == 0 else -w
-            v = p.scale(c)
-            key = (h, nu, nf)
-            prev = out.get(key)
-            s = v if prev is None else prev + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, (h, nu, nf), p.scale(w if pos % 2 == 0 else -w))
     return WeylForm._make(a.dim, out, a.cap)
 
 
@@ -601,15 +552,7 @@ def exterior_d(a):
             if merged is None:
                 continue
             sign, nf = merged
-            if sign < 0:
-                dp = -dp
-            key = (h, u, nf)
-            prev = out.get(key)
-            s = dp if prev is None else prev + dp
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, (h, u, nf), dp, subtract=sign < 0)
     return WeylForm._make(a.dim, out, a.cap)
 
 
@@ -634,14 +577,9 @@ def y_dx_form(t, hpow=0, cap=None):
     dim = t.dim
     terms = {}
     for i in range(dim):
+        u = tuple(1 if m == i else 0 for m in range(dim))
         for j in range(dim):
-            v = t.rows[i][j]
-            if v.is_zero():
-                continue
-            u = tuple(1 if m == i else 0 for m in range(dim))
-            key = (hpow, u, (j,))
-            prev = terms.get(key)
-            terms[key] = v if prev is None else prev + v
+            accumulate(terms, (hpow, u, (j,)), t.rows[i][j])
     return WeylForm(dim, terms, cap)
 
 

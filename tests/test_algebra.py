@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, HbarSeries, I, ONE, Polynomial, ZERO
+from fedosov_lab.algebra import (GaussianRational, HbarSeries, I, ONE, Polynomial, ZERO,
+                                 accumulate)
+from fedosov_lab.geometry import Geometry
+from fedosov_lab.weyl import WeylForm, delta, delta_inv, exterior_d, moyal, moyal_sigma
 
-from conftest import rand_coeff, rand_poly
+from conftest import rand_coeff, rand_form, rand_poly
 
 F = Fraction
 
@@ -187,3 +190,60 @@ def test_hbar_series_truncation_and_shift(rng):
     assert a.with_order(9).order == 9
     with pytest.raises(ValueError):
         HbarSeries(3, {-1: Polynomial.one(dim)})
+
+
+# -- accumulate and the no-stored-zero invariant ------------------------------
+
+
+@pytest.mark.parametrize("v", [
+    GaussianRational(F(3, 2), -1),
+    Polynomial(2, {(1, 0): GaussianRational(F(3, 2)), (0, 2): I}),
+])
+def test_accumulate_keeps_no_zero(v):
+    zero = v - v
+    out = {"a": v}
+    accumulate(out, "a", -v)
+    assert out == {}  # a cancelling sum drops the key
+    accumulate(out, "a", v)
+    accumulate(out, "a", v, subtract=True)
+    assert out == {}
+    accumulate(out, "b", zero)
+    accumulate(out, "b", zero, subtract=True)
+    assert out == {}  # a zero added to a missing key stores nothing
+    accumulate(out, "c", v, subtract=True)
+    assert out == {"c": -v}  # a subtract into a missing key stores -v
+    accumulate(out, "c", v)
+    accumulate(out, "d", v)
+    accumulate(out, "d", v)
+    assert out == {"d": v + v}
+
+
+def _assert_no_stored_zero(value):
+    if isinstance(value, Polynomial):
+        assert all(value.terms.values()), value.terms
+        return
+    terms = value.terms if isinstance(value, WeylForm) else value.coeffs
+    for p in terms.values():
+        assert not p.is_zero(), value
+        _assert_no_stored_zero(p)
+
+
+def test_no_stored_zero_after_arithmetic(rng):
+    # Equality compares the term dicts, so one stored zero would make equal
+    # values compare unequal.  The d^2 = 0 style operands force whole sums
+    # to cancel inside each operation.
+    dim = 2
+    geom = Geometry(dim)
+    for _ in range(30):
+        p = rand_poly(rng, dim, deg=2, terms=4)
+        q = rand_poly(rng, dim, deg=2, terms=4)
+        for value in (p + q, p - q, (p + q) - q, p * q, (p + q) * (p - q),
+                      p.partial(0), p.partial(1)):
+            _assert_no_stored_zero(value)
+        a = rand_form(rng, dim, cap=6)
+        b = rand_form(rng, dim, cap=6)
+        for value in (a + b, a - b, (a + b) - b, moyal(a, b, geom),
+                      moyal(a, b, geom) - moyal(b, a, geom), moyal_sigma(a, b, geom),
+                      delta(a), delta(delta(a)), delta_inv(a), delta_inv(delta_inv(a)),
+                      exterior_d(a), exterior_d(exterior_d(a))):
+            _assert_no_stored_zero(value)

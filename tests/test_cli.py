@@ -178,3 +178,34 @@ def test_coeffs_order_zero_without_scenario_is_usage_error(capsys):
 def test_run_coeffs_limit_zero_is_not_the_default():
     with pytest.raises(ValueError):
         cli.run("coeffs", None, coeff_limit=0)
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["verify", "star", "compare", "poisson"])
+@pytest.mark.parametrize("order", [0, -3])
+def test_scenario_order_below_one_is_scenario_error(tmp_path, capsys, command, order):
+    path = write_scenario(tmp_path, dict(FLAT_PERTURBED, order=order))
+    assert cli.main([command, "--scenario", path]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify"])
+def test_scenario_coeff_limit_below_one_is_scenario_error(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, dict(FLAT_PERTURBED, coeff_limit=0))
+    assert cli.main([command, "--scenario", path]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["verify", "star", "compare", "poisson"])
+def test_scenario_non_closed_perturbation_is_scenario_error(tmp_path, capsys, command):
+    alpha = [["0"] * 4 for _ in range(4)]
+    alpha[0][1], alpha[1][0] = "x3", "-x3"
+    data = {"id": "cli-open", "geometry": {"dim": 4}, "order": 2,
+            "perturbation": [{"k": 1, "alpha": alpha}]}
+    path = write_scenario(tmp_path, data)
+    assert cli.main([command, "--scenario", path]) == 2
+    _assert_one_line_error(capsys)

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from fedosov_lab.algebra import GaussianRational, Polynomial
-from fedosov_lab.fedosov import PerturbationError
 from fedosov_lab.io import (Check, ParseError, Report, Scenario, ScenarioError,
                             load_scenario, parse_poly, parse_rational)
 
@@ -158,11 +157,10 @@ def test_load_scenario_rejects_bad_data():
     with pytest.raises(ParseError):
         load_scenario({"geometry": {"dim": 2},
                        "observables": {"f": "y1"}})
-    # non-skew perturbations load but fail spec validation
-    sc = load_scenario({"geometry": {"dim": 2}, "order": 3,
-                        "perturbation": [{"k": 1, "alpha": [["0", "1"], ["1", "0"]]}]})
-    with pytest.raises(PerturbationError):
-        sc.build_spec()
+    # a non-skew perturbation is rejected at load, not at the first spec build
+    with pytest.raises(ScenarioError, match="not skew"):
+        load_scenario({"geometry": {"dim": 2}, "order": 3,
+                       "perturbation": [{"k": 1, "alpha": [["0", "1"], ["1", "0"]]}]})
 
 
 def test_bundled_scenarios_all_load():

@@ -1,0 +1,64 @@
+"""Byte-exact reports of the bundled flat scenarios.
+
+Each digest is the sha256 of ``cli.run(command, scenario).to_json()``.  A
+change that is meant to keep every output unchanged (a refactor, a faster
+algorithm) must leave all of them equal; a change that means to alter an
+output re-records the affected digests and says why.  The curved scenarios
+take minutes per report and are pinned by the benchmark's gate instead.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from fedosov_lab import cli
+from fedosov_lab.io import load_scenario
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+DIGESTS = {
+    ("flat_r2_k1_const", "verify"): "787c70d61689f819f591cde3c4a01ee43101ae436de97fcac2a6e083e34cdc0e",
+    ("flat_r2_k1_const", "star"): "91567c765944b33f00bd36364c6012feb40899ed21401dd0c19ef902b44e9ff0",
+    ("flat_r2_k1_const", "compare"): "145c3c662068ed30138aabac1187189b00043b456d79de062fd384fe42c341d3",
+    ("flat_r2_k1_const", "poisson"): "ad9d4191684c3b406237b92888ee407be7da349bfaa004b99ef320a43f31b063",
+    ("flat_r2_k1_poly", "verify"): "b9040549640b134bf7d9746d2de0ba6412f297da4427f84c0c331a0a4f985653",
+    ("flat_r2_k1_poly", "star"): "a1b8dd2c8daa4dee45f4d446d203a3195ad6426ec4e256797de4a15ff8e4f178",
+    ("flat_r2_k1_poly", "compare"): "ea28e89251dc4a45476efcc8bfc4cf166c5e855fb56bd1cbc0fef038a0d529e8",
+    ("flat_r2_k1_poly", "poisson"): "c73d4d39a93dc90c9bdee67c9d188aca2223d1f19d99a5da9948e4b053ea4316",
+    ("flat_r2_k2_const", "verify"): "072201e330a9db37c7a6e298c98f93189ac55438f876f101be8bbd905577e2a7",
+    ("flat_r2_k2_const", "star"): "e412eb7cab9441a0966c6ae2b74ff6e937a13e0ee009bb1394959d81a1b8c68d",
+    ("flat_r2_k2_const", "compare"): "2e6e5799436212bd15972c50de528710cea2b8a88e27125f146227b98a8be1d6",
+    ("flat_r2_k2_const", "poisson"): "813c5433cb9e560f83579190adf4eeb8812a501cabc13d6a71e275817f3807d8",
+    ("flat_r2_plain", "verify"): "f69585f00e74ece5a6c316f634aa2a4bddb4e27418bf583c7a467132c310b986",
+    ("flat_r2_plain", "star"): "9c70e31e5d421d1ae037dc79ca2aa8f4117566ffb659de2530cff26730d600d7",
+    ("flat_r4_formal", "verify"): "b005eeb0f026126a47a451756cd49c429894efe7cab88e9b65ff2d4b356e97ff",
+    ("flat_r4_formal", "star"): "079e911d06cf9231ba2f5394b7bca5cff34d3f1514b9cc9b812fd3693b3b9d1e",
+    ("flat_r4_formal", "compare"): "0a40a77355d97ff013861443418e25c596029a5a84261b2355c6f30b6b97fec8",
+    ("flat_r4_formal", "poisson"): "0da716a34f295249bb06e5545d0ab4db3008356a3ae5fb8c113bd13c6eb3990f",
+    ("flat_r4_k1_const", "verify"): "143376560d2ece3268cd2be1e19afbd999478bb66d6205300c0f1f2ffd03600a",
+    ("flat_r4_k1_const", "star"): "d33009da892781af1ac9a8e72d4e6d30c637aa706a6b00c28db226e44a5901a0",
+    ("flat_r4_k1_const", "compare"): "791c0560808a81a4aa14695a9823cf48e834be57a002c84361bb5122eea9894c",
+    ("flat_r4_k1_const", "poisson"): "1466311b164122aeafeb5420bf2fc4b74efb876caae2865a552b24883383dee1",
+    ("flat_r4_k1_poly", "verify"): "113f619fb62a1193f8fc1ba6d6252af8c38d65b8e84647523068944f2174ce18",
+    ("flat_r4_k1_poly", "star"): "146c82eb1a11e6009b93cab3b4473c564c789a49438cdca8b80a7bfdb380baa5",
+    ("flat_r4_k1_poly", "compare"): "6a0459ef97c15a9d5668902d40ac856262de2db890da537f76eda026028fa7eb",
+    ("flat_r4_k1_poly", "poisson"): "a4865f3146e2f953358bb2708f08d0c8f9b29789baec36e654d6d0d315f6d4db",
+    ("flat_r4_k2_const", "verify"): "ee27995a6c3616c635dc1789bab3ee221ad85b69fb15ea30d2a4747a1c05df6b",
+    ("flat_r4_k2_const", "star"): "9a4066d6499fbb12de5db8e140eeb9d6940548108af156661bebbd64c2e3a688",
+    ("flat_r4_k2_const", "compare"): "99e6eea2f67a5bda5cb3375451a1a828ec38825a05a423f9b1d0c1ddf15cbad2",
+    ("flat_r4_k2_const", "poisson"): "6329c7ec16ee2f8051d1a7ad0b08d7b621722c1d222d86ae3d41c5afde573582",
+}
+
+
+def test_every_flat_scenario_is_pinned():
+    flat = sorted(name[:-5] for name in os.listdir(SCENARIOS)
+                  if name.startswith("flat_") and name.endswith(".json"))
+    assert sorted({name for name, _cmd in DIGESTS}) == flat
+
+
+@pytest.mark.parametrize("name,command", sorted(DIGESTS))
+def test_report_bytes_are_unchanged(name, command):
+    scenario = load_scenario(os.path.join(SCENARIOS, name + ".json"))
+    report = cli.run(command, scenario).to_json()
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DIGESTS[(name, command)]
