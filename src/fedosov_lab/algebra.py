@@ -425,18 +425,21 @@ class HbarSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, subtract):
         if not isinstance(other, HbarSeries):
             return NotImplemented
         order = min(self.order, other.order)
         out = {n: v for n, v in self.coeffs.items() if n <= order}
         for n, v in other.coeffs.items():
             if n <= order:
-                accumulate(out, n, v)
+                accumulate(out, n, v, subtract)
         return HbarSeries(order, out)
 
+    def __add__(self, other):
+        return self._combine(other, False)
+
     def __sub__(self, other):
-        return self + other.neg()
+        return self._combine(other, True)
 
     def neg(self):
         return HbarSeries(self.order, {n: -v for n, v in self.coeffs.items()})

@@ -30,7 +30,7 @@ from .weyl import (WeylForm, central_two_form, delta_inv, i_over_hbar, moyal,
                    odd_bracket, sigma, two_form_to_tensor, y_dx_form,
                    y_gradient)
 from .geometry import GeometryError, cov_ext_deriv
-from .fedosov import StarEngine, WeylCurvatureSpec
+from .fedosov import StarEngine
 
 __all__ = [
     "CalR",
@@ -392,10 +392,10 @@ def curvature_onediff_identities(geom, f, g):
         "curvature square channels into the pair tensor"))
 
     # beta bridge: the n = 0 propagation form equals -P/32
+    bridge_ok = beta_form(0, geom) == p_lower.scale(Fraction(-1, 32))
     checks.append(IdentityCheck(
         "propagation.curvature-square-bridge",
-        "0" if beta_form(0, geom) == p_lower.scale(Fraction(-1, 32)) else "mismatch",
-        beta_form(0, geom) == p_lower.scale(Fraction(-1, 32)),
+        "0" if bridge_ok else "mismatch", bridge_ok,
         "two-form of the curvature transport square"))
 
     # identity (pair product of two transported sections)

@@ -85,8 +85,8 @@ def _verify_checks(scenario):
                             str(da), da.is_zero()))
 
     one = Polynomial.one(dim)
-    left = engine.star(one, f).as_series() - engine.star(f, one).as_series()
     unit = engine.star(one, f)
+    left = unit.as_series() - engine.star(f, one).as_series()
     unit_ok = unit.coeff(0) == f and all(
         unit.coeff(n).is_zero() for n in range(1, order + 1)) and left.is_zero()
     checks.append(Check("star.unit-neutral", sid,

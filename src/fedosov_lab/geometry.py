@@ -10,6 +10,13 @@ the curvature use the conventions
                      + Gamma^m_{ks} Gamma^s_{lj} - Gamma^m_{ls} Gamma^s_{kj}
     R_{ijkl}      =  w_{im} R^m_{jkl}
 
+In matrix form, with (C_k)_{rj} = Gamma_{rkj} and G_k = wbar C_k, so that
+(G_k)_{mj} = Gamma^m_{kj}, the curvature of the (k, l) plane is
+
+    R_kl  =  d_k G_l - d_l G_k + [G_k, G_l],     (R_kl)_{mj} = R^m_{jkl},
+
+and w R_kl holds the lowered entries R_{ijkl}.
+
 The overall sign is pinned operationally: with these constants the covariant
 exterior derivative on the Weyl bundle squares to the curvature action,
 
@@ -23,9 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GaussianRational, Polynomial, ONE, accumulate
-from .tensors import (SingularMatrixError, Tensor2, invert_scalar_matrix)
-from . import weyl as _weyl
+from .algebra import Polynomial, accumulate
+from .tensors import SingularMatrixError, Tensor2, invert_scalar_matrix, matmul
 from .weyl import WeylForm, exterior_d, i_over_hbar, odd_bracket, pairing_table
 
 __all__ = [
@@ -76,7 +82,6 @@ class Geometry:
         self.omega_bar = Tensor2(dim, "upper", inv)
 
         self.gamma = self._canonical_gamma(gamma or {})
-        self.omega_pairs = _constant_pairs(self.omega)
         self.omega_bar_pairs = _constant_pairs(self.omega_bar)
         self._tables = {}
         self._table_maps = {}
@@ -172,62 +177,22 @@ class Curvature4:
     def __init__(self, geom):
         dim = geom.dim
         self.dim = dim
-        wbar = geom.omega_bar.rows
-        w = geom.omega.rows
         zero = Polynomial.zero(dim)
-
-        raised = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for m in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    acc = None
-                    for r in range(dim):
-                        c = wbar[m][r]
-                        if c.is_zero():
-                            continue
-                        g = geom.christoffel(r, j, k)
-                        if g.is_zero():
-                            continue
-                        v = c * g
-                        acc = v if acc is None else acc + v
-                    raised[m][j][k] = acc if acc is not None else zero
-
-        upper = [[[[zero] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-        for m in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    for l in range(k + 1, dim):
-                        v = raised[m][l][j].partial(k) - raised[m][k][j].partial(l)
-                        for s in range(dim):
-                            a1 = raised[m][k][s]
-                            b1 = raised[s][l][j]
-                            if not a1.is_zero() and not b1.is_zero():
-                                v = v + a1 * b1
-                            a2 = raised[m][l][s]
-                            b2 = raised[s][k][j]
-                            if not a2.is_zero() and not b2.is_zero():
-                                v = v - a2 * b2
-                        if not v.is_zero():
-                            upper[m][j][k][l] = v
-                            upper[m][j][l][k] = -v
-
+        # G[k] = wbar C_k with (C_k)_{rj} = Gamma_{rkj}: row m, column j holds Gamma^m_{kj}.
+        G = [matmul(geom.omega_bar.rows,
+                    [[geom.christoffel(r, k, j) for j in range(dim)] for r in range(dim)])
+             for k in range(dim)]
         lowered = [[[[zero] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    for l in range(dim):
-                        acc = None
-                        for m in range(dim):
-                            c = w[i][m]
-                            if c.is_zero():
-                                continue
-                            v = upper[m][j][k][l]
-                            if v.is_zero():
-                                continue
-                            v = c * v
-                            acc = v if acc is None else acc + v
-                        if acc is not None:
-                            lowered[i][j][k][l] = acc
+        for k in range(dim):
+            for l in range(k + 1, dim):
+                # R_kl = d_k G_l - d_l G_k + G_k G_l - G_l G_k, then lowered by w
+                gkl, glk = matmul(G[k], G[l]), matmul(G[l], G[k])
+                r_kl = [[G[l][m][j].partial(k) - G[k][m][j].partial(l) + gkl[m][j] - glk[m][j]
+                         for j in range(dim)] for m in range(dim)]
+                for i, row in enumerate(matmul(geom.omega.rows, r_kl)):
+                    for j, v in enumerate(row):
+                        lowered[i][j][k][l] = v
+                        lowered[i][j][l][k] = -v
         self.entries = lowered
         self._validate(geom)
         self.weyl_two_form = self._build_weyl_form()
@@ -296,8 +261,8 @@ def validate_geometry(geom):
     checks = []
     omega = geom.omega
     checks.append(("geometry.omega-constant-skew", omega.is_constant() and omega.is_skew()))
-    prod = _scalar_product(omega.constant_rows(), geom.omega_bar.constant_rows())
-    ident = all(prod[i][j] == (ONE if i == j else 0) for i in range(geom.dim) for j in range(geom.dim))
+    prod = matmul(omega.rows, geom.omega_bar.rows)
+    ident = all(prod[i][j] == int(i == j) for i in range(geom.dim) for j in range(geom.dim))
     checks.append(("geometry.omega-inverse-identity", ident))
     sym = True
     for (i, j, k), p in geom.gamma.items():
@@ -308,12 +273,6 @@ def validate_geometry(geom):
         if not ok:
             raise GeometryError("validation failed: %s" % name)
     return checks
-
-
-def _scalar_product(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), GaussianRational(0)) for j in range(n)]
-            for i in range(n)]
 
 
 def cov_ext_deriv(a, geom):

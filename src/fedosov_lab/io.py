@@ -188,9 +188,16 @@ def load_scenario(source):
         raise ScenarioError("malformed scenario: %s" % exc) from exc
 
 
+def _integer(value, what):
+    """A JSON integer as is; a bool, a float or a string is a ScenarioError."""
+    if type(value) is not int:
+        raise ScenarioError("%s must be an integer, got %s" % (what, json.dumps(value)))
+    return value
+
+
 def _scenario_from_dict(data):
     gdata = data["geometry"]
-    dim = int(gdata["dim"])
+    dim = _integer(gdata["dim"], "dim")
     omega = None
     if "omega" in gdata:
         omega = [[parse_rational(str(v)) for v in row] for row in gdata["omega"]]
@@ -199,15 +206,15 @@ def _scenario_from_dict(data):
         idx, value = entry
         if len(idx) != 3:
             raise ScenarioError("gamma entries need three indices")
-        if not all(1 <= int(j) <= dim for j in idx):
+        key = tuple(_integer(j, "gamma index") - 1 for j in idx)
+        if not all(0 <= j < dim for j in key):
             raise ScenarioError("gamma index outside 1..%d" % dim)
-        key = tuple(int(j) - 1 for j in idx)
         gamma[key] = parse_poly(str(value), dim)
     geometry = Geometry(dim, omega=omega, gamma=gamma or None)
-    order = int(data.get("order", 4))
+    order = _integer(data.get("order", 4), "order")
     if order < 1:
         raise ScenarioError("order must be at least 1, got %d" % order)
-    coeff_limit = int(data.get("coeff_limit", 8))
+    coeff_limit = _integer(data.get("coeff_limit", 8), "coeff_limit")
     if coeff_limit < 1:
         raise ScenarioError("coeff_limit must be at least 1, got %d" % coeff_limit)
 
@@ -217,7 +224,7 @@ def _scenario_from_dict(data):
         terms = []
         top = 0
         for entry in plist:
-            k = int(entry["k"])
+            k = _integer(entry["k"], "perturbation power k")
             if k < 1:
                 raise ScenarioError("perturbation power k must be >= 1")
             rows = _parse_matrix(entry["alpha"], dim, "alpha")

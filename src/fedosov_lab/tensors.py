@@ -6,14 +6,18 @@ objects) and ``"upper"`` for two contravariant indices (bivectors).  The
 diamond contraction couples two like-variance tensors through the structure
 matrix of the chart:
 
-    lower:  (a <> b)_ij  =  sum_rs  wbar^{rs} a_{ri} b_{sj}
-    upper:  (A <> B)^ij  =  sum_rs  w_{rs}  A^{ri} B^{sj}
+    lower:  (a <> b)_ij  =  sum_rs  wbar^{rs} a_{ri} b_{sj},   a <> b = a^T wbar b
+    upper:  (A <> B)^ij  =  sum_rs  w_{rs}  A^{ri} B^{sj},     A <> B = A^T w B
 
 where w is the symplectic matrix and wbar its inverse.  ``mu`` and ``mu_inv``
 raise and lower both indices at once:
 
-    mu(a)^{ij}     = - wbar^{ir} wbar^{js} a_{rs}
-    mu_inv(A)_{ij} = - w_{ir} w_{js} A^{rs}
+    mu(a)^{ij}     = - wbar^{ir} wbar^{js} a_{rs},   mu(a)     = wbar a wbar
+    mu_inv(A)_{ij} = - w_{ir} w_{js} A^{rs},         mu_inv(A) = w A w
+
+(the matrix forms use that w and wbar are skew).  Every one of these index
+contractions, and those of ``series_inverse`` and the curvature, is a product
+of ``matmul``, the one exact matrix product of the package.
 
 ``formal_poisson`` assembles the deformed bivector series from a perturbation
 of the symplectic form, and ``series_inverse`` inverts a form-valued series
@@ -43,6 +47,7 @@ __all__ = [
     "series_diamond",
     "series_schouten",
     "invert_scalar_matrix",
+    "matmul",
 ]
 
 
@@ -156,18 +161,9 @@ class Tensor2:
         """Apply an upper tensor to two observables: sum A^{ij} d_i f d_j g."""
         if self.variance != "upper":
             raise VarianceError("pairing requires an upper tensor")
-        df = [f.partial(i) for i in range(self.dim)]
-        dg = [g.partial(j) for j in range(self.dim)]
-        out = Polynomial.zero(self.dim)
-        for i in range(self.dim):
-            if df[i].is_zero():
-                continue
-            for j in range(self.dim):
-                v = self.rows[i][j]
-                if v.is_zero() or dg[j].is_zero():
-                    continue
-                out = out + v * df[i] * dg[j]
-        return out
+        df = [[f.partial(i) for i in range(self.dim)]]
+        dg = [[g.partial(j)] for j in range(self.dim)]
+        return matmul(matmul(df, self.rows), dg)[0][0]
 
     def to_strs(self):
         """Dense row-major matrix of canonical polynomial strings."""
@@ -238,29 +234,31 @@ def _perm_sign(triple):
 # -- structure-matrix contractions ------------------------------------------
 
 
+def matmul(a, b):
+    """Exact product of two matrices given as rows of Polynomial; zero entries are skipped."""
+    zero = Polynomial.zero(b[0][0].dim)
+    out = []
+    for arow in a:
+        acc = {}
+        for x, brow in zip(arow, b):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(brow):
+                if not y.is_zero():
+                    accumulate(acc, j, x * y)
+        out.append([acc.get(j, zero) for j in range(len(b[0]))])
+    return out
+
+
 def diamond(a, b, geom):
-    """Diamond contraction of two like-variance tensors through the chart."""
+    """Diamond contraction of two like-variance tensors: a^T wbar b or A^T w B."""
     if not isinstance(a, Tensor2) or not isinstance(b, Tensor2):
         raise TypeError("diamond expects Tensor2 operands")
     a._check(b)
     if a.dim != geom.dim:
         raise ValueError("tensor dim does not match chart dim")
-    pairs = geom.omega_bar_pairs if a.variance == "lower" else geom.omega_pairs
-    dim = a.dim
-    out = [[Polynomial.zero(dim) for _ in range(dim)] for _ in range(dim)]
-    for r, s, w in pairs:
-        arow = a.rows[r]
-        brow = b.rows[s]
-        for i in range(dim):
-            ari = arow[i]
-            if ari.is_zero():
-                continue
-            ari_w = ari.scale(w)
-            for j in range(dim):
-                if brow[j].is_zero():
-                    continue
-                out[i][j] = out[i][j] + ari_w * brow[j]
-    return Tensor2(dim, a.variance, out)
+    w = geom.omega_bar if a.variance == "lower" else geom.omega
+    return Tensor2(a.dim, a.variance, matmul(a.transpose().rows, matmul(w.rows, b.rows)))
 
 
 def diamond_power(a, n, geom):
@@ -278,20 +276,7 @@ def mu(alpha, geom):
     if alpha.variance != "lower":
         raise VarianceError("mu expects a lower tensor")
     wbar = geom.omega_bar.rows
-    dim = alpha.dim
-    out = [[Polynomial.zero(dim) for _ in range(dim)] for _ in range(dim)]
-    for r, s, _w in _nonzero_positions(alpha):
-        ars = alpha.rows[r][s]
-        for i in range(dim):
-            wir = wbar[i][r]
-            if wir.is_zero():
-                continue
-            for j in range(dim):
-                wjs = wbar[j][s]
-                if wjs.is_zero():
-                    continue
-                out[i][j] = out[i][j] - wir * wjs * ars
-    return Tensor2(dim, "upper", out)
+    return Tensor2(alpha.dim, "upper", matmul(matmul(wbar, alpha.rows), wbar))
 
 
 def mu_inv(A, geom):
@@ -299,28 +284,7 @@ def mu_inv(A, geom):
     if A.variance != "upper":
         raise VarianceError("mu_inv expects an upper tensor")
     w = geom.omega.rows
-    dim = A.dim
-    out = [[Polynomial.zero(dim) for _ in range(dim)] for _ in range(dim)]
-    for r, s, _w in _nonzero_positions(A):
-        ars = A.rows[r][s]
-        for i in range(dim):
-            wir = w[i][r]
-            if wir.is_zero():
-                continue
-            for j in range(dim):
-                wjs = w[j][s]
-                if wjs.is_zero():
-                    continue
-                out[i][j] = out[i][j] - wir * wjs * ars
-    return Tensor2(dim, "lower", out)
-
-
-def _nonzero_positions(t):
-    for r in range(t.dim):
-        for s in range(t.dim):
-            v = t.rows[r][s]
-            if not v.is_zero():
-                yield r, s, v
+    return Tensor2(A.dim, "lower", matmul(matmul(w, A.rows), w))
 
 
 # -- brackets and derivatives --------------------------------------------------
@@ -531,64 +495,18 @@ def series_inverse(omega_series, order):
     if omega_series.variance != "lower":
         raise VarianceError("series_inverse expects a lower tensor series")
     dim = omega_series.dim
-    lead = omega_series.coeff(0)
-    w0 = invert_scalar_matrix(lead.constant_rows())
-    winv = Tensor2(dim, "upper", w0)
-    inv = {0: winv}
+    w0 = Tensor2(dim, "upper", invert_scalar_matrix(omega_series.coeff(0).constant_rows()))
+    inv = {0: w0}
     higher = {n: t for n, t in omega_series.hs.coeffs.items() if 0 < n <= order}
     for n in range(1, order + 1):
-        acc = None
+        # O_0 inv_n = -sum_{l >= 1} O_l inv_{n-l}
+        acc = Tensor2.zeros(dim, "upper")
         for l, el in higher.items():
-            if l > n:
-                continue
-            contrib = _mat_mul(el, inv[n - l])
-            acc = contrib if acc is None else _mat_add(acc, contrib)
-        if acc is None:
-            inv[n] = Tensor2.zeros(dim, "upper")
-        else:
-            inv[n] = Tensor2(dim, "upper", [[-v for v in row] for row in _mat_mul_rows(w0, acc)])
+            if l <= n:
+                acc = acc + Tensor2(dim, "upper", matmul(el.rows, inv[n - l].rows))
+        inv[n] = -Tensor2(dim, "upper", matmul(w0.rows, acc.rows))
     coeffs = {n: t for n, t in inv.items() if not t.is_zero()}
     return TensorSeries(dim, "upper", HbarSeries(order, coeffs))
-
-
-def _mat_mul(a, b):
-    """Matrix product of two Tensor2's entry grids (no variance bookkeeping)."""
-    dim = a.dim
-    return [[_dot(a.rows[i], [b.rows[k][j] for k in range(dim)]) for j in range(dim)]
-            for i in range(dim)]
-
-
-def _mat_mul_rows(scalar_rows, rows):
-    dim = len(scalar_rows)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = None
-            for k in range(dim):
-                c = scalar_rows[i][k]
-                if not c:
-                    continue
-                v = rows[k][j].scale(c)
-                acc = v if acc is None else acc + v
-            row.append(acc if acc is not None else Polynomial.zero(dim))
-        out.append(row)
-    return out
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _dot(row, col):
-    acc = None
-    for x, y in zip(row, col):
-        if x.is_zero() or y.is_zero():
-            continue
-        v = x * y
-        acc = v if acc is None else acc + v
-    dim = row[0].dim
-    return acc if acc is not None else Polynomial.zero(dim)
 
 
 def invert_scalar_matrix(rows):

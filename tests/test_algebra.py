@@ -247,3 +247,7 @@ def test_no_stored_zero_after_arithmetic(rng):
                       delta(a), delta(delta(a)), delta_inv(a), delta_inv(delta_inv(a)),
                       exterior_d(a), exterior_d(exterior_d(a))):
             _assert_no_stored_zero(value)
+        s = HbarSeries(3, {0: p, 1: q, 3: p * q})
+        t = HbarSeries(2, {0: p, 2: q})
+        for value in (s - t, t - s, (s + t) - t, s - s, t - t.truncate(1)):
+            _assert_no_stored_zero(value)

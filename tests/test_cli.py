@@ -209,3 +209,28 @@ def test_scenario_non_closed_perturbation_is_scenario_error(tmp_path, capsys, co
     path = write_scenario(tmp_path, data)
     assert cli.main([command, "--scenario", path]) == 2
     _assert_one_line_error(capsys)
+
+
+NON_INTEGERS = [2.9, True, 4.0, "2"]
+
+WITH_FIELD = {
+    "order": lambda v: dict(FLAT_PERTURBED, order=v),
+    "coeff_limit": lambda v: dict(FLAT_PERTURBED, coeff_limit=v),
+    "dim": lambda v: dict(FLAT_PERTURBED, geometry={"dim": v}),
+    "k": lambda v: dict(FLAT_PERTURBED, perturbation=[
+        {"k": v, "alpha": [["0", "1"], ["-1", "0"]]}]),
+    "gamma": lambda v: dict(FLAT_PERTURBED, geometry={
+        "dim": 2, "gamma": [[[1, 1, v], "x1"]]}),
+}
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=str)
+@pytest.mark.parametrize("field", sorted(WITH_FIELD))
+@pytest.mark.parametrize("command", ["verify", "star", "compare", "coeffs", "poisson"])
+def test_scenario_non_integer_is_scenario_error(tmp_path, capsys, command, field, value):
+    # "order": 2.9 must not run at order 2, nor "coeff_limit": true at limit 1.
+    path = write_scenario(tmp_path, WITH_FIELD[field](value))
+    assert cli.main([command, "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "must be an integer" in err

@@ -12,7 +12,8 @@ from fedosov_lab.tensors import Tensor2
 from fedosov_lab.weyl import (WeylForm, commutator, delta, i_over_hbar, moyal,
                               pairing_table)
 
-from conftest import rand_curved_geometry, rand_form, rand_form_qdeg, rand_poly
+from conftest import (rand_curved_geometry, rand_form, rand_form_qdeg, rand_gamma,
+                      rand_poly, rand_skew_constant)
 
 F = Fraction
 
@@ -157,6 +158,52 @@ def test_curvature_symmetries_and_bianchi(rng, dim, deg):
                         u[l] += 1
                         acc = acc + WeylForm(dim, {(0, tuple(u), ()): e})
             assert acc.is_zero(), i
+
+
+def curvature_oracle(geom, i, j, k, l):
+    """Direct index sums: Gamma^m_{jk} = wbar^{mr} Gamma_{rjk},
+    R^m_{jkl} = d_k Gamma^m_{lj} - d_l Gamma^m_{kj}
+                + Gamma^m_{ks} Gamma^s_{lj} - Gamma^m_{ls} Gamma^s_{kj},
+    R_{ijkl} = w_{im} R^m_{jkl}."""
+    dim = geom.dim
+
+    def raised(m, a, b):
+        out = Polynomial.zero(dim)
+        for r in range(dim):
+            out = out + geom.omega_bar.entry(m, r) * geom.christoffel(r, a, b)
+        return out
+
+    out = Polynomial.zero(dim)
+    for m in range(dim):
+        upper = raised(m, l, j).partial(k) - raised(m, k, j).partial(l)
+        for t in range(dim):
+            upper = upper + raised(m, k, t) * raised(t, l, j) - raised(m, l, t) * raised(t, k, j)
+        out = out + geom.omega.entry(i, m) * upper
+    return out
+
+
+def _rand_symplectic_geometry(rng, dim):
+    """Random curved chart on a random (not block-form) structure matrix."""
+    while True:
+        try:
+            g = Geometry(dim, omega=rand_skew_constant(rng, dim), gamma=rand_gamma(rng, dim))
+        except GeometryError:
+            continue  # singular structure matrix
+        if not g.is_flat():
+            return g
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_curvature_matches_index_oracle(rng, dim):
+    charts = [rand_curved_geometry(rng, dim, deg) for deg in (1, 2)]
+    charts.append(_rand_symplectic_geometry(rng, dim))
+    for g in charts:
+        curv = g.curvature()
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    for l in range(dim):
+                        assert curv.entry(i, j, k, l) == curvature_oracle(g, i, j, k, l)
 
 
 def test_weyl_two_form_convention(rng):

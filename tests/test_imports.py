@@ -1,0 +1,47 @@
+"""Every name a package module imports is used in that module.
+
+A stdlib-only scan of the source: for each module of ``fedosov_lab`` other
+than ``__init__.py`` (which imports to re-export), collect the names bound by
+``import`` and ``from ... import`` statements and the names the module reads.
+``from __future__`` imports are compiler switches, not bindings, and a name
+listed in the module's ``__all__`` counts as used.
+"""
+
+import ast
+import os
+
+import pytest
+
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "fedosov_lab")
+MODULES = sorted(name for name in os.listdir(PACKAGE)
+                 if name.endswith(".py") and name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_scan_finds_an_unused_import():
+    source = "from fractions import Fraction\nimport os, sys as _sys\nos.sep\n"
+    assert unused_imports(source) == [(1, "Fraction"), (2, "_sys")]
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []

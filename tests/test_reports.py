@@ -1,10 +1,12 @@
-"""Byte-exact reports of the bundled flat scenarios.
+"""Byte-exact reports of the bundled scenarios.
 
 Each digest is the sha256 of ``cli.run(command, scenario).to_json()``.  A
 change that is meant to keep every output unchanged (a refactor, a faster
 algorithm) must leave all of them equal; a change that means to alter an
-output re-records the affected digests and says why.  The curved scenarios
-take minutes per report and are pinned by the benchmark's gate instead.
+output re-records the affected digests and says why.  The flat scenarios are
+pinned at their own order.  The curved scenarios take minutes per report at
+their own order, so they are pinned at ``order=1``, where every layer still
+runs (chart checks, curvature identities, sections, the perturbed product).
 """
 
 import hashlib
@@ -50,15 +52,44 @@ DIGESTS = {
     ("flat_r4_k2_const", "poisson"): "6329c7ec16ee2f8051d1a7ad0b08d7b621722c1d222d86ae3d41c5afde573582",
 }
 
+# The curved charts at order 1: about 6 s for all fourteen reports.
+CURVED_DIGESTS = {
+    ("curved_r4_k1_const", "verify"): "0388bc64aee6112434781ae14dbdbf9d2b0ce0435fbcd7a4863ffc28a72e3788",
+    ("curved_r4_k1_const", "star"): "b446774b488507431dc1a67db1e8989f90b2b8cce9250ec4a7e5408fe41dd2ae",
+    ("curved_r4_k1_const", "compare"): "cd4be5f0c51fd8675c43ea354ba77b33628173f2dd70d001b045063448dc9778",
+    ("curved_r4_k1_const", "poisson"): "880bef6176e7e11ed834aa2cec015c48bad125b476ac6c224bb12efa1d416129",
+    ("curved_r4_k1_poly", "verify"): "20815aca382b5ac1f7cf1b91d9895bf706eb25c731870aeee2092cfba09ce69c",
+    ("curved_r4_k1_poly", "star"): "fe4eb4a489182b3fe33c566825726dcdc4ade90fe24a83a29a5b2d6214efa6c6",
+    ("curved_r4_k1_poly", "compare"): "a03a336c26d1e813c1a2623aef27dcfc0eff978136acfd9e5880947e41953e62",
+    ("curved_r4_k1_poly", "poisson"): "1bef24f01bae8b781b2f9bec8977ca17a32d830699b651a42caa1c52d3e89453",
+    ("curved_r4_k2_const", "verify"): "1b7bb001707cf414e374f3c4f3e584f4c34b24b7edd07356773990ed4c4910e6",
+    ("curved_r4_k2_const", "star"): "456d68ef531e352cb6340984f908f5349abbbf297caac3f2f282a952550c631c",
+    ("curved_r4_k2_const", "compare"): "f28fbd00adc0177ccf7a9b96681903073dbbd325946db7d50081ca07fc2b308f",
+    ("curved_r4_k2_const", "poisson"): "524f179b4d1fd258937649bcd8b28724e2ea490b8342315510877d07be1d97a7",
+    ("curved_r4_plain", "verify"): "baff41091290edf9c8b4e6957a2fedd3e9b7983f7db123b9a9e9aff023cc9ac1",
+    ("curved_r4_plain", "star"): "393cb52a11e20156a2176e6217f75f577f5543dbbaa4411a2749746681a182b6",
+}
 
-def test_every_flat_scenario_is_pinned():
-    flat = sorted(name[:-5] for name in os.listdir(SCENARIOS)
-                  if name.startswith("flat_") and name.endswith(".json"))
-    assert sorted({name for name, _cmd in DIGESTS}) == flat
+
+def _digest(name, command, order=None):
+    scenario = load_scenario(os.path.join(SCENARIOS, name + ".json"))
+    report = cli.run(command, scenario, order=order).to_json()
+    return hashlib.sha256(report.encode("utf-8")).hexdigest()
+
+
+def test_every_scenario_is_pinned():
+    bundled = sorted(name[:-5] for name in os.listdir(SCENARIOS) if name.endswith(".json"))
+    pinned = {name for name, _cmd in DIGESTS}
+    assert all(name.startswith("flat_") for name in pinned)
+    assert all(name.startswith("curved_") for name, _cmd in CURVED_DIGESTS)
+    assert sorted(pinned | {name for name, _cmd in CURVED_DIGESTS}) == bundled
 
 
 @pytest.mark.parametrize("name,command", sorted(DIGESTS))
 def test_report_bytes_are_unchanged(name, command):
-    scenario = load_scenario(os.path.join(SCENARIOS, name + ".json"))
-    report = cli.run(command, scenario).to_json()
-    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DIGESTS[(name, command)]
+    assert _digest(name, command) == DIGESTS[(name, command)]
+
+
+@pytest.mark.parametrize("name,command", sorted(CURVED_DIGESTS))
+def test_curved_report_bytes_are_unchanged(name, command):
+    assert _digest(name, command, order=1) == CURVED_DIGESTS[(name, command)]

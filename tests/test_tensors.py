@@ -10,8 +10,8 @@ from fedosov_lab.algebra import GaussianRational, Polynomial, I, ONE
 from fedosov_lab.geometry import Geometry, standard_omega
 from fedosov_lab.tensors import (Tensor2, Tensor3, TensorSeries, VarianceError,
                                  diamond, diamond_power, formal_poisson,
-                                 invert_scalar_matrix, is_closed, mu, mu_inv,
-                                 schouten, series_diamond, series_inverse,
+                                 invert_scalar_matrix, is_closed, matmul, mu,
+                                 mu_inv, schouten, series_diamond, series_inverse,
                                  series_schouten, two_form_d)
 from fedosov_lab.weyl import central_two_form, delta_inv, moyal, two_form_to_tensor
 
@@ -45,6 +45,37 @@ def diamond_oracle(a, b, geom):
             row.append(s)
         rows.append(row)
     return Tensor2(dim, a.variance, rows)
+
+
+# -- matmul --------------------------------------------------------------------
+
+
+def rand_sparse_matrix(rng, dim, nrows, ncols):
+    """Random polynomial matrix in which about half the entries are zero."""
+    return [[rand_poly(rng, dim, deg=2, terms=2) if rng.random() < 0.5
+             else Polynomial.zero(dim) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_matmul_matches_index_sum(rng):
+    dim = 2
+    for nrows, inner, ncols in ((2, 2, 2), (4, 4, 4), (2, 3, 4), (3, 1, 2)):
+        for _ in range(10):
+            a = rand_sparse_matrix(rng, dim, nrows, inner)
+            b = rand_sparse_matrix(rng, dim, inner, ncols)
+            a[0] = [Polynomial.zero(dim)] * inner  # a whole zero row
+            want = [[sum((a[i][k] * b[k][j] for k in range(inner)), Polynomial.zero(dim))
+                     for j in range(ncols)] for i in range(nrows)]
+            assert matmul(a, b) == want
+
+
+def test_matmul_cancelling_sum_is_zero():
+    dim = 2
+    x, y = Polynomial.variable(dim, 0), Polynomial.variable(dim, 1)
+    zero = Polynomial.zero(dim)
+    # [x, y] [y, 0; -x, 0] = [x y - y x, 0] = 0
+    out = matmul([[x, y]], [[y, zero], [-x, zero]])
+    assert out == [[zero, zero]]
+    assert not out[0][0].terms
 
 
 # -- diamond -------------------------------------------------------------------
