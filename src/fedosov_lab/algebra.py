@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = ["GaussianRational", "Polynomial", "HbarSeries", "ZERO", "ONE", "I",
-           "accumulate"]
+           "accumulate", "index_exponent"]
 
 
 def _frac(x):
@@ -53,6 +53,14 @@ def accumulate(out, key, v, subtract=False):
         out[key] = s
     else:
         del out[key]
+
+
+def index_exponent(dim, idx):
+    """The exponent tuple of the monomial x^{i_1} ... x^{i_n}, idx = (i_1, ...)."""
+    u = [0] * dim
+    for i in idx:
+        u[i] += 1
+    return tuple(u)
 
 
 class GaussianRational:

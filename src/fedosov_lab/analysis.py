@@ -22,12 +22,14 @@ against that convention.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .algebra import GaussianRational, HbarSeries, Polynomial, I, accumulate
+from .algebra import (GaussianRational, HbarSeries, Polynomial, I, accumulate,
+                      index_exponent)
 from .tensors import Tensor2, formal_poisson, mu, two_form_d
 from .weyl import (WeylForm, central_two_form, delta_inv, i_over_hbar, moyal,
-                   odd_bracket, sigma, two_form_to_tensor, y_dx_form,
+                   moyal_sigma, odd_bracket, two_form_to_tensor, y_dx_form,
                    y_gradient)
 from .geometry import GeometryError, cov_ext_deriv
 from .fedosov import StarEngine
@@ -61,15 +63,17 @@ def _same_chart(g1, g2):
 class CalR:
     """The curvature pair contraction, stored prefactor-free.
 
+    ``forms`` are the cubic curvature forms A_l = R_{ijkl} y^i y^j y^k;
     ``lower`` is the real polynomial matrix P with
     A_{l1} o_3 A_{l2} = i hbar^3 P_{l1 l2}; ``upper`` raises both indices,
     upper = -wbar wbar P.  P is skew.
     """
 
-    __slots__ = ("geometry", "lower", "upper")
+    __slots__ = ("geometry", "forms", "lower", "upper")
 
-    def __init__(self, geometry, lower):
+    def __init__(self, geometry, forms, lower):
         self.geometry = geometry
+        self.forms = forms
         self.lower = lower
         self.upper = mu(lower, geometry)
 
@@ -80,40 +84,23 @@ class CalR:
 def cal_r(geom):
     """Contract the cubic curvature forms A_l = R_{ijkl} y^i y^j y^k pairwise.
 
-    Flat charts give the zero tensor (not an error).
+    A_{l1} o_3 A_{l2} is the only fully contracted piece of the product, so
+    it is the hbar^3 coefficient of its scalar projection.  Flat charts give
+    the zero tensor (not an error).
     """
     dim = geom.dim
     curv = geom.curvature()
-    a_weyl = []
+    forms = []
     for l in range(dim):
         terms = {}
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    v = curv.entry(i, j, k, l)
-                    if v.is_zero():
-                        continue
-                    u = [0] * dim
-                    u[i] += 1
-                    u[j] += 1
-                    u[k] += 1
-                    accumulate(terms, (0, tuple(u), ()), v)
-        a_weyl.append(WeylForm(dim, terms))
-    rows = [[Polynomial.zero(dim) for _ in range(dim)] for _ in range(dim)]
-    for l1 in range(dim):
-        if a_weyl[l1].is_zero():
-            continue
-        for l2 in range(dim):
-            if a_weyl[l2].is_zero():
-                continue
-            prod = moyal(a_weyl[l1], a_weyl[l2], geom, only_k=3)
-            if prod.is_zero():
-                continue
-            poly = prod.terms.get((3, (0,) * dim, ()))
-            if poly is None:
-                continue
-            rows[l1][l2] = poly.scale(_MINUS_I)
-    return CalR(geom, Tensor2(dim, "lower", rows))
+        for i, j, k in itertools.product(range(dim), repeat=3):
+            accumulate(terms, (0, index_exponent(dim, (i, j, k)), ()),
+                       curv.entry(i, j, k, l))
+        forms.append(WeylForm(dim, terms))
+    zero = Polynomial.zero(dim)
+    rows = [[moyal_sigma(a1, a2, geom).coeff(3, zero).scale(_MINUS_I)
+             for a2 in forms] for a1 in forms]
+    return CalR(geom, forms, Tensor2(dim, "lower", rows))
 
 
 # -- propagation two-forms -------------------------------------------------------
@@ -353,33 +340,21 @@ def curvature_onediff_identities(geom, f, g):
     u = delta_inv(curv.weyl_two_form)
 
     def transport(lin):
-        return delta_inv(i_over_hbar(odd_bracket(u, lin, geom)))
+        return delta_inv(odd_bracket(u, lin, geom))
 
     ta = transport(a1)
     tb = transport(b1)
 
     # cubic transport of a linear section: -(1/24) wbar^{lm} R_{ijkl} y^3 d_m f
-    expect = {}
-    for l in range(dim):
+    #   = -(1/24) sum_l (wbar^{lm} d_m f) A_l
+    expect = WeylForm.zero(dim)
+    for l, form in enumerate(calr.forms):
+        coeff = Polynomial.zero(dim)
         for m in range(dim):
             w = geom.omega_bar.entry(l, m).constant_value()
-            if w == 0:
-                continue
-            dmf = f.partial(m)
-            if dmf.is_zero():
-                continue
-            for i in range(dim):
-                for j in range(dim):
-                    for k in range(dim):
-                        v = curv.entry(i, j, k, l)
-                        if v.is_zero():
-                            continue
-                        uu = [0] * dim
-                        uu[i] += 1
-                        uu[j] += 1
-                        uu[k] += 1
-                        accumulate(expect, (0, tuple(uu), ()), (v * dmf).scale(w))
-    rhs24 = WeylForm(dim, expect).scale(GaussianRational(Fraction(-1, 24)))
+            coeff = coeff + f.partial(m).scale(w)
+        expect = expect + form.mul_poly(coeff)
+    rhs24 = expect.scale(GaussianRational(Fraction(-1, 24)))
     checks.append(_check_forms(
         "transport.cubic-curvature-term", ta, rhs24,
         "one curvature transport of a linear section"))
@@ -400,15 +375,15 @@ def curvature_onediff_identities(geom, f, g):
 
     # identity (pair product of two transported sections)
     pair = p_upper.pair(f, g)
-    lhs1 = sigma(moyal(ta, tb, geom))
+    lhs1 = moyal_sigma(ta, tb, geom)
     rhs1 = HbarSeries(3, {3: pair.scale(GaussianRational(0, Fraction(-1, 576)))})
     checks.append(_check_series(
         "onediff.transport-pair-product", lhs1, rhs1,
         "sigma of transported-section pair"))
 
     # identity (double transport against an untouched section)
-    lhs2 = sigma(moyal(transport(ta), b1, geom)) \
-        + sigma(moyal(a1, transport(tb), geom))
+    lhs2 = moyal_sigma(transport(ta), b1, geom) \
+        + moyal_sigma(a1, transport(tb), geom)
     rhs2 = HbarSeries(3, {3: pair.scale(GaussianRational(0, Fraction(-1, 96)))})
     checks.append(_check_series(
         "onediff.double-transport", lhs2, rhs2,
@@ -416,10 +391,10 @@ def curvature_onediff_identities(geom, f, g):
 
     # identity (central form against plain sections)
     def central_transport(lin):
-        return delta_inv(i_over_hbar(odd_bracket(b_central, lin, geom)))
+        return delta_inv(odd_bracket(b_central, lin, geom))
 
-    lhs3 = sigma(moyal(central_transport(a1), b1, geom)) \
-        + sigma(moyal(a1, central_transport(b1), geom))
+    lhs3 = moyal_sigma(central_transport(a1), b1, geom) \
+        + moyal_sigma(a1, central_transport(b1), geom)
     rhs3 = HbarSeries(3, {3: pair.scale(GaussianRational(0, Fraction(-1, 64)))})
     checks.append(_check_series(
         "onediff.central-form-transport", lhs3, rhs3,

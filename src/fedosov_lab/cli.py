@@ -10,7 +10,8 @@ Commands:
     poisson  print the deformed bivector series and its Schouten residual
 
 Exit status: 0 when every check passes, 1 when a check fails (the failing
-anchors are named), 2 for usage or scenario errors.
+anchors are named), 2 for usage or scenario errors, among them a scenario
+or an ``--order`` past the size limits of ``io``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .geometry import validate_geometry
 from .fedosov import StarEngine, coeff_sequences, curvature_residual, \
     abelian_residual
 from .analysis import compare_onediff, curvature_onediff_identities
-from .io import Check, ParseError, Report, ScenarioError, load_scenario
+from .io import (MAX_ORDER, Check, ParseError, Report, ScenarioError,
+                 load_scenario)
 
 __all__ = ["main", "run"]
 
@@ -244,11 +246,16 @@ def main(argv=None):
                         choices=["verify", "star", "compare", "coeffs", "poisson"])
     parser.add_argument("--scenario", help="scenario JSON file")
     parser.add_argument("--order", type=int, default=None,
-                        help="expansion order (coeffs: table limit)")
+                        help="expansion order, at most %d (coeffs: table limit)"
+                        % MAX_ORDER)
     parser.add_argument("--out", help="write the JSON report to this path")
     args = parser.parse_args(argv)
     if args.order is not None and args.order < 1:
         print("error: --order must be at least 1, got %d" % args.order, file=sys.stderr)
+        return 2
+    if args.order is not None and args.command != "coeffs" and args.order > MAX_ORDER:
+        print("error: --order must be at most %d, got %d" % (MAX_ORDER, args.order),
+              file=sys.stderr)
         return 2
 
     try:

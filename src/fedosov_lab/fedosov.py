@@ -8,9 +8,10 @@ two fixed-point equations
 
 where Q collects the curvature two-form of the connection and the central
 perturbation terms hbar^k alpha_k.  Both right-hand sides raise filtration
-degree, so sweeping degrees converges after at most cap+1 passes; the solver
-iterates incrementally, updating the nonlinear terms only by the newly fixed
-slice.  The product of two observables is then
+degree, so sweeping degrees converges after at most cap+1 passes.  Both
+run through one sweep that updates the right-hand side only by the newly
+fixed slice s, with one bracket per pass: (i/hbar)[r + s/2, s] for r and
+(i/hbar)[r, s] for a section.  The product of two observables is then
 
     f * g = sigma(section(f) o section(g)),
 
@@ -46,8 +47,8 @@ from fractions import Fraction
 
 from .algebra import HbarSeries, Polynomial
 from .tensors import TensorSeries, is_closed
-from .weyl import (WeylForm, central_two_form, delta_inv, i_over_hbar, moyal,
-                   moyal_sigma, odd_bracket)
+from .weyl import (WeylForm, central_two_form, delta, delta_inv, i_over_hbar,
+                   moyal, moyal_sigma, odd_bracket)
 from .geometry import cov_ext_deriv
 
 __all__ = [
@@ -67,6 +68,9 @@ __all__ = [
     "taylor_inv_sqrt",
     "taylor_half_geometric",
 ]
+
+
+_HALF = Fraction(1, 2)
 
 
 class PerturbationError(ValueError):
@@ -151,37 +155,46 @@ class WeylCurvatureSpec:
             self.dim, self.geometry.is_flat(), self.is_perturbed)
 
 
-def solve_r(spec, cap, max_passes=None):
+def _sweep(base, body, update, what, cap):
+    """Iterate  x = base + delta_inv(body)  from x = 0 to its fixed point.
+
+    ``update(x, step)`` is the change of ``body`` when x grows by ``step``.
+    ConvergenceError past cap+2 passes means some operator stopped raising
+    filtration degree.
+    """
+    x = WeylForm.zero(base.dim, cap)
+    limit = cap + 2
+    passes = 0
+    while True:
+        step = base + delta_inv(body) - x
+        if step.is_zero():
+            return x
+        passes += 1
+        if passes > limit:
+            raise ConvergenceError(
+                "%s did not stabilize within %d passes" % (what, limit))
+        body = body + update(x, step)
+        x = x + step
+
+
+def solve_r(spec, cap):
     """Solve  r = delta_inv(Q + par r + (i/hbar) r o r)  through the cap.
 
     Returns the unique fixed point with delta_inv(r) = 0 and lowest degree 3,
     exact through filtration degree cap - 1 (degree-cap terms of the source
-    would need products just above the cap).  Raises ConvergenceError if a
-    sweep fails to stabilize within cap+2 passes, which would mean some
-    operator stopped raising degree.
+    would need products just above the cap).  Growing the 1-form r by s
+    grows (i/hbar) r o r by (i/hbar)[r + s/2, s].
     """
     if cap < 3:
         raise ValueError("degree cap must be at least 3")
     geom = spec.geometry
-    q = spec.q_form(cap)
-    r = WeylForm.zero(spec.dim, cap)
-    body = q  # Q + par r + (i/hbar) r o r for the current r
-    limit = cap + 2 if max_passes is None else max_passes
-    passes = 0
-    while True:
-        cand = delta_inv(body)
-        step = cand - r
-        if step.is_zero():
-            break
-        passes += 1
-        if passes > limit:
-            raise ConvergenceError(
-                "r-recursion did not stabilize within %d passes" % limit)
-        upd = cov_ext_deriv(step, geom)
-        cross = odd_bracket(r, step, geom) + moyal(step, step, geom, parity=1)
-        upd = upd + i_over_hbar(cross)
-        body = body + upd
-        r = r + step
+
+    def update(r, step):
+        return (cov_ext_deriv(step, geom)
+                + odd_bracket(r + step.scale(_HALF), step, geom))
+
+    r = _sweep(WeylForm.zero(spec.dim, cap), spec.q_form(cap), update,
+               "r-recursion", cap)
     if not delta_inv(r).is_zero():
         raise ConvergenceError("fixed point violates the delta_inv(r) = 0 gauge")
     if not r.is_zero() and r.min_degree() < 3:
@@ -200,27 +213,12 @@ def flat_section(f, spec, r, cap):
     geom = spec.geometry
     if isinstance(f, Polynomial):
         f = HbarSeries(cap // 2, {0: f})
-    base = WeylForm.from_series(f, spec.dim, cap)
-    a = WeylForm.zero(spec.dim, cap)
-    body = WeylForm.zero(spec.dim, cap)  # par a + (i/hbar) [r, a]
-    limit = cap + 2
-    passes = 0
-    use_r = not r.is_zero()
-    while True:
-        cand = base + delta_inv(body)
-        step = cand - a
-        if step.is_zero():
-            break
-        passes += 1
-        if passes > limit:
-            raise ConvergenceError(
-                "section recursion did not stabilize within %d passes" % limit)
-        upd = cov_ext_deriv(step, geom)
-        if use_r:
-            upd = upd + i_over_hbar(odd_bracket(r, step, geom))
-        body = body + upd
-        a = a + step
-    return a
+
+    def update(_a, step):
+        return cov_ext_deriv(step, geom) + odd_bracket(r, step, geom)
+
+    return _sweep(WeylForm.from_series(f, spec.dim, cap),
+                  WeylForm.zero(spec.dim, cap), update, "section recursion", cap)
 
 
 def abelian_residual(a, spec, r, drop_above=None):
@@ -229,24 +227,24 @@ def abelian_residual(a, spec, r, drop_above=None):
     With capped inputs the bracket part is only trustworthy through degree
     cap - 2; pass ``drop_above`` to truncate the residual accordingly.
     """
-    from .weyl import delta as _delta
-    out = cov_ext_deriv(a, spec.geometry) - _delta(a)
+    out = cov_ext_deriv(a, spec.geometry) - delta(a)
     if not r.is_zero():
-        out = out + i_over_hbar(odd_bracket(r, a, spec.geometry))
+        out = out + odd_bracket(r, a, spec.geometry)
     if drop_above is not None:
         out = out.capped(drop_above)
     return out
 
 
 def curvature_residual(r, spec, drop_above=None):
-    """delta r - (Q + par r + (i/hbar) r o r): the defining equation of r."""
-    from .weyl import delta as _delta
+    """delta r - (Q + par r + (i/hbar) r o r): the defining equation of r.
+
+    It takes the full product r o r, so it shares no bracket with solve_r.
+    """
     geom = spec.geometry
     cap = r.cap
-    body = spec.q_form(cap) + cov_ext_deriv(r, geom)
-    sq = moyal(r, r, geom, parity=1)
-    body = body + i_over_hbar(sq)
-    out = _delta(r) - body
+    body = (spec.q_form(cap) + cov_ext_deriv(r, geom)
+            + i_over_hbar(moyal(r, r, geom)))
+    out = delta(r) - body
     if drop_above is not None:
         out = out.capped(drop_above)
     return out

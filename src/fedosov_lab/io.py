@@ -29,6 +29,7 @@ from .fedosov import WeylCurvatureSpec
 __all__ = [
     "ParseError",
     "ScenarioError",
+    "MAX_DIM", "MAX_ORDER", "MAX_K", "MAX_EXPONENT",
     "parse_rational",
     "parse_poly",
     "Scenario",
@@ -45,6 +46,17 @@ class ParseError(ValueError):
 class ScenarioError(ValueError):
     pass
 
+
+# Size limits, checked when a scenario loads, before any chart is built: the
+# exact recursions grow fast in each (a curved 4D chart at order 3 already
+# takes minutes), so a value past one is a ScenarioError, not a run without
+# end.  MAX_ORDER also bounds ``--order``; a perturbation power k above it
+# never reaches a computed coefficient; MAX_EXPONENT bounds each variable's
+# exponent in a scenario polynomial.  The bundled scenarios sit well inside.
+MAX_DIM = 6
+MAX_ORDER = 8
+MAX_K = MAX_ORDER
+MAX_EXPONENT = 8
 
 _RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -162,10 +174,17 @@ class Scenario:
         return p
 
 
+def _poly(text, dim, what):
+    """Parse a scenario polynomial, bounding its exponents by MAX_EXPONENT."""
+    p = parse_poly(str(text), dim)
+    _integer(max((max(e) for e in p.terms), default=0), what + " exponent", MAX_EXPONENT)
+    return p
+
+
 def _parse_matrix(rows, dim, what):
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ScenarioError("%s must be a %dx%d matrix" % (what, dim, dim))
-    return [[parse_poly(str(v), dim) for v in row] for row in rows]
+    return [[_poly(v, dim, what) for v in row] for row in rows]
 
 
 def load_scenario(source):
@@ -188,16 +207,19 @@ def load_scenario(source):
         raise ScenarioError("malformed scenario: %s" % exc) from exc
 
 
-def _integer(value, what):
-    """A JSON integer as is; a bool, a float or a string is a ScenarioError."""
+def _integer(value, what, limit=None):
+    """A JSON integer as is; a bool, a float or a string is a ScenarioError,
+    and so is a value above ``limit``."""
     if type(value) is not int:
         raise ScenarioError("%s must be an integer, got %s" % (what, json.dumps(value)))
+    if limit is not None and value > limit:
+        raise ScenarioError("%s must be at most %d, got %d" % (what, limit, value))
     return value
 
 
 def _scenario_from_dict(data):
     gdata = data["geometry"]
-    dim = _integer(gdata["dim"], "dim")
+    dim = _integer(gdata["dim"], "dim", MAX_DIM)
     omega = None
     if "omega" in gdata:
         omega = [[parse_rational(str(v)) for v in row] for row in gdata["omega"]]
@@ -209,9 +231,9 @@ def _scenario_from_dict(data):
         key = tuple(_integer(j, "gamma index") - 1 for j in idx)
         if not all(0 <= j < dim for j in key):
             raise ScenarioError("gamma index outside 1..%d" % dim)
-        gamma[key] = parse_poly(str(value), dim)
+        gamma[key] = _poly(value, dim, "gamma")
     geometry = Geometry(dim, omega=omega, gamma=gamma or None)
-    order = _integer(data.get("order", 4), "order")
+    order = _integer(data.get("order", 4), "order", MAX_ORDER)
     if order < 1:
         raise ScenarioError("order must be at least 1, got %d" % order)
     coeff_limit = _integer(data.get("coeff_limit", 8), "coeff_limit")
@@ -224,7 +246,7 @@ def _scenario_from_dict(data):
         terms = []
         top = 0
         for entry in plist:
-            k = _integer(entry["k"], "perturbation power k")
+            k = _integer(entry["k"], "perturbation power k", MAX_K)
             if k < 1:
                 raise ScenarioError("perturbation power k must be >= 1")
             rows = _parse_matrix(entry["alpha"], dim, "alpha")
@@ -235,7 +257,7 @@ def _scenario_from_dict(data):
 
     observables = {}
     for name, text in data.get("observables", {}).items():
-        observables[name] = parse_poly(str(text), dim)
+        observables[name] = _poly(text, dim, "observable %r" % name)
 
     return Scenario(
         scenario_id=str(data.get("id", "unnamed")),

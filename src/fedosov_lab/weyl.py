@@ -18,6 +18,11 @@ The fiberwise product is
 with dx factors multiplied by wedge.  Each graded piece preserves the
 filtration degree of a product exactly, so a cap can be enforced pairwise.
 
+In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
+cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
+one pass: the odd pieces at hbar^{k-1}, with the real prefactor
+2i (-i/2)^k = (-1)^{(k-1)/2} / 2^{k-1} in place of (-i/2)^k.
+
 Sign conventions for the chart operators:
 
     delta a      =  dx^k ^ (da/dy^k)
@@ -266,14 +271,6 @@ class WeylForm:
     def min_degree(self):
         return min((2 * h + sum(u) for (h, u, _f) in self.terms), default=None)
 
-    def homogeneous(self, n):
-        """The filtration-degree-n part."""
-        out = {k: p for k, p in self.terms.items() if 2 * k[0] + sum(k[1]) == n}
-        return WeylForm._make(self.dim, out, self.cap)
-
-    def form_degrees(self):
-        return sorted({len(f) for (_h, _u, f) in self.terms})
-
     def split_form_degrees(self):
         parts = {}
         for k, p in self.terms.items():
@@ -329,11 +326,11 @@ def _falling(u, d):
     return out
 
 
-def moyal(a, b, geom, only_k=None, parity=None):
-    """Fiberwise product a o b (or a filtered selection of graded pieces).
+def moyal(a, b, geom, only_k=None, bracket=False):
+    """Fiberwise product a o b, or only its piece a o_k b (``only_k``).
 
-    ``only_k`` keeps a single o_k; ``parity`` (0 or 1) keeps only the even or
-    odd graded pieces, which is all a graded commutator ever needs.
+    ``bracket`` returns (i/hbar)[a, b] instead (see the module docstring);
+    its cap is tested on the degree before the division by hbar.
     """
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
@@ -341,7 +338,9 @@ def moyal(a, b, geom, only_k=None, parity=None):
         raise ValueError("form dim does not match chart dim")
     cap = a._merge_cap(b)
     out = {}
-    prefactors = _hbar_prefactors(max((sum(u) for (_h, u, _f) in a.terms), default=0))
+    prefactors = _prefactors(max((sum(u) for (_h, u, _f) in a.terms), default=0),
+                             bracket)
+    shift = 1 if bracket else 0
     table = geom.moyal_table
     b_items = [(2 * hb + sum(ub), hb, ub, Ib, pb)
                for (hb, ub, Ib), pb in b.terms.items()]
@@ -358,42 +357,38 @@ def moyal(a, b, geom, only_k=None, parity=None):
                 continue
             sign, IJ = merged
             kmax = min(qa, sum(ub))
-            if only_k is not None:
-                if only_k > kmax:
-                    continue
-                krange = (only_k,)
-            elif parity is not None:
-                krange = range(parity, kmax + 1, 2)
+            if only_k is None:
+                krange = range(shift, kmax + 1, 1 + shift)
             else:
-                krange = range(kmax + 1)
-            pab = None
+                krange = range(only_k, min(only_k, kmax) + 1)  # empty past kmax
+            # sum the pairing rows landing on each output key, then scale
+            # the coefficient product once per key
+            weights = {}
             for k in krange:
-                pref = prefactors[k] if k < len(prefactors) else _MINUS_I_HALF ** k
-                if sign < 0:
-                    pref = -pref
                 for d, e, w in table(k):
                     ff = _falling(ua, d)
-                    if not ff:
-                        continue
-                    ff2 = _falling(ub, e)
-                    if not ff2:
-                        continue
-                    if pab is None:
-                        pab = pa * pb
-                    key = (ha + hb + k,
-                           tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e)),
-                           IJ)
-                    accumulate(out, key, pab.scale(pref * w * (ff * ff2)))
+                    if ff:
+                        ff *= _falling(ub, e)
+                    if ff:
+                        u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
+                        accumulate(weights, (k, u), w * (sign * ff))
+            if weights:
+                pab = pa * pb
+                for (k, u), w in weights.items():
+                    accumulate(out, (ha + hb + k - shift, u, IJ),
+                               pab.scale(prefactors[k] * w))
     return WeylForm._make(a.dim, out, cap)
 
 
-_PREFACTOR_CACHE = [ONE]
+_PREFACTOR_CACHE = {False: [ONE], True: [GaussianRational(0, 2)]}
 
 
-def _hbar_prefactors(kmax):
-    while len(_PREFACTOR_CACHE) <= kmax:
-        _PREFACTOR_CACHE.append(_PREFACTOR_CACHE[-1] * _MINUS_I_HALF)
-    return _PREFACTOR_CACHE
+def _prefactors(kmax, bracket=False):
+    """[(-i/2)^k for k <= kmax], or [2i (-i/2)^k] for the bracket."""
+    cache = _PREFACTOR_CACHE[bracket]
+    while len(cache) <= kmax:
+        cache.append(cache[-1] * _MINUS_I_HALF)
+    return cache
 
 
 def moyal_graded(a, b, k, geom):
@@ -402,13 +397,11 @@ def moyal_graded(a, b, k, geom):
 
 
 def odd_bracket(a, b, geom):
-    """The graded commutator computed as 2 * sum of the odd graded pieces.
+    """(i/hbar)[a, b] in one product pass over the odd graded pieces.
 
-    For homogeneous form degrees the even pieces of [a, b] always cancel in
-    pairs, so this equals ``commutator`` while doing a single product pass.
-    The equality of the two routes is itself a tested identity.
+    Its equality with i_over_hbar(commutator(a, b)) is a tested identity.
     """
-    return moyal(a, b, geom, parity=1).scale(GaussianRational(2))
+    return moyal(a, b, geom, bracket=True)
 
 
 def _exps_factorial(u):
@@ -432,7 +425,7 @@ def moyal_sigma(a, b, geom, order=None):
         raise ValueError("form dim does not match chart dim")
     cap = a._merge_cap(b)
     out = {}
-    prefactors = _hbar_prefactors(max((sum(u) for (_h, u, _f) in a.terms), default=0))
+    prefactors = _prefactors(max((sum(u) for (_h, u, _f) in a.terms), default=0))
     table_map = geom.moyal_table_map
     by_deg = {}
     for (hb, ub, Ib), pb in b.terms.items():
@@ -466,17 +459,9 @@ def moyal_sigma(a, b, geom, order=None):
 def commutator(a, b, geom):
     """Graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a.
 
-    Mixed form degrees are handled by splitting both operands into
-    homogeneous pieces.
+    Both operands are split into homogeneous form-degree pieces, so mixed
+    form degrees are handled too.
     """
-    qa = a.form_degrees()
-    qb = b.form_degrees()
-    if len(qa) <= 1 and len(qb) <= 1:
-        ab = moyal(a, b, geom)
-        ba = moyal(b, a, geom)
-        if qa and qb and (qa[0] * qb[0]) % 2:
-            return ab + ba
-        return ab - ba
     out = WeylForm.zero(a.dim, a._merge_cap(b))
     for q1, a1 in a.split_form_degrees().items():
         for q2, b1 in b.split_form_degrees().items():

@@ -158,3 +158,27 @@ def rand_curved_geometry(rng, dim, deg=1):
 @pytest.fixture
 def rng():
     return random.Random(20260814)
+
+
+def scenarios_at_limit(delta):
+    """The smallest scenario that carries each size-limited value, set
+    ``delta`` steps past its limit (0 gives the largest value that loads).
+
+    Chart dimensions are even, so the dimension steps by two.  Loading one
+    of these builds no engine; no test runs an oversized input.
+    """
+    from fedosov_lab.io import MAX_DIM, MAX_EXPONENT, MAX_K, MAX_ORDER
+
+    top = "x1^%d" % (MAX_EXPONENT + delta)
+    return {
+        "dim": {"geometry": {"dim": MAX_DIM + 2 * delta}},
+        "order": {"geometry": {"dim": 2}, "order": MAX_ORDER + delta},
+        "k": {"geometry": {"dim": 2}, "order": 2, "perturbation": [
+            {"k": MAX_K + delta, "alpha": [["0", "1"], ["-1", "0"]]}]},
+        "gamma-exponent": {"geometry": {"dim": 2, "gamma": [[[1, 1, 2], top]]}},
+        "alpha-exponent": {"geometry": {"dim": 2}, "order": 2, "perturbation": [
+            {"k": 1, "alpha": [["0", top], ["-" + top, "0"]]}]},
+        # the exponent limit bounds the product, not each factor
+        "observable-exponent": {"geometry": {"dim": 2}, "observables": {
+            "f": "x2*x1^%d*x1" % (MAX_EXPONENT - 1 + delta)}},
+    }

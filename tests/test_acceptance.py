@@ -384,7 +384,8 @@ def test_criterion_6_structural_suite():
     record("nilpotency-and-hodge", count, ok)
 
     # graded commutator signs: [a, b] = a o b - (-1)^{q1 q2} b o a, and the
-    # odd-piece shortcut computes the same bracket
+    # odd-piece shortcut computes (i/hbar) times the same bracket, also on
+    # capped inputs and on inputs spread over several hbar powers
     count = 0
     ok = True
     for dim in (2, 4):
@@ -397,7 +398,13 @@ def test_criterion_6_structural_suite():
                     sign = GaussianRational((-1) ** (q1 * q2))
                     direct = moyal(a, b, geom) - moyal(b, a, geom).scale(sign)
                     ok = ok and commutator(a, b, geom) == direct
-                    ok = ok and odd_bracket(a, b, geom) == direct
+                    ok = ok and odd_bracket(a, b, geom) == i_over_hbar(direct)
+                    ac, bc = a.capped(3), b.capped(3)
+                    ok = ok and odd_bracket(ac, bc, geom) == \
+                        i_over_hbar(commutator(ac, bc, geom))
+                    mixed = a + a.mul_hbar(2)
+                    ok = ok and odd_bracket(mixed, b, geom) == \
+                        i_over_hbar(commutator(mixed, b, geom))
                     count += 1
     record("graded-bracket-signs", count, ok)
 

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from fedosov_lab import cli
-from fedosov_lab.io import Check, Report
+from fedosov_lab.io import MAX_ORDER, Check, Report
+
+from conftest import scenarios_at_limit
 
 
 FLAT_PERTURBED = {
@@ -234,3 +236,41 @@ def test_scenario_non_integer_is_scenario_error(tmp_path, capsys, command, field
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "must be an integer" in err
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """Stand in for the command body, so an input past a size limit that
+    slipped through would be recorded instead of run."""
+    calls = []
+
+    def fake_run(command, scenario, order=None, coeff_limit=None):
+        calls.append(command)
+        return Report(command, "stub", [])
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["verify", "star", "compare", "poisson"])
+def test_order_above_limit_is_usage_error(tmp_path, capsys, run_calls, command):
+    path = write_scenario(tmp_path, FLAT_PERTURBED)
+    assert cli.main([command, "--scenario", path, "--order", str(MAX_ORDER + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--order must be at most %d" % MAX_ORDER in err
+    assert run_calls == []
+
+
+def test_coeffs_order_above_limit_is_a_table_limit(capsys):
+    # for coeffs --order is the table length, which the order limit does not bound
+    assert cli.main(["coeffs", "--order", str(MAX_ORDER + 1)]) == 0
+    assert "coeffs.row-%d" % (MAX_ORDER + 1) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field", sorted(scenarios_at_limit(1)))
+@pytest.mark.parametrize("command", ["verify", "star", "compare", "coeffs", "poisson"])
+def test_scenario_past_limit_is_scenario_error(tmp_path, capsys, run_calls, command, field):
+    path = write_scenario(tmp_path, scenarios_at_limit(1)[field])
+    assert cli.main([command, "--scenario", path]) == 2
+    _assert_one_line_error(capsys)
+    assert run_calls == []

@@ -440,6 +440,39 @@ def test_flat_section_runs_once_per_monomial(rng, monkeypatch):
     assert sorted(solved) == [(0, (0, 1)), (0, (1, 0)), (0, (1, 1)),
                               (0, (2, 0)), (1, (0, 1)), (1, (1, 0))]
 
+
+# -- convergence guard -------------------------------------------------------------------
+
+
+@pytest.fixture
+def degree_keeping_update(monkeypatch):
+    """Add delta to the covariant derivative.  delta lowers the filtration
+    degree by one and delta_inv raises it by one, and delta_inv(delta s) = s
+    for every step of y-degree >= 1 with delta_inv(s) = 0, so each pass
+    repeats the previous step and the sweep never stabilizes."""
+    from fedosov_lab.weyl import delta
+    real = fedosov.cov_ext_deriv
+    monkeypatch.setattr(fedosov, "cov_ext_deriv",
+                        lambda a, geom: real(a, geom) + delta(a))
+
+
+def test_solve_r_guard_stops_a_sweep_that_keeps_degree(degree_keeping_update):
+    alpha = Tensor2(2, "lower", [[0, 1], [-1, 0]])
+    spec = WeylCurvatureSpec(
+        Geometry(2), TensorSeries.from_terms(2, "lower", 2, {1: alpha}.items()))
+    with pytest.raises(fedosov.ConvergenceError) as exc:
+        solve_r(spec, 5)
+    assert str(exc.value) == "r-recursion did not stabilize within 7 passes"
+
+
+def test_flat_section_guard_stops_a_sweep_that_keeps_degree(degree_keeping_update):
+    spec = WeylCurvatureSpec(Geometry(2))
+    x1 = Polynomial.variable(2, 0)
+    with pytest.raises(fedosov.ConvergenceError) as exc:
+        flat_section(x1 * x1, spec, WeylForm.zero(2, 6), 6)
+    assert str(exc.value) == "section recursion did not stabilize within 8 passes"
+
+
 # -- validation ------------------------------------------------------------------------
 
 

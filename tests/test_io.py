@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from fedosov_lab.algebra import GaussianRational, Polynomial
-from fedosov_lab.io import (Check, ParseError, Report, Scenario, ScenarioError,
+from fedosov_lab.io import (MAX_DIM, MAX_EXPONENT, MAX_K, MAX_ORDER, Check,
+                            ParseError, Report, Scenario, ScenarioError,
                             load_scenario, parse_poly, parse_rational)
 
-from conftest import rand_poly
+from conftest import rand_poly, scenarios_at_limit
 
 F = Fraction
 
@@ -171,6 +172,35 @@ def test_bundled_scenarios_all_load():
         sc = load_scenario(p)
         sc.build_spec()
         assert sc.order >= 1
+
+
+# -- size limits -------------------------------------------------------------------
+
+
+LIMITS = {"dim": MAX_DIM, "order": MAX_ORDER, "k": MAX_K,
+          "gamma-exponent": MAX_EXPONENT, "alpha-exponent": MAX_EXPONENT,
+          "observable-exponent": MAX_EXPONENT}
+
+
+def test_limits_hold_every_bundled_scenario():
+    assert sorted(LIMITS) == sorted(scenarios_at_limit(0))
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+    for p in sorted(glob.glob(os.path.join(root, "*.json"))):
+        sc = load_scenario(p)
+        assert sc.geometry.dim <= MAX_DIM and sc.order <= MAX_ORDER
+        if sc.perturbation is not None:
+            assert max(sc.perturbation.hs.coeffs) <= MAX_K
+
+
+@pytest.mark.parametrize("field", sorted(LIMITS))
+def test_scenario_at_limit_loads(field):
+    load_scenario(scenarios_at_limit(0)[field]).build_spec()
+
+
+@pytest.mark.parametrize("field", sorted(LIMITS))
+def test_scenario_past_limit_is_scenario_error(field):
+    with pytest.raises(ScenarioError, match="at most %d" % LIMITS[field]):
+        load_scenario(scenarios_at_limit(1)[field])
 
 
 # -- reports -----------------------------------------------------------------------

@@ -74,10 +74,6 @@ def test_moyal_graded_pieces_sum_to_product(rng):
             for k in range(8):
                 acc = acc + moyal_graded(a, b, k, geom)
             assert acc == full
-            # parity filters partition the product
-            even = moyal(a, b, geom, parity=0)
-            odd = moyal(a, b, geom, parity=1)
-            assert even + odd == full
 
 
 def test_moyal_graded_symmetry_for_zero_forms(rng):
@@ -141,7 +137,9 @@ def test_commutator_signs(rng):
 
 
 def test_odd_bracket_equals_commutator(rng):
-    # [a,b] = 2 sum_{k odd} a o_k b for homogeneous form degree, any degree
+    # (i/hbar)[a,b] = 2i/hbar sum_{k odd} a o_k b for homogeneous form
+    # degree, any degree; also on capped inputs (the cap is tested before
+    # the division by hbar) and on inputs spread over several hbar powers
     for dim in (2, 4):
         geom = Geometry(dim)
         for q1 in range(3):
@@ -149,7 +147,29 @@ def test_odd_bracket_equals_commutator(rng):
                 for _ in range(3):
                     a = rand_form_qdeg(rng, dim, None, q1, nterms=2)
                     b = rand_form_qdeg(rng, dim, None, q2, nterms=2)
-                    assert odd_bracket(a, b, geom) == commutator(a, b, geom)
+                    assert odd_bracket(a, b, geom) == i_over_hbar(commutator(a, b, geom))
+                    for cap in (2, 3, 5):
+                        ac, bc = a.capped(cap), b.capped(cap)
+                        assert odd_bracket(ac, bc, geom) == \
+                            i_over_hbar(commutator(ac, bc, geom))
+                    mixed = a + a.mul_hbar(1) + a.mul_hbar(3)
+                    assert odd_bracket(mixed, b, geom) == \
+                        i_over_hbar(commutator(mixed, b, geom))
+
+
+def test_odd_bracket_prefactors():
+    # one pairing: (i/hbar)[y1, y2] = wbar^{12} = -1 on the block chart;
+    # three pairings carry the real prefactor 2i(-i/2)^3 = -1/4
+    g2 = Geometry(2)
+    one = Polynomial.one(2)
+    assert odd_bracket(y_var(2, 0), y_var(2, 1), g2) == \
+        WeylForm(2, {(0, (0, 0), ()): -one})
+    a = WeylForm(2, {(0, (3, 0), ()): one})
+    b = WeylForm(2, {(0, (0, 3), ()): one})
+    br = odd_bracket(a, b, g2)
+    assert br.terms[(2, (0, 0), ())] == Polynomial.constant(2, F(3, 2))
+    assert all(c.im == 0 for p in br.terms.values() for c in p.terms.values())
+    assert br == i_over_hbar(commutator(a, b, g2))
 
 
 def test_moyal_sigma_equals_sigma_of_moyal(rng):
