@@ -14,7 +14,7 @@ from fractions import Fraction
 from fedosov_lab import coeff_sequences
 
 limit = 12
-tab = coeff_sequences(limit, cross_check=True)
+tab = coeff_sequences(limit)
 
 print("   n  sigma_n          kappa_n          c_n")
 for n, s, k, c in tab.rows():

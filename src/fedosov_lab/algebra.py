@@ -151,16 +151,10 @@ class GaussianRational:
             out = out * self
         return out
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     # -- predicates and hashing ------------------------------------------
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
-
-    def is_real(self):
-        return self.im == 0
 
     def __eq__(self, other):
         try:
@@ -449,10 +443,8 @@ class HbarSeries:
     def __sub__(self, other):
         return self._combine(other, True)
 
-    def neg(self):
+    def __neg__(self):
         return HbarSeries(self.order, {n: -v for n, v in self.coeffs.items()})
-
-    __neg__ = neg
 
     def scale(self, c):
         return HbarSeries(self.order, {n: _scale(v, c) for n, v in self.coeffs.items()})

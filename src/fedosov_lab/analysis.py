@@ -252,18 +252,18 @@ class ComparisonReport:
         return "ComparisonReport(order=%d, passed=%s)" % (self.order, self.passed)
 
 
-def compare_onediff(spec, order, base=None, engines=None):
+def compare_onediff(spec, order, engines=None):
     """Probe the perturbed product against its predicted bivector series.
 
-    ``base`` defaults to the unperturbed spec on the same chart.  Returns a
+    ``engines`` may carry prebuilt (perturbed, base) StarEngine instances to
+    reuse their cached solutions; the base spec is then ``engines[1].spec``,
+    and otherwise the unperturbed spec on the same chart.  Returns a
     ComparisonReport whose per-order records hold the probe matrix, the
-    predicted matrix, and their difference.  ``engines`` may carry prebuilt
-    (perturbed, base) StarEngine instances to reuse their cached solutions.
+    predicted matrix, and their difference.
     """
     if not spec.is_perturbed:
         raise ValueError("comparison needs a perturbed spec")
-    if base is None:
-        base = spec.unperturbed()
+    base = spec.unperturbed() if engines is None else engines[1].spec
     if not _same_chart(spec.geometry, base.geometry):
         raise GeometryError("comparison needs a shared chart")
     if engines is None:
@@ -288,27 +288,26 @@ def compare_onediff(spec, order, base=None, engines=None):
 class IdentityCheck:
     """A named exact identity with its residual."""
 
-    __slots__ = ("anchor", "residual", "passed", "detail")
+    __slots__ = ("anchor", "residual", "passed")
 
-    def __init__(self, anchor, residual, passed, detail=""):
+    def __init__(self, anchor, residual, passed):
         self.anchor = anchor
         self.residual = residual
         self.passed = passed
-        self.detail = detail
 
     def __repr__(self):
         return "IdentityCheck(%r, passed=%s)" % (self.anchor, self.passed)
 
 
-def _check_forms(anchor, lhs, rhs, detail=""):
+def _check_forms(anchor, lhs, rhs):
     res = lhs - rhs
-    return IdentityCheck(anchor, str(res), res.is_zero(), detail)
+    return IdentityCheck(anchor, str(res), res.is_zero())
 
 
-def _check_series(anchor, lhs, rhs, detail=""):
+def _check_series(anchor, lhs, rhs):
     n = max(lhs.order, rhs.order)
     res = lhs.with_order(n) - rhs.with_order(n)
-    return IdentityCheck(anchor, str(res), res.is_zero(), detail)
+    return IdentityCheck(anchor, str(res), res.is_zero())
 
 
 def curvature_onediff_identities(geom, f, g):
@@ -332,8 +331,7 @@ def curvature_onediff_identities(geom, f, g):
     checks.append(IdentityCheck(
         "curvature-pair.skew",
         "0" if p_lower.is_skew() else "asymmetric",
-        p_lower.is_skew(),
-        "pair tensor is antisymmetric"))
+        p_lower.is_skew()))
 
     a1 = y_gradient(f)
     b1 = y_gradient(g)
@@ -355,39 +353,32 @@ def curvature_onediff_identities(geom, f, g):
             coeff = coeff + f.partial(m).scale(w)
         expect = expect + form.mul_poly(coeff)
     rhs24 = expect.scale(GaussianRational(Fraction(-1, 24)))
-    checks.append(_check_forms(
-        "transport.cubic-curvature-term", ta, rhs24,
-        "one curvature transport of a linear section"))
+    checks.append(_check_forms("transport.cubic-curvature-term", ta, rhs24))
 
-    # the central transport form: B = delta_inv((i/hbar) y-free(u o u))
+    # the central transport form: B = delta_inv((i/hbar) y-free(u o u)); the
+    # curvature square channels into the pair tensor
     b_central = delta_inv(i_over_hbar(moyal(u, u, geom).y_free()))
     b_expect = y_dx_form(p_lower.scale(GaussianRational(Fraction(-1, 64))), hpow=2)
     checks.append(_check_forms(
-        "transport.central-curvature-form", b_central, b_expect,
-        "curvature square channels into the pair tensor"))
+        "transport.central-curvature-form", b_central, b_expect))
 
     # beta bridge: the n = 0 propagation form equals -P/32
     bridge_ok = beta_form(0, geom) == p_lower.scale(Fraction(-1, 32))
     checks.append(IdentityCheck(
         "propagation.curvature-square-bridge",
-        "0" if bridge_ok else "mismatch", bridge_ok,
-        "two-form of the curvature transport square"))
+        "0" if bridge_ok else "mismatch", bridge_ok))
 
     # identity (pair product of two transported sections)
     pair = p_upper.pair(f, g)
     lhs1 = moyal_sigma(ta, tb, geom)
     rhs1 = HbarSeries(3, {3: pair.scale(GaussianRational(0, Fraction(-1, 576)))})
-    checks.append(_check_series(
-        "onediff.transport-pair-product", lhs1, rhs1,
-        "sigma of transported-section pair"))
+    checks.append(_check_series("onediff.transport-pair-product", lhs1, rhs1))
 
     # identity (double transport against an untouched section)
     lhs2 = moyal_sigma(transport(ta), b1, geom) \
         + moyal_sigma(a1, transport(tb), geom)
     rhs2 = HbarSeries(3, {3: pair.scale(GaussianRational(0, Fraction(-1, 96)))})
-    checks.append(_check_series(
-        "onediff.double-transport", lhs2, rhs2,
-        "twice-transported section against a plain one"))
+    checks.append(_check_series("onediff.double-transport", lhs2, rhs2))
 
     # identity (central form against plain sections)
     def central_transport(lin):
@@ -396,27 +387,22 @@ def curvature_onediff_identities(geom, f, g):
     lhs3 = moyal_sigma(central_transport(a1), b1, geom) \
         + moyal_sigma(a1, central_transport(b1), geom)
     rhs3 = HbarSeries(3, {3: pair.scale(GaussianRational(0, Fraction(-1, 64)))})
-    checks.append(_check_series(
-        "onediff.central-form-transport", lhs3, rhs3,
-        "central curvature form against plain sections"))
+    checks.append(_check_series("onediff.central-form-transport", lhs3, rhs3))
 
     # ratio checks, independent of the pair-tensor normalization
     base = lhs1.coeff(3, Polynomial.zero(dim))
     six = lhs2.coeff(3, Polynomial.zero(dim))
     nine = lhs3.coeff(3, Polynomial.zero(dim))
     if base.is_zero():
-        checks.append(IdentityCheck(
-            "onediff.ratio-checks", "degenerate", True,
-            "pair product vanished; ratios not informative"))
+        # the pair product vanished, so the ratios are not informative
+        checks.append(IdentityCheck("onediff.ratio-checks", "degenerate", True))
     else:
         ok6 = six == base.scale(GaussianRational(6))
         ok9 = nine == base.scale(GaussianRational(9))
         checks.append(IdentityCheck(
             "onediff.ratio-double-over-pair",
-            "0" if ok6 else str(six - base.scale(GaussianRational(6))), ok6,
-            "double transport is six times the pair product"))
+            "0" if ok6 else str(six - base.scale(GaussianRational(6))), ok6))
         checks.append(IdentityCheck(
             "onediff.ratio-central-over-pair",
-            "0" if ok9 else str(nine - base.scale(GaussianRational(9))), ok9,
-            "central form is nine times the pair product"))
+            "0" if ok9 else str(nine - base.scale(GaussianRational(9))), ok9))
     return checks

@@ -26,8 +26,8 @@ from .geometry import validate_geometry
 from .fedosov import StarEngine, coeff_sequences, curvature_residual, \
     abelian_residual
 from .analysis import compare_onediff, curvature_onediff_identities
-from .io import (MAX_ORDER, Check, ParseError, Report, ScenarioError,
-                 load_scenario)
+from .io import (MAX_COEFF_LIMIT, MAX_ORDER, Check, ParseError, Report,
+                 ScenarioError, load_scenario)
 
 __all__ = ["main", "run"]
 
@@ -75,14 +75,14 @@ def _verify_checks(scenario):
 
     engine = StarEngine(spec, order)
     r = engine.r()
-    resid = curvature_residual(r, spec, drop_above=engine.cap - 2)
+    resid = curvature_residual(r, spec)
     checks.append(Check("connection.flatness-residual", sid,
                         str(resid), resid.is_zero()))
 
     f, g = _default_observables(scenario)
     for name, obs in (("f", f), ("g", g)):
         a = engine.section(obs)
-        da = abelian_residual(a, spec, r, drop_above=engine.cap - 2)
+        da = abelian_residual(a, spec, r)
         checks.append(Check("section.abelian-residual-%s" % name, sid,
                             str(da), da.is_zero()))
 
@@ -109,7 +109,7 @@ def _verify_checks(scenario):
     checks.append(Check("star.first-order-bracket", sid, detail, sk_ok))
 
     try:
-        coeff_sequences(scenario.coeff_limit, cross_check=True)
+        coeff_sequences(scenario.coeff_limit)
         checks.append(Check("coeffs.recursions-vs-taylor", sid, "0", True))
     except ArithmeticError as exc:
         checks.append(Check("coeffs.recursions-vs-taylor", sid, str(exc), False))
@@ -120,8 +120,7 @@ def _verify_checks(scenario):
 
     if spec.is_perturbed:
         base_engine = StarEngine(spec.unperturbed(), order)
-        rep = compare_onediff(spec, order, base=base_engine.spec,
-                              engines=(engine, base_engine))
+        rep = compare_onediff(spec, order, engines=(engine, base_engine))
         bad = rep.failures()
         checks.append(Check(
             "onediff.guaranteed-orders", sid,
@@ -172,7 +171,7 @@ def _coeffs_checks(scenario, limit):
     sid = scenario.scenario_id if scenario else "none"
     checks = []
     try:
-        table = coeff_sequences(limit, cross_check=True)
+        table = coeff_sequences(limit)
         checks.append(Check("coeffs.recursions-vs-taylor", sid, "0", True))
     except ArithmeticError as exc:
         checks.append(Check("coeffs.recursions-vs-taylor", sid, str(exc), False))
@@ -246,15 +245,16 @@ def main(argv=None):
                         choices=["verify", "star", "compare", "coeffs", "poisson"])
     parser.add_argument("--scenario", help="scenario JSON file")
     parser.add_argument("--order", type=int, default=None,
-                        help="expansion order, at most %d (coeffs: table limit)"
-                        % MAX_ORDER)
+                        help="expansion order, at most %d (coeffs: table limit, "
+                        "at most %d)" % (MAX_ORDER, MAX_COEFF_LIMIT))
     parser.add_argument("--out", help="write the JSON report to this path")
     args = parser.parse_args(argv)
     if args.order is not None and args.order < 1:
         print("error: --order must be at least 1, got %d" % args.order, file=sys.stderr)
         return 2
-    if args.order is not None and args.command != "coeffs" and args.order > MAX_ORDER:
-        print("error: --order must be at most %d, got %d" % (MAX_ORDER, args.order),
+    top = MAX_COEFF_LIMIT if args.command == "coeffs" else MAX_ORDER
+    if args.order is not None and args.order > top:
+        print("error: --order must be at most %d, got %d" % (top, args.order),
               file=sys.stderr)
         return 2
 

@@ -17,8 +17,10 @@ fixed slice s, with one bracket per pass: (i/hbar)[r + s/2, s] for r and
 
 read off order by order in hbar.  With a degree cap D the section of f is
 exact through degree D-2, so a cap of 2N+2 delivers every product
-coefficient through hbar^N exactly; the comfort margin is asserted by a
-cap-sensitivity test rather than trusted.
+coefficient through hbar^N exactly; StarEngine always uses that cap, and
+the comfort margin is asserted by a cap-sensitivity test rather than
+trusted.  The residuals of both equations are truncated at degree D-2, the
+same window.
 
 The section equation is linear over constants in f, so
 
@@ -37,8 +39,8 @@ govern the perturbation series in the flat/constant case: they satisfy
     c_n = 1/2 * sum_{l+m=n} kappa_l kappa_m,
 
 whose generating functions are 1 - sqrt(1-x), 1/sqrt(1-x) and 1/(2(1-x));
-independent Taylor-coefficient routines are provided so the recursions can
-be cross-checked rather than trusted.
+``coeff_sequences`` always cross-checks the recursions against independent
+Taylor-coefficient routines rather than trusting them.
 """
 
 from __future__ import annotations
@@ -221,33 +223,31 @@ def flat_section(f, spec, r, cap):
                   WeylForm.zero(spec.dim, cap), update, "section recursion", cap)
 
 
-def abelian_residual(a, spec, r, drop_above=None):
+def abelian_residual(a, spec, r):
     """D a = par a - delta a + (i/hbar)[r, a]: zero on flat sections.
 
-    With capped inputs the bracket part is only trustworthy through degree
-    cap - 2; pass ``drop_above`` to truncate the residual accordingly.
+    A section solved at cap D is exact only through degree D - 2, so the
+    residual is truncated there: it is zero exactly when the section is
+    flat inside that window.  ``a`` must carry its cap, as every solved
+    section does.
     """
     out = cov_ext_deriv(a, spec.geometry) - delta(a)
     if not r.is_zero():
         out = out + odd_bracket(r, a, spec.geometry)
-    if drop_above is not None:
-        out = out.capped(drop_above)
-    return out
+    return out.capped(a.cap - 2)
 
 
-def curvature_residual(r, spec, drop_above=None):
+def curvature_residual(r, spec):
     """delta r - (Q + par r + (i/hbar) r o r): the defining equation of r.
 
     It takes the full product r o r, so it shares no bracket with solve_r.
+    Like ``abelian_residual`` it is truncated at degree r.cap - 2.
     """
     geom = spec.geometry
     cap = r.cap
     body = (spec.q_form(cap) + cov_ext_deriv(r, geom)
             + i_over_hbar(moyal(r, r, geom)))
-    out = delta(r) - body
-    if drop_above is not None:
-        out = out.capped(drop_above)
-    return out
+    return (delta(r) - body).capped(cap - 2)
 
 
 class StarResult:
@@ -289,12 +289,12 @@ class StarEngine:
     observable f is the hbar-series {0: f}.
     """
 
-    def __init__(self, spec, order, cap=None):
+    def __init__(self, spec, order):
         if order < 1:
             raise ValueError("order must be at least 1")
         self.spec = spec
         self.order = order
-        self.cap = 2 * order + 2 if cap is None else cap
+        self.cap = 2 * order + 2
         self._r = None
         self._sections = {}   # observable key -> assembled section
         self._monomials = {}  # (hbar power, exponent) -> section of hbar^n x^exp
@@ -346,14 +346,13 @@ def star(f, g, spec, order):
 class CoeffTable:
     """The sequences sigma_p, kappa_p, c_p as exact rationals."""
 
-    __slots__ = ("limit", "sigma", "kappa", "c", "cross_checked")
+    __slots__ = ("limit", "sigma", "kappa", "c")
 
-    def __init__(self, limit, sigma, kappa, c, cross_checked=False):
+    def __init__(self, limit, sigma, kappa, c):
         self.limit = limit
         self.sigma = sigma
         self.kappa = kappa
         self.c = c
-        self.cross_checked = cross_checked
 
     def rows(self):
         out = []
@@ -371,12 +370,12 @@ class CoeffTable:
         return "\n".join(lines)
 
 
-def coeff_sequences(limit, cross_check=True):
+def coeff_sequences(limit):
     """Compute sigma, kappa, c by their recursions up to ``limit``.
 
-    With ``cross_check`` the values are compared against independent Taylor
-    expansions of the generating functions; a mismatch raises
-    ArithmeticError (it would mean one of the two routes is wrong).
+    The values are compared against independent Taylor expansions of the
+    generating functions; a mismatch raises ArithmeticError (it would mean
+    one of the two routes is wrong).
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -389,21 +388,18 @@ def coeff_sequences(limit, cross_check=True):
         kap[n] = sum(kap[n - m] * sig[m] for m in range(1, n + 1))
     c = {n: half * sum(kap[l] * kap[n - l] for l in range(0, n + 1))
          for n in range(0, limit + 1)}
-    table = CoeffTable(limit, sig, kap, c)
-    if cross_check:
-        s_or = taylor_one_minus_sqrt(limit)
-        k_or = taylor_inv_sqrt(limit)
-        c_or = taylor_half_geometric(limit)
-        for n in range(1, limit + 1):
-            if sig[n] != s_or[n]:
-                raise ArithmeticError("sigma_%d disagrees with its Taylor expansion" % n)
-        for n in range(0, limit + 1):
-            if kap[n] != k_or[n]:
-                raise ArithmeticError("kappa_%d disagrees with its Taylor expansion" % n)
-            if c[n] != c_or[n]:
-                raise ArithmeticError("c_%d disagrees with its Taylor expansion" % n)
-        table.cross_checked = True
-    return table
+    s_or = taylor_one_minus_sqrt(limit)
+    k_or = taylor_inv_sqrt(limit)
+    c_or = taylor_half_geometric(limit)
+    for n in range(1, limit + 1):
+        if sig[n] != s_or[n]:
+            raise ArithmeticError("sigma_%d disagrees with its Taylor expansion" % n)
+    for n in range(0, limit + 1):
+        if kap[n] != k_or[n]:
+            raise ArithmeticError("kappa_%d disagrees with its Taylor expansion" % n)
+        if c[n] != c_or[n]:
+            raise ArithmeticError("c_%d disagrees with its Taylor expansion" % n)
+    return CoeffTable(limit, sig, kap, c)
 
 
 def _sqrt_one_minus(limit):

@@ -29,7 +29,7 @@ from .fedosov import WeylCurvatureSpec
 __all__ = [
     "ParseError",
     "ScenarioError",
-    "MAX_DIM", "MAX_ORDER", "MAX_K", "MAX_EXPONENT",
+    "MAX_DIM", "MAX_ORDER", "MAX_K", "MAX_EXPONENT", "MAX_COEFF_LIMIT",
     "parse_rational",
     "parse_poly",
     "Scenario",
@@ -52,11 +52,14 @@ class ScenarioError(ValueError):
 # takes minutes), so a value past one is a ScenarioError, not a run without
 # end.  MAX_ORDER also bounds ``--order``; a perturbation power k above it
 # never reaches a computed coefficient; MAX_EXPONENT bounds each variable's
-# exponent in a scenario polynomial.  The bundled scenarios sit well inside.
+# exponent in a scenario polynomial.  MAX_COEFF_LIMIT bounds a scenario's
+# ``coeff_limit`` and ``coeffs --order``: the exact scalar tables grow about
+# as N^2.3 and take 0.1 s at 64.  The bundled scenarios sit well inside.
 MAX_DIM = 6
 MAX_ORDER = 8
 MAX_K = MAX_ORDER
 MAX_EXPONENT = 8
+MAX_COEFF_LIMIT = 64
 
 _RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -166,13 +169,6 @@ class Scenario:
     def build_spec(self):
         return self._spec
 
-    def observable(self, name):
-        p = self.observables.get(name)
-        if p is None:
-            raise ScenarioError("scenario %r has no observable %r"
-                                % (self.scenario_id, name))
-        return p
-
 
 def _poly(text, dim, what):
     """Parse a scenario polynomial, bounding its exponents by MAX_EXPONENT."""
@@ -236,7 +232,7 @@ def _scenario_from_dict(data):
     order = _integer(data.get("order", 4), "order", MAX_ORDER)
     if order < 1:
         raise ScenarioError("order must be at least 1, got %d" % order)
-    coeff_limit = _integer(data.get("coeff_limit", 8), "coeff_limit")
+    coeff_limit = _integer(data.get("coeff_limit", 8), "coeff_limit", MAX_COEFF_LIMIT)
     if coeff_limit < 1:
         raise ScenarioError("coeff_limit must be at least 1, got %d" % coeff_limit)
 

@@ -86,10 +86,6 @@ class Tensor2:
         z = Polynomial.zero(dim)
         return cls(dim, variance, [[z] * dim for _ in range(dim)])
 
-    @classmethod
-    def from_function(cls, dim, variance, fn):
-        return cls(dim, variance, [[fn(i, j) for j in range(dim)] for i in range(dim)])
-
     def entry(self, i, j):
         return self.rows[i][j]
 

@@ -47,7 +47,6 @@ __all__ = [
     "WeylForm",
     "HbarDivisionError",
     "moyal",
-    "moyal_graded",
     "moyal_sigma",
     "odd_bracket",
     "commutator",
@@ -282,9 +281,6 @@ class WeylForm:
         out = {k: p for k, p in self.terms.items() if k[1] == zero}
         return WeylForm._make(self.dim, out, self.cap)
 
-    def max_hpow(self):
-        return max((h for (h, _u, _f) in self.terms), default=0)
-
     # -- canonical text form -------------------------------------------------------
 
     def __str__(self):
@@ -326,8 +322,8 @@ def _falling(u, d):
     return out
 
 
-def moyal(a, b, geom, only_k=None, bracket=False):
-    """Fiberwise product a o b, or only its piece a o_k b (``only_k``).
+def moyal(a, b, geom, bracket=False):
+    """Fiberwise product a o b.
 
     ``bracket`` returns (i/hbar)[a, b] instead (see the module docstring);
     its cap is tested on the degree before the division by hbar.
@@ -356,15 +352,10 @@ def moyal(a, b, geom, only_k=None, bracket=False):
             if merged is None:
                 continue
             sign, IJ = merged
-            kmax = min(qa, sum(ub))
-            if only_k is None:
-                krange = range(shift, kmax + 1, 1 + shift)
-            else:
-                krange = range(only_k, min(only_k, kmax) + 1)  # empty past kmax
             # sum the pairing rows landing on each output key, then scale
             # the coefficient product once per key
             weights = {}
-            for k in krange:
+            for k in range(shift, min(qa, sum(ub)) + 1, 1 + shift):
                 for d, e, w in table(k):
                     ff = _falling(ua, d)
                     if ff:
@@ -389,11 +380,6 @@ def _prefactors(kmax, bracket=False):
     while len(cache) <= kmax:
         cache.append(cache[-1] * _MINUS_I_HALF)
     return cache
-
-
-def moyal_graded(a, b, k, geom):
-    """The graded piece a o_k b alone (hbar prefactor included)."""
-    return moyal(a, b, geom, only_k=k)
 
 
 def odd_bracket(a, b, geom):

@@ -167,12 +167,15 @@ def scenarios_at_limit(delta):
     Chart dimensions are even, so the dimension steps by two.  Loading one
     of these builds no engine; no test runs an oversized input.
     """
-    from fedosov_lab.io import MAX_DIM, MAX_EXPONENT, MAX_K, MAX_ORDER
+    from fedosov_lab.io import (MAX_COEFF_LIMIT, MAX_DIM, MAX_EXPONENT, MAX_K,
+                                MAX_ORDER)
 
     top = "x1^%d" % (MAX_EXPONENT + delta)
     return {
         "dim": {"geometry": {"dim": MAX_DIM + 2 * delta}},
         "order": {"geometry": {"dim": 2}, "order": MAX_ORDER + delta},
+        "coeff_limit": {"geometry": {"dim": 2},
+                        "coeff_limit": MAX_COEFF_LIMIT + delta},
         "k": {"geometry": {"dim": 2}, "order": 2, "perturbation": [
             {"k": MAX_K + delta, "alpha": [["0", "1"], ["-1", "0"]]}]},
         "gamma-exponent": {"geometry": {"dim": 2, "gamma": [[[1, 1, 2], top]]}},

@@ -466,21 +466,20 @@ def test_criterion_6_structural_suite():
         for sp in (WeylCurvatureSpec(geom), spec):
             cap = 6
             r = solve_r(sp, cap)
-            ok = ok and curvature_residual(r, sp, drop_above=cap - 2).is_zero()
+            ok = ok and curvature_residual(r, sp).is_zero()
             for _ in range(3):
                 fpo = rand_poly(rng, dim, deg=2, terms=3, allow_imag=False)
                 a = flat_section(fpo, sp, r, cap)
-                ok = ok and abelian_residual(a, sp, r,
-                                             drop_above=cap - 2).is_zero()
+                ok = ok and abelian_residual(a, sp, r).is_zero()
                 count += 1
     for _ in range(8):
         g = rand_curved_geometry(rng, 2)
         sp = WeylCurvatureSpec(g)
         r = solve_r(sp, 6)
-        ok = ok and curvature_residual(r, sp, drop_above=4).is_zero()
+        ok = ok and curvature_residual(r, sp).is_zero()
         fpo = rand_quadratic(rng, 2)
         a = flat_section(fpo, sp, r, 6)
-        ok = ok and abelian_residual(a, sp, r, drop_above=4).is_zero()
+        ok = ok and abelian_residual(a, sp, r).is_zero()
         count += 1
     record("flat-section-residuals", count, ok)
 
@@ -659,7 +658,7 @@ def test_criterion_7_two_term_reassembly():
     engines = (StarEngine(spec, order), StarEngine(base, order))
 
     # every order up to 6 matches the predicted diamond-series coefficient
-    report = compare_onediff(spec, order, base=base, engines=engines)
+    report = compare_onediff(spec, order, engines=engines)
     assert all(c.guaranteed for c in report.orders)
     assert report.passed and not report.failures()
     predicted = predicted_onediff(series, geom, order)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from fedosov_lab import cli
-from fedosov_lab.io import MAX_ORDER, Check, Report
+from fedosov_lab.io import MAX_COEFF_LIMIT, MAX_ORDER, Check, Report
 
 from conftest import scenarios_at_limit
 
@@ -265,6 +265,13 @@ def test_coeffs_order_above_limit_is_a_table_limit(capsys):
     # for coeffs --order is the table length, which the order limit does not bound
     assert cli.main(["coeffs", "--order", str(MAX_ORDER + 1)]) == 0
     assert "coeffs.row-%d" % (MAX_ORDER + 1) in capsys.readouterr().out
+
+
+def test_coeffs_order_above_coeff_limit_is_usage_error(capsys, run_calls):
+    assert cli.main(["coeffs", "--order", str(MAX_COEFF_LIMIT + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--order must be at most %d" % MAX_COEFF_LIMIT in err
+    assert run_calls == []
 
 
 @pytest.mark.parametrize("field", sorted(scenarios_at_limit(1)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov_lab import fedosov
+from fedosov_lab import cli, fedosov
 from fedosov_lab.algebra import GaussianRational, HbarSeries, I, ONE, Polynomial
 from fedosov_lab.fedosov import (CoeffTable, PerturbationError, StarEngine,
                                  WeylCurvatureSpec, abelian_residual,
@@ -17,7 +17,7 @@ from fedosov_lab.fedosov import (CoeffTable, PerturbationError, StarEngine,
 from fedosov_lab.geometry import Geometry
 from fedosov_lab.tensors import (Tensor2, TensorSeries, diamond_power, mu,
                                  series_inverse)
-from fedosov_lab.weyl import WeylForm, delta_inv, moyal_sigma, y_dx_form
+from fedosov_lab.weyl import WeylForm, delta, delta_inv, moyal_sigma, y_dx_form
 
 from conftest import (rand_closed_skew_poly, rand_cubic, rand_curved_geometry,
                       rand_poly, rand_quadratic, rand_skew_constant)
@@ -40,7 +40,6 @@ def test_coeff_sequences_frozen_values():
     for n in range(9):
         assert tab.kappa[n] == KAPPA_EXPECTED[n], n
         assert tab.c[n] == F(1, 2), n
-    assert tab.cross_checked
     # the recursion value 3/8 at index 2 is the arbiter for kappa_2
     assert tab.kappa[2] == F(3, 8)
 
@@ -72,6 +71,21 @@ def test_taylor_oracles_are_self_consistent():
     h = taylor_half_geometric(n)
     assert all(2 * (h[m] - (h[m - 1] if m else 0)) == (1 if m == 0 else 0)
                for m in range(n + 1))
+
+
+def test_coeff_cross_check_failure_is_reported(monkeypatch, capsys):
+    def off_by_one(limit):
+        k = taylor_inv_sqrt(limit)
+        k[3] += 1
+        return k
+
+    monkeypatch.setattr(fedosov, "taylor_inv_sqrt", off_by_one)
+    with pytest.raises(ArithmeticError, match="kappa_"):
+        coeff_sequences(6)
+    assert cli.main(["coeffs", "--order", "6"]) == 1
+    captured = capsys.readouterr()
+    assert "coeffs.recursions-vs-taylor  FAIL" in captured.out
+    assert "failing: coeffs.recursions-vs-taylor" in captured.err
 
 
 def test_coeff_table_rows_and_str():
@@ -217,7 +231,7 @@ def test_flat_constant_connection_closed_form(rng, dim, k):
             GaussianRational(tab.sigma[p]))
         p += 1
     assert r == want
-    assert curvature_residual(r, spec, drop_above=cap - 2).is_zero()
+    assert curvature_residual(r, spec).is_zero()
 
 
 def test_flat_constant_section_linear_parts_carry_kappa(rng):
@@ -230,7 +244,7 @@ def test_flat_constant_section_linear_parts_carry_kappa(rng):
     tab = coeff_sequences(cap // 2)
     f = rand_poly(rng, dim, deg=3, allow_imag=False)
     sec = flat_section(f, spec, r, cap)
-    assert abelian_residual(sec, spec, r, drop_above=cap - 2).is_zero()
+    assert abelian_residual(sec, spec, r).is_zero()
     omb = geom.omega_bar
     for p in range(0, 4):
         got = WeylForm(dim, {key: v for key, v in sec.terms.items()
@@ -325,9 +339,32 @@ def test_curved_degree_three_part_is_delta_inv_of_curvature(rng):
         r3 = WeylForm(2, {k: v for k, v in r.terms.items()
                           if 2 * k[0] + sum(k[1]) == 3}, cap=8)
         assert r3 == delta_inv(rw)
-        assert curvature_residual(r, spec, drop_above=6).is_zero()
+        assert curvature_residual(r, spec).is_zero()
         assert r.min_degree() >= 3
         assert delta_inv(r).is_zero()  # the normalization condition
+
+
+def test_residual_window_sees_degree_cap_minus_two(rng):
+    gc = rand_curved_geometry(rng, 2)
+    spec = WeylCurvatureSpec(gc)
+    cap = 6
+    r = solve_r(spec, cap)
+    sec = flat_section(rand_quadratic(rng, 2), spec, r, cap)
+    assert curvature_residual(r, spec).is_zero()
+    assert abelian_residual(sec, spec, r).is_zero()
+
+    def mono(u, form=()):
+        return WeylForm(2, {(0, u, form): Polynomial.one(2)}, cap=cap)
+
+    # a corruption at degree cap - 2 with nonzero delta shows in both
+    assert not abelian_residual(sec + mono((4, 0)), spec, r).is_zero()
+    assert not curvature_residual(r + mono((4, 0), (1,)), spec).is_zero()
+    # one at degree cap - 1 shows only through delta, which lands on degree
+    # cap - 2: the window ends exactly there
+    m = mono((5, 0))
+    assert abelian_residual(sec + m, spec, r) == -delta(m)
+    m = mono((5, 0), (1,))
+    assert curvature_residual(r + m, spec) == delta(m)
 
 
 def test_curved_sections_are_flat_and_star_is_unital(rng):
@@ -337,7 +374,7 @@ def test_curved_sections_are_flat_and_star_is_unital(rng):
     r = solve_r(spec, cap)
     f = rand_quadratic(rng, 2)
     sec = flat_section(f, spec, r, cap)
-    assert abelian_residual(sec, spec, r, drop_above=cap - 2).is_zero()
+    assert abelian_residual(sec, spec, r).is_zero()
     eng = StarEngine(spec, order=3)
     one = Polynomial.one(2)
     res = eng.star(one, f)

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from fedosov_lab.algebra import GaussianRational, Polynomial
-from fedosov_lab.io import (MAX_DIM, MAX_EXPONENT, MAX_K, MAX_ORDER, Check,
-                            ParseError, Report, Scenario, ScenarioError,
-                            load_scenario, parse_poly, parse_rational)
+from fedosov_lab.io import (MAX_COEFF_LIMIT, MAX_DIM, MAX_EXPONENT, MAX_K,
+                            MAX_ORDER, Check, ParseError, Report, Scenario,
+                            ScenarioError, load_scenario, parse_poly,
+                            parse_rational)
 
 from conftest import rand_poly, scenarios_at_limit
 
@@ -101,9 +102,7 @@ def test_load_scenario_from_dict():
     assert sc.coeff_limit == 8
     spec = sc.build_spec()
     assert spec.is_perturbed and spec.min_k() == 1
-    assert sc.observable("f") == parse_poly("x1^2", 2)
-    with pytest.raises(ScenarioError):
-        sc.observable("missing")
+    assert sc.observables["f"] == parse_poly("x1^2", 2)
 
 
 def test_load_scenario_defaults_and_gamma():
@@ -178,6 +177,7 @@ def test_bundled_scenarios_all_load():
 
 
 LIMITS = {"dim": MAX_DIM, "order": MAX_ORDER, "k": MAX_K,
+          "coeff_limit": MAX_COEFF_LIMIT,
           "gamma-exponent": MAX_EXPONENT, "alpha-exponent": MAX_EXPONENT,
           "observable-exponent": MAX_EXPONENT}
 
@@ -188,6 +188,7 @@ def test_limits_hold_every_bundled_scenario():
     for p in sorted(glob.glob(os.path.join(root, "*.json"))):
         sc = load_scenario(p)
         assert sc.geometry.dim <= MAX_DIM and sc.order <= MAX_ORDER
+        assert sc.coeff_limit <= MAX_COEFF_LIMIT
         if sc.perturbation is not None:
             assert max(sc.perturbation.hs.coeffs) <= MAX_K
 

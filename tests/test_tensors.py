@@ -22,8 +22,8 @@ F = Fraction
 
 
 def rand_tensor(rng, dim, variance="lower", deg=1):
-    return Tensor2.from_function(dim, variance,
-                                 lambda i, j: rand_poly(rng, dim, deg, terms=2))
+    return Tensor2(dim, variance, [[rand_poly(rng, dim, deg, terms=2)
+                                    for _j in range(dim)] for _i in range(dim)])
 
 
 def diamond_oracle(a, b, geom):
