@@ -9,16 +9,27 @@ Three layers, all exact (no floating point anywhere):
 
 Values are immutable by convention: every operation returns a new object.
 
+``GaussianRational`` is the public scalar, but a ``Polynomial`` does not
+store one per term.  It keeps Gaussian-integer numerators ``exp -> (re, im)``
+over one shared positive denominator, so its arithmetic runs on Python ints
+and normalises once per operation (one gcd sweep over the result) instead of
+once per coefficient product.  ``Polynomial.terms`` rebuilds the
+``GaussianRational`` coefficients as a read-only view.
+
 No sparse container stores a zero: a ``Polynomial`` holds only nonzero
-coefficients and a ``WeylForm`` only nonzero polynomials, so equality can
-compare the term dicts directly.  Every term sum in the package goes through
-``accumulate``, the one place that adds into a sparse dict and drops the key
-when the sum cancels.
+numerators, reduced against its denominator, and a ``WeylForm`` only nonzero
+polynomials, so equality can compare the stored dicts directly.  Every
+``WeylForm`` and ``HbarSeries`` term sum goes through ``accumulate``, the one
+place that adds into a sparse dict and drops the key when the sum cancels;
+``Polynomial`` sums its integer pairs in its own loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 
 __all__ = ["GaussianRational", "Polynomial", "HbarSeries", "ZERO", "ONE", "I",
            "accumulate", "index_exponent"]
@@ -199,15 +210,38 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+def _split(c):
+    """A nonzero GaussianRational as (re, im, den): Gaussian-integer
+    numerator over the least positive common denominator, so reduced."""
+    re, im = c.re, c.im
+    dr, di = re.denominator, im.denominator
+    if dr == di:
+        return re.numerator, im.numerator, dr
+    den = lcm(dr, di)
+    return re.numerator * (den // dr), im.numerator * (den // di), den
+
+
+def _gaussian(pair, den):
+    return GaussianRational._make(Fraction(pair[0], den), Fraction(pair[1], den))
+
+
 class Polynomial:
     """Sparse polynomial in ``dim`` chart variables over GaussianRational.
 
-    Terms live in a dict mapping exponent tuples (length ``dim``) to nonzero
-    coefficients.  The canonical text form lists terms in descending
-    lexicographic exponent order, e.g. ``3/2*x1^2*x2-x2+1``.
+    A term dict maps exponent tuples (length ``dim``) to Gaussian-integer
+    numerators ``(re, im)``, never ``(0, 0)``, over one shared positive
+    denominator: the coefficient of ``exp`` is ``(re + im*i) / den``.  The
+    form is kept reduced -- the gcd of ``den`` and every numerator is 1, and
+    the zero polynomial has ``den == 1`` -- so it is canonical, and ``==``
+    and ``hash`` compare it directly.  Arithmetic works on ints and reduces
+    once per result.
+
+    ``terms`` is a read-only view ``exp -> GaussianRational`` built on each
+    access, with reduced Fractions.  The canonical text form lists terms in
+    descending lexicographic exponent order, e.g. ``3/2*x1^2*x2-x2+1``.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "_num", "_den")
 
     def __init__(self, dim, terms=None):
         self.dim = dim
@@ -218,24 +252,52 @@ class Polynomial:
             c = GaussianRational.coerce(c)
             if c:
                 clean[tuple(exp)] = c
-        self.terms = clean
+        # Each prime power of the lcm is the full denominator power of some
+        # coefficient part, whose numerator that prime does not divide; so
+        # the form is already reduced.
+        den = lcm(1, *(q.denominator for c in clean.values() for q in (c.re, c.im)))
+        self._num = {e: (c.re.numerator * (den // c.re.denominator),
+                         c.im.numerator * (den // c.im.denominator))
+                     for e, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _make(cls, dim, terms):
-        # Internal fast path: ``terms`` already clean, ownership transferred.
+    def _make(cls, dim, num, den):
+        # Internal fast path: ``num`` over ``den`` already reduced, no zero
+        # stored, ownership transferred.
         p = object.__new__(cls)
         p.dim = dim
-        p.terms = terms
+        p._num = num
+        p._den = den
         return p
 
     @classmethod
+    def _reduced(cls, dim, num, den, g):
+        """``_make`` after dividing out the common factor of ``num`` and
+        ``den``; ``g`` is a divisor of ``den`` that the factor divides."""
+        if not num:
+            return cls._make(dim, num, 1)
+        if g != 1:
+            for re, im in num.values():
+                g = gcd(g, re, im)
+                if g == 1:
+                    break
+            else:
+                num = {e: (re // g, im // g) for e, (re, im) in num.items()}
+                den //= g
+        return cls._make(dim, num, den)
+
+    @classmethod
     def zero(cls, dim):
-        return cls._make(dim, {})
+        return cls._make(dim, {}, 1)
 
     @classmethod
     def constant(cls, dim, c):
         c = GaussianRational.coerce(c)
-        return cls._make(dim, {(0,) * dim: c} if c else {})
+        if not c:
+            return cls.zero(dim)
+        re, im, den = _split(c)
+        return cls._make(dim, {(0,) * dim: (re, im)}, den)
 
     @classmethod
     def one(cls, dim):
@@ -247,11 +309,17 @@ class Polynomial:
         if not 0 <= j < dim:
             raise ValueError("variable index %d out of range for dim %d" % (j, dim))
         exp = tuple(1 if t == j else 0 for t in range(dim))
-        return cls._make(dim, {exp: ONE})
+        return cls._make(dim, {exp: (1, 0)}, 1)
 
     @classmethod
     def monomial(cls, dim, exp, c=1):
         return cls(dim, {tuple(exp): c})
+
+    @property
+    def terms(self):
+        """Read-only view exp -> GaussianRational of the nonzero terms."""
+        den = self._den
+        return MappingProxyType({e: _gaussian(v, den) for e, v in self._num.items()})
 
     # -- arithmetic -------------------------------------------------------
 
@@ -265,10 +333,33 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            accumulate(out, exp, c, subtract)
-        return Polynomial._make(self.dim, out)
+        d1, d2 = self._den, other._den
+        # Over lcm(d1, d2) a common factor of the sum can only come from a
+        # prime that divides d1 and d2 equally often, so it divides gcd(d1, d2).
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        if m1 == 1:
+            out = dict(self._num)
+        else:
+            out = {e: (a * m1, b * m1) for e, (a, b) in self._num.items()}
+        if subtract:
+            m2 = -m2
+        get = out.get
+        for e, (c, d) in other._num.items():
+            if m2 != 1:
+                c *= m2
+                d *= m2
+            prev = get(e)
+            if prev is None:
+                out[e] = (c, d)
+            else:
+                c += prev[0]
+                d += prev[1]
+                if c or d:
+                    out[e] = (c, d)
+                else:
+                    del out[e]
+        return Polynomial._reduced(self.dim, out, d1 * m1, g)
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -282,7 +373,8 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial._make(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.dim, {e: (-a, -b) for e, (a, b) in self._num.items()},
+                                self._den)
 
     def scale(self, c):
         c = GaussianRational.coerce(c)
@@ -294,7 +386,13 @@ class Polynomial:
                 return self
             if cr == -1:
                 return -self
-        return Polynomial._make(self.dim, {e: v * c for e, v in self.terms.items()})
+        p, q, s = _split(c)
+        if q:
+            num = {e: (a * p - b * q, a * q + b * p) for e, (a, b) in self._num.items()}
+        else:
+            num = {e: (a * p, b * p) for e, (a, b) in self._num.items()}
+        den = self._den * s
+        return Polynomial._reduced(self.dim, num, den, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -303,10 +401,25 @@ class Polynomial:
             return NotImplemented
         self._check(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Polynomial._make(self.dim, out)
+        get = out.get
+        right = list(other._num.items())
+        for e1, (a, b) in self._num.items():
+            for e2, (c, d) in right:
+                e = tuple(map(add, e1, e2))
+                if b:
+                    re = a * c - b * d
+                    im = a * d + b * c
+                else:
+                    re = a * c
+                    im = a * d
+                prev = get(e)
+                if prev is None:
+                    out[e] = (re, im)
+                else:
+                    out[e] = (prev[0] + re, prev[1] + im)
+        num = {e: v for e, v in out.items() if v[0] or v[1]}
+        den = self._den * other._den
+        return Polynomial._reduced(self.dim, num, den, den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -325,53 +438,58 @@ class Polynomial:
         """Partial derivative with respect to the 0-based variable ``j``."""
         if not 0 <= j < self.dim:
             raise ValueError("variable index %d out of range" % j)
+        # Lowering exponent j maps distinct monomials to distinct ones, so
+        # no two terms land on one key.
         out = {}
-        for exp, c in self.terms.items():
+        for exp, (a, b) in self._num.items():
             k = exp[j]
             if k:
-                accumulate(out, exp[:j] + (k - 1,) + exp[j + 1:], c * k)
-        return Polynomial._make(self.dim, out)
+                out[exp[:j] + (k - 1,) + exp[j + 1:]] = (a * k, b * k)
+        return Polynomial._reduced(self.dim, out, self._den, self._den)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._num)
 
     def constant_value(self):
-        return self.terms.get((0,) * self.dim, ZERO)
+        v = self._num.get((0,) * self.dim)
+        return ZERO if v is None else _gaussian(v, self._den)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self._num), default=-1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Polynomial.constant(self.dim, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return (self.dim == other.dim and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # -- canonical text form -----------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
+        den = self._den
         pieces = []
-        for exp in sorted(self.terms, reverse=True):
-            c = self.terms[exp]
-            if c.re:
-                pieces.append(_term_str(exp, c.re, imag=False))
-            if c.im:
-                pieces.append(_term_str(exp, c.im, imag=True))
+        for exp in sorted(self._num, reverse=True):
+            a, b = self._num[exp]
+            if a:
+                pieces.append(_term_str(exp, Fraction(a, den), imag=False))
+            if b:
+                pieces.append(_term_str(exp, Fraction(b, den), imag=True))
         sign0, body0 = pieces[0]
         out = ("-" if sign0 == "-" else "") + body0
         for sign, body in pieces[1:]:

@@ -47,11 +47,10 @@ def _default_observables(scenario):
     return f, g
 
 
-def _verify_checks(scenario):
+def _verify_checks(scenario, order):
     sid = scenario.scenario_id
     geom = scenario.geometry
     spec = scenario.build_spec()
-    order = scenario.order
     checks = []
 
     for anchor, ok in validate_geometry(geom):
@@ -133,25 +132,25 @@ def _verify_checks(scenario):
     return checks
 
 
-def _star_checks(scenario):
+def _star_checks(scenario, order):
     sid = scenario.scenario_id
     spec = scenario.build_spec()
-    engine = StarEngine(spec, scenario.order)
+    engine = StarEngine(spec, order)
     f, g = _default_observables(scenario)
     res = engine.star(f, g)
     checks = []
-    for n in range(scenario.order + 1):
+    for n in range(order + 1):
         checks.append(Check("star.coefficient.h%d" % n, sid,
                             str(res.coeff(n)), True))
     return checks
 
 
-def _compare_checks(scenario):
+def _compare_checks(scenario, order):
     sid = scenario.scenario_id
     spec = scenario.build_spec()
     if not spec.is_perturbed:
         raise ScenarioError("compare needs a perturbation block")
-    rep = compare_onediff(spec, scenario.order)
+    rep = compare_onediff(spec, order)
     checks = []
     for c in rep.orders:
         base = "onediff.order-%d" % c.n
@@ -187,12 +186,11 @@ def _coeffs_checks(scenario, limit):
     return checks, table
 
 
-def _poisson_checks(scenario):
+def _poisson_checks(scenario, order):
     sid = scenario.scenario_id
     spec = scenario.build_spec()
     if not spec.is_perturbed:
         raise ScenarioError("poisson needs a perturbation block")
-    order = scenario.order
     geom = scenario.geometry
     alpha = spec.alpha_series(order)
     obar = formal_poisson(alpha, geom, order)
@@ -214,23 +212,39 @@ def _poisson_checks(scenario):
     return checks
 
 
+def _check_limit(value, name, top):
+    """Raise ScenarioError when ``value`` is below 1 or above ``top``."""
+    if value < 1:
+        raise ScenarioError("%s must be at least 1, got %d" % (name, value))
+    if value > top:
+        raise ScenarioError("%s must be at most %d, got %d" % (name, top, value))
+
+
 def run(command, scenario, order=None, coeff_limit=None):
-    """Run one command against a loaded Scenario and return a Report."""
-    if scenario is not None and order is not None:
-        scenario.order = order
+    """Run one command against a loaded Scenario and return a Report.
+
+    ``order`` and ``coeff_limit`` override the scenario's values for this
+    call only, within the size limits of ``io``; the scenario is not changed.
+    """
+    if order is not None:
+        _check_limit(order, "order", MAX_ORDER)
+    elif scenario is not None:
+        order = scenario.order
+    if coeff_limit is not None:
+        _check_limit(coeff_limit, "coeff_limit", MAX_COEFF_LIMIT)
     if command == "verify":
-        checks = _verify_checks(scenario)
+        checks = _verify_checks(scenario, order)
     elif command == "star":
-        checks = _star_checks(scenario)
+        checks = _star_checks(scenario, order)
     elif command == "compare":
-        checks = _compare_checks(scenario)
+        checks = _compare_checks(scenario, order)
     elif command == "coeffs":
         limit = coeff_limit
         if limit is None:
             limit = scenario.coeff_limit if scenario else 8
         checks, _ = _coeffs_checks(scenario, limit)
     elif command == "poisson":
-        checks = _poisson_checks(scenario)
+        checks = _poisson_checks(scenario, order)
     else:
         raise ScenarioError("unknown command %r" % command)
     sid = scenario.scenario_id if scenario else "none"
@@ -249,16 +263,12 @@ def main(argv=None):
                         "at most %d)" % (MAX_ORDER, MAX_COEFF_LIMIT))
     parser.add_argument("--out", help="write the JSON report to this path")
     args = parser.parse_args(argv)
-    if args.order is not None and args.order < 1:
-        print("error: --order must be at least 1, got %d" % args.order, file=sys.stderr)
-        return 2
-    top = MAX_COEFF_LIMIT if args.command == "coeffs" else MAX_ORDER
-    if args.order is not None and args.order > top:
-        print("error: --order must be at most %d, got %d" % (top, args.order),
-              file=sys.stderr)
-        return 2
 
     try:
+        if args.order is not None:
+            # checked before the scenario loads, so a bad flag costs nothing
+            _check_limit(args.order, "--order",
+                     MAX_COEFF_LIMIT if args.command == "coeffs" else MAX_ORDER)
         scenario = None
         if args.scenario is not None:
             scenario = load_scenario(args.scenario)

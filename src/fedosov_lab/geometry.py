@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from .algebra import Polynomial, accumulate, index_exponent
 from .tensors import SingularMatrixError, Tensor2, invert_scalar_matrix, matmul
-from .weyl import WeylForm, exterior_d, odd_bracket, pairing_table
+from .weyl import WeylForm, _prefactors, exterior_d, odd_bracket, pairing_table
 
 __all__ = [
     "Geometry",
@@ -85,7 +86,7 @@ class Geometry:
         self.gamma = self._canonical_gamma(gamma or {})
         self.omega_bar_pairs = _constant_pairs(self.omega_bar)
         self._tables = {}
-        self._table_maps = {}
+        self._sigma_weights = {}
         self._gamma_weyl = None
         self._curvature = None
 
@@ -122,11 +123,20 @@ class Geometry:
             self._tables[k] = t
         return t
 
-    def moyal_table_map(self, k):
-        m = self._table_maps.get(k)
+    def moyal_sigma_weights(self, k):
+        """{(u, v): (-i/2)^k * u! * v! * (sum of w)} over the rows (u, v, w)
+        of ``moyal_table(k)``: the whole scalar ``moyal_sigma`` puts on the
+        contraction of y^u in the left factor with y^v in the right.  Off
+        the block form several rows can share one (u, v); their weights add."""
+        m = self._sigma_weights.get(k)
         if m is None:
-            m = {(d, e): w for d, e, w in self.moyal_table(k)}
-            self._table_maps[k] = m
+            pre = _prefactors(k)[k]
+            m = {}
+            for d, e, w in self.moyal_table(k):
+                accumulate(m, (d, e), w)
+            m = {key: pre * w * (_exps_factorial(key[0]) * _exps_factorial(key[1]))
+                 for key, w in m.items()}
+            self._sigma_weights[k] = m
         return m
 
     def gamma_weyl(self):
@@ -147,6 +157,14 @@ class Geometry:
 
     def __repr__(self):
         return "Geometry(dim=%d, flat=%s)" % (self.dim, self.is_flat())
+
+
+def _exps_factorial(u):
+    out = 1
+    for e in u:
+        if e > 1:
+            out *= factorial(e)
+    return out
 
 
 def _constant_pairs(t):

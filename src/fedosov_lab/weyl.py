@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
 
 from .algebra import GaussianRational, HbarSeries, Polynomial, I, ONE, accumulate
 
@@ -390,20 +389,13 @@ def odd_bracket(a, b, geom):
     return moyal(a, b, geom, bracket=True)
 
 
-def _exps_factorial(u):
-    out = 1
-    for e in u:
-        if e > 1:
-            out *= factorial(e)
-    return out
-
-
 def moyal_sigma(a, b, geom, order=None):
     """The scalar projection of a o b without building the full product.
 
     Only fully contracted pairs survive the projection: both monomials must
-    be dx-free with equal y-degree k, and the single k-fold pairing that
-    matches their exponents exactly contributes  prefactor * weight * u! * v!.
+    be dx-free with equal y-degree k, and the k-fold pairings that match
+    their exponents exactly contribute the chart's cached weight
+    ``geom.moyal_sigma_weights(k)[(u, v)]``, one lookup per pair.
     """
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
@@ -411,8 +403,7 @@ def moyal_sigma(a, b, geom, order=None):
         raise ValueError("form dim does not match chart dim")
     cap = a._merge_cap(b)
     out = {}
-    prefactors = _prefactors(max((sum(u) for (_h, u, _f) in a.terms), default=0))
-    table_map = geom.moyal_table_map
+    weights = geom.moyal_sigma_weights
     by_deg = {}
     for (hb, ub, Ib), pb in b.terms.items():
         if Ib:
@@ -426,15 +417,13 @@ def moyal_sigma(a, b, geom, order=None):
         if rows is None:
             continue
         base_a = 2 * ha + k
-        fa = _exps_factorial(ua)
-        lookup = table_map(k)
+        lookup = weights(k)
         for hb, ub, pb in rows:
             if cap is not None and base_a + 2 * hb + k > cap:
                 continue
-            w = lookup.get((ua, ub))
-            if w is None:
+            c = lookup.get((ua, ub))
+            if c is None:
                 continue
-            c = prefactors[k] * w * (fa * _exps_factorial(ub))
             accumulate(out, ha + hb + k, (pa * pb).scale(c))
     if order is None:
         order = cap // 2 if cap is not None else max(out, default=0)

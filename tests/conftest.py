@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fedosov_lab.algebra import GaussianRational, Polynomial
-from fedosov_lab.geometry import Geometry
+from fedosov_lab.geometry import Geometry, GeometryError
 from fedosov_lab.tensors import Tensor2
 from fedosov_lab.weyl import WeylForm
 
@@ -109,6 +109,16 @@ def rand_skew_constant(rng, dim, den=2):
         t = Tensor2(dim, "lower", rows)
         if not t.is_zero():
             return t
+
+
+def rand_structure_geometry(rng, dim):
+    """Flat chart on a random invertible constant structure matrix, which is
+    not the block form."""
+    while True:
+        try:
+            return Geometry(dim, omega=rand_skew_constant(rng, dim))
+        except GeometryError:
+            continue
 
 
 def rand_skew_poly(rng, dim, deg=1):

@@ -1,5 +1,6 @@
 """Exact coefficient arithmetic: Gaussian rationals, polynomials, hbar series."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -218,9 +219,29 @@ def test_accumulate_keeps_no_zero(v):
     assert out == {"d": v + v}
 
 
+def _assert_canonical_polynomial(p):
+    # Gaussian-integer numerators over one positive denominator, reduced,
+    # with no (0, 0) stored: the form that == and hash compare directly.
+    assert p._den > 0
+    assert all(re or im for re, im in p._num.values()), p
+    assert math.gcd(p._den, *(x for pair in p._num.values() for x in pair)) == 1, p
+    if not p._num:
+        assert p._den == 1
+    # the terms view: GaussianRational values with reduced Fractions, the
+    # contract bench/tracer.py reads denominators through
+    assert all(p.terms.values()) and len(p.terms) == len(p._num)
+    for c in p.terms.values():
+        assert isinstance(c, GaussianRational)
+        for q in (c.re, c.im):
+            assert isinstance(q, Fraction) and q.denominator > 0
+            assert math.gcd(q.numerator, q.denominator) == 1
+    with pytest.raises(TypeError):
+        p.terms[(0,) * p.dim] = ONE
+
+
 def _assert_no_stored_zero(value):
     if isinstance(value, Polynomial):
-        assert all(value.terms.values()), value.terms
+        _assert_canonical_polynomial(value)
         return
     terms = value.terms if isinstance(value, WeylForm) else value.coeffs
     for p in terms.values():
@@ -237,9 +258,14 @@ def test_no_stored_zero_after_arithmetic(rng):
     for _ in range(30):
         p = rand_poly(rng, dim, deg=2, terms=4)
         q = rand_poly(rng, dim, deg=2, terms=4)
+        c = rand_coeff(rng) or ONE
         for value in (p + q, p - q, (p + q) - q, p * q, (p + q) * (p - q),
-                      p.partial(0), p.partial(1)):
+                      p.partial(0), p.partial(1), p.scale(c), -p, p - p):
             _assert_no_stored_zero(value)
+        # equal values reached by different routes are equal, hash alike
+        for x, y in ((p * q, q * p), ((p + q) - q, p),
+                     (p.scale(c).scale(c.inverse()), p)):
+            assert x == y and hash(x) == hash(y)
         a = rand_form(rng, dim, cap=6)
         b = rand_form(rng, dim, cap=6)
         for value in (a + b, a - b, (a + b) - b, moyal(a, b, geom),

@@ -182,6 +182,33 @@ def test_run_coeffs_limit_zero_is_not_the_default():
         cli.run("coeffs", None, coeff_limit=0)
 
 
+@pytest.mark.parametrize("command, override", [
+    ("star", {"order": 0}),
+    ("star", {"order": MAX_ORDER + 1}),
+    ("verify", {"order": MAX_ORDER + 1}),
+    ("coeffs", {"coeff_limit": MAX_COEFF_LIMIT + 1}),
+], ids=["order-0", "star-order-9", "verify-order-9", "coeff_limit-65"])
+def test_run_bounds_its_overrides(monkeypatch, command, override):
+    # the Python entry point keeps the size limits that main applies to --order
+    from fedosov_lab.io import ScenarioError, load_scenario
+    for body in ("_star_checks", "_verify_checks", "_coeffs_checks"):
+        monkeypatch.setattr(cli, body, lambda *a: pytest.fail("command body ran"))
+    sc = load_scenario(FLAT_PERTURBED)
+    with pytest.raises(ScenarioError):
+        cli.run(command, sc if "order" in override else None, **override)
+    assert sc.order == FLAT_PERTURBED["order"]
+
+
+def test_run_order_override_leaves_the_scenario_alone():
+    from fedosov_lab.io import load_scenario
+    sc = load_scenario(FLAT_PERTURBED)
+    low = cli.run("star", sc, order=1)
+    again = cli.run("star", sc)
+    assert sc.order == FLAT_PERTURBED["order"] == 3
+    assert [c.anchor for c in low.checks] == ["star.coefficient.h0", "star.coefficient.h1"]
+    assert [c.anchor for c in again.checks] == ["star.coefficient.h%d" % n for n in range(4)]
+
+
 def _assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err

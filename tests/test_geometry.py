@@ -1,5 +1,6 @@
 """Chart data: symplectic form, connection, curvature, covariant derivative."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from fedosov_lab.weyl import (WeylForm, commutator, delta, i_over_hbar, moyal,
                               pairing_table)
 
 from conftest import (rand_curved_geometry, rand_form, rand_form_qdeg, rand_gamma,
-                      rand_poly, rand_skew_constant)
+                      rand_poly, rand_skew_constant, rand_structure_geometry)
 
 F = Fraction
 
@@ -101,15 +102,30 @@ def test_gamma_weyl_form(rng):
     assert gw == want
 
 
-def test_moyal_tables_consistent():
-    g = Geometry(4)
-    for k in range(4):
-        tab = list(g.moyal_table(k))
-        tmap = g.moyal_table_map(k)
-        assert len(tab) == len(tmap)
-        for d, e, w in tab:
-            assert tmap[(d, e)] == w
+def test_moyal_sigma_weights_match_tables(rng):
+    # Each chart caches (-i/2)^k * u! * v! * w per key (u, v), where w sums
+    # the pairing rows (u, v, w) of that key; off the block form several rows
+    # share a key, and a key whose rows cancel is not stored.  Checked on
+    # the block chart and on a random non-block one.
+    shared = 0
+    for g in (Geometry(4), rand_structure_geometry(rng, 4)):
+        for k in range(4):
+            rows = {}
+            for d, e, w in g.moyal_table(k):
+                rows.setdefault((d, e), []).append(w)
+                shared += len(rows[(d, e)]) == 2
+            weights = g.moyal_sigma_weights(k)
+            assert set(weights) <= set(rows)
+            pre = GaussianRational(0, F(-1, 2)) ** k
+            for (d, e), ws in rows.items():
+                fact = 1
+                for x in d + e:
+                    fact *= math.factorial(x)
+                assert weights.get((d, e), 0) == pre * sum(ws, GaussianRational(0)) * fact
+            assert g.moyal_sigma_weights(k) is weights  # built once per chart and k
+    assert shared  # the non-block chart exercises summed rows
     # k=1 table is the pairing itself
+    g = Geometry(4)
     one = {(d, e): w for d, e, w in g.moyal_table(1)}
     omb = g.omega_bar.constant_rows()
     for i in range(4):

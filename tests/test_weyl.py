@@ -1,5 +1,6 @@
 """Weyl algebra: fiberwise product, graded pieces, commutator, delta operators."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from fedosov_lab.weyl import (HbarDivisionError, WeylForm, central_two_form,
                               y_gradient)
 
 from conftest import (rand_form, rand_form_qdeg, rand_poly, rand_quadratic,
-                      rand_skew_constant)
+                      rand_skew_constant, rand_structure_geometry)
 
 F = Fraction
 
@@ -175,15 +176,36 @@ def test_odd_bracket_prefactors():
 
 
 def test_moyal_sigma_equals_sigma_of_moyal(rng):
+    # moyal_sigma reads projection weights cached on the chart.  Two charts
+    # in one process, each visited twice, show that no weight leaks from one
+    # chart to the other and that a reused cache stays exact.
     for dim in (2, 4):
-        geom = Geometry(dim)
-        for _ in range(10):
-            a = rand_form(rng, dim, cap=None, nterms=3)
-            b = rand_form(rng, dim, cap=None, nterms=3)
-            ms = moyal_sigma(a, b, geom)
-            full = sigma(moyal(a, b, geom))
-            n = max(ms.order, full.order)
-            assert ms.with_order(n) == full.with_order(n)
+        charts = (Geometry(dim), rand_structure_geometry(rng, dim))
+        for _visit in range(2):
+            for geom in charts:
+                for _ in range(5):
+                    a = rand_form(rng, dim, cap=None, nterms=3)
+                    b = rand_form(rng, dim, cap=None, nterms=3)
+                    ms = moyal_sigma(a, b, geom)
+                    full = sigma(moyal(a, b, geom))
+                    n = max(ms.order, full.order)
+                    assert ms.with_order(n) == full.with_order(n)
+
+
+def test_moyal_sigma_sums_pairings_that_share_exponents():
+    # On a structure matrix with every entry nonzero, several 2-fold
+    # pairings contract the same pair of y-quadratics; the projection must
+    # add all of them, as the full product does.
+    omega = Tensor2(4, "lower", [[0, 1, 2, 3], [-1, 0, 4, 5],
+                                 [-2, -4, 0, 6], [-3, -5, -6, 0]])
+    geom = Geometry(4, omega=omega)
+    quads = sorted(u for u in itertools.product(range(3), repeat=4) if sum(u) == 2)
+    a = WeylForm(4, {(0, u, ()): Polynomial.constant(4, t + 1)
+                     for t, u in enumerate(quads)})
+    b = WeylForm(4, {(0, u, ()): Polynomial.constant(4, F(1, t + 1))
+                     for t, u in enumerate(quads)})
+    assert moyal_sigma(a, b, geom) == sigma(moyal(a, b, geom))
+    assert moyal_sigma(a, b, geom).coeff(2) != Polynomial.zero(4)
 
 
 # -- delta, delta_inv, sigma -----------------------------------------------------
