@@ -315,7 +315,7 @@ class StarEngine:
     def section(self, f):
         """The flat section with scalar part f (a polynomial or hbar-series)."""
         coeffs = sorted(({0: f} if isinstance(f, Polynomial) else f.coeffs).items())
-        key = tuple((n, str(p)) for n, p in coeffs)
+        key = tuple(coeffs)  # Polynomial is canonical and hashable
         a = self._sections.get(key)
         if a is None:
             a = WeylForm.zero(self.spec.dim, self.cap)

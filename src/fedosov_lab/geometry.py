@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
 
-from .algebra import Polynomial, accumulate, index_exponent
+from .algebra import GaussianRational, ONE, Polynomial, accumulate, index_exponent
 from .tensors import SingularMatrixError, Tensor2, invert_scalar_matrix, matmul
-from .weyl import WeylForm, _prefactors, exterior_d, odd_bracket, pairing_table
+from .weyl import WeylForm, exterior_d, odd_bracket
 
 __all__ = [
     "Geometry",
@@ -48,6 +47,10 @@ __all__ = [
 
 class GeometryError(ValueError):
     pass
+
+
+_MINUS_I_HALF = GaussianRational(0, Fraction(-1, 2))
+_TWO_I = GaussianRational(0, 2)
 
 
 def standard_omega(dim):
@@ -84,8 +87,8 @@ class Geometry:
         self.omega_bar = Tensor2(dim, "upper", inv)
 
         self.gamma = self._canonical_gamma(gamma or {})
-        self.omega_bar_pairs = _constant_pairs(self.omega_bar)
         self._tables = {}
+        self._weights = {}
         self._sigma_weights = {}
         self._gamma_weyl = None
         self._curvature = None
@@ -117,25 +120,81 @@ class Geometry:
     # -- cached derived structures -----------------------------------------
 
     def moyal_table(self, k):
-        t = self._tables.get(k)
-        if t is None:
-            t = pairing_table(self.omega_bar_pairs, k, self.dim)
-            self._tables[k] = t
-        return t
+        """The k-fold contractions of wbar, as rows (d, e, w), built once per
+        chart and k.
+
+        Choose a multiset of k nonzero entries wbar^{rs}, entry t taken m_t
+        times.  Its row differentiates the left factor by the y-multi-index
+        d (one y^r per chosen entry) and the right by e (one y^s), with
+        weight w = prod(wbar_t^{m_t} / m_t!).  The k = 0 table is the single
+        trivial row.
+        """
+        rows = self._tables.get(k)
+        if rows is None:
+            dim = self.dim
+            entries = [(r, s, v) for r, row in enumerate(self.omega_bar.constant_rows())
+                       for s, v in enumerate(row) if v]
+            rows = []
+            for combo in itertools.combinations_with_replacement(entries, k):
+                d = [0] * dim
+                e = [0] * dim
+                w = ONE
+                prev, mult = None, 0
+                for t in combo:
+                    r, s, v = t
+                    d[r] += 1
+                    e[s] += 1
+                    mult = mult + 1 if t == prev else 1
+                    prev = t
+                    w = w * v / mult
+                rows.append((tuple(d), tuple(e), w))
+            self._tables[k] = rows
+        return rows
+
+    def moyal_weights(self, ua, ub, bracket):
+        """Every contraction of y^ua o y^ub, as a tuple of (dh, u, c), built
+        once per chart and key (ua, ub, bracket).
+
+        The product y^ua o y^ub is the sum of c * hbar^dh * y^u over the
+        entries.  A row (d, e, w) of ``moyal_table(k)`` leaves
+        u = ua - d + ub - e with the weight w * (ua)_d * (ub)_e in falling
+        factorials; c sums the rows that leave the same u (several do off
+        the block form), times (-i/2)^k, and dh = k.  With ``bracket`` only
+        odd k enter, with 2i(-i/2)^k and dh = k - 1: the odd pieces of
+        (i/hbar)[y^ua, y^ub].  No entry has c = 0, and the caller applies
+        the wedge sign of the dx factors.
+        """
+        key = (ua, ub, bracket)
+        entries = self._weights.get(key)
+        if entries is None:
+            shift = 1 if bracket else 0
+            entries = []
+            for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
+                sums = {}
+                for d, e, w in self.moyal_table(k):
+                    ff = _falling(ua, d) * _falling(ub, e)
+                    if ff:
+                        u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
+                        accumulate(sums, u, w * ff)
+                pre = (_TWO_I if bracket else ONE) * _MINUS_I_HALF ** k
+                entries.extend((k - shift, u, pre * w) for u, w in sums.items())
+            entries = self._weights[key] = tuple(entries)
+        return entries
 
     def moyal_sigma_weights(self, k):
         """{(u, v): (-i/2)^k * u! * v! * (sum of w)} over the rows (u, v, w)
         of ``moyal_table(k)``: the whole scalar ``moyal_sigma`` puts on the
-        contraction of y^u in the left factor with y^v in the right.  Off
-        the block form several rows can share one (u, v); their weights add."""
+        contraction of y^u in the left factor with y^v in the right, built
+        once per chart and k.  Off the block form several rows can share one
+        (u, v); their weights add."""
         m = self._sigma_weights.get(k)
         if m is None:
-            pre = _prefactors(k)[k]
+            pre = _MINUS_I_HALF ** k
             m = {}
             for d, e, w in self.moyal_table(k):
                 accumulate(m, (d, e), w)
-            m = {key: pre * w * (_exps_factorial(key[0]) * _exps_factorial(key[1]))
-                 for key, w in m.items()}
+            m = {(u, v): pre * w * (_falling(u, u) * _falling(v, v))
+                 for (u, v), w in m.items()}
             self._sigma_weights[k] = m
         return m
 
@@ -159,21 +218,16 @@ class Geometry:
         return "Geometry(dim=%d, flat=%s)" % (self.dim, self.is_flat())
 
 
-def _exps_factorial(u):
+def _falling(u, d):
+    """prod_i u_i (u_i - 1) ... (u_i - d_i + 1), so 0 when some d_i > u_i;
+    _falling(u, u) = u!."""
     out = 1
-    for e in u:
-        if e > 1:
-            out *= factorial(e)
-    return out
-
-
-def _constant_pairs(t):
-    rows = t.constant_rows()
-    out = []
-    for r, row in enumerate(rows):
-        for s, v in enumerate(row):
-            if v:
-                out.append((r, s, v))
+    for a, b in zip(u, d):
+        if b:
+            if b > a:
+                return 0
+            for t in range(b):
+                out *= a - t
     return out
 
 

@@ -193,7 +193,9 @@ def load_scenario(source):
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a non-UTF-8 byte, an integer past the digit
+        # limit of int(), or arrays nested past the recursion limit
         raise ScenarioError("scenario is not valid JSON: %s" % exc) from exc
     try:
         return _scenario_from_dict(data)

@@ -17,6 +17,9 @@ The fiberwise product is
 
 with dx factors multiplied by wedge.  Each graded piece preserves the
 filtration degree of a product exactly, so a cap can be enforced pairwise.
+This module holds no contraction weights: for a pair of fiber monomials
+y^ua, y^ub the chart supplies every piece at once, scalar included, from
+its cached table ``Geometry.moyal_weights(ua, ub, bracket)``.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -37,10 +40,9 @@ holds piecewise, which the recursion machinery depends on.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .algebra import GaussianRational, HbarSeries, Polynomial, I, ONE, accumulate
+from .algebra import GaussianRational, HbarSeries, Polynomial, I, accumulate
 
 __all__ = [
     "WeylForm",
@@ -55,7 +57,6 @@ __all__ = [
     "exterior_d",
     "i_over_hbar",
     "wedge_merge",
-    "pairing_table",
     "central_two_form",
     "y_dx_form",
     "y_gradient",
@@ -65,9 +66,6 @@ __all__ = [
 
 class HbarDivisionError(ValueError):
     pass
-
-
-_MINUS_I_HALF = GaussianRational(0, Fraction(-1, 2))
 
 
 def wedge_merge(I1, I2):
@@ -98,34 +96,6 @@ def wedge_merge(I1, I2):
     out.extend(I1[i:])
     out.extend(I2[j:])
     return sign, tuple(out)
-
-
-def pairing_table(entries, k, dim):
-    """Rows (d, e, weight) describing all k-fold structure contractions.
-
-    ``entries`` lists the nonzero (r, s, w) of the contraction matrix.  A row
-    says: apply the y-derivative multi-index d on the left factor and e on the
-    right, weighted by prod(w_t^{m_t}) / prod(m_t!) over the multiset of
-    chosen entries.  The k = 0 table is the single trivial row.
-    """
-    rows = []
-    for combo in itertools.combinations_with_replacement(range(len(entries)), k):
-        d = [0] * dim
-        e = [0] * dim
-        w = ONE
-        t_prev = None
-        mult = 0
-        for t in combo:
-            r, s, wt = entries[t]
-            d[r] += 1
-            e[s] += 1
-            if t == t_prev:
-                mult += 1
-            else:
-                t_prev, mult = t, 1
-            w = w * wt / mult
-        rows.append((tuple(d), tuple(e), w))
-    return rows
 
 
 class WeylForm:
@@ -310,22 +280,14 @@ class WeylForm:
 # -- the fiberwise product ------------------------------------------------------------
 
 
-def _falling(u, d):
-    out = 1
-    for a, b in zip(u, d):
-        if b:
-            if b > a:
-                return 0
-            for t in range(b):
-                out *= a - t
-    return out
-
-
 def moyal(a, b, geom, bracket=False):
     """Fiberwise product a o b.
 
-    ``bracket`` returns (i/hbar)[a, b] instead (see the module docstring);
-    its cap is tested on the degree before the division by hbar.
+    Each monomial pair reads its contractions, weights included, from the
+    chart's cached table ``geom.moyal_weights(ua, ub, bracket)``; the pair's
+    coefficient product is formed once and scaled per entry.  ``bracket``
+    returns (i/hbar)[a, b] instead (see the module docstring); its cap is
+    tested on the degree before the division by hbar.
     """
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
@@ -333,52 +295,28 @@ def moyal(a, b, geom, bracket=False):
         raise ValueError("form dim does not match chart dim")
     cap = a._merge_cap(b)
     out = {}
-    prefactors = _prefactors(max((sum(u) for (_h, u, _f) in a.terms), default=0),
-                             bracket)
-    shift = 1 if bracket else 0
-    table = geom.moyal_table
+    weights = geom.moyal_weights
     b_items = [(2 * hb + sum(ub), hb, ub, Ib, pb)
                for (hb, ub, Ib), pb in b.terms.items()]
     if cap is not None:
         b_items.sort(key=lambda t: t[0])
     for (ha, ua, Ia), pa in a.terms.items():
-        qa = sum(ua)
-        base_a = 2 * ha + qa
+        base_a = 2 * ha + sum(ua)
         for base_b, hb, ub, Ib, pb in b_items:
             if cap is not None and base_a + base_b > cap:
                 break
             merged = wedge_merge(Ia, Ib)
             if merged is None:
                 continue
+            entries = weights(ua, ub, bracket)
+            if not entries:
+                continue
             sign, IJ = merged
-            # sum the pairing rows landing on each output key, then scale
-            # the coefficient product once per key
-            weights = {}
-            for k in range(shift, min(qa, sum(ub)) + 1, 1 + shift):
-                for d, e, w in table(k):
-                    ff = _falling(ua, d)
-                    if ff:
-                        ff *= _falling(ub, e)
-                    if ff:
-                        u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
-                        accumulate(weights, (k, u), w * (sign * ff))
-            if weights:
-                pab = pa * pb
-                for (k, u), w in weights.items():
-                    accumulate(out, (ha + hb + k - shift, u, IJ),
-                               pab.scale(prefactors[k] * w))
+            pab = pa * pb if sign > 0 else -(pa * pb)
+            h = ha + hb
+            for dh, u, c in entries:
+                accumulate(out, (h + dh, u, IJ), pab.scale(c))
     return WeylForm._make(a.dim, out, cap)
-
-
-_PREFACTOR_CACHE = {False: [ONE], True: [GaussianRational(0, 2)]}
-
-
-def _prefactors(kmax, bracket=False):
-    """[(-i/2)^k for k <= kmax], or [2i (-i/2)^k] for the bracket."""
-    cache = _PREFACTOR_CACHE[bracket]
-    while len(cache) <= kmax:
-        cache.append(cache[-1] * _MINUS_I_HALF)
-    return cache
 
 
 def odd_bracket(a, b, geom):

@@ -195,3 +195,15 @@ def scenarios_at_limit(delta):
         "observable-exponent": {"geometry": {"dim": 2}, "observables": {
             "f": "x2*x1^%d*x1" % (MAX_EXPONENT - 1 + delta)}},
     }
+
+
+def invalid_json_files():
+    """Scenario file contents that the JSON reader itself rejects: broken
+    syntax, a byte that is not UTF-8, an integer past the digit limit of
+    int(), and arrays nested past the recursion limit."""
+    return {
+        "not-json": b"{not json",
+        "not-utf8": b'{"id": "\xff", "geometry": {"dim": 2}}',
+        "long-integer": b'{"geometry": {"dim": 2}, "order": ' + b"1" * 5000 + b"}",
+        "deep-nesting": b"[" * 100000 + b"]" * 100000,
+    }

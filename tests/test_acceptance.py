@@ -5,7 +5,6 @@ enforces its own wall-clock budget.  Expected values are frozen closed forms
 computed inline, never read back from the code under test.
 """
 
-import itertools
 import math
 import random
 import time

@@ -1,7 +1,6 @@
 """Exact coefficient arithmetic: Gaussian rationals, polynomials, hbar series."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest

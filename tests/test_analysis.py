@@ -4,17 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, HbarSeries, Polynomial
+from fedosov_lab.algebra import GaussianRational, Polynomial
 from fedosov_lab.analysis import (beta_form, bivector_probe, cal_r,
                                   compare_onediff, curvature_onediff_identities,
                                   gamma_form, predicted_onediff)
 from fedosov_lab.fedosov import StarEngine, WeylCurvatureSpec
 from fedosov_lab.geometry import Geometry, GeometryError
-from fedosov_lab.tensors import (Tensor2, TensorSeries, diamond, diamond_power,
-                                 mu, series_inverse)
+from fedosov_lab.tensors import Tensor2, TensorSeries, diamond, diamond_power, mu
 
-from conftest import (rand_curved_geometry, rand_gamma, rand_quadratic,
-                      rand_skew_constant)
+from conftest import rand_curved_geometry, rand_quadratic, rand_skew_constant
 
 F = Fraction
 HALF_I = GaussianRational(0, F(1, 2))

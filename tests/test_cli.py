@@ -7,7 +7,7 @@ import pytest
 from fedosov_lab import cli
 from fedosov_lab.io import MAX_COEFF_LIMIT, MAX_ORDER, Check, Report
 
-from conftest import scenarios_at_limit
+from conftest import invalid_json_files, scenarios_at_limit
 
 
 FLAT_PERTURBED = {
@@ -45,11 +45,13 @@ def test_verify_missing_file_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_invalid_json_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(invalid_json_files()))
+def test_verify_invalid_json_exits_two(tmp_path, capsys, name):
     p = tmp_path / "bad.json"
-    p.write_text("{not json", encoding="utf-8")
+    p.write_bytes(invalid_json_files()[name])
     assert cli.main(["verify", "--scenario", str(p)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_bad_scenario_exits_two(tmp_path, capsys):

@@ -1,22 +1,20 @@
 """Connection recursion, flat sections, star products, coefficient tables."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
 from fedosov_lab import cli, fedosov
-from fedosov_lab.algebra import GaussianRational, HbarSeries, I, ONE, Polynomial
-from fedosov_lab.fedosov import (CoeffTable, PerturbationError, StarEngine,
+from fedosov_lab.algebra import GaussianRational, HbarSeries, ONE, Polynomial
+from fedosov_lab.fedosov import (PerturbationError, StarEngine,
                                  WeylCurvatureSpec, abelian_residual,
                                  coeff_sequences, curvature_residual,
                                  flat_section, solve_r, star,
                                  taylor_half_geometric, taylor_inv_sqrt,
                                  taylor_one_minus_sqrt)
 from fedosov_lab.geometry import Geometry
-from fedosov_lab.tensors import (Tensor2, TensorSeries, diamond_power, mu,
-                                 series_inverse)
+from fedosov_lab.tensors import Tensor2, TensorSeries, diamond_power, series_inverse
 from fedosov_lab.weyl import WeylForm, delta, delta_inv, moyal_sigma, y_dx_form
 
 from conftest import (rand_closed_skew_poly, rand_cubic, rand_curved_geometry,

@@ -1,20 +1,18 @@
 """Chart data: symplectic form, connection, curvature, covariant derivative."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, Polynomial, I, ONE
+from fedosov_lab.algebra import GaussianRational, Polynomial
 from fedosov_lab.geometry import (Geometry, GeometryError, cov_ext_deriv,
                                   standard_omega, validate_geometry)
 from fedosov_lab.tensors import Tensor2
-from fedosov_lab.weyl import (WeylForm, commutator, delta, i_over_hbar, moyal,
-                              pairing_table)
+from fedosov_lab.weyl import WeylForm, commutator, delta, i_over_hbar, moyal
 
 from conftest import (rand_curved_geometry, rand_form, rand_form_qdeg, rand_gamma,
-                      rand_poly, rand_skew_constant, rand_structure_geometry)
+                      rand_skew_constant, rand_structure_geometry)
 
 F = Fraction
 

@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a module imports is used in that module.
 
 A stdlib-only scan of the source: for each module of ``fedosov_lab`` other
-than ``__init__.py`` (which imports to re-export), collect the names bound by
-``import`` and ``from ... import`` statements and the names the module reads.
+than ``__init__.py`` (which imports to re-export), and for each Python file
+in ``tests/`` and ``demos/``, collect the names bound by ``import`` and
+``from ... import`` statements and the names the file reads.
 ``from __future__`` imports are compiler switches, not bindings, and a name
 listed in the module's ``__all__`` counts as used.
 """
@@ -12,9 +13,13 @@ import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "fedosov_lab")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "fedosov_lab")
 MODULES = sorted(name for name in os.listdir(PACKAGE)
                  if name.endswith(".py") and name != "__init__.py")
+SCRIPTS = sorted("%s/%s" % (folder, name) for folder in ("tests", "demos")
+                 for name in os.listdir(os.path.join(ROOT, folder))
+                 if name.endswith(".py"))
 
 
 def unused_imports(source):
@@ -44,4 +49,10 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_uses_every_import(script):
+    with open(os.path.join(ROOT, script), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []

@@ -9,11 +9,10 @@ import pytest
 
 from fedosov_lab.algebra import GaussianRational, Polynomial
 from fedosov_lab.io import (MAX_COEFF_LIMIT, MAX_DIM, MAX_EXPONENT, MAX_K,
-                            MAX_ORDER, Check, ParseError, Report, Scenario,
-                            ScenarioError, load_scenario, parse_poly,
-                            parse_rational)
+                            MAX_ORDER, Check, ParseError, Report, ScenarioError,
+                            load_scenario, parse_poly, parse_rational)
 
-from conftest import rand_poly, scenarios_at_limit
+from conftest import invalid_json_files, rand_poly, scenarios_at_limit
 
 F = Fraction
 
@@ -161,6 +160,17 @@ def test_load_scenario_rejects_bad_data():
     with pytest.raises(ScenarioError, match="not skew"):
         load_scenario({"geometry": {"dim": 2}, "order": 3,
                        "perturbation": [{"k": 1, "alpha": [["0", "1"], ["1", "0"]]}]})
+
+
+@pytest.mark.parametrize("name", sorted(invalid_json_files()))
+def test_load_scenario_rejects_invalid_json_file(tmp_path, name):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(invalid_json_files()[name])
+    with pytest.raises(ScenarioError, match="not valid JSON"):
+        load_scenario(str(path))
+    with open(str(path), "r", encoding="utf-8") as fh:
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            load_scenario(fh)
 
 
 def test_bundled_scenarios_all_load():

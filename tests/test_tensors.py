@@ -1,14 +1,13 @@
 """Two-tensors, the diamond contraction, mu, Schouten bracket, series inverses."""
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, Polynomial, I, ONE
-from fedosov_lab.geometry import Geometry, standard_omega
-from fedosov_lab.tensors import (Tensor2, Tensor3, TensorSeries, VarianceError,
+from fedosov_lab.algebra import GaussianRational, Polynomial
+from fedosov_lab.geometry import Geometry
+from fedosov_lab.tensors import (Tensor2, TensorSeries, VarianceError,
                                  diamond, diamond_power, formal_poisson,
                                  invert_scalar_matrix, is_closed, matmul, mu,
                                  mu_inv, schouten, series_diamond, series_inverse,

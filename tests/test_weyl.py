@@ -6,17 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, HbarSeries, I, ONE, Polynomial
-from fedosov_lab.geometry import Geometry
+from fedosov_lab.algebra import GaussianRational, I, ONE, Polynomial, accumulate
+from fedosov_lab.geometry import Geometry, standard_omega
 from fedosov_lab.tensors import Tensor2, diamond_power, mu
-from fedosov_lab.weyl import (HbarDivisionError, WeylForm, central_two_form,
-                              commutator, delta, delta_inv, exterior_d,
-                              i_over_hbar, moyal, moyal_sigma,
-                              odd_bracket, sigma, wedge_merge, y_dx_form,
-                              y_gradient)
+from fedosov_lab.weyl import (HbarDivisionError, WeylForm, commutator, delta,
+                              delta_inv, exterior_d, i_over_hbar, moyal,
+                              moyal_sigma, odd_bracket, sigma, wedge_merge,
+                              y_dx_form, y_gradient)
 
-from conftest import (rand_form, rand_form_qdeg, rand_poly, rand_quadratic,
-                      rand_skew_constant, rand_structure_geometry)
+from conftest import (rand_form, rand_form_qdeg, rand_poly, rand_skew_constant,
+                      rand_structure_geometry)
 
 F = Fraction
 
@@ -175,10 +174,114 @@ def test_odd_bracket_prefactors():
     assert br == i_over_hbar(commutator(a, b, g2))
 
 
+# -- the product against a per-row oracle -------------------------------------------
+#
+# The product as it was computed before the chart cached whole contraction
+# weights: every call rebuilds each monomial pair's weights from the pairing
+# rows of wbar, with falling factorials and the (-i/2)^k prefactors.  Kept
+# only as the reference for ``moyal`` and ``odd_bracket``.
+
+
+def oracle_rows(geom, k):
+    entries = [(r, s, v) for r, row in enumerate(geom.omega_bar.constant_rows())
+               for s, v in enumerate(row) if v]
+    rows = []
+    for combo in itertools.combinations_with_replacement(range(len(entries)), k):
+        d = [0] * geom.dim
+        e = [0] * geom.dim
+        w = ONE
+        t_prev = None
+        mult = 0
+        for t in combo:
+            r, s, wt = entries[t]
+            d[r] += 1
+            e[s] += 1
+            if t == t_prev:
+                mult += 1
+            else:
+                t_prev, mult = t, 1
+            w = w * wt / mult
+        rows.append((tuple(d), tuple(e), w))
+    return rows
+
+
+def oracle_falling(u, d):
+    out = 1
+    for a, b in zip(u, d):
+        if b:
+            if b > a:
+                return 0
+            for t in range(b):
+                out *= a - t
+    return out
+
+
+def oracle_moyal(a, b, geom, bracket=False):
+    cap = a._merge_cap(b)
+    out = {}
+    shift = 1 if bracket else 0
+    start = GaussianRational(0, 2) if bracket else ONE
+    for (ha, ua, Ia), pa in a.terms.items():
+        for (hb, ub, Ib), pb in b.terms.items():
+            if cap is not None and 2 * (ha + hb) + sum(ua) + sum(ub) > cap:
+                continue
+            merged = wedge_merge(Ia, Ib)
+            if merged is None:
+                continue
+            sign, IJ = merged
+            weights = {}
+            for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
+                for d, e, w in oracle_rows(geom, k):
+                    ff = oracle_falling(ua, d) * oracle_falling(ub, e)
+                    if ff:
+                        u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
+                        accumulate(weights, (k, u), w * (sign * ff))
+            for (k, u), w in weights.items():
+                pre = start * GaussianRational(0, F(-1, 2)) ** k
+                accumulate(out, (ha + hb + k - shift, u, IJ), (pa * pb).scale(pre * w))
+    return WeylForm(a.dim, out, cap)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_moyal_and_odd_bracket_match_per_row_oracle(rng, dim):
+    # The block chart and a non-block one in one process, each visited
+    # twice: a chart's table must hold its own weights, and a reused table
+    # must give the same product as a fresh one.
+    charts = (Geometry(dim), rand_structure_geometry(rng, dim))
+    dx0 = tuple(1 if t == 0 else 0 for t in range(dim))
+    for _visit in range(2):
+        for geom in charts:
+            for cap in (None, 2, 3, 5):
+                a = rand_form(rng, dim, cap, nterms=3, max_h=2)
+                b = rand_form(rng, dim, cap, nterms=3, max_h=2)
+                # dx^1 on the left meets dx^2 on the right and, in b o a,
+                # the other way round; hbar^0, hbar^1 and hbar^2 mix
+                a = a + WeylForm(dim, {(1, dx0, (0,)): rand_poly(rng, dim)}, cap=cap)
+                b = b + WeylForm(dim, {(0, (1,) * dim, (1,)): rand_poly(rng, dim)},
+                                 cap=cap).mul_hbar(1)
+                a = a + a.mul_hbar(1)
+                for x, y in ((a, b), (b, a)):
+                    assert moyal(x, y, geom) == oracle_moyal(x, y, geom)
+                    assert odd_bracket(x, y, geom) == oracle_moyal(x, y, geom, bracket=True)
+    # a chart whose wbar is half the block one reads the same keys and must
+    # find its own weights, not the block chart's
+    scaled = Geometry(dim, omega=[[2 * v for v in row] for row in standard_omega(dim)])
+    keys = [(u, v) for u in itertools.product(range(3), repeat=dim)
+            for v in itertools.product(range(3), repeat=dim) if sum(u) == sum(v) == 2]
+    for bracket in (False, True):
+        tables = []
+        for geom in (charts[0], scaled):
+            tables.append([geom.moyal_weights(u, v, bracket) for u, v in keys])
+            for (u, v), entries in zip(keys, tables[-1]):
+                assert geom.moyal_weights(u, v, bracket) is entries  # cached per chart
+        assert tables[0] != tables[1]  # each chart keeps its own weights
+
+
 def test_moyal_sigma_equals_sigma_of_moyal(rng):
-    # moyal_sigma reads projection weights cached on the chart.  Two charts
-    # in one process, each visited twice, show that no weight leaks from one
-    # chart to the other and that a reused cache stays exact.
+    # moyal_sigma and moyal read weights cached on the chart, in separate
+    # tables; moyal itself is checked against the per-row oracle above.  Two
+    # charts in one process, each visited twice, show that no weight leaks
+    # from one chart to the other and that a reused cache stays exact.
     for dim in (2, 4):
         charts = (Geometry(dim), rand_structure_geometry(rng, dim))
         for _visit in range(2):
