@@ -105,23 +105,13 @@ class GaussianRational:
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        b, d = self.im, other.im
-        if b:
-            im = b + d if d else b
-        else:
-            im = d
-        return GaussianRational._make(self.re + other.re, im)
+        return GaussianRational._make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = GaussianRational.coerce(other)
-        b, d = self.im, other.im
-        if d:
-            im = b - d
-        else:
-            im = b
-        return GaussianRational._make(self.re - other.re, im)
+        return GaussianRational._make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
@@ -132,12 +122,6 @@ class GaussianRational:
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
-        if not b:
-            if not d:
-                return GaussianRational._make(a * c, _F0)
-            return GaussianRational._make(a * c, a * d)
-        if not d:
-            return GaussianRational._make(a * c, b * c)
         return GaussianRational._make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

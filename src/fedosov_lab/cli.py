@@ -96,22 +96,18 @@ def _verify_checks(scenario, order):
     sk_ok = True
     detail = "0"
     min_k = spec.min_k()
+    xs = [Polynomial.variable(dim, i) for i in range(dim)]
+    grid = [[engine.star(xi, xj) for xj in xs] for xi in xs]
     for i in range(dim):
         for j in range(dim):
-            xi, xj = Polynomial.variable(dim, i), Polynomial.variable(dim, j)
-            comm1 = (engine.star(xi, xj).as_series()
-                     - engine.star(xj, xi).as_series()).coeff(1, Polynomial.zero(dim))
+            comm1 = grid[i][j].coeff(1) - grid[j][i].coeff(1)
             wbar = geom.omega_bar.entry(i, j).scale(GaussianRational(0, -1))
             if comm1 != wbar:
                 sk_ok = False
                 detail = "coordinates %d,%d: %s" % (i + 1, j + 1, comm1 - wbar)
     checks.append(Check("star.first-order-bracket", sid, detail, sk_ok))
 
-    try:
-        coeff_sequences(scenario.coeff_limit)
-        checks.append(Check("coeffs.recursions-vs-taylor", sid, "0", True))
-    except ArithmeticError as exc:
-        checks.append(Check("coeffs.recursions-vs-taylor", sid, str(exc), False))
+    checks.append(_recursions_check(sid, scenario.coeff_limit)[0])
 
     if not geom.is_flat():
         for c in curvature_onediff_identities(geom, f, g):
@@ -166,15 +162,22 @@ def _compare_checks(scenario, order):
     return checks
 
 
-def _coeffs_checks(scenario, limit):
-    sid = scenario.scenario_id if scenario else "none"
-    checks = []
+def _recursions_check(sid, limit):
+    """The ``coeffs.recursions-vs-taylor`` check and the table it built
+    (None when the cross-check failed)."""
     try:
         table = coeff_sequences(limit)
-        checks.append(Check("coeffs.recursions-vs-taylor", sid, "0", True))
     except ArithmeticError as exc:
-        checks.append(Check("coeffs.recursions-vs-taylor", sid, str(exc), False))
-        return checks, None
+        return Check("coeffs.recursions-vs-taylor", sid, str(exc), False), None
+    return Check("coeffs.recursions-vs-taylor", sid, "0", True), table
+
+
+def _coeffs_checks(scenario, limit):
+    sid = scenario.scenario_id if scenario else "none"
+    check, table = _recursions_check(sid, limit)
+    checks = [check]
+    if table is None:
+        return checks
     half_ok = all(v == table.c[0] for v in table.c.values()) and str(table.c[1]) == "1/2"
     checks.append(Check("coeffs.c-constant-half", sid,
                         "0" if half_ok else "drift", half_ok))
@@ -183,7 +186,7 @@ def _coeffs_checks(scenario, limit):
                             "sigma=%s kappa=%s c=%s" % (
                                 table.sigma.get(n, 0), table.kappa[n], table.c[n]),
                             True))
-    return checks, table
+    return checks
 
 
 def _poisson_checks(scenario, order):
@@ -242,7 +245,7 @@ def run(command, scenario, order=None, coeff_limit=None):
         limit = coeff_limit
         if limit is None:
             limit = scenario.coeff_limit if scenario else 8
-        checks, _ = _coeffs_checks(scenario, limit)
+        checks = _coeffs_checks(scenario, limit)
     elif command == "poisson":
         checks = _poisson_checks(scenario, order)
     else:

@@ -29,6 +29,7 @@ identity, so the choice is unique among the two candidates.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .algebra import GaussianRational, ONE, Polynomial, accumulate, index_exponent
@@ -87,9 +88,8 @@ class Geometry:
         self.omega_bar = Tensor2(dim, "upper", inv)
 
         self.gamma = self._canonical_gamma(gamma or {})
-        self._tables = {}
+        self._contractions = {}
         self._weights = {}
-        self._sigma_weights = {}
         self._gamma_weyl = None
         self._curvature = None
 
@@ -119,22 +119,25 @@ class Geometry:
 
     # -- cached derived structures -----------------------------------------
 
-    def moyal_table(self, k):
-        """The k-fold contractions of wbar, as rows (d, e, w), built once per
-        chart and k.
+    def contractions(self, k):
+        """{(d, e): c} for the fully contracted pairs y^d o_k y^e, built once
+        per chart and k.
 
         Choose a multiset of k nonzero entries wbar^{rs}, entry t taken m_t
-        times.  Its row differentiates the left factor by the y-multi-index
-        d (one y^r per chosen entry) and the right by e (one y^s), with
-        weight w = prod(wbar_t^{m_t} / m_t!).  The k = 0 table is the single
-        trivial row.
+        times, with weight prod(wbar_t^{m_t} / m_t!).  It contracts y^d in
+        the left factor (one y^r per chosen entry) with y^e in the right
+        (one y^s), and c = (-i/2)^k * d! * e! * (the summed weights of the
+        multisets that give (d, e)): the whole scalar of the pair.  Off the
+        block form several multisets give one (d, e), and a key whose
+        weights cancel is not stored.  The k = 0 table maps the pair of zero
+        exponents to 1.
         """
-        rows = self._tables.get(k)
-        if rows is None:
+        table = self._contractions.get(k)
+        if table is None:
             dim = self.dim
             entries = [(r, s, v) for r, row in enumerate(self.omega_bar.constant_rows())
                        for s, v in enumerate(row) if v]
-            rows = []
+            sums = {}
             for combo in itertools.combinations_with_replacement(entries, k):
                 d = [0] * dim
                 e = [0] * dim
@@ -147,22 +150,25 @@ class Geometry:
                     mult = mult + 1 if t == prev else 1
                     prev = t
                     w = w * v / mult
-                rows.append((tuple(d), tuple(e), w))
-            self._tables[k] = rows
-        return rows
+                accumulate(sums, (tuple(d), tuple(e)), w)
+            pre = _MINUS_I_HALF ** k
+            table = self._contractions[k] = {
+                (d, e): pre * w * math.prod(map(math.factorial, d + e))
+                for (d, e), w in sums.items()}
+        return table
 
     def moyal_weights(self, ua, ub, bracket):
         """Every contraction of y^ua o y^ub, as a tuple of (dh, u, c), built
         once per chart and key (ua, ub, bracket).
 
         The product y^ua o y^ub is the sum of c * hbar^dh * y^u over the
-        entries.  A row (d, e, w) of ``moyal_table(k)`` leaves
-        u = ua - d + ub - e with the weight w * (ua)_d * (ub)_e in falling
-        factorials; c sums the rows that leave the same u (several do off
-        the block form), times (-i/2)^k, and dh = k.  With ``bracket`` only
-        odd k enter, with 2i(-i/2)^k and dh = k - 1: the odd pieces of
-        (i/hbar)[y^ua, y^ub].  No entry has c = 0, and the caller applies
-        the wedge sign of the dx factors.
+        entries.  A key (d, e) of ``contractions(k)`` with d <= ua and
+        e <= ub leaves u = ua - d + ub - e with its scalar times
+        binom(ua, d) * binom(ub, e), since the falling factorial
+        (ua)_d = binom(ua, d) * d!; c sums the keys that leave the same u,
+        and dh = k.  With ``bracket`` only odd k enter, with c times 2i and
+        dh = k - 1: the odd pieces of (i/hbar)[y^ua, y^ub].  No entry has
+        c = 0, and the caller applies the wedge sign of the dx factors.
         """
         key = (ua, ub, bracket)
         entries = self._weights.get(key)
@@ -171,32 +177,15 @@ class Geometry:
             entries = []
             for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
                 sums = {}
-                for d, e, w in self.moyal_table(k):
-                    ff = _falling(ua, d) * _falling(ub, e)
-                    if ff:
+                for (d, e), c in self.contractions(k).items():
+                    n = math.prod(map(math.comb, ua + ub, d + e))
+                    if n:
                         u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
-                        accumulate(sums, u, w * ff)
-                pre = (_TWO_I if bracket else ONE) * _MINUS_I_HALF ** k
-                entries.extend((k - shift, u, pre * w) for u, w in sums.items())
+                        accumulate(sums, u, c * n)
+                entries.extend((k - shift, u, _TWO_I * c if bracket else c)
+                               for u, c in sums.items())
             entries = self._weights[key] = tuple(entries)
         return entries
-
-    def moyal_sigma_weights(self, k):
-        """{(u, v): (-i/2)^k * u! * v! * (sum of w)} over the rows (u, v, w)
-        of ``moyal_table(k)``: the whole scalar ``moyal_sigma`` puts on the
-        contraction of y^u in the left factor with y^v in the right, built
-        once per chart and k.  Off the block form several rows can share one
-        (u, v); their weights add."""
-        m = self._sigma_weights.get(k)
-        if m is None:
-            pre = _MINUS_I_HALF ** k
-            m = {}
-            for d, e, w in self.moyal_table(k):
-                accumulate(m, (d, e), w)
-            m = {(u, v): pre * w * (_falling(u, u) * _falling(v, v))
-                 for (u, v), w in m.items()}
-            self._sigma_weights[k] = m
-        return m
 
     def gamma_weyl(self):
         """The connection one-form (1/2) Gamma_{ijk} y^i y^j dx^k."""
@@ -216,19 +205,6 @@ class Geometry:
 
     def __repr__(self):
         return "Geometry(dim=%d, flat=%s)" % (self.dim, self.is_flat())
-
-
-def _falling(u, d):
-    """prod_i u_i (u_i - 1) ... (u_i - d_i + 1), so 0 when some d_i > u_i;
-    _falling(u, u) = u!."""
-    out = 1
-    for a, b in zip(u, d):
-        if b:
-            if b > a:
-                return 0
-            for t in range(b):
-                out *= a - t
-    return out
 
 
 class Curvature4:

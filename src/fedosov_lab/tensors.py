@@ -201,6 +201,12 @@ class Tensor3:
     def is_zero(self):
         return not self.entries
 
+    def __add__(self, other):
+        entries = dict(self.entries)
+        for key, v in other.entries.items():
+            accumulate(entries, key, v)
+        return Tensor3(self.dim, entries)
+
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented
@@ -430,24 +436,7 @@ def series_schouten(A, B, order=None):
     Returns the HbarSeries of Tensor3 brackets; zero iff the series bracket
     vanishes through the truncation order.
     """
-    if order is None:
-        order = min(A.order, B.order)
-    out = {}
-    for n1, t1 in A.hs.coeffs.items():
-        for n2, t2 in B.hs.coeffs.items():
-            n = n1 + n2
-            if n > order:
-                continue
-            v = schouten(t1, t2)
-            out[n] = _t3_add(out[n], v) if n in out else v
-    return HbarSeries(order, out)
-
-
-def _t3_add(a, b):
-    entries = dict(a.entries)
-    for key, v in b.entries.items():
-        accumulate(entries, key, v)
-    return Tensor3(a.dim, entries)
+    return A.hs.convolve(B.hs, mul=schouten, order=order)
 
 
 def formal_poisson(perturbation, geom, order):

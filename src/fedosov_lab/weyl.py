@@ -17,9 +17,11 @@ The fiberwise product is
 
 with dx factors multiplied by wedge.  Each graded piece preserves the
 filtration degree of a product exactly, so a cap can be enforced pairwise.
-This module holds no contraction weights: for a pair of fiber monomials
-y^ua, y^ub the chart supplies every piece at once, scalar included, from
-its cached table ``Geometry.moyal_weights(ua, ub, bracket)``.
+This module holds no contraction weights.  The chart caches one table per
+k, ``Geometry.contractions(k)``: the whole scalar of each fully contracted
+pair y^d o_k y^e.  ``moyal_sigma`` reads it directly; ``moyal`` reads the
+pieces of y^ua o y^ub, scalars included, from ``Geometry.moyal_weights(ua,
+ub, bracket)``, which the chart builds from the same table.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -211,13 +213,13 @@ class WeylForm:
             out[(h + k, u, form)] = p
         return WeylForm._make(self.dim, out, cap)
 
-    def div_hbar(self, k=1):
-        """Divide by hbar^k; every monomial must carry at least hbar^k."""
+    def div_hbar(self):
+        """Divide by hbar; every monomial must carry at least hbar^1."""
         out = {}
         for (h, u, form), p in self.terms.items():
-            if h < k:
-                raise HbarDivisionError("monomial with hbar^%d cannot be divided by hbar^%d" % (h, k))
-            out[(h - k, u, form)] = p
+            if not h:
+                raise HbarDivisionError("monomial with hbar^0 cannot be divided by hbar")
+            out[(h - 1, u, form)] = p
         return WeylForm._make(self.dim, out, self.cap)
 
     def capped(self, cap):
@@ -331,9 +333,9 @@ def moyal_sigma(a, b, geom, order=None):
     """The scalar projection of a o b without building the full product.
 
     Only fully contracted pairs survive the projection: both monomials must
-    be dx-free with equal y-degree k, and the k-fold pairings that match
-    their exponents exactly contribute the chart's cached weight
-    ``geom.moyal_sigma_weights(k)[(u, v)]``, one lookup per pair.
+    be dx-free with equal y-degree k, and the pair y^u, y^v contributes the
+    chart's cached scalar ``geom.contractions(k)[(u, v)]``, one lookup per
+    pair.
     """
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
@@ -341,7 +343,7 @@ def moyal_sigma(a, b, geom, order=None):
         raise ValueError("form dim does not match chart dim")
     cap = a._merge_cap(b)
     out = {}
-    weights = geom.moyal_sigma_weights
+    weights = geom.contractions
     by_deg = {}
     for (hb, ub, Ib), pb in b.terms.items():
         if Ib:
@@ -386,7 +388,7 @@ def commutator(a, b, geom):
 
 def i_over_hbar(a):
     """Multiply by i and divide by hbar (every term must carry hbar)."""
-    return a.div_hbar(1).scale(I)
+    return a.div_hbar().scale(I)
 
 
 # -- chart operators ---------------------------------------------------------------
@@ -481,7 +483,7 @@ def y_dx_form(t, hpow=0, cap=None):
     return WeylForm(dim, terms, cap)
 
 
-def y_gradient(f, cap=None):
+def y_gradient(f):
     """The fiber-linear 0-form (df/dx^j) y^j of an observable."""
     dim = f.dim
     terms = {}
@@ -491,7 +493,7 @@ def y_gradient(f, cap=None):
             continue
         u = tuple(1 if m == j else 0 for m in range(dim))
         terms[(0, u, ())] = d
-    return WeylForm._make(dim, terms, cap)
+    return WeylForm._make(dim, terms, None)
 
 
 def two_form_to_tensor(a, hpow=0):

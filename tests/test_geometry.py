@@ -1,5 +1,7 @@
 """Chart data: symplectic form, connection, curvature, covariant derivative."""
 
+import collections
+import itertools
 import math
 from fractions import Fraction
 
@@ -100,38 +102,51 @@ def test_gamma_weyl_form(rng):
     assert gw == want
 
 
-def test_moyal_sigma_weights_match_tables(rng):
-    # Each chart caches (-i/2)^k * u! * v! * w per key (u, v), where w sums
-    # the pairing rows (u, v, w) of that key; off the block form several rows
-    # share a key, and a key whose rows cancel is not stored.  Checked on
-    # the block chart and on a random non-block one.
-    shared = 0
+def oracle_contractions(geom, k):
+    """{(d, e): [weight of each multiset of k nonzero wbar entries giving
+    (d, e)]}, a multiset taking entry t m_t times weighing
+    prod(wbar_t^{m_t} / m_t!)."""
+    entries = [((r, s), v) for r, row in enumerate(geom.omega_bar.constant_rows())
+               for s, v in enumerate(row) if v]
+    out = {}
+    for combo in itertools.combinations_with_replacement(range(len(entries)), k):
+        d = [0] * geom.dim
+        e = [0] * geom.dim
+        w = GaussianRational(1)
+        for t, m in collections.Counter(combo).items():
+            (r, s), v = entries[t]
+            d[r] += m
+            e[s] += m
+            w = w * v ** m / math.factorial(m)
+        out.setdefault((tuple(d), tuple(e)), []).append(w)
+    return out
+
+
+def test_contractions_match_multiset_oracle(rng):
+    # Each chart caches (-i/2)^k * d! * e! * (summed multiset weights) per
+    # key (d, e); off the block form several multisets share a key, and a
+    # key whose weights cancel is not stored.  Checked on the block chart and
+    # on a random non-block one.
+    shared = []
     for g in (Geometry(4), rand_structure_geometry(rng, 4)):
+        shared.append(0)
         for k in range(4):
-            rows = {}
-            for d, e, w in g.moyal_table(k):
-                rows.setdefault((d, e), []).append(w)
-                shared += len(rows[(d, e)]) == 2
-            weights = g.moyal_sigma_weights(k)
-            assert set(weights) <= set(rows)
+            oracle = oracle_contractions(g, k)
+            table = g.contractions(k)
+            assert set(table) <= set(oracle)
             pre = GaussianRational(0, F(-1, 2)) ** k
-            for (d, e), ws in rows.items():
-                fact = 1
-                for x in d + e:
-                    fact *= math.factorial(x)
-                assert weights.get((d, e), 0) == pre * sum(ws, GaussianRational(0)) * fact
-            assert g.moyal_sigma_weights(k) is weights  # built once per chart and k
-    assert shared  # the non-block chart exercises summed rows
-    # k=1 table is the pairing itself
-    g = Geometry(4)
-    one = {(d, e): w for d, e, w in g.moyal_table(1)}
-    omb = g.omega_bar.constant_rows()
-    for i in range(4):
-        for j in range(4):
-            if omb[i][j]:
-                di = tuple(1 if t == i else 0 for t in range(4))
-                ej = tuple(1 if t == j else 0 for t in range(4))
-                assert one[(di, ej)] == omb[i][j]
+            for (d, e), ws in oracle.items():
+                shared[-1] += len(ws) > 1
+                fact = math.prod(math.factorial(x) for x in d + e)
+                assert table.get((d, e), 0) == pre * sum(ws, GaussianRational(0)) * fact
+            assert g.contractions(k) is table  # built once per chart and k
+        # the k=1 table is (-i/2) wbar, entry by entry
+        omb = g.omega_bar.constant_rows()
+        unit = [tuple(1 if t == i else 0 for t in range(4)) for i in range(4)]
+        assert g.contractions(1) == {
+            (unit[i], unit[j]): GaussianRational(0, F(-1, 2)) * omb[i][j]
+            for i in range(4) for j in range(4) if omb[i][j]}
+    assert shared[1]  # the non-block chart exercises summed multisets
 
 
 # -- curvature -----------------------------------------------------------------

@@ -4,9 +4,13 @@ Each digest is the sha256 of ``cli.run(command, scenario).to_json()``.  A
 change that is meant to keep every output unchanged (a refactor, a faster
 algorithm) must leave all of them equal; a change that means to alter an
 output re-records the affected digests and says why.  The flat scenarios are
-pinned at their own order.  The curved scenarios take minutes per report at
-their own order, so they are pinned at ``order=1``, where every layer still
-runs (chart checks, curvature identities, sections, the perturbed product).
+pinned at their own order.  A curved ``verify`` at its own order 3 takes
+about half a minute or more, so the curved scenarios are pinned at
+``order=1``, where every layer still runs (chart checks, curvature
+identities, sections, the perturbed product).  Their ``star`` reports are
+pinned at ``order=2`` as well: a passing ``verify`` prints only "0"
+residuals, while ``star`` prints coefficients, and order 2 (cap 6) is the
+first to reach the k = 3 contractions on a curved chart.
 """
 
 import hashlib
@@ -70,6 +74,20 @@ CURVED_DIGESTS = {
     ("curved_r4_plain", "star"): "393cb52a11e20156a2176e6217f75f577f5543dbbaa4411a2749746681a182b6",
 }
 
+# The curved star reports at order 2: about 1-2 s each.
+CURVED_ORDER2_DIGESTS = {
+    ("curved_r4_k1_const", "star"): "2827468e63fd3f4cc21854bb5c76f5c3c8023faefcab5f9a28fc2495a747d0b9",
+    ("curved_r4_k1_poly", "star"): "9f7b88b9e36aee924e7d77cbdb08b1852dfd00288329ad77adf5cf95443747ca",
+    ("curved_r4_k2_const", "star"): "ae3db75214e22d18311e9f8e75c5b17eb0e550bbf13d34433355bd36db603562",
+    ("curved_r4_plain", "star"): "0edbb1a7c82879414b604b7d39b632e64390b5e6e6dc09faa0b5e0c59dfbbeb4",
+}
+
+CURVED_CASES = (
+    [pytest.param(name, cmd, 1, d, id="%s-%s" % (name, cmd))
+     for (name, cmd), d in sorted(CURVED_DIGESTS.items())]
+    + [pytest.param(name, cmd, 2, d, id="%s-%s-order2" % (name, cmd))
+       for (name, cmd), d in sorted(CURVED_ORDER2_DIGESTS.items())])
+
 
 def _digest(name, command, order=None):
     scenario = load_scenario(os.path.join(SCENARIOS, name + ".json"))
@@ -82,6 +100,8 @@ def test_every_scenario_is_pinned():
     pinned = {name for name, _cmd in DIGESTS}
     assert all(name.startswith("flat_") for name in pinned)
     assert all(name.startswith("curved_") for name, _cmd in CURVED_DIGESTS)
+    assert sorted(CURVED_ORDER2_DIGESTS) == [
+        (name, "star") for name in bundled if name.startswith("curved_")]
     assert sorted(pinned | {name for name, _cmd in CURVED_DIGESTS}) == bundled
 
 
@@ -90,6 +110,6 @@ def test_report_bytes_are_unchanged(name, command):
     assert _digest(name, command) == DIGESTS[(name, command)]
 
 
-@pytest.mark.parametrize("name,command", sorted(CURVED_DIGESTS))
-def test_curved_report_bytes_are_unchanged(name, command):
-    assert _digest(name, command, order=1) == CURVED_DIGESTS[(name, command)]
+@pytest.mark.parametrize("name,command,order,digest", CURVED_CASES)
+def test_curved_report_bytes_are_unchanged(name, command, order, digest):
+    assert _digest(name, command, order=order) == digest

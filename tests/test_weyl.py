@@ -205,7 +205,7 @@ def oracle_rows(geom, k):
     return rows
 
 
-def oracle_falling(u, d):
+def oracle_descending_factorial(u, d):
     out = 1
     for a, b in zip(u, d):
         if b:
@@ -232,7 +232,7 @@ def oracle_moyal(a, b, geom, bracket=False):
             weights = {}
             for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
                 for d, e, w in oracle_rows(geom, k):
-                    ff = oracle_falling(ua, d) * oracle_falling(ub, e)
+                    ff = oracle_descending_factorial(ua, d) * oracle_descending_factorial(ub, e)
                     if ff:
                         u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
                         accumulate(weights, (k, u), w * (sign * ff))
