@@ -33,7 +33,7 @@ from .fedosov import (abelian_residual, CoeffTable, coeff_sequences,
 from .analysis import (beta_form, bivector_probe, CalR, cal_r,
                        ComparisonReport, compare_onediff,
                        curvature_onediff_identities, gamma_form,
-                       IdentityCheck, OrderComparison, predicted_onediff)
+                       OrderComparison, predicted_onediff)
 from .io import (Check, load_scenario, ParseError, parse_poly,
                  parse_rational, Report, Scenario, ScenarioError)
 
@@ -56,7 +56,7 @@ __all__ = [
     "taylor_inv_sqrt", "taylor_one_minus_sqrt", "WeylCurvatureSpec",
     "beta_form", "bivector_probe", "CalR", "cal_r", "ComparisonReport",
     "compare_onediff", "curvature_onediff_identities", "gamma_form",
-    "IdentityCheck", "OrderComparison", "predicted_onediff",
+    "OrderComparison", "predicted_onediff",
     "Check", "load_scenario", "ParseError", "parse_poly", "parse_rational",
     "Report", "Scenario", "ScenarioError",
     "__version__",

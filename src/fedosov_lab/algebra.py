@@ -167,18 +167,14 @@ class GaussianRational:
         if not self:
             return "0"
         if self.im == 0:
-            return _frac_str(self.re)
+            return str(self.re)
         if self.re == 0:
             return _imag_str(self.im)
         sep = "+" if self.im > 0 else "-"
-        return "%s%s%s" % (_frac_str(self.re), sep, _imag_str(abs(self.im)))
+        return "%s%s%s" % (self.re, sep, _imag_str(abs(self.im)))
 
     def __repr__(self):
         return "GaussianRational(%s)" % self
-
-
-def _frac_str(q):
-    return str(q)
 
 
 def _imag_str(q):
@@ -501,9 +497,9 @@ def _term_str(exp, q, imag):
 class HbarSeries:
     """A power series in hbar truncated at ``order`` (inclusive).
 
-    Coefficients may be any exact values supporting +, -, and a zero test
-    (polynomials, tensors, plain rationals).  Coefficients beyond the
-    truncation order are silently dropped.
+    Coefficients may be any exact values supporting +, - and ``is_zero()``
+    (polynomials and tensors).  Coefficients beyond the truncation order are
+    silently dropped.
     """
 
     __slots__ = ("order", "coeffs")
@@ -516,7 +512,7 @@ class HbarSeries:
         for n, v in (coeffs or {}).items():
             if n < 0:
                 raise ValueError("negative hbar power %d" % n)
-            if n <= order and not _is_zero(v):
+            if n <= order and not v.is_zero():
                 clean[n] = v
         self.coeffs = clean
 
@@ -548,9 +544,6 @@ class HbarSeries:
     def __neg__(self):
         return HbarSeries(self.order, {n: -v for n, v in self.coeffs.items()})
 
-    def scale(self, c):
-        return HbarSeries(self.order, {n: _scale(v, c) for n, v in self.coeffs.items()})
-
     def shift(self, k):
         """Multiply by hbar^k."""
         if k < 0:
@@ -577,11 +570,9 @@ class HbarSeries:
     def map(self, fn):
         return HbarSeries(self.order, {n: fn(v) for n, v in self.coeffs.items()})
 
-    def truncate(self, order):
-        return HbarSeries(order, {n: v for n, v in self.coeffs.items() if n <= order})
-
     def with_order(self, order):
-        """Same coefficients, re-declared at truncation ``order``."""
+        """Same coefficients, re-declared at truncation ``order``: powers
+        above it drop, so this also truncates."""
         return HbarSeries(order, dict(self.coeffs))
 
     def min_power(self):
@@ -609,17 +600,3 @@ class HbarSeries:
 
     def __repr__(self):
         return "HbarSeries(%d, %s)" % (self.order, self)
-
-
-def _is_zero(v):
-    z = getattr(v, "is_zero", None)
-    if z is not None:
-        return z() if callable(z) else z
-    return not v
-
-
-def _scale(v, c):
-    s = getattr(v, "scale", None)
-    if s is not None:
-        return s(c)
-    return v * c

@@ -10,7 +10,8 @@ computes those probes, the predicted bivector series
 
 a shift of the formal Poisson bivector, their comparison, and a family of
 curvature identities that pin the constant prefactors of the first
-curvature-dependent corrections.
+curvature-dependent corrections.  Each identity is returned as an
+``io.Check``, the one check record of the package.
 
 Curvature bookkeeping.  With A_l = R_{ijkl} y^i y^j y^k, the triple
 contraction A_{l1} o_3 A_{l2} is i hbar^3 times a real polynomial matrix;
@@ -33,6 +34,7 @@ from .weyl import (WeylForm, central_two_form, delta_inv, i_over_hbar, moyal,
                    y_gradient)
 from .geometry import GeometryError, cov_ext_deriv
 from .fedosov import StarEngine
+from .io import Check
 
 __all__ = [
     "CalR",
@@ -44,7 +46,6 @@ __all__ = [
     "OrderComparison",
     "ComparisonReport",
     "compare_onediff",
-    "IdentityCheck",
     "curvature_onediff_identities",
 ]
 
@@ -158,13 +159,6 @@ def gamma_form(n, alpha, k, geom):
 # -- coordinate bivector probes --------------------------------------------------
 
 
-def _coordinate_products(engine):
-    """dim x dim grid of StarResults on the coordinate functions."""
-    dim = engine.spec.dim
-    xs = [Polynomial.variable(dim, i) for i in range(dim)]
-    return [[engine.star(xs[i], xs[j]) for j in range(dim)] for i in range(dim)]
-
-
 def _probe_from_grids(g1, g2, n, dim):
     return Tensor2(dim, "upper",
                    [[g1[i][j].coeff(n) - g2[i][j].coeff(n) for j in range(dim)]
@@ -185,7 +179,7 @@ def bivector_probe(spec1, spec2, n, order, engines=None):
     if engines is None:
         engines = (StarEngine(spec1, order), StarEngine(spec2, order))
     e1, e2 = engines
-    return _probe_from_grids(_coordinate_products(e1), _coordinate_products(e2),
+    return _probe_from_grids(e1.coordinate_products(), e2.coordinate_products(),
                              n, spec1.dim)
 
 
@@ -268,8 +262,8 @@ def compare_onediff(spec, order, engines=None):
         raise GeometryError("comparison needs a shared chart")
     if engines is None:
         engines = (StarEngine(spec, order), StarEngine(base, order))
-    g1 = _coordinate_products(engines[0])
-    g2 = _coordinate_products(engines[1])
+    g1 = engines[0].coordinate_products()
+    g2 = engines[1].coordinate_products()
     predicted = predicted_onediff(spec.alpha_series(order), spec.geometry, order)
     all_orders = spec.is_flat_constant() and not base.is_perturbed
     limit = order if all_orders else min(order, spec.min_k() + 1)
@@ -285,29 +279,15 @@ def compare_onediff(spec, order, engines=None):
 # -- curvature identity suite ----------------------------------------------------
 
 
-class IdentityCheck:
-    """A named exact identity with its residual."""
-
-    __slots__ = ("anchor", "residual", "passed")
-
-    def __init__(self, anchor, residual, passed):
-        self.anchor = anchor
-        self.residual = residual
-        self.passed = passed
-
-    def __repr__(self):
-        return "IdentityCheck(%r, passed=%s)" % (self.anchor, self.passed)
-
-
 def _check_forms(anchor, lhs, rhs):
     res = lhs - rhs
-    return IdentityCheck(anchor, str(res), res.is_zero())
+    return Check(anchor, str(res), res.is_zero())
 
 
 def _check_series(anchor, lhs, rhs):
     n = max(lhs.order, rhs.order)
     res = lhs.with_order(n) - rhs.with_order(n)
-    return IdentityCheck(anchor, str(res), res.is_zero())
+    return Check(anchor, str(res), res.is_zero())
 
 
 def curvature_onediff_identities(geom, f, g):
@@ -317,7 +297,7 @@ def curvature_onediff_identities(geom, f, g):
     transport of a linear section through the curvature, the three pair
     products that produce the constant bivector corrections, and their
     mutual ratios; each is compared against its closed form in the
-    curvature pair tensor.  Returns a list of IdentityCheck records.
+    curvature pair tensor.  Returns a list of ``io.Check`` records.
     """
     if geom.is_flat():
         raise GeometryError("curvature identities need a curved chart")
@@ -328,7 +308,7 @@ def curvature_onediff_identities(geom, f, g):
     p_lower = calr.lower
     p_upper = calr.upper
 
-    checks.append(IdentityCheck(
+    checks.append(Check(
         "curvature-pair.skew",
         "0" if p_lower.is_skew() else "asymmetric",
         p_lower.is_skew()))
@@ -364,7 +344,7 @@ def curvature_onediff_identities(geom, f, g):
 
     # beta bridge: the n = 0 propagation form equals -P/32
     bridge_ok = beta_form(0, geom) == p_lower.scale(Fraction(-1, 32))
-    checks.append(IdentityCheck(
+    checks.append(Check(
         "propagation.curvature-square-bridge",
         "0" if bridge_ok else "mismatch", bridge_ok))
 
@@ -395,14 +375,14 @@ def curvature_onediff_identities(geom, f, g):
     nine = lhs3.coeff(3, Polynomial.zero(dim))
     if base.is_zero():
         # the pair product vanished, so the ratios are not informative
-        checks.append(IdentityCheck("onediff.ratio-checks", "degenerate", True))
+        checks.append(Check("onediff.ratio-checks", "degenerate", True))
     else:
         ok6 = six == base.scale(GaussianRational(6))
         ok9 = nine == base.scale(GaussianRational(9))
-        checks.append(IdentityCheck(
+        checks.append(Check(
             "onediff.ratio-double-over-pair",
             "0" if ok6 else str(six - base.scale(GaussianRational(6))), ok6))
-        checks.append(IdentityCheck(
+        checks.append(Check(
             "onediff.ratio-central-over-pair",
             "0" if ok9 else str(nine - base.scale(GaussianRational(9))), ok9))
     return checks

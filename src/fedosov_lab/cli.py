@@ -48,13 +48,12 @@ def _default_observables(scenario):
 
 
 def _verify_checks(scenario, order):
-    sid = scenario.scenario_id
     geom = scenario.geometry
     spec = scenario.build_spec()
     checks = []
 
     for anchor, ok in validate_geometry(geom):
-        checks.append(Check(anchor, sid, "0" if ok else "violated", ok))
+        checks.append(Check(anchor, "0" if ok else "violated", ok))
 
     # structural operator checks on a deterministic probe form
     dim = geom.dim
@@ -65,39 +64,36 @@ def _verify_checks(scenario, order):
             Polynomial.one(dim),
     })
     dd = delta(delta(probe))
-    checks.append(Check("weyl.delta-squared", sid, str(dd), dd.is_zero()))
+    checks.append(Check("weyl.delta-squared", str(dd), dd.is_zero()))
     kk = delta_inv(delta_inv(probe))
-    checks.append(Check("weyl.delta-inv-squared", sid, str(kk), kk.is_zero()))
+    checks.append(Check("weyl.delta-inv-squared", str(kk), kk.is_zero()))
     hod = probe - (WeylForm.from_series(sigma(probe), dim)
                    + delta(delta_inv(probe)) + delta_inv(delta(probe)))
-    checks.append(Check("weyl.hodge-decomposition", sid, str(hod), hod.is_zero()))
+    checks.append(Check("weyl.hodge-decomposition", str(hod), hod.is_zero()))
 
     engine = StarEngine(spec, order)
     r = engine.r()
     resid = curvature_residual(r, spec)
-    checks.append(Check("connection.flatness-residual", sid,
-                        str(resid), resid.is_zero()))
+    checks.append(Check("connection.flatness-residual", str(resid), resid.is_zero()))
 
     f, g = _default_observables(scenario)
     for name, obs in (("f", f), ("g", g)):
         a = engine.section(obs)
         da = abelian_residual(a, spec, r)
-        checks.append(Check("section.abelian-residual-%s" % name, sid,
-                            str(da), da.is_zero()))
+        checks.append(Check("section.abelian-residual-%s" % name, str(da), da.is_zero()))
 
     one = Polynomial.one(dim)
     unit = engine.star(one, f)
     left = unit.as_series() - engine.star(f, one).as_series()
     unit_ok = unit.coeff(0) == f and all(
         unit.coeff(n).is_zero() for n in range(1, order + 1)) and left.is_zero()
-    checks.append(Check("star.unit-neutral", sid,
+    checks.append(Check("star.unit-neutral",
                         "0" if unit_ok else str(unit.as_series()), unit_ok))
 
     sk_ok = True
     detail = "0"
     min_k = spec.min_k()
-    xs = [Polynomial.variable(dim, i) for i in range(dim)]
-    grid = [[engine.star(xi, xj) for xj in xs] for xi in xs]
+    grid = engine.coordinate_products()
     for i in range(dim):
         for j in range(dim):
             comm1 = grid[i][j].coeff(1) - grid[j][i].coeff(1)
@@ -105,44 +101,40 @@ def _verify_checks(scenario, order):
             if comm1 != wbar:
                 sk_ok = False
                 detail = "coordinates %d,%d: %s" % (i + 1, j + 1, comm1 - wbar)
-    checks.append(Check("star.first-order-bracket", sid, detail, sk_ok))
+    checks.append(Check("star.first-order-bracket", detail, sk_ok))
 
-    checks.append(_recursions_check(sid, scenario.coeff_limit)[0])
+    checks.append(_recursions_check(scenario.coeff_limit)[0])
 
     if not geom.is_flat():
-        for c in curvature_onediff_identities(geom, f, g):
-            checks.append(Check(c.anchor, sid, c.residual, c.passed))
+        checks.extend(curvature_onediff_identities(geom, f, g))
 
     if spec.is_perturbed:
         base_engine = StarEngine(spec.unperturbed(), order)
         rep = compare_onediff(spec, order, engines=(engine, base_engine))
         bad = rep.failures()
         checks.append(Check(
-            "onediff.guaranteed-orders", sid,
+            "onediff.guaranteed-orders",
             "0" if not bad else "orders %s" % [c.n for c in bad], rep.passed))
         if min_k is not None and min_k + 1 <= order:
             first = rep.orders[min_k + 1]
             checks.append(Check(
-                "onediff.first-shift", sid,
+                "onediff.first-shift",
                 str(first.residual.to_strs()) if not first.ok else "0", first.ok))
     return checks
 
 
 def _star_checks(scenario, order):
-    sid = scenario.scenario_id
     spec = scenario.build_spec()
     engine = StarEngine(spec, order)
     f, g = _default_observables(scenario)
     res = engine.star(f, g)
     checks = []
     for n in range(order + 1):
-        checks.append(Check("star.coefficient.h%d" % n, sid,
-                            str(res.coeff(n)), True))
+        checks.append(Check("star.coefficient.h%d" % n, str(res.coeff(n)), True))
     return checks
 
 
 def _compare_checks(scenario, order):
-    sid = scenario.scenario_id
     spec = scenario.build_spec()
     if not spec.is_perturbed:
         raise ScenarioError("compare needs a perturbation block")
@@ -151,38 +143,35 @@ def _compare_checks(scenario, order):
     for c in rep.orders:
         base = "onediff.order-%d" % c.n
         if c.guaranteed:
-            checks.append(Check(base, sid, str(c.residual.to_strs())
+            checks.append(Check(base, str(c.residual.to_strs())
                                 if not c.ok else "0", c.ok))
         else:
-            checks.append(Check(base + ".informational", sid,
+            checks.append(Check(base + ".informational",
                                 str(c.residual.to_strs()), True))
-        checks.append(Check(base + ".probe", sid, _tensor_str(c.probe), True))
-        checks.append(Check(base + ".predicted", sid,
-                            _tensor_str(c.predicted), True))
+        checks.append(Check(base + ".probe", _tensor_str(c.probe), True))
+        checks.append(Check(base + ".predicted", _tensor_str(c.predicted), True))
     return checks
 
 
-def _recursions_check(sid, limit):
+def _recursions_check(limit):
     """The ``coeffs.recursions-vs-taylor`` check and the table it built
     (None when the cross-check failed)."""
     try:
         table = coeff_sequences(limit)
     except ArithmeticError as exc:
-        return Check("coeffs.recursions-vs-taylor", sid, str(exc), False), None
-    return Check("coeffs.recursions-vs-taylor", sid, "0", True), table
+        return Check("coeffs.recursions-vs-taylor", str(exc), False), None
+    return Check("coeffs.recursions-vs-taylor", "0", True), table
 
 
-def _coeffs_checks(scenario, limit):
-    sid = scenario.scenario_id if scenario else "none"
-    check, table = _recursions_check(sid, limit)
+def _coeffs_checks(limit):
+    check, table = _recursions_check(limit)
     checks = [check]
     if table is None:
         return checks
     half_ok = all(v == table.c[0] for v in table.c.values()) and str(table.c[1]) == "1/2"
-    checks.append(Check("coeffs.c-constant-half", sid,
-                        "0" if half_ok else "drift", half_ok))
+    checks.append(Check("coeffs.c-constant-half", "0" if half_ok else "drift", half_ok))
     for n in range(limit + 1):
-        checks.append(Check("coeffs.row-%d" % n, sid,
+        checks.append(Check("coeffs.row-%d" % n,
                             "sigma=%s kappa=%s c=%s" % (
                                 table.sigma.get(n, 0), table.kappa[n], table.c[n]),
                             True))
@@ -190,7 +179,6 @@ def _coeffs_checks(scenario, limit):
 
 
 def _poisson_checks(scenario, order):
-    sid = scenario.scenario_id
     spec = scenario.build_spec()
     if not spec.is_perturbed:
         raise ScenarioError("poisson needs a perturbation block")
@@ -199,18 +187,16 @@ def _poisson_checks(scenario, order):
     obar = formal_poisson(alpha, geom, order)
     checks = []
     for n in range(order + 1):
-        checks.append(Check("poisson.series.h%d" % n, sid,
-                            _tensor_str(obar.coeff(n)), True))
+        checks.append(Check("poisson.series.h%d" % n, _tensor_str(obar.coeff(n)), True))
     omega_series = TensorSeries.from_terms(
         geom.dim, "lower", order,
         [(0, geom.omega)] + list(alpha.hs.coeffs.items()))
     inv = series_inverse(omega_series, order)
     agree = all(obar.coeff(n) == inv.coeff(n) for n in range(order + 1))
-    checks.append(Check("poisson.inverse-cross-check", sid,
-                        "0" if agree else "mismatch", agree))
+    checks.append(Check("poisson.inverse-cross-check", "0" if agree else "mismatch", agree))
     sch = series_schouten(obar, obar, order)
     sch_zero = all(t.is_zero() for t in sch.coeffs.values())
-    checks.append(Check("poisson.schouten-residual", sid,
+    checks.append(Check("poisson.schouten-residual",
                         "0" if sch_zero else "nonzero", sch_zero))
     return checks
 
@@ -245,13 +231,12 @@ def run(command, scenario, order=None, coeff_limit=None):
         limit = coeff_limit
         if limit is None:
             limit = scenario.coeff_limit if scenario else 8
-        checks = _coeffs_checks(scenario, limit)
+        checks = _coeffs_checks(limit)
     elif command == "poisson":
         checks = _poisson_checks(scenario, order)
     else:
         raise ScenarioError("unknown command %r" % command)
-    sid = scenario.scenario_id if scenario else "none"
-    return Report(command, sid, checks)
+    return Report(command, scenario.scenario_id if scenario else "none", checks)
 
 
 def main(argv=None):

@@ -144,11 +144,9 @@ class WeylCurvatureSpec:
         geom = self.geometry
         q = WeylForm.zero(self.dim, cap)
         if not geom.is_flat():
-            q = q + geom.curvature().weyl_two_form.capped(cap)
+            q = q + geom.curvature().weyl_two_form
         if self.is_perturbed:
             for k, t in sorted(self.perturbation.hs.coeffs.items()):
-                if cap is not None and 2 * k > cap:
-                    continue
                 q = q + central_two_form(t, hpow=k, cap=cap)
         return q
 
@@ -286,7 +284,8 @@ class StarEngine:
     both keyed by exact content: the section of each monomial hbar^n x^m,
     solved once by ``flat_section``, and the section of each observable,
     assembled from its monomials' sections by linearity.  A polynomial
-    observable f is the hbar-series {0: f}.
+    observable f is the hbar-series {0: f}.  The grid of coordinate
+    products is built once as well.
     """
 
     def __init__(self, spec, order):
@@ -296,6 +295,7 @@ class StarEngine:
         self.order = order
         self.cap = 2 * order + 2
         self._r = None
+        self._grid = None
         self._sections = {}   # observable key -> assembled section
         self._monomials = {}  # (hbar power, exponent) -> section of hbar^n x^exp
 
@@ -327,6 +327,15 @@ class StarEngine:
 
     def star(self, f, g):
         return StarResult(f, g, self.order, dict(self.star_series(f, g).coeffs))
+
+    def coordinate_products(self):
+        """The dim x dim grid of StarResults x^i * x^j on the coordinates,
+        built once."""
+        if self._grid is None:
+            dim = self.spec.dim
+            xs = [Polynomial.variable(dim, i) for i in range(dim)]
+            self._grid = [[self.star(xi, xj) for xj in xs] for xi in xs]
+        return self._grid
 
     def star_series(self, f, g):
         """sigma(section(f) o section(g)) through the engine order, as an

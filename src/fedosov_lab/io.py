@@ -13,6 +13,12 @@ matches the canonical printing of Polynomial:
 
 Whitespace is insignificant.  Parsing the printed form of any polynomial
 returns an equal polynomial.
+
+A check is one record, ``Check(anchor, residual, passed)``; the identity
+suites of ``analysis`` and the commands of ``cli`` all return it.  A
+``Report`` holds the checks one command ran in one scenario, and it is the
+only code that knows their JSON form, in which each check carries the
+report's scenario id.
 """
 
 from __future__ import annotations
@@ -271,23 +277,19 @@ def _scenario_from_dict(data):
 
 
 class Check:
-    """One named check: an anchor, the scenario it ran in, a residual, a flag."""
+    """One named exact check: an anchor, a residual string, a pass flag."""
 
-    __slots__ = ("anchor", "scenario_id", "residual", "passed")
+    __slots__ = ("anchor", "residual", "passed")
 
-    def __init__(self, anchor, scenario_id, residual, passed):
+    def __init__(self, anchor, residual, passed):
         self.anchor = anchor
-        self.scenario_id = scenario_id
         self.residual = residual
         self.passed = bool(passed)
 
-    def as_dict(self):
-        return {"anchor": self.anchor, "scenario_id": self.scenario_id,
-                "residual": self.residual, "pass": self.passed}
-
 
 class Report:
-    """An ordered list of checks with a deterministic serialized form."""
+    """An ordered list of checks run in one scenario, with a deterministic
+    serialized form.  Each serialized check carries the report's scenario id."""
 
     def __init__(self, command, scenario_id, checks):
         self.command = command
@@ -307,7 +309,9 @@ class Report:
         return {
             "command": self.command,
             "scenario_id": self.scenario_id,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [{"anchor": c.anchor, "scenario_id": self.scenario_id,
+                        "residual": c.residual, "pass": c.passed}
+                       for c in self.checks],
             "summary": self.summary(),
         }
 

@@ -27,6 +27,8 @@ check.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .algebra import GaussianRational, HbarSeries, Polynomial, ONE, ZERO, accumulate
 
 __all__ = [
@@ -97,15 +99,17 @@ class Tensor2:
         if self.variance != other.variance:
             raise VarianceError("tensor variances differ: %s vs %s" % (self.variance, other.variance))
 
-    def __add__(self, other):
+    def _combine(self, other, subtract):
         self._check(other)
+        op = sub if subtract else add
         return Tensor2(self.dim, self.variance,
-                       [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+                       [list(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows)])
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        self._check(other)
-        return Tensor2(self.dim, self.variance,
-                       [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self._combine(other, True)
 
     def __neg__(self):
         return self.map(lambda p: -p)
@@ -406,8 +410,7 @@ class TensorSeries:
         return TensorSeries(self.dim, variance or self.variance, out)
 
     def with_order(self, order):
-        return TensorSeries(self.dim, self.variance, self.hs.truncate(order) if order < self.order
-                            else self.hs.with_order(order))
+        return TensorSeries(self.dim, self.variance, self.hs.with_order(order))
 
     def min_power(self):
         return self.hs.min_power()

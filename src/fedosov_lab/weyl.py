@@ -117,8 +117,6 @@ class WeylForm:
         for (h, u, form), p in (terms or {}).items():
             if len(u) != dim:
                 raise ValueError("y-exponent tuple of wrong length")
-            if not isinstance(p, Polynomial):
-                p = Polynomial.constant(dim, p)
             if p.is_zero():
                 continue
             if cap is not None and 2 * h + sum(u) > cap:

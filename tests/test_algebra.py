@@ -182,7 +182,7 @@ def test_hbar_series_convolution_matches_manual(rng):
 def test_hbar_series_truncation_and_shift(rng):
     dim = 2
     a = HbarSeries(6, {n: rand_poly(rng, dim) for n in range(7)})
-    t = a.truncate(3)
+    t = a.with_order(3)
     assert t.order == 3 and all(n <= 3 for n in t.coeffs)
     s = a.shift(2)
     assert s.coeff(2) == a.coeff(0)
@@ -274,5 +274,5 @@ def test_no_stored_zero_after_arithmetic(rng):
             _assert_no_stored_zero(value)
         s = HbarSeries(3, {0: p, 1: q, 3: p * q})
         t = HbarSeries(2, {0: p, 2: q})
-        for value in (s - t, t - s, (s + t) - t, s - s, t - t.truncate(1)):
+        for value in (s - t, t - s, (s + t) - t, s - s, t - t.with_order(1)):
             _assert_no_stored_zero(value)

@@ -10,6 +10,7 @@ from fedosov_lab.analysis import (beta_form, bivector_probe, cal_r,
                                   gamma_form, predicted_onediff)
 from fedosov_lab.fedosov import StarEngine, WeylCurvatureSpec
 from fedosov_lab.geometry import Geometry, GeometryError
+from fedosov_lab.io import Check
 from fedosov_lab.tensors import Tensor2, TensorSeries, diamond, diamond_power, mu
 
 from conftest import rand_curved_geometry, rand_quadratic, rand_skew_constant
@@ -271,6 +272,7 @@ def test_curvature_identities_pass(rng, dim):
     f = rand_quadratic(rng, dim)
     g = rand_quadratic(rng, dim)
     checks = curvature_onediff_identities(geom, f, g)
+    assert all(type(c) is Check for c in checks)
     assert all(c.passed for c in checks), [c.anchor for c in checks if not c.passed]
     anchors = {c.anchor for c in checks}
     assert {"curvature-pair.skew", "transport.cubic-curvature-term",

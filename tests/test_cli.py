@@ -66,8 +66,8 @@ def test_failing_report_exits_one_and_names_anchors(tmp_path, capsys,
                                                     monkeypatch):
     def fake_run(command, scenario, order=None, coeff_limit=None):
         return Report(command, "cli-toy", [
-            Check("star.unit-neutral", "cli-toy", "0", True),
-            Check("connection.flatness-residual", "cli-toy", "y1*dx_{1}", False),
+            Check("star.unit-neutral", "0", True),
+            Check("connection.flatness-residual", "y1*dx_{1}", False),
         ])
 
     monkeypatch.setattr(cli, "run", fake_run)

@@ -219,16 +219,18 @@ def test_scenario_past_limit_is_scenario_error(field):
 
 def sample_report():
     return Report("verify", "toy", [
-        Check("geometry.omega-constant-skew", "toy", "0", True),
-        Check("star.unit-neutral", "toy", "0", True),
-        Check("connection.flatness-residual", "toy", "x1*y1*dx_{1}", False),
+        Check("geometry.omega-constant-skew", "0", True),
+        Check("star.unit-neutral", "0", True),
+        Check("connection.flatness-residual", "x1*y1*dx_{1}", False),
     ])
 
 
-def test_check_as_dict_uses_pass_key():
-    d = Check("a.b", "s", "0", True).as_dict()
-    assert d == {"anchor": "a.b", "scenario_id": "s", "residual": "0",
-                 "pass": True}
+def test_report_checks_use_pass_key_and_report_scenario_id():
+    checks = Report("verify", "s", [Check("a.b", "0", True)]).as_dict()["checks"]
+    assert checks == [{"anchor": "a.b", "scenario_id": "s", "residual": "0",
+                       "pass": True}]
+    for c in sample_report().as_dict()["checks"]:
+        assert c["scenario_id"] == "toy"
 
 
 def test_report_summary_and_passed():
