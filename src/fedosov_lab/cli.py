@@ -221,6 +221,8 @@ def run(command, scenario, order=None, coeff_limit=None):
         order = scenario.order
     if coeff_limit is not None:
         _check_limit(coeff_limit, "coeff_limit", MAX_COEFF_LIMIT)
+    if scenario is None and command in ("verify", "star", "compare", "poisson"):
+        raise ScenarioError("command %r requires a scenario" % command)
     if command == "verify":
         checks = _verify_checks(scenario, order)
     elif command == "star":

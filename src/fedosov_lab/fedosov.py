@@ -8,9 +8,8 @@ two fixed-point equations
 
 where Q collects the curvature two-form of the connection and the central
 perturbation terms hbar^k alpha_k.  Both right-hand sides raise filtration
-degree, so sweeping degrees converges after at most cap+1 passes.  Both
-run through one sweep that updates the right-hand side only by the newly
-fixed slice s, with one bracket per pass: (i/hbar)[r + s/2, s] for r and
+degree, so one sweep solves both a degree at a time, growing the right-hand
+side by each new slice s with one bracket: (i/hbar)[r + s/2, s] for r and
 (i/hbar)[r, s] for a section.  The product of two observables is then
 
     f * g = sigma(section(f) o section(g)),
@@ -156,25 +155,27 @@ class WeylCurvatureSpec:
 
 
 def _sweep(base, body, update, what, cap):
-    """Iterate  x = base + delta_inv(body)  from x = 0 to its fixed point.
+    """Solve  x = base + delta_inv(body)  one filtration degree at a time.
 
     ``update(x, step)`` is the change of ``body`` when x grows by ``step``.
-    ConvergenceError past cap+2 passes means some operator stopped raising
-    filtration degree.
+    Degree d of x is base_d + delta_inv(body_{d-1}), and body_{d-1} is final
+    once x is known below degree d.  ConvergenceError from the closing
+    fixed-point check means some operator stopped raising filtration degree.
     """
+    def part(a, d):
+        return WeylForm(a.dim, {k: p for k, p in a.terms.items()
+                                if 2 * k[0] + sum(k[1]) == d}, cap)
+
     x = WeylForm.zero(base.dim, cap)
-    limit = cap + 2
-    passes = 0
-    while True:
-        step = base + delta_inv(body) - x
-        if step.is_zero():
-            return x
-        passes += 1
-        if passes > limit:
-            raise ConvergenceError(
-                "%s did not stabilize within %d passes" % (what, limit))
-        body = body + update(x, step)
-        x = x + step
+    for d in range(cap + 1):
+        step = part(base, d) + delta_inv(part(body, d - 1))
+        if not step.is_zero():
+            body = body + update(x, step)
+            x = x + step
+    if not (base + delta_inv(body) - x).is_zero():
+        raise ConvergenceError(
+            "%s is not a fixed point through degree %d" % (what, cap))
+    return x
 
 
 def solve_r(spec, cap):
@@ -388,14 +389,13 @@ def coeff_sequences(limit):
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    half = Fraction(1, 2)
-    sig = {1: half}
+    sig = {1: _HALF}
     for n in range(2, limit + 1):
-        sig[n] = half * sum(sig[l] * sig[n - l] for l in range(1, n))
+        sig[n] = _HALF * sum(sig[l] * sig[n - l] for l in range(1, n))
     kap = {0: Fraction(1)}
     for n in range(1, limit + 1):
         kap[n] = sum(kap[n - m] * sig[m] for m in range(1, n + 1))
-    c = {n: half * sum(kap[l] * kap[n - l] for l in range(0, n + 1))
+    c = {n: _HALF * sum(kap[l] * kap[n - l] for l in range(0, n + 1))
          for n in range(0, limit + 1)}
     s_or = taylor_one_minus_sqrt(limit)
     k_or = taylor_inv_sqrt(limit)

@@ -54,13 +54,13 @@ class ScenarioError(ValueError):
 
 
 # Size limits, checked when a scenario loads, before any chart is built: the
-# exact recursions grow fast in each (a curved 4D chart at order 3 already
-# takes minutes), so a value past one is a ScenarioError, not a run without
-# end.  MAX_ORDER also bounds ``--order``; a perturbation power k above it
-# never reaches a computed coefficient; MAX_EXPONENT bounds each variable's
-# exponent in a scenario polynomial.  MAX_COEFF_LIMIT bounds a scenario's
-# ``coeff_limit`` and ``coeffs --order``: the exact scalar tables grow about
-# as N^2.3 and take 0.1 s at 64.  The bundled scenarios sit well inside.
+# exact recursions grow fast in each (a curved 4D chart takes 12-28 s at
+# order 3, 5 minutes at order 4, on 2 shared vCPUs), so a value past one is
+# a ScenarioError, not a run without end.  MAX_ORDER also bounds ``--order``;
+# a perturbation power k above it never reaches a computed coefficient;
+# MAX_EXPONENT bounds each variable's exponent in a scenario polynomial.
+# MAX_COEFF_LIMIT bounds ``coeff_limit`` and ``coeffs --order``: the exact
+# scalar tables grow about as N^2.3, 0.1 s at 64.  Bundled scenarios fit.
 MAX_DIM = 6
 MAX_ORDER = 8
 MAX_K = MAX_ORDER

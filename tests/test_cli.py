@@ -165,6 +165,15 @@ def test_run_rejects_unknown_command(tmp_path):
         cli.run("nope", sc)
 
 
+@pytest.mark.parametrize("command", ["verify", "star", "compare", "poisson"])
+def test_run_without_scenario_is_scenario_error(command):
+    # the Python entry point refuses a missing scenario as main does
+    from fedosov_lab.io import ScenarioError
+    with pytest.raises(ScenarioError) as exc:
+        cli.run(command, None)
+    assert str(exc.value) == "command %r requires a scenario" % command
+
+
 @pytest.mark.parametrize("command", ["verify", "star", "compare", "coeffs", "poisson"])
 @pytest.mark.parametrize("order", ["0", "-1"])
 def test_order_below_one_is_usage_error(tmp_path, capsys, command, order):

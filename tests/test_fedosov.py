@@ -13,9 +13,10 @@ from fedosov_lab.fedosov import (PerturbationError, StarEngine,
                                  flat_section, solve_r, star,
                                  taylor_half_geometric, taylor_inv_sqrt,
                                  taylor_one_minus_sqrt)
-from fedosov_lab.geometry import Geometry
+from fedosov_lab.geometry import Geometry, cov_ext_deriv
 from fedosov_lab.tensors import Tensor2, TensorSeries, diamond_power, series_inverse
-from fedosov_lab.weyl import WeylForm, delta, delta_inv, moyal_sigma, y_dx_form
+from fedosov_lab.weyl import (WeylForm, commutator, delta, delta_inv, i_over_hbar,
+                              moyal, moyal_sigma, y_dx_form)
 
 from conftest import (rand_closed_skew_poly, rand_cubic, rand_curved_geometry,
                       rand_poly, rand_quadratic, rand_skew_constant)
@@ -476,15 +477,63 @@ def test_flat_section_runs_once_per_monomial(rng, monkeypatch):
                               (0, (2, 0)), (1, (0, 1)), (1, (1, 0))]
 
 
+# -- the solves against a Picard oracle ----------------------------------------------
+
+
+def picard_oracle(base, body, cap):
+    """Iterate  x <- base + delta_inv(body(x))  from x = 0 until x stops
+    changing.  Each pass fixes one more filtration degree, so cap + 2
+    passes reach and confirm the fixed point."""
+    x = WeylForm.zero(base.dim, cap)
+    for _ in range(cap + 2):
+        nxt = base + delta_inv(body(x))
+        if nxt == x:
+            return x
+        x = nxt
+    raise AssertionError("Picard iteration did not settle in %d passes" % (cap + 2))
+
+
+def degrees(a):
+    return {2 * h + sum(u) for (h, u, _form) in a.terms}
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "k1"])
+def test_solves_match_picard_oracle_through_the_cap(rng, perturbed):
+    """solve_r and flat_section equal a from-scratch Picard iteration of the
+    whole equations, with full products and no increments, at every degree
+    through the cap.  The residual tests stop at cap - 2; this one also
+    covers degrees cap - 1 and cap."""
+    cap = 6
+    geom = rand_curved_geometry(rng, 2)
+    alpha = TensorSeries.from_terms(
+        2, "lower", 2, [(1, rand_closed_skew_poly(rng, 2, deg=1))])
+    spec = WeylCurvatureSpec(geom, alpha if perturbed else None)
+    q = spec.q_form(cap)
+    r = picard_oracle(WeylForm.zero(2, cap), lambda x: (
+        q + cov_ext_deriv(x, geom) + i_over_hbar(moyal(x, x, geom))), cap)
+    assert solve_r(spec, cap) == r
+    assert {cap - 1, cap} <= degrees(r)
+    observables = [rand_quadratic(rng, 2),
+                   HbarSeries(cap // 2, {0: rand_poly(rng, 2, deg=3),
+                                         1: rand_poly(rng, 2, deg=1)})]
+    for f in observables:
+        series = HbarSeries(cap // 2, {0: f}) if isinstance(f, Polynomial) else f
+        a = picard_oracle(WeylForm.from_series(series, 2, cap), lambda x: (
+            cov_ext_deriv(x, geom) + i_over_hbar(commutator(r, x, geom))), cap)
+        assert flat_section(f, spec, r, cap) == a
+        assert {cap - 1, cap} <= degrees(a)
+
+
 # -- convergence guard -------------------------------------------------------------------
 
 
 @pytest.fixture
 def degree_keeping_update(monkeypatch):
     """Add delta to the covariant derivative.  delta lowers the filtration
-    degree by one and delta_inv raises it by one, and delta_inv(delta s) = s
-    for every step of y-degree >= 1 with delta_inv(s) = 0, so each pass
-    repeats the previous step and the sweep never stabilizes."""
+    degree by one, so each step of degree d puts a term of degree d - 1 into
+    the body after that degree was read, and delta_inv(delta s) = s for
+    every step of y-degree >= 1 with delta_inv(s) = 0: the degree-by-degree
+    solve is then not a fixed point, which its closing check reports."""
     from fedosov_lab.weyl import delta
     real = fedosov.cov_ext_deriv
     monkeypatch.setattr(fedosov, "cov_ext_deriv",
@@ -497,7 +546,7 @@ def test_solve_r_guard_stops_a_sweep_that_keeps_degree(degree_keeping_update):
         Geometry(2), TensorSeries.from_terms(2, "lower", 2, {1: alpha}.items()))
     with pytest.raises(fedosov.ConvergenceError) as exc:
         solve_r(spec, 5)
-    assert str(exc.value) == "r-recursion did not stabilize within 7 passes"
+    assert str(exc.value) == "r-recursion is not a fixed point through degree 5"
 
 
 def test_flat_section_guard_stops_a_sweep_that_keeps_degree(degree_keeping_update):
@@ -505,7 +554,7 @@ def test_flat_section_guard_stops_a_sweep_that_keeps_degree(degree_keeping_updat
     x1 = Polynomial.variable(2, 0)
     with pytest.raises(fedosov.ConvergenceError) as exc:
         flat_section(x1 * x1, spec, WeylForm.zero(2, 6), 6)
-    assert str(exc.value) == "section recursion did not stabilize within 8 passes"
+    assert str(exc.value) == "section recursion is not a fixed point through degree 6"
 
 
 # -- validation ------------------------------------------------------------------------

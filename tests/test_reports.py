@@ -5,12 +5,13 @@ change that is meant to keep every output unchanged (a refactor, a faster
 algorithm) must leave all of them equal; a change that means to alter an
 output re-records the affected digests and says why.  The flat scenarios are
 pinned at their own order.  A curved ``verify`` at its own order 3 takes
-about half a minute or more, so the curved scenarios are pinned at
+12-28 s on a shared 2-vCPU machine, so the curved scenarios are pinned at
 ``order=1``, where every layer still runs (chart checks, curvature
-identities, sections, the perturbed product).  Their ``star`` reports are
-pinned at ``order=2`` as well: a passing ``verify`` prints only "0"
-residuals, while ``star`` prints coefficients, and order 2 (cap 6) is the
-first to reach the k = 3 contractions on a curved chart.
+identities, sections, the perturbed product).  Their ``star`` and
+``compare`` reports are pinned at ``order=2`` as well: a passing ``verify``
+prints only "0" residuals, while ``star`` prints coefficients and
+``compare`` the probe and predicted bivectors of two engines, and order 2
+(cap 6) is the first to reach the k = 3 contractions on a curved chart.
 """
 
 import hashlib
@@ -74,8 +75,11 @@ CURVED_DIGESTS = {
     ("curved_r4_plain", "star"): "393cb52a11e20156a2176e6217f75f577f5543dbbaa4411a2749746681a182b6",
 }
 
-# The curved star reports at order 2: about 1-2 s each.
+# The curved star and compare reports at order 2: under a second each.
 CURVED_ORDER2_DIGESTS = {
+    ("curved_r4_k1_const", "compare"): "3c062d15de478a226625ef311b1120f67c7f01bdfd1fa7109c76d36a7ad1a39f",
+    ("curved_r4_k1_poly", "compare"): "1de06e0d34bd57fcc04ec4c7ffa8110e2d6a937c6dfaeabaa8f4b5878f167fb6",
+    ("curved_r4_k2_const", "compare"): "04d82f943ec39ec914b8b34c976cbc8cfe8c00919235c86596c7650d792b468c",
     ("curved_r4_k1_const", "star"): "2827468e63fd3f4cc21854bb5c76f5c3c8023faefcab5f9a28fc2495a747d0b9",
     ("curved_r4_k1_poly", "star"): "9f7b88b9e36aee924e7d77cbdb08b1852dfd00288329ad77adf5cf95443747ca",
     ("curved_r4_k2_const", "star"): "ae3db75214e22d18311e9f8e75c5b17eb0e550bbf13d34433355bd36db603562",
@@ -100,8 +104,8 @@ def test_every_scenario_is_pinned():
     pinned = {name for name, _cmd in DIGESTS}
     assert all(name.startswith("flat_") for name in pinned)
     assert all(name.startswith("curved_") for name, _cmd in CURVED_DIGESTS)
-    assert sorted(CURVED_ORDER2_DIGESTS) == [
-        (name, "star") for name in bundled if name.startswith("curved_")]
+    assert sorted(CURVED_ORDER2_DIGESTS) == sorted(
+        key for key in CURVED_DIGESTS if key[1] in ("star", "compare"))
     assert sorted(pinned | {name for name, _cmd in CURVED_DIGESTS}) == bundled
 
 
