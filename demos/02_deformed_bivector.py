@@ -33,7 +33,7 @@ abar = mu(alpha, geom)
 half_i = GaussianRational(0, Fraction(1, 2))
 print("order-by-order coordinate probes (perturbed minus plain):")
 for n in range(order + 1):
-    probe = bivector_probe(spec, base, n, order, engines=engines)
+    probe = bivector_probe(*engines, n)
     tag = ""
     if n >= 2 and (n - 1) % k == 0:
         p = (n - 1) // k
@@ -77,7 +77,7 @@ print()
 a2 = Tensor2(2, "lower", [[0, Fraction(-1, 5)], [Fraction(1, 5), 0]])
 two = WeylCurvatureSpec(
     geom, TensorSeries.from_terms(2, "lower", order, {1: alpha, 2: a2}.items()))
-report = compare_onediff(two, order)
+report = compare_onediff(StarEngine(two, order))
 assert report.passed and all(c.guaranteed for c in report.orders)
 print("two-term perturbation: probes match the predicted series at orders"
       " 0..%d," % order)

@@ -9,9 +9,9 @@ deformed bivector at successive orders.
 
 from fractions import Fraction
 
-from fedosov_lab import (Geometry, Polynomial, Tensor2, TensorSeries,
-                         WeylCurvatureSpec, beta_form, cal_r, compare_onediff,
-                         gamma_form)
+from fedosov_lab import (Geometry, Polynomial, StarEngine, Tensor2,
+                         TensorSeries, WeylCurvatureSpec, beta_form, cal_r,
+                         compare_onediff, gamma_form)
 
 x2 = Polynomial.variable(2, 1)
 geom = Geometry(2, gamma={(0, 0, 0): x2, (1, 1, 1): x2.scale(2)})
@@ -77,7 +77,7 @@ print()
 order = 3
 spec = WeylCurvatureSpec(
     geom, TensorSeries.from_terms(2, "lower", order, {1: alpha_const}.items()))
-report = compare_onediff(spec, order)
+report = compare_onediff(StarEngine(spec, order))
 for c in report.orders:
     status = "guaranteed" if c.guaranteed else "informational"
     print("  order %d: residual %s  [%s]" % (

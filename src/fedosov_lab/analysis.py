@@ -3,8 +3,10 @@
 Perturbing the curvature input of the product by a central two-form series
 alpha^hbar shifts the product coefficients; on linear coordinate observables
 every higher-derivative contribution vanishes, so probing with coordinates
-extracts the constant bivector part of each order exactly.  This module
-computes those probes, the predicted bivector series
+extracts the constant bivector part of each order exactly.  A probe reads
+the cached coordinate grids of two StarEngines, and each engine fixes its
+spec and its order.  This module computes those probes, the predicted
+bivector series
 
     T_n = (i/2) [ sum_{p >= 1} (mu alpha^hbar)^{<> p} ]_{n-1},
 
@@ -159,28 +161,23 @@ def gamma_form(n, alpha, k, geom):
 # -- coordinate bivector probes --------------------------------------------------
 
 
-def _probe_from_grids(g1, g2, n, dim):
+def bivector_probe(engine, base, n):
+    """Matrix of order-n product coefficients on coordinates, differenced.
+
+    Entry (i, j) is  C~_n(x^i, x^j) - C_n(x^i, x^j), with C~ read off the
+    coordinate grid of ``engine`` and C off that of ``base``.  Both engines
+    must share the chart, and n may exceed neither engine's order.
+    """
+    if not _same_chart(engine.spec.geometry, base.spec.geometry):
+        raise GeometryError("bivector probes need a shared chart")
+    if n > min(engine.order, base.order):
+        raise ValueError("probe order exceeds the expansion order")
+    g1 = engine.coordinate_products()
+    g2 = base.coordinate_products()
+    dim = engine.spec.dim
     return Tensor2(dim, "upper",
                    [[g1[i][j].coeff(n) - g2[i][j].coeff(n) for j in range(dim)]
                     for i in range(dim)])
-
-
-def bivector_probe(spec1, spec2, n, order, engines=None):
-    """Matrix of order-n product coefficients on coordinates, differenced.
-
-    Entry (i, j) is  C~_n(x^i, x^j) - C_n(x^i, x^j), with C~ from ``spec1``
-    and C from ``spec2``.  Both specs must share the chart.  ``engines`` may
-    carry a pair of prebuilt StarEngine instances to amortize the solves.
-    """
-    if not _same_chart(spec1.geometry, spec2.geometry):
-        raise GeometryError("bivector probes need a shared chart")
-    if n > order:
-        raise ValueError("probe order exceeds the expansion order")
-    if engines is None:
-        engines = (StarEngine(spec1, order), StarEngine(spec2, order))
-    e1, e2 = engines
-    return _probe_from_grids(e1.coordinate_products(), e2.coordinate_products(),
-                             n, spec1.dim)
 
 
 def predicted_onediff(alpha_h, geom, order):
@@ -246,33 +243,26 @@ class ComparisonReport:
         return "ComparisonReport(order=%d, passed=%s)" % (self.order, self.passed)
 
 
-def compare_onediff(spec, order, engines=None):
-    """Probe the perturbed product against its predicted bivector series.
+def compare_onediff(engine):
+    """Probe the perturbed product of ``engine`` against its predicted
+    bivector series.
 
-    ``engines`` may carry prebuilt (perturbed, base) StarEngine instances to
-    reuse their cached solutions; the base spec is then ``engines[1].spec``,
-    and otherwise the unperturbed spec on the same chart.  Returns a
-    ComparisonReport whose per-order records hold the probe matrix, the
-    predicted matrix, and their difference.
+    The spec and the order are the engine's.  The probes difference its
+    coordinate grid against that of an unperturbed StarEngine on the same
+    chart at the same order.  Returns a ComparisonReport whose per-order
+    records hold the probe matrix, the predicted matrix, and their
+    difference.
     """
+    spec, order = engine.spec, engine.order
     if not spec.is_perturbed:
         raise ValueError("comparison needs a perturbed spec")
-    base = spec.unperturbed() if engines is None else engines[1].spec
-    if not _same_chart(spec.geometry, base.geometry):
-        raise GeometryError("comparison needs a shared chart")
-    if engines is None:
-        engines = (StarEngine(spec, order), StarEngine(base, order))
-    g1 = engines[0].coordinate_products()
-    g2 = engines[1].coordinate_products()
+    base = StarEngine(spec.unperturbed(), order)
     predicted = predicted_onediff(spec.alpha_series(order), spec.geometry, order)
-    all_orders = spec.is_flat_constant() and not base.is_perturbed
-    limit = order if all_orders else min(order, spec.min_k() + 1)
+    limit = order if spec.is_flat_constant() else min(order, spec.min_k() + 1)
     zero = Tensor2.zeros(spec.dim, "upper")
-    records = []
-    for n in range(order + 1):
-        probe = _probe_from_grids(g1, g2, n, spec.dim)
-        pred = predicted.coeff(n, zero)
-        records.append(OrderComparison(n, probe, pred, n <= limit))
+    records = [OrderComparison(n, bivector_probe(engine, base, n),
+                               predicted.coeff(n, zero), n <= limit)
+               for n in range(order + 1)]
     return ComparisonReport(spec, order, records)
 
 

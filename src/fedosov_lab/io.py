@@ -260,7 +260,11 @@ def _scenario_from_dict(data):
                                                max(order, top), terms)
 
     observables = {}
-    for name, text in data.get("observables", {}).items():
+    named = data.get("observables", {})
+    if not isinstance(named, dict):
+        raise ScenarioError("observables must map names to polynomials, got %s"
+                            % json.dumps(named))
+    for name, text in named.items():
         observables[name] = _poly(text, dim, "observable %r" % name)
 
     return Scenario(

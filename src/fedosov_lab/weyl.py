@@ -328,18 +328,21 @@ def odd_bracket(a, b, geom):
 
 
 def moyal_sigma(a, b, geom, order=None):
-    """The scalar projection of a o b without building the full product.
+    """The scalar projection of a o b through hbar^order, without building
+    the full product.
 
     Only fully contracted pairs survive the projection: both monomials must
     be dx-free with equal y-degree k, and the pair y^u, y^v contributes the
     chart's cached scalar ``geom.contractions(k)[(u, v)]``, one lookup per
-    pair.
+    pair.  ``order`` is the only bound: a pair that lands above hbar^order
+    is skipped before its product is formed, and the forms' caps are not
+    read.  With ``order=None`` every pair is kept, and the result's order
+    is its top power.
     """
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
     if a.dim != geom.dim:
         raise ValueError("form dim does not match chart dim")
-    cap = a._merge_cap(b)
     out = {}
     weights = geom.contractions
     by_deg = {}
@@ -354,19 +357,16 @@ def moyal_sigma(a, b, geom, order=None):
         rows = by_deg.get(k)
         if rows is None:
             continue
-        base_a = 2 * ha + k
         lookup = weights(k)
         for hb, ub, pb in rows:
-            if cap is not None and base_a + 2 * hb + k > cap:
+            h = ha + hb + k
+            if order is not None and h > order:
                 continue
             c = lookup.get((ua, ub))
             if c is None:
                 continue
-            accumulate(out, ha + hb + k, (pa * pb).scale(c))
-    if order is None:
-        order = cap // 2 if cap is not None else max(out, default=0)
-        order = max(order, max(out, default=0))
-    return HbarSeries(order, {h: p for h, p in out.items() if h <= order})
+            accumulate(out, h, (pa * pb).scale(c))
+    return HbarSeries(max(out, default=0) if order is None else order, out)
 
 
 def commutator(a, b, geom):

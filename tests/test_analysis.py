@@ -132,7 +132,7 @@ def test_flat_constant_probe_hits_diamond_powers(rng, dim, k):
     engines = (StarEngine(spec, order), StarEngine(base, order))
     abar = mu(alpha, geom)
     for n in range(order + 1):
-        probe = bivector_probe(spec, base, n, order, engines=engines)
+        probe = bivector_probe(*engines, n)
         if n >= 1 and (n - 1) % k == 0 and n > k:
             p = (n - 1) // k
             want = diamond_power(abar, p, geom).scale(HALF_I)
@@ -154,7 +154,7 @@ def test_probe_first_shift_curved_polynomial(rng):
     spec = WeylCurvatureSpec(
         geom, TensorSeries.from_terms(2, "lower", order, {k: alpha}.items()))
     base = WeylCurvatureSpec(geom)
-    probe = bivector_probe(spec, base, k + 1, order)
+    probe = bivector_probe(StarEngine(spec, order), StarEngine(base, order), k + 1)
     assert probe == mu(alpha, geom).scale(HALF_I)
 
 
@@ -166,11 +166,11 @@ def test_probe_validation(rng):
     s2 = WeylCurvatureSpec(g2, TensorSeries.from_terms(2, "lower", 3, {1: a2}.items()))
     s4 = WeylCurvatureSpec(g4, TensorSeries.from_terms(4, "lower", 3, {1: a4}.items()))
     with pytest.raises(GeometryError):
-        bivector_probe(s2, WeylCurvatureSpec(g4), 2, 3)
+        bivector_probe(StarEngine(s2, 3), StarEngine(WeylCurvatureSpec(g4), 3), 2)
     with pytest.raises(GeometryError):
-        bivector_probe(s2, s4, 2, 3)
+        bivector_probe(StarEngine(s2, 3), StarEngine(s4, 3), 2)
     with pytest.raises(ValueError):
-        bivector_probe(s2, WeylCurvatureSpec(g2), 5, 3)
+        bivector_probe(StarEngine(s2, 3), StarEngine(WeylCurvatureSpec(g2), 3), 5)
 
 
 # -- predicted series ---------------------------------------------------------------
@@ -229,7 +229,7 @@ def test_compare_onediff_two_term_flat(rng):
     order = 5
     spec = WeylCurvatureSpec(
         geom, TensorSeries.from_terms(2, "lower", order, {1: a1, 2: a2}.items()))
-    report = compare_onediff(spec, order)
+    report = compare_onediff(StarEngine(spec, order))
     assert report.passed
     assert not report.failures()
     assert [c.guaranteed for c in report.orders] == [True] * (order + 1)
@@ -246,7 +246,7 @@ def test_compare_onediff_curved_guaranteed_window(rng):
     order = 3
     spec = WeylCurvatureSpec(
         geom, TensorSeries.from_terms(2, "lower", order, {1: alpha}.items()))
-    report = compare_onediff(spec, order)
+    report = compare_onediff(StarEngine(spec, order))
     assert [c.guaranteed for c in report.orders] == [True, True, True, False]
     assert report.passed
     assert not report.failures()
@@ -254,7 +254,7 @@ def test_compare_onediff_curved_guaranteed_window(rng):
 
 def test_compare_onediff_needs_perturbation():
     with pytest.raises(ValueError):
-        compare_onediff(WeylCurvatureSpec(Geometry(2)), 3)
+        compare_onediff(StarEngine(WeylCurvatureSpec(Geometry(2)), 3))
 
 
 # -- curvature identity suite --------------------------------------------------------

@@ -319,3 +319,31 @@ def test_scenario_past_limit_is_scenario_error(tmp_path, capsys, run_calls, comm
     assert cli.main([command, "--scenario", path]) == 2
     _assert_one_line_error(capsys)
     assert run_calls == []
+
+
+@pytest.mark.parametrize("observables", [[], "x1", None], ids=["list", "string", "null"])
+def test_malformed_observables_is_scenario_error(tmp_path, capsys, observables):
+    path = write_scenario(tmp_path, dict(FLAT_PERTURBED, observables=observables))
+    assert cli.main(["verify", "--scenario", path]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, run_calls, where):
+    path = write_scenario(tmp_path, FLAT_PERTURBED)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+    assert cli.main(["star", "--scenario", path, "--out", str(out)]) == 2
+    _assert_one_line_error(capsys)
+    assert run_calls == []
+
+
+def test_failed_report_write_is_usage_error(tmp_path, capsys, run_calls):
+    # a name too long for the file system passes the up-front path check, so
+    # the run goes ahead; the failed write still exits 2, with no table
+    path = write_scenario(tmp_path, FLAT_PERTURBED)
+    out = tmp_path / ("r" * 300 + ".json")
+    assert cli.main(["star", "--scenario", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert run_calls == ["star"]

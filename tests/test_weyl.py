@@ -295,6 +295,23 @@ def test_moyal_sigma_equals_sigma_of_moyal(rng):
                     assert ms.with_order(n) == full.with_order(n)
 
 
+def test_moyal_sigma_order_is_its_only_bound(rng):
+    # On capped forms the full product is exact through hbar^(cap // 2), and
+    # the projection truncated at any order N in that window must equal it;
+    # the forms' caps themselves are not read.
+    for dim in (2, 4):
+        for geom in (Geometry(dim), rand_structure_geometry(rng, dim)):
+            for cap in (2, 3, 4, 6):
+                for _ in range(3):
+                    a = rand_form(rng, dim, cap=cap, nterms=5)
+                    b = rand_form(rng, dim, cap=cap, nterms=5)
+                    full = sigma(moyal(a, b, geom))
+                    for n in range(cap // 2 + 1):
+                        assert moyal_sigma(a, b, geom, order=n) == full.with_order(n)
+                    assert moyal_sigma(a, b, geom) == moyal_sigma(
+                        a.capped(None), b.capped(None), geom)
+
+
 def test_moyal_sigma_sums_pairings_that_share_exponents():
     # On a structure matrix with every entry nonzero, several 2-fold
     # pairings contract the same pair of y-quadratics; the projection must
