@@ -74,13 +74,13 @@ def _verify_checks(scenario, order):
 
     engine = StarEngine(spec, order)
     r = engine.r()
-    resid = curvature_residual(r, spec)
+    resid = curvature_residual(r, spec, engine.cap)
     checks.append(Check("connection.flatness-residual", str(resid), resid.is_zero()))
 
     f, g = _default_observables(scenario)
     for name, obs in (("f", f), ("g", g)):
         a = engine.section(obs)
-        da = abelian_residual(a, spec, r)
+        da = abelian_residual(a, spec, r, engine.cap)
         checks.append(Check("section.abelian-residual-%s" % name, str(da), da.is_zero()))
 
     one = Polynomial.one(dim)

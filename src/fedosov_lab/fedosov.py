@@ -14,12 +14,13 @@ side by each new slice s with one bracket: (i/hbar)[r + s/2, s] for r and
 
     f * g = sigma(section(f) o section(g)),
 
-read off order by order in hbar.  With a degree cap D the section of f is
-exact through degree D-2, so a cap of 2N+2 delivers every product
-coefficient through hbar^N exactly; StarEngine always uses that cap, and
-the comfort margin is asserted by a cap-sensitivity test rather than
-trusted.  The residuals of both equations are truncated at degree D-2, the
-same window.
+read off order by order in hbar.  A solve at degree cap D stores degrees
+0..D-1 only, each exact: degree d depends on lower degrees alone, and the
+sweep never computes what degree D would need.  A product coefficient at
+hbar^N reads section degrees through 2N, so D = 2N+1 would do; StarEngine
+always uses D = 2N+2, and a cap-sensitivity test checks that two caps agree
+rather than trusting it.  The residuals of both equations are truncated at
+degree D-2, the top degree whose every term reads stored degrees only.
 
 The section equation is linear over constants in f, so
 
@@ -137,16 +138,16 @@ class WeylCurvatureSpec:
             return TensorSeries(self.dim, "lower", HbarSeries(order, {}))
         return self.perturbation.with_order(order)
 
-    def q_form(self, cap):
+    def q_form(self):
         """The curvature source: the Weyl curvature two-form plus the
-        central terms hbar^k alpha_k, truncated at the degree cap."""
+        central terms hbar^k alpha_k."""
         geom = self.geometry
-        q = WeylForm.zero(self.dim, cap)
+        q = WeylForm.zero(self.dim)
         if not geom.is_flat():
             q = q + geom.curvature().weyl_two_form
         if self.is_perturbed:
             for k, t in sorted(self.perturbation.hs.coeffs.items()):
-                q = q + central_two_form(t, hpow=k, cap=cap)
+                q = q + central_two_form(t, hpow=k)
         return q
 
     def __repr__(self):
@@ -155,36 +156,41 @@ class WeylCurvatureSpec:
 
 
 def _sweep(base, body, update, what, cap):
-    """Solve  x = base + delta_inv(body)  one filtration degree at a time.
+    """Solve  x = base + delta_inv(body)  for degrees 0..cap-1, one filtration
+    degree at a time.
 
-    ``update(x, step)`` is the change of ``body`` when x grows by ``step``.
-    Degree d of x is base_d + delta_inv(body_{d-1}), and body_{d-1} is final
-    once x is known below degree d.  ConvergenceError from the closing
-    fixed-point check means some operator stopped raising filtration degree.
+    ``update(x, step)`` is the change of ``body`` when x grows by ``step``;
+    it need only keep degrees <= cap - 2, the ones read.  Degree d of x is
+    base_d + delta_inv(body_{d-1}), and body_{d-1} is final once x is known
+    below degree d, so every stored degree is exact.  The last one feeds no
+    body that is read, so it gets no update.  ConvergenceError from the
+    closing fixed-point check means some operator stopped raising filtration
+    degree.
     """
     def part(a, d):
         return WeylForm(a.dim, {k: p for k, p in a.terms.items()
-                                if 2 * k[0] + sum(k[1]) == d}, cap)
+                                if 2 * k[0] + sum(k[1]) == d})
 
-    x = WeylForm.zero(base.dim, cap)
-    for d in range(cap + 1):
+    x = WeylForm.zero(base.dim)
+    for d in range(cap):
         step = part(base, d) + delta_inv(part(body, d - 1))
         if not step.is_zero():
-            body = body + update(x, step)
+            if d < cap - 1:
+                body = body + update(x, step)
             x = x + step
-    if not (base + delta_inv(body) - x).is_zero():
+    if not (base + delta_inv(body) - x).capped(cap - 1).is_zero():
         raise ConvergenceError(
-            "%s is not a fixed point through degree %d" % (what, cap))
+            "%s is not a fixed point through degree %d" % (what, cap - 1))
     return x
 
 
 def solve_r(spec, cap):
-    """Solve  r = delta_inv(Q + par r + (i/hbar) r o r)  through the cap.
+    """Solve  r = delta_inv(Q + par r + (i/hbar) r o r)  below the cap.
 
     Returns the unique fixed point with delta_inv(r) = 0 and lowest degree 3,
-    exact through filtration degree cap - 1 (degree-cap terms of the source
-    would need products just above the cap).  Growing the 1-form r by s
-    grows (i/hbar) r o r by (i/hbar)[r + s/2, s].
+    through filtration degree cap - 1: every term is exact, and none has
+    degree cap or more.  Growing the 1-form r by s grows (i/hbar) r o r by
+    (i/hbar)[r + s/2, s].
     """
     if cap < 3:
         raise ValueError("degree cap must be at least 3")
@@ -192,10 +198,9 @@ def solve_r(spec, cap):
 
     def update(r, step):
         return (cov_ext_deriv(step, geom)
-                + odd_bracket(r + step.scale(_HALF), step, geom))
+                + odd_bracket(r + step.scale(_HALF), step, geom, cap=cap))
 
-    r = _sweep(WeylForm.zero(spec.dim, cap), spec.q_form(cap), update,
-               "r-recursion", cap)
+    r = _sweep(WeylForm.zero(spec.dim), spec.q_form(), update, "r-recursion", cap)
     if not delta_inv(r).is_zero():
         raise ConvergenceError("fixed point violates the delta_inv(r) = 0 gauge")
     if not r.is_zero() and r.min_degree() < 3:
@@ -204,48 +209,50 @@ def solve_r(spec, cap):
 
 
 def flat_section(f, spec, r, cap):
-    """Solve  a = f + delta_inv(par a + (i/hbar) [r, a])  through the cap.
+    """Solve  a = f + delta_inv(par a + (i/hbar) [r, a])  below the cap.
 
     ``f`` is a polynomial observable or an hbar-series of polynomials; the
     recursion is hbar-linear, so a series input needs one solve, not one per
     coefficient.  The result is the section of the flattened connection with
-    scalar part f, exact through degree cap - 2.
+    scalar part f through degree cap - 1, every term exact; ``r`` must be
+    solved at ``cap`` or above.
     """
     geom = spec.geometry
     if isinstance(f, Polynomial):
         f = HbarSeries(cap // 2, {0: f})
 
     def update(_a, step):
-        return cov_ext_deriv(step, geom) + odd_bracket(r, step, geom)
+        return cov_ext_deriv(step, geom) + odd_bracket(r, step, geom, cap=cap)
 
-    return _sweep(WeylForm.from_series(f, spec.dim, cap),
-                  WeylForm.zero(spec.dim, cap), update, "section recursion", cap)
+    return _sweep(WeylForm.from_series(f, spec.dim), WeylForm.zero(spec.dim),
+                  update, "section recursion", cap)
 
 
-def abelian_residual(a, spec, r):
+def abelian_residual(a, spec, r, cap):
     """D a = par a - delta a + (i/hbar)[r, a]: zero on flat sections.
 
-    A section solved at cap D is exact only through degree D - 2, so the
-    residual is truncated there: it is zero exactly when the section is
-    flat inside that window.  ``a`` must carry its cap, as every solved
-    section does.
-    """
-    out = cov_ext_deriv(a, spec.geometry) - delta(a)
-    if not r.is_zero():
-        out = out + odd_bracket(r, a, spec.geometry)
-    return out.capped(a.cap - 2)
-
-
-def curvature_residual(r, spec):
-    """delta r - (Q + par r + (i/hbar) r o r): the defining equation of r.
-
-    It takes the full product r o r, so it shares no bracket with solve_r.
-    Like ``abelian_residual`` it is truncated at degree r.cap - 2.
+    For a section solved at ``cap`` the residual is truncated at degree
+    cap - 2, the top degree whose every term reads only stored degrees of
+    a (delta takes degree cap - 1 there): it is zero exactly when the
+    section is flat inside that window, and it computes nothing above it.
     """
     geom = spec.geometry
-    cap = r.cap
-    body = (spec.q_form(cap) + cov_ext_deriv(r, geom)
-            + i_over_hbar(moyal(r, r, geom)))
+    out = cov_ext_deriv(a.capped(cap - 2), geom) - delta(a)
+    if not r.is_zero():
+        out = out + odd_bracket(r, a, geom, cap=cap)
+    return out.capped(cap - 2)
+
+
+def curvature_residual(r, spec, cap):
+    """delta r - (Q + par r + (i/hbar) r o r): the defining equation of r.
+
+    It takes the product r o r whole, not by increments, so it shares no
+    bracket with solve_r.  Like ``abelian_residual`` it is truncated at
+    degree cap - 2 for an r solved at ``cap``, and computes nothing above.
+    """
+    geom = spec.geometry
+    body = (spec.q_form() + cov_ext_deriv(r.capped(cap - 2), geom)
+            + i_over_hbar(moyal(r, r, geom, cap=cap)))
     return (delta(r) - body).capped(cap - 2)
 
 
@@ -319,7 +326,7 @@ class StarEngine:
         key = tuple(coeffs)  # Polynomial is canonical and hashable
         a = self._sections.get(key)
         if a is None:
-            a = WeylForm.zero(self.spec.dim, self.cap)
+            a = WeylForm.zero(self.spec.dim)
             for n, p in coeffs:
                 for exp, c in p.terms.items():
                     a = a + self._monomial_section(n, exp).scale(c)

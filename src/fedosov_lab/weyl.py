@@ -6,8 +6,10 @@ A ``WeylForm`` is a finite sum of monomials
     c(x) * hbar^h * y^{u} * dx^{i_1} ^ ... ^ dx^{i_q}      (i_1 < ... < i_q)
 
 stored sparsely as  (h, u, form) -> Polynomial.  The *filtration degree* of a
-monomial is 2*h + |u|; an optional ``cap`` drops every monomial above a fixed
-degree, which keeps the fixed-point recursions finite.
+monomial is 2*h + |u|.  A form holds exactly the terms it was given: it has
+no degree bound of its own.  Truncation is decided where it is needed, by
+``capped(d)`` or by the pair bound ``cap`` of ``moyal`` and ``odd_bracket``,
+which is what keeps the fixed-point recursions finite.
 
 The fiberwise product is
 
@@ -16,7 +18,8 @@ The fiberwise product is
                * (d^k a / dy^{r1}..dy^{rk}) * (d^k b / dy^{s1}..dy^{sk}),
 
 with dx factors multiplied by wedge.  Each graded piece preserves the
-filtration degree of a product exactly, so a cap can be enforced pairwise.
+filtration degree of a product exactly, so a degree bound can be enforced
+pairwise, before a pair's product is formed.
 This module holds no contraction weights.  The chart caches one table per
 k, ``Geometry.contractions(k)``: the whole scalar of each fully contracted
 pair y^d o_k y^e.  ``moyal_sigma`` reads it directly; ``moyal`` reads the
@@ -103,79 +106,57 @@ def wedge_merge(I1, I2):
 class WeylForm:
     """A Weyl-algebra-valued differential form, exact and sparse.
 
-    ``cap`` is the maximum retained filtration degree (None keeps everything).
-    Binary operations propagate the tighter cap of their operands.  Equality
-    compares mathematical content only, not caps.
+    It carries no degree bound: every operation keeps all the terms it
+    produces, and ``capped(d)`` is the one truncation.
     """
 
-    __slots__ = ("dim", "cap", "terms")
+    __slots__ = ("dim", "terms")
 
-    def __init__(self, dim, terms=None, cap=None):
+    def __init__(self, dim, terms=None):
         self.dim = dim
-        self.cap = cap
         clean = {}
         for (h, u, form), p in (terms or {}).items():
             if len(u) != dim:
                 raise ValueError("y-exponent tuple of wrong length")
-            if p.is_zero():
-                continue
-            if cap is not None and 2 * h + sum(u) > cap:
-                continue
-            clean[(h, tuple(u), tuple(form))] = p
+            if not p.is_zero():
+                clean[(h, tuple(u), tuple(form))] = p
         self.terms = clean
 
     @classmethod
-    def _make(cls, dim, terms, cap):
+    def _make(cls, dim, terms):
         w = object.__new__(cls)
         w.dim = dim
-        w.cap = cap
         w.terms = terms
         return w
 
     @classmethod
-    def zero(cls, dim, cap=None):
-        return cls._make(dim, {}, cap)
+    def zero(cls, dim):
+        return cls._make(dim, {})
 
     @classmethod
-    def from_poly(cls, p, hpow=0, cap=None):
-        key = (hpow, (0,) * p.dim, ())
-        if p.is_zero() or (cap is not None and 2 * hpow > cap):
-            return cls.zero(p.dim, cap)
-        return cls._make(p.dim, {key: p}, cap)
+    def from_poly(cls, p, hpow=0):
+        if p.is_zero():
+            return cls.zero(p.dim)
+        return cls._make(p.dim, {(hpow, (0,) * p.dim, ()): p})
 
     @classmethod
-    def from_series(cls, hs, dim, cap=None):
+    def from_series(cls, hs, dim):
         """Embed an hbar-series of base polynomials as a 0-form."""
-        terms = {}
-        for n, p in hs.coeffs.items():
-            if p.is_zero():
-                continue
-            if cap is not None and 2 * n > cap:
-                continue
-            terms[(n, (0,) * dim, ())] = p
-        return cls._make(dim, terms, cap)
+        zero = (0,) * dim
+        return cls._make(dim, {(n, zero, ()): p for n, p in hs.coeffs.items()
+                               if not p.is_zero()})
 
     # -- linear structure ---------------------------------------------------
-
-    def _merge_cap(self, other):
-        if self.cap is None:
-            return other.cap
-        if other.cap is None:
-            return self.cap
-        return min(self.cap, other.cap)
 
     def _combine(self, other, subtract):
         if not isinstance(other, WeylForm):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("weyl form dims differ")
-        cap = self._merge_cap(other)
-        out = {k: p for k, p in self.terms.items()
-               if cap is None or 2 * k[0] + sum(k[1]) <= cap}
+        out = dict(self.terms)
         for k, p in other.terms.items():
-            if cap is None or 2 * k[0] + sum(k[1]) <= cap:
-                accumulate(out, k, p, subtract)
-        return WeylForm._make(self.dim, out, cap)
+            accumulate(out, k, p, subtract)
+        return WeylForm._make(self.dim, out)
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -184,14 +165,13 @@ class WeylForm:
         return self._combine(other, True)
 
     def __neg__(self):
-        return WeylForm._make(self.dim,
-                              {k: -p for k, p in self.terms.items()}, self.cap)
+        return WeylForm._make(self.dim, {k: -p for k, p in self.terms.items()})
 
     def scale(self, c):
         c = GaussianRational.coerce(c)
         if not c:
-            return WeylForm.zero(self.dim, self.cap)
-        return WeylForm._make(self.dim, {k: p.scale(c) for k, p in self.terms.items()}, self.cap)
+            return WeylForm.zero(self.dim)
+        return WeylForm._make(self.dim, {k: p.scale(c) for k, p in self.terms.items()})
 
     def mul_poly(self, q):
         """Multiply every coefficient by a base polynomial."""
@@ -200,16 +180,11 @@ class WeylForm:
             v = p * q
             if not v.is_zero():
                 out[k] = v
-        return WeylForm._make(self.dim, out, self.cap)
+        return WeylForm._make(self.dim, out)
 
     def mul_hbar(self, k=1):
-        cap = self.cap
-        out = {}
-        for (h, u, form), p in self.terms.items():
-            if cap is not None and 2 * (h + k) + sum(u) > cap:
-                continue
-            out[(h + k, u, form)] = p
-        return WeylForm._make(self.dim, out, cap)
+        return WeylForm._make(self.dim, {(h + k, u, form): p
+                                         for (h, u, form), p in self.terms.items()})
 
     def div_hbar(self):
         """Divide by hbar; every monomial must carry at least hbar^1."""
@@ -218,13 +193,12 @@ class WeylForm:
             if not h:
                 raise HbarDivisionError("monomial with hbar^0 cannot be divided by hbar")
             out[(h - 1, u, form)] = p
-        return WeylForm._make(self.dim, out, self.cap)
+        return WeylForm._make(self.dim, out)
 
-    def capped(self, cap):
-        """Re-truncate to filtration degree <= cap and record the new cap."""
-        out = {k: p for k, p in self.terms.items()
-               if cap is None or 2 * k[0] + sum(k[1]) <= cap}
-        return WeylForm._make(self.dim, out, cap)
+    def capped(self, d):
+        """The terms of filtration degree <= d."""
+        return WeylForm._make(self.dim, {k: p for k, p in self.terms.items()
+                                         if 2 * k[0] + sum(k[1]) <= d})
 
     # -- structure queries ------------------------------------------------------
 
@@ -243,12 +217,12 @@ class WeylForm:
         parts = {}
         for k, p in self.terms.items():
             parts.setdefault(len(k[2]), {})[k] = p
-        return {q: WeylForm._make(self.dim, t, self.cap) for q, t in parts.items()}
+        return {q: WeylForm._make(self.dim, t) for q, t in parts.items()}
 
     def y_free(self):
         zero = (0,) * self.dim
         out = {k: p for k, p in self.terms.items() if k[1] == zero}
-        return WeylForm._make(self.dim, out, self.cap)
+        return WeylForm._make(self.dim, out)
 
     # -- canonical text form -------------------------------------------------------
 
@@ -280,20 +254,21 @@ class WeylForm:
 # -- the fiberwise product ------------------------------------------------------------
 
 
-def moyal(a, b, geom, bracket=False):
+def moyal(a, b, geom, bracket=False, cap=None):
     """Fiberwise product a o b.
 
     Each monomial pair reads its contractions, weights included, from the
     chart's cached table ``geom.moyal_weights(ua, ub, bracket)``; the pair's
-    coefficient product is formed once and scaled per entry.  ``bracket``
-    returns (i/hbar)[a, b] instead (see the module docstring); its cap is
-    tested on the degree before the division by hbar.
+    coefficient product is formed once and scaled per entry.  ``cap`` bounds
+    the pairs: one whose degrees sum above it is skipped before its product
+    is formed, so the result is the product's terms of degree <= cap.
+    ``bracket`` returns (i/hbar)[a, b] instead (see the module docstring);
+    its cap is tested on the degree before the division by hbar.
     """
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
     if a.dim != geom.dim:
         raise ValueError("form dim does not match chart dim")
-    cap = a._merge_cap(b)
     out = {}
     weights = geom.moyal_weights
     b_items = [(2 * hb + sum(ub), hb, ub, Ib, pb)
@@ -316,15 +291,17 @@ def moyal(a, b, geom, bracket=False):
             h = ha + hb
             for dh, u, c in entries:
                 accumulate(out, (h + dh, u, IJ), pab.scale(c))
-    return WeylForm._make(a.dim, out, cap)
+    return WeylForm._make(a.dim, out)
 
 
-def odd_bracket(a, b, geom):
+def odd_bracket(a, b, geom, cap=None):
     """(i/hbar)[a, b] in one product pass over the odd graded pieces.
 
-    Its equality with i_over_hbar(commutator(a, b)) is a tested identity.
+    ``cap`` bounds the pairs as in ``moyal``, so the result keeps degrees
+    <= cap - 2.  Its equality with i_over_hbar(commutator(a, b)) is a tested
+    identity.
     """
-    return moyal(a, b, geom, bracket=True)
+    return moyal(a, b, geom, bracket=True, cap=cap)
 
 
 def moyal_sigma(a, b, geom, order=None):
@@ -335,9 +312,8 @@ def moyal_sigma(a, b, geom, order=None):
     be dx-free with equal y-degree k, and the pair y^u, y^v contributes the
     chart's cached scalar ``geom.contractions(k)[(u, v)]``, one lookup per
     pair.  ``order`` is the only bound: a pair that lands above hbar^order
-    is skipped before its product is formed, and the forms' caps are not
-    read.  With ``order=None`` every pair is kept, and the result's order
-    is its top power.
+    is skipped before its product is formed.  With ``order=None`` every pair
+    is kept, and the result's order is its top power.
     """
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
@@ -375,7 +351,7 @@ def commutator(a, b, geom):
     Both operands are split into homogeneous form-degree pieces, so mixed
     form degrees are handled too.
     """
-    out = WeylForm.zero(a.dim, a._merge_cap(b))
+    out = WeylForm.zero(a.dim)
     for q1, a1 in a.split_form_degrees().items():
         for q2, b1 in b.split_form_degrees().items():
             ab = moyal(a1, b1, geom)
@@ -405,32 +381,29 @@ def delta(a):
                 continue
             sign, nf = merged
             accumulate(out, (h, u[:k] + (e - 1,) + u[k + 1:], nf), p.scale(e * sign))
-    return WeylForm._make(a.dim, out, a.cap)
+    return WeylForm._make(a.dim, out)
 
 
 def delta_inv(a):
     """The partial inverse of delta; kills pieces with no y and no dx."""
     out = {}
-    cap = a.cap
     for (h, u, form), p in a.terms.items():
-        q = sum(u)
-        total = q + len(form)
+        total = sum(u) + len(form)
         if total == 0:
-            continue
-        if cap is not None and 2 * h + q + 1 > cap:
             continue
         w = Fraction(1, total)
         for pos, k in enumerate(form):
             nu = u[:k] + (u[k] + 1,) + u[k + 1:]
             nf = form[:pos] + form[pos + 1:]
             accumulate(out, (h, nu, nf), p.scale(w if pos % 2 == 0 else -w))
-    return WeylForm._make(a.dim, out, a.cap)
+    return WeylForm._make(a.dim, out)
 
 
 def sigma(a):
-    """Project onto the center: the y-free, dx-free part, as an hbar series."""
+    """Project onto the center: the y-free, dx-free part, as an hbar series
+    whose order is the top hbar power of ``a``."""
     zero = (0,) * a.dim
-    order = a.cap // 2 if a.cap is not None else max((h for (h, _u, _f) in a.terms), default=0)
+    order = max((h for (h, _u, _f) in a.terms), default=0)
     coeffs = {}
     for (h, u, form), p in a.terms.items():
         if u == zero and not form:
@@ -451,13 +424,13 @@ def exterior_d(a):
                 continue
             sign, nf = merged
             accumulate(out, (h, u, nf), dp, subtract=sign < 0)
-    return WeylForm._make(a.dim, out, a.cap)
+    return WeylForm._make(a.dim, out)
 
 
 # -- builders bridging tensors and Weyl forms ------------------------------------------
 
 
-def central_two_form(t, hpow=0, cap=None):
+def central_two_form(t, hpow=0):
     """Embed a skew lower tensor as the central 2-form sum_{i<j} t_ij dx^i ^ dx^j."""
     terms = {}
     dim = t.dim
@@ -467,10 +440,10 @@ def central_two_form(t, hpow=0, cap=None):
             v = t.rows[i][j]
             if not v.is_zero():
                 terms[(hpow, zero, (i, j))] = v
-    return WeylForm(dim, terms, cap)
+    return WeylForm(dim, terms)
 
 
-def y_dx_form(t, hpow=0, cap=None):
+def y_dx_form(t, hpow=0):
     """The one-form t_{ij} y^i dx^j from a lower tensor."""
     dim = t.dim
     terms = {}
@@ -478,7 +451,7 @@ def y_dx_form(t, hpow=0, cap=None):
         u = tuple(1 if m == i else 0 for m in range(dim))
         for j in range(dim):
             accumulate(terms, (hpow, u, (j,)), t.rows[i][j])
-    return WeylForm(dim, terms, cap)
+    return WeylForm(dim, terms)
 
 
 def y_gradient(f):
@@ -491,7 +464,7 @@ def y_gradient(f):
             continue
         u = tuple(1 if m == j else 0 for m in range(dim))
         terms[(0, u, ())] = d
-    return WeylForm._make(dim, terms, None)
+    return WeylForm._make(dim, terms)
 
 
 def two_form_to_tensor(a, hpow=0):

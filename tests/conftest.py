@@ -61,8 +61,8 @@ def rand_cubic(rng, dim, terms=4):
 
 def rand_form(rng, dim, cap, nterms=4, max_h=1, max_ydeg=3, max_q=2,
               coeff_deg=1):
-    """Random WeylForm with the given degree cap."""
-    w = WeylForm.zero(dim, cap)
+    """Random WeylForm with no term above degree ``cap`` (None: no bound)."""
+    w = WeylForm.zero(dim)
     for _ in range(nterms):
         h = rng.randint(0, max_h)
         u = [0] * dim
@@ -75,13 +75,14 @@ def rand_form(rng, dim, cap, nterms=4, max_h=1, max_ydeg=3, max_q=2,
         p = rand_poly(rng, dim, coeff_deg)
         if p.is_zero():
             continue
-        w = w + WeylForm(dim, {(h, tuple(u), iq): p}, cap=cap)
+        w = w + WeylForm(dim, {(h, tuple(u), iq): p})
     return w
 
 
 def rand_form_qdeg(rng, dim, cap, q, nterms=4, **kw):
-    """Random WeylForm homogeneous of exterior-form degree q."""
-    w = WeylForm.zero(dim, cap)
+    """Random WeylForm homogeneous of exterior-form degree q, with no term
+    above degree ``cap`` (None: no bound)."""
+    w = WeylForm.zero(dim)
     for _ in range(nterms):
         h = rng.randint(0, kw.get("max_h", 1))
         u = [0] * dim
@@ -93,7 +94,7 @@ def rand_form_qdeg(rng, dim, cap, q, nterms=4, **kw):
         p = rand_poly(rng, dim, kw.get("coeff_deg", 1))
         if p.is_zero():
             continue
-        w = w + WeylForm(dim, {(h, tuple(u), iq): p}, cap=cap)
+        w = w + WeylForm(dim, {(h, tuple(u), iq): p})
     return w
 
 

@@ -376,7 +376,7 @@ def test_criterion_6_structural_suite():
             a = rand_form(rng, dim, cap=8)
             ok = ok and delta(delta(a)).is_zero()
             ok = ok and delta_inv(delta_inv(a)).is_zero()
-            hodge = WeylForm.from_series(sigma(a), dim, cap=8) \
+            hodge = WeylForm.from_series(sigma(a), dim) \
                 + delta(delta_inv(a)) + delta_inv(delta(a))
             ok = ok and hodge == a
             count += 1
@@ -399,8 +399,8 @@ def test_criterion_6_structural_suite():
                     ok = ok and commutator(a, b, geom) == direct
                     ok = ok and odd_bracket(a, b, geom) == i_over_hbar(direct)
                     ac, bc = a.capped(3), b.capped(3)
-                    ok = ok and odd_bracket(ac, bc, geom) == \
-                        i_over_hbar(commutator(ac, bc, geom))
+                    ok = ok and odd_bracket(ac, bc, geom, cap=3) == \
+                        i_over_hbar(commutator(ac, bc, geom).capped(3))
                     mixed = a + a.mul_hbar(2)
                     ok = ok and odd_bracket(mixed, b, geom) == \
                         i_over_hbar(commutator(mixed, b, geom))
@@ -465,20 +465,20 @@ def test_criterion_6_structural_suite():
         for sp in (WeylCurvatureSpec(geom), spec):
             cap = 6
             r = solve_r(sp, cap)
-            ok = ok and curvature_residual(r, sp).is_zero()
+            ok = ok and curvature_residual(r, sp, cap).is_zero()
             for _ in range(3):
                 fpo = rand_poly(rng, dim, deg=2, terms=3, allow_imag=False)
                 a = flat_section(fpo, sp, r, cap)
-                ok = ok and abelian_residual(a, sp, r).is_zero()
+                ok = ok and abelian_residual(a, sp, r, cap).is_zero()
                 count += 1
     for _ in range(8):
         g = rand_curved_geometry(rng, 2)
         sp = WeylCurvatureSpec(g)
         r = solve_r(sp, 6)
-        ok = ok and curvature_residual(r, sp).is_zero()
+        ok = ok and curvature_residual(r, sp, 6).is_zero()
         fpo = rand_quadratic(rng, 2)
         a = flat_section(fpo, sp, r, 6)
-        ok = ok and abelian_residual(a, sp, r).is_zero()
+        ok = ok and abelian_residual(a, sp, r, 6).is_zero()
         count += 1
     record("flat-section-residuals", count, ok)
 

@@ -267,8 +267,9 @@ def test_no_stored_zero_after_arithmetic(rng):
             assert x == y and hash(x) == hash(y)
         a = rand_form(rng, dim, cap=6)
         b = rand_form(rng, dim, cap=6)
-        for value in (a + b, a - b, (a + b) - b, moyal(a, b, geom),
-                      moyal(a, b, geom) - moyal(b, a, geom), moyal_sigma(a, b, geom),
+        for value in (a + b, a - b, (a + b) - b, moyal(a, b, geom, cap=6),
+                      moyal(a, b, geom, cap=6) - moyal(b, a, geom, cap=6),
+                      moyal_sigma(a, b, geom),
                       delta(a), delta(delta(a)), delta_inv(a), delta_inv(delta_inv(a)),
                       exterior_d(a), exterior_d(exterior_d(a))):
             _assert_no_stored_zero(value)

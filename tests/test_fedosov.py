@@ -1,6 +1,7 @@
 """Connection recursion, flat sections, star products, coefficient tables."""
 
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from fedosov_lab.fedosov import (PerturbationError, StarEngine,
                                  taylor_half_geometric, taylor_inv_sqrt,
                                  taylor_one_minus_sqrt)
 from fedosov_lab.geometry import Geometry, cov_ext_deriv
+from fedosov_lab.io import load_scenario
 from fedosov_lab.tensors import Tensor2, TensorSeries, diamond_power, series_inverse
 from fedosov_lab.weyl import (WeylForm, commutator, delta, delta_inv, i_over_hbar,
                               moyal, moyal_sigma, y_dx_form)
@@ -22,6 +24,7 @@ from conftest import (rand_closed_skew_poly, rand_cubic, rand_curved_geometry,
                       rand_poly, rand_quadratic, rand_skew_constant)
 
 F = Fraction
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 # -- coefficient sequences ------------------------------------------------------
@@ -182,8 +185,7 @@ def test_flat_section_of_coordinate_is_taylor_shift():
     r = solve_r(spec, 6)
     x1 = Polynomial.variable(2, 0)
     sec = flat_section(x1, spec, r, 6)
-    want = WeylForm(2, {(0, (0, 0), ()): x1, (0, (1, 0), ()): Polynomial.one(2)},
-                    cap=6)
+    want = WeylForm(2, {(0, (0, 0), ()): x1, (0, (1, 0), ()): Polynomial.one(2)})
     assert sec == want
 
 
@@ -195,8 +197,8 @@ def test_section_quadratic_part_is_half_hessian(rng):
     f = rand_poly(rng, 2, deg=4, terms=4, allow_imag=False)
     sec = flat_section(f, spec, r, 8)
     got = WeylForm(2, {k: v for k, v in sec.terms.items()
-                       if k[0] == 0 and sum(k[1]) == 2 and not k[2]}, cap=8)
-    want = WeylForm.zero(2, 8)
+                       if k[0] == 0 and sum(k[1]) == 2 and not k[2]})
+    want = WeylForm.zero(2)
     for i in range(2):
         for j in range(2):
             h = f.partial(i).partial(j)
@@ -205,7 +207,7 @@ def test_section_quadratic_part_is_half_hessian(rng):
             u = [0, 0]
             u[i] += 1
             u[j] += 1
-            want = want + WeylForm(2, {(0, tuple(u), ()): h.scale(F(1, 2))}, cap=8)
+            want = want + WeylForm(2, {(0, tuple(u), ()): h.scale(F(1, 2))})
     assert got == want
 
 
@@ -222,15 +224,16 @@ def test_flat_constant_connection_closed_form(rng, dim, k):
     assert spec.is_perturbed and spec.min_k() == k and spec.is_flat_constant()
     r = solve_r(spec, cap)
     tab = coeff_sequences(cap // (2 * k) + 1)
-    want = WeylForm.zero(dim, cap)
+    want = WeylForm.zero(dim)
     p = 1
     while 2 * p * k <= cap:
         ap = diamond_power(alpha, p, geom)
-        want = want + y_dx_form(ap, hpow=p * k, cap=cap).scale(
-            GaussianRational(tab.sigma[p]))
+        want = want + y_dx_form(ap, hpow=p * k).scale(GaussianRational(tab.sigma[p]))
         p += 1
-    assert r == want
-    assert curvature_residual(r, spec).is_zero()
+    # every term of r has odd degree 2pk + 1, so below the even cap is all
+    # of r through it
+    assert r == want.capped(cap - 1)
+    assert curvature_residual(r, spec, cap).is_zero()
 
 
 def test_flat_constant_section_linear_parts_carry_kappa(rng):
@@ -243,20 +246,19 @@ def test_flat_constant_section_linear_parts_carry_kappa(rng):
     tab = coeff_sequences(cap // 2)
     f = rand_poly(rng, dim, deg=3, allow_imag=False)
     sec = flat_section(f, spec, r, cap)
-    assert abelian_residual(sec, spec, r).is_zero()
+    assert abelian_residual(sec, spec, r, cap).is_zero()
     omb = geom.omega_bar
     for p in range(0, 4):
         got = WeylForm(dim, {key: v for key, v in sec.terms.items()
-                             if key[0] == p and sum(key[1]) == 1 and not key[2]},
-                       cap=cap)
-        want = WeylForm.zero(dim, cap)
+                             if key[0] == p and sum(key[1]) == 1 and not key[2]})
+        want = WeylForm.zero(dim)
         if p == 0:
             for l in range(dim):
                 df = f.partial(l)
                 if df.is_zero():
                     continue
                 u = tuple(1 if m == l else 0 for m in range(dim))
-                want = want + WeylForm(dim, {(0, u, ()): df}, cap=cap)
+                want = want + WeylForm(dim, {(0, u, ()): df})
         else:
             ap = diamond_power(alpha, p, geom)
             for l in range(dim):
@@ -270,7 +272,7 @@ def test_flat_constant_section_linear_parts_carry_kappa(rng):
                 if coeff.is_zero():
                     continue
                 u = tuple(1 if m == l else 0 for m in range(dim))
-                want = want + WeylForm(dim, {(p, u, ()): coeff}, cap=cap)
+                want = want + WeylForm(dim, {(p, u, ()): coeff})
             want = want.scale(GaussianRational(tab.kappa[p]))
         assert got == want, p
 
@@ -302,15 +304,68 @@ def test_perturbed_coordinate_products_invert_the_form_series(rng, dim, k):
 
 
 def test_connection_cap_stability(rng):
-    # solve_r is exact through degree cap-1; two solves must agree there
+    # solve_r stores degrees below the cap, each exact; two solves agree there
     gc = rand_curved_geometry(rng, 2)
     alpha = rand_skew_constant(rng, 2)
     spec = WeylCurvatureSpec(
         gc, TensorSeries.from_terms(2, "lower", 4, {1: alpha}.items()))
     r6 = solve_r(spec, 6)
     r8 = solve_r(spec, 8)
-    assert r6.capped(5) == r8.capped(5)
-    assert r6 != r8.capped(6)  # the top degree is where the guarantee ends
+    assert r6 == r8.capped(5)
+    assert r6 != r8.capped(6)  # r8 has degree-6 terms, which r6 does not store
+
+
+def _curved_poly_chart(rng):
+    geom = rand_curved_geometry(rng, 2)
+    alpha = rand_closed_skew_poly(rng, 2, deg=1)
+    spec = WeylCurvatureSpec(
+        geom, TensorSeries.from_terms(2, "lower", 4, [(1, alpha)]))
+    return spec, rand_quadratic(rng, 2)
+
+
+def _bundled_chart(_rng):
+    sc = load_scenario(os.path.join(SCENARIOS, "curved_r4_k1_poly.json"))
+    return sc.build_spec(), sc.observables["f"]
+
+
+@pytest.mark.parametrize("chart", [_curved_poly_chart, _bundled_chart],
+                         ids=["curved_r2_k1_poly", "curved_r4_k1_poly"])
+def test_every_stored_term_is_exact(rng, chart):
+    """A solve at cap 6 returns only terms that a solve at cap 8 confirms:
+    the whole forms agree, with no truncation of the cap-6 side."""
+    spec, f = chart(rng)
+    r6 = solve_r(spec, 6)
+    r8 = solve_r(spec, 8)
+    assert r6 == r8.capped(5)
+    assert flat_section(f, spec, r6, 6) == flat_section(f, spec, r8, 8).capped(5)
+
+
+def test_solves_and_residuals_compute_only_degrees_they_read(rng, monkeypatch):
+    """At cap 6 the sweeps read bodies through degree 4 and the residuals
+    report degree 4 and below, so no covariant derivative is taken of a
+    degree above 4 and no bracket or product keeps a degree above it."""
+    def degree(a):
+        return max((2 * h + sum(u) for (h, u, _f) in a.terms), default=0)
+
+    seen = []
+
+    def recording(name, op):
+        def wrapped(*args, **kw):
+            out = op(*args, **kw)
+            seen.append((name, degree(args[0] if name == "cov_ext_deriv" else out)))
+            return out
+        monkeypatch.setattr(fedosov, name, wrapped)
+
+    recording("cov_ext_deriv", fedosov.cov_ext_deriv)
+    recording("odd_bracket", fedosov.odd_bracket)
+    recording("i_over_hbar", fedosov.i_over_hbar)
+    spec, f = _curved_poly_chart(rng)
+    r = solve_r(spec, 6)
+    a = flat_section(f, spec, r, 6)
+    assert curvature_residual(r, spec, 6).is_zero()
+    assert abelian_residual(a, spec, r, 6).is_zero()
+    assert {name for name, _d in seen} == {"cov_ext_deriv", "odd_bracket", "i_over_hbar"}
+    assert max(d for _name, d in seen) <= 4, seen
 
 
 def test_star_cap_stability(rng):
@@ -334,11 +389,11 @@ def test_curved_degree_three_part_is_delta_inv_of_curvature(rng):
         gc = rand_curved_geometry(rng, 2)
         spec = WeylCurvatureSpec(gc)
         r = solve_r(spec, 8)
-        rw = gc.curvature().weyl_two_form.capped(8)
+        rw = gc.curvature().weyl_two_form
         r3 = WeylForm(2, {k: v for k, v in r.terms.items()
-                          if 2 * k[0] + sum(k[1]) == 3}, cap=8)
+                          if 2 * k[0] + sum(k[1]) == 3})
         assert r3 == delta_inv(rw)
-        assert curvature_residual(r, spec).is_zero()
+        assert curvature_residual(r, spec, 8).is_zero()
         assert r.min_degree() >= 3
         assert delta_inv(r).is_zero()  # the normalization condition
 
@@ -349,21 +404,21 @@ def test_residual_window_sees_degree_cap_minus_two(rng):
     cap = 6
     r = solve_r(spec, cap)
     sec = flat_section(rand_quadratic(rng, 2), spec, r, cap)
-    assert curvature_residual(r, spec).is_zero()
-    assert abelian_residual(sec, spec, r).is_zero()
+    assert curvature_residual(r, spec, cap).is_zero()
+    assert abelian_residual(sec, spec, r, cap).is_zero()
 
     def mono(u, form=()):
-        return WeylForm(2, {(0, u, form): Polynomial.one(2)}, cap=cap)
+        return WeylForm(2, {(0, u, form): Polynomial.one(2)})
 
     # a corruption at degree cap - 2 with nonzero delta shows in both
-    assert not abelian_residual(sec + mono((4, 0)), spec, r).is_zero()
-    assert not curvature_residual(r + mono((4, 0), (1,)), spec).is_zero()
+    assert not abelian_residual(sec + mono((4, 0)), spec, r, cap).is_zero()
+    assert not curvature_residual(r + mono((4, 0), (1,)), spec, cap).is_zero()
     # one at degree cap - 1 shows only through delta, which lands on degree
     # cap - 2: the window ends exactly there
     m = mono((5, 0))
-    assert abelian_residual(sec + m, spec, r) == -delta(m)
+    assert abelian_residual(sec + m, spec, r, cap) == -delta(m)
     m = mono((5, 0), (1,))
-    assert curvature_residual(r + m, spec) == delta(m)
+    assert curvature_residual(r + m, spec, cap) == delta(m)
 
 
 def test_curved_sections_are_flat_and_star_is_unital(rng):
@@ -373,7 +428,7 @@ def test_curved_sections_are_flat_and_star_is_unital(rng):
     r = solve_r(spec, cap)
     f = rand_quadratic(rng, 2)
     sec = flat_section(f, spec, r, cap)
-    assert abelian_residual(sec, spec, r).is_zero()
+    assert abelian_residual(sec, spec, r, cap).is_zero()
     eng = StarEngine(spec, order=3)
     one = Polynomial.one(2)
     res = eng.star(one, f)
@@ -481,12 +536,12 @@ def test_flat_section_runs_once_per_monomial(rng, monkeypatch):
 
 
 def picard_oracle(base, body, cap):
-    """Iterate  x <- base + delta_inv(body(x))  from x = 0 until x stops
-    changing.  Each pass fixes one more filtration degree, so cap + 2
-    passes reach and confirm the fixed point."""
-    x = WeylForm.zero(base.dim, cap)
+    """Iterate  x <- base + delta_inv(body(x)), truncated below degree cap,
+    from x = 0 until x stops changing.  Each pass fixes one more filtration
+    degree, so cap + 2 passes reach and confirm the fixed point."""
+    x = WeylForm.zero(base.dim)
     for _ in range(cap + 2):
-        nxt = base + delta_inv(body(x))
+        nxt = (base + delta_inv(body(x))).capped(cap - 1)
         if nxt == x:
             return x
         x = nxt
@@ -501,27 +556,27 @@ def degrees(a):
 def test_solves_match_picard_oracle_through_the_cap(rng, perturbed):
     """solve_r and flat_section equal a from-scratch Picard iteration of the
     whole equations, with full products and no increments, at every degree
-    through the cap.  The residual tests stop at cap - 2; this one also
-    covers degrees cap - 1 and cap."""
+    they store: below the cap.  The residual tests stop at cap - 2; this one
+    also covers degree cap - 1."""
     cap = 6
     geom = rand_curved_geometry(rng, 2)
     alpha = TensorSeries.from_terms(
         2, "lower", 2, [(1, rand_closed_skew_poly(rng, 2, deg=1))])
     spec = WeylCurvatureSpec(geom, alpha if perturbed else None)
-    q = spec.q_form(cap)
-    r = picard_oracle(WeylForm.zero(2, cap), lambda x: (
+    q = spec.q_form()
+    r = picard_oracle(WeylForm.zero(2), lambda x: (
         q + cov_ext_deriv(x, geom) + i_over_hbar(moyal(x, x, geom))), cap)
     assert solve_r(spec, cap) == r
-    assert {cap - 1, cap} <= degrees(r)
+    assert cap - 1 in degrees(r)
     observables = [rand_quadratic(rng, 2),
                    HbarSeries(cap // 2, {0: rand_poly(rng, 2, deg=3),
                                          1: rand_poly(rng, 2, deg=1)})]
     for f in observables:
         series = HbarSeries(cap // 2, {0: f}) if isinstance(f, Polynomial) else f
-        a = picard_oracle(WeylForm.from_series(series, 2, cap), lambda x: (
+        a = picard_oracle(WeylForm.from_series(series, 2), lambda x: (
             cov_ext_deriv(x, geom) + i_over_hbar(commutator(r, x, geom))), cap)
         assert flat_section(f, spec, r, cap) == a
-        assert {cap - 1, cap} <= degrees(a)
+        assert cap - 1 in degrees(a)
 
 
 # -- convergence guard -------------------------------------------------------------------
@@ -546,15 +601,15 @@ def test_solve_r_guard_stops_a_sweep_that_keeps_degree(degree_keeping_update):
         Geometry(2), TensorSeries.from_terms(2, "lower", 2, {1: alpha}.items()))
     with pytest.raises(fedosov.ConvergenceError) as exc:
         solve_r(spec, 5)
-    assert str(exc.value) == "r-recursion is not a fixed point through degree 5"
+    assert str(exc.value) == "r-recursion is not a fixed point through degree 4"
 
 
 def test_flat_section_guard_stops_a_sweep_that_keeps_degree(degree_keeping_update):
     spec = WeylCurvatureSpec(Geometry(2))
     x1 = Polynomial.variable(2, 0)
     with pytest.raises(fedosov.ConvergenceError) as exc:
-        flat_section(x1 * x1, spec, WeylForm.zero(2, 6), 6)
-    assert str(exc.value) == "section recursion is not a fixed point through degree 6"
+        flat_section(x1 * x1, spec, WeylForm.zero(2), 6)
+    assert str(exc.value) == "section recursion is not a fixed point through degree 5"
 
 
 # -- validation ------------------------------------------------------------------------

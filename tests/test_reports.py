@@ -12,6 +12,8 @@ identities, sections, the perturbed product).  Their ``star`` and
 prints only "0" residuals, while ``star`` prints coefficients and
 ``compare`` the probe and predicted bivectors of two engines, and order 2
 (cap 6) is the first to reach the k = 3 contractions on a curved chart.
+At that order the solved forms themselves are pinned too: r and the
+sections behind each curved ``verify``.
 """
 
 import hashlib
@@ -20,6 +22,8 @@ import os
 import pytest
 
 from fedosov_lab import cli
+from fedosov_lab.algebra import Polynomial
+from fedosov_lab.fedosov import StarEngine
 from fedosov_lab.io import load_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -86,6 +90,49 @@ CURVED_ORDER2_DIGESTS = {
     ("curved_r4_plain", "star"): "0edbb1a7c82879414b604b7d39b632e64390b5e6e6dc09faa0b5e0c59dfbbeb4",
 }
 
+# The solved forms of the curved charts at order 2 (cap 6): the sha256 of
+# str(r) and of the sections of f, g and each coordinate.  A solve stores
+# degrees 0..cap-1 only, each exact, so these pin every coefficient that a
+# product through hbar^2 reads, and one degree more.  About 3 s for all four.
+FORM_DIGESTS = {
+    "curved_r4_k1_const": {
+        "r": "5f0e814e0532c94e38cb0818ba0ad55b1110e9323fb41a49db31f166339dd459",
+        "f": "43bb4b52f393235ff68d8cad46f6f34ab74440b4922f711f047b93f448b556c2",
+        "g": "47ac5aa9a048784a674d3cd63281a3bc3ed5cb97ced1c21a8386d60ff327cf0d",
+        "x1": "628a3af5492d406eddb6cf05a1e93757b1b7966924fc33488d4955c3715a1457",
+        "x2": "f8c27667703c62d872177168207c3347f6f33f614f6547d67dc1632e5c37d528",
+        "x3": "39b49ec74361f57c1bd575928dc2a8574c42063b03a5df675370b8c50fc573f9",
+        "x4": "bd7e86d29410c2ca3cdbcfed3b01ee99a53f9217eb2a3a449630e515579fa80e",
+    },
+    "curved_r4_k1_poly": {
+        "r": "5fce93a89b50c01c957c4d7f9418317a40460971b286b38231598608d493020a",
+        "f": "8c282feb92aa21da2c7887ca0cceabd6d071192df953e9ad4ad287feb2a58194",
+        "g": "64c6eca8e04b3c6c0891011cb763db36ddb3fe186ece7c88352b0bf75b55f86a",
+        "x1": "0b4facaafa82365c3c50fc50c8a647b69c755952644e81cba0982c00116ff9c2",
+        "x2": "d5ff432c58bb46e159d3715e11d7774b296affe2b7e4e7ac97e15ad4f7a1d55a",
+        "x3": "bc64cb5fee710064a71e1fc13c6abb3591e24e4ba124ddd9cd62003de962a692",
+        "x4": "e89e0835bf168906612194c4b2f103b97a62675472edfbf256676d239e7694c5",
+    },
+    "curved_r4_k2_const": {
+        "r": "382b16f9879db954125bf733f7ca9bef7023d0543ce715a06fecd7ec468119c0",
+        "f": "1405efbd74572861ea98b71eff86ac375b8000fdf5c3ebd56f1d8b7ceae0c20b",
+        "g": "bbd9a5a5b73ae22c12a6068eb320b8f2863feffefa0e74aef10ee4485a30931e",
+        "x1": "5962d503c52bb153174b9464512c8d9c11cbc0f762d91498b0be765e3c1019e6",
+        "x2": "ed25e6dde2d415de6f2bc431fbfd36db6467779651c0ac419ffbbcb7ee29614d",
+        "x3": "7e6f58ecfcd15c70479a2f756289284f3b7f66c62a75300df9f78cc334870f88",
+        "x4": "39145a6f46112b8eafb16ef6c4b38fb06cd86d09774fb4eb299945391c94fee7",
+    },
+    "curved_r4_plain": {
+        "r": "6d1db1b9a7efc1f342538360957ee5492849853604ebbbb6fb7eb834980175c7",
+        "f": "913eb40b6fcda47daae13e98f393490acd3f7d82322115e5ff39dd3452714d64",
+        "g": "4a7d0a718ba430e8f2a49df050588b411eb26f9df2f13c05ad3a5066f2127ac8",
+        "x1": "3c79b66c9a32b62942d62ac2f784ecc5210a16826401807a079638533ee7356f",
+        "x2": "c6cabc44b84dc5b440a4e5ff8add15651560cc6301b2ff9f6fd4328f608e8ed4",
+        "x3": "78324a487dc66c9dbf78f5da35b4eb03710903f2ddee5ffac48faafa2dab1086",
+        "x4": "1e79987818de4c12504c056402c70dee3ab77c2934985bb46284fd74e17ae867",
+    },
+}
+
 CURVED_CASES = (
     [pytest.param(name, cmd, 1, d, id="%s-%s" % (name, cmd))
      for (name, cmd), d in sorted(CURVED_DIGESTS.items())]
@@ -117,3 +164,17 @@ def test_report_bytes_are_unchanged(name, command):
 @pytest.mark.parametrize("name,command,order,digest", CURVED_CASES)
 def test_curved_report_bytes_are_unchanged(name, command, order, digest):
     assert _digest(name, command, order=order) == digest
+
+
+@pytest.mark.parametrize("name", sorted(FORM_DIGESTS))
+def test_solved_forms_are_unchanged(name):
+    scenario = load_scenario(os.path.join(SCENARIOS, name + ".json"))
+    engine = StarEngine(scenario.build_spec(), 2)
+    f, g = cli._default_observables(scenario)
+    dim = scenario.geometry.dim
+    forms = {"r": engine.r(), "f": engine.section(f), "g": engine.section(g)}
+    for i in range(dim):
+        forms["x%d" % (i + 1)] = engine.section(Polynomial.variable(dim, i))
+    got = {key: hashlib.sha256(str(a).encode("utf-8")).hexdigest()
+           for key, a in forms.items()}
+    assert got == FORM_DIGESTS[name]

@@ -20,9 +20,9 @@ from conftest import (rand_form, rand_form_qdeg, rand_poly, rand_skew_constant,
 F = Fraction
 
 
-def y_var(dim, j, cap=None):
+def y_var(dim, j):
     u = tuple(1 if t == j else 0 for t in range(dim))
-    return WeylForm(dim, {(0, u, ()): Polynomial.one(dim)}, cap=cap)
+    return WeylForm(dim, {(0, u, ()): Polynomial.one(dim)})
 
 
 def graded_piece(a, b, k, geom):
@@ -115,7 +115,21 @@ def test_moyal_degree_filtered(rng):
         for (h, u, _f) in prod.terms:
             assert 2 * h + sum(u) <= da + db
         cap = max(da, db)
-        assert moyal(a.capped(cap), b.capped(cap), geom) == prod.capped(cap)
+        assert moyal(a.capped(cap), b.capped(cap), geom, cap=cap) == prod.capped(cap)
+    # the pair bound keeps exactly the product's terms of degree <= cap, and
+    # the bracket's before its division by hbar: forms over hbar^0..hbar^2
+    # and form degrees 0..2, at every cap from below the lowest product
+    # degree to above the highest
+    for dim in (2, 4):
+        for geom in (Geometry(dim), rand_structure_geometry(rng, dim)):
+            for _ in range(4):
+                a = rand_form(rng, dim, cap=None, nterms=5, max_h=2)
+                b = rand_form(rng, dim, cap=None, nterms=5, max_h=2)
+                prod = moyal(a, b, geom)
+                br = odd_bracket(a, b, geom)
+                for cap in range(12):
+                    assert moyal(a, b, geom, cap=cap) == prod.capped(cap), cap
+                    assert odd_bracket(a, b, geom, cap=cap) == br.capped(cap - 2), cap
 
 
 def test_commutator_signs(rng):
@@ -152,8 +166,8 @@ def test_odd_bracket_equals_commutator(rng):
                     assert odd_bracket(a, b, geom) == i_over_hbar(commutator(a, b, geom))
                     for cap in (2, 3, 5):
                         ac, bc = a.capped(cap), b.capped(cap)
-                        assert odd_bracket(ac, bc, geom) == \
-                            i_over_hbar(commutator(ac, bc, geom))
+                        assert odd_bracket(ac, bc, geom, cap=cap) == \
+                            i_over_hbar(commutator(ac, bc, geom).capped(cap))
                     mixed = a + a.mul_hbar(1) + a.mul_hbar(3)
                     assert odd_bracket(mixed, b, geom) == \
                         i_over_hbar(commutator(mixed, b, geom))
@@ -216,8 +230,7 @@ def oracle_descending_factorial(u, d):
     return out
 
 
-def oracle_moyal(a, b, geom, bracket=False):
-    cap = a._merge_cap(b)
+def oracle_moyal(a, b, geom, bracket=False, cap=None):
     out = {}
     shift = 1 if bracket else 0
     start = GaussianRational(0, 2) if bracket else ONE
@@ -239,7 +252,7 @@ def oracle_moyal(a, b, geom, bracket=False):
             for (k, u), w in weights.items():
                 pre = start * GaussianRational(0, F(-1, 2)) ** k
                 accumulate(out, (ha + hb + k - shift, u, IJ), (pa * pb).scale(pre * w))
-    return WeylForm(a.dim, out, cap)
+    return WeylForm(a.dim, out)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -252,17 +265,21 @@ def test_moyal_and_odd_bracket_match_per_row_oracle(rng, dim):
     for _visit in range(2):
         for geom in charts:
             for cap in (None, 2, 3, 5):
+                def trunc(w):
+                    return w if cap is None else w.capped(cap)
+
                 a = rand_form(rng, dim, cap, nterms=3, max_h=2)
                 b = rand_form(rng, dim, cap, nterms=3, max_h=2)
                 # dx^1 on the left meets dx^2 on the right and, in b o a,
                 # the other way round; hbar^0, hbar^1 and hbar^2 mix
-                a = a + WeylForm(dim, {(1, dx0, (0,)): rand_poly(rng, dim)}, cap=cap)
-                b = b + WeylForm(dim, {(0, (1,) * dim, (1,)): rand_poly(rng, dim)},
-                                 cap=cap).mul_hbar(1)
-                a = a + a.mul_hbar(1)
+                a = trunc(a + WeylForm(dim, {(1, dx0, (0,)): rand_poly(rng, dim)}))
+                b = trunc(b + WeylForm(dim, {(0, (1,) * dim, (1,)): rand_poly(rng, dim)})
+                          .mul_hbar(1))
+                a = trunc(a + a.mul_hbar(1))
                 for x, y in ((a, b), (b, a)):
-                    assert moyal(x, y, geom) == oracle_moyal(x, y, geom)
-                    assert odd_bracket(x, y, geom) == oracle_moyal(x, y, geom, bracket=True)
+                    assert moyal(x, y, geom, cap=cap) == oracle_moyal(x, y, geom, cap=cap)
+                    assert odd_bracket(x, y, geom, cap=cap) == \
+                        oracle_moyal(x, y, geom, bracket=True, cap=cap)
     # a chart whose wbar is half the block one reads the same keys and must
     # find its own weights, not the block chart's
     scaled = Geometry(dim, omega=[[2 * v for v in row] for row in standard_omega(dim)])
@@ -296,20 +313,17 @@ def test_moyal_sigma_equals_sigma_of_moyal(rng):
 
 
 def test_moyal_sigma_order_is_its_only_bound(rng):
-    # On capped forms the full product is exact through hbar^(cap // 2), and
-    # the projection truncated at any order N in that window must equal it;
-    # the forms' caps themselves are not read.
+    # The product bounded at degree cap is exact through hbar^(cap // 2), and
+    # the projection truncated at any order N in that window must equal it.
     for dim in (2, 4):
         for geom in (Geometry(dim), rand_structure_geometry(rng, dim)):
             for cap in (2, 3, 4, 6):
                 for _ in range(3):
                     a = rand_form(rng, dim, cap=cap, nterms=5)
                     b = rand_form(rng, dim, cap=cap, nterms=5)
-                    full = sigma(moyal(a, b, geom))
+                    full = sigma(moyal(a, b, geom, cap=cap))
                     for n in range(cap // 2 + 1):
                         assert moyal_sigma(a, b, geom, order=n) == full.with_order(n)
-                    assert moyal_sigma(a, b, geom) == moyal_sigma(
-                        a.capped(None), b.capped(None), geom)
 
 
 def test_moyal_sigma_sums_pairings_that_share_exponents():
@@ -349,7 +363,7 @@ def test_delta_square_zero_and_hodge(rng):
             a = rand_form(rng, dim, cap=8, nterms=5)
             assert delta(delta(a)).is_zero()
             assert delta_inv(delta_inv(a)).is_zero()
-            s = WeylForm.from_series(sigma(a), dim, cap=8)
+            s = WeylForm.from_series(sigma(a), dim)
             assert a == s + delta(delta_inv(a)) + delta_inv(delta(a))
 
 
