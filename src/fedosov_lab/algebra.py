@@ -159,7 +159,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction, so it hashes as one
+        return hash((self.re, self.im) if self.im else self.re)
 
     # -- canonical text form ---------------------------------------------
 
@@ -452,6 +453,8 @@ class Polynomial:
                 and self._num == other._num)
 
     def __hash__(self):
+        if self.is_constant():  # it equals its value, so it hashes as one
+            return hash(self.constant_value())
         return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def __bool__(self):

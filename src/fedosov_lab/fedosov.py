@@ -7,20 +7,21 @@ two fixed-point equations
     a = f + delta_inv(par a + (i/hbar) [r, a]),
 
 where Q collects the curvature two-form of the connection and the central
-perturbation terms hbar^k alpha_k.  Both right-hand sides raise filtration
-degree, so one sweep solves both a degree at a time, growing the right-hand
-side by each new slice s with one bracket: (i/hbar)[r + s/2, s] for r and
-(i/hbar)[r, s] for a section.  The product of two observables is then
+perturbation terms hbar^k alpha_k.  delta_inv raises filtration degree by
+one, par keeps it, and (i/hbar)[b, c] of parts of degrees i and j has
+degree i + j - 2.  So both are triangular, x_d = base_d + delta_inv(B_{d-1}):
+the base is delta_inv(Q) or f, and B_{d-1}, the degree d - 1 part of the
+rest of the right-hand side, reads degrees below d only.  The product of
+two observables is then
 
     f * g = sigma(section(f) o section(g)),
 
 read off order by order in hbar.  A solve at degree cap D stores degrees
-0..D-1 only, each exact: degree d depends on lower degrees alone, and the
-sweep never computes what degree D would need.  A product coefficient at
-hbar^N reads section degrees through 2N, so D = 2N+1 would do; StarEngine
-always uses D = 2N+2, and a cap-sensitivity test checks that two caps agree
-rather than trusting it.  The residuals of both equations are truncated at
-degree D-2, the top degree whose every term reads stored degrees only.
+0..D-1, each exact.  A product coefficient at hbar^N reads section degrees
+through 2N, so D = 2N+1 would do; StarEngine always uses D = 2N+2, and a
+cap-sensitivity test checks that two caps agree rather than trusting it.
+The residuals of both equations are truncated at degree D-2, the top degree
+whose every term reads stored degrees only.
 
 The section equation is linear over constants in f, so
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import HbarSeries, Polynomial
+from .algebra import HbarSeries, Polynomial, accumulate
 from .tensors import TensorSeries, is_closed
 from .weyl import (WeylForm, central_two_form, delta, delta_inv, i_over_hbar,
                    moyal, moyal_sigma, odd_bracket)
@@ -155,33 +156,34 @@ class WeylCurvatureSpec:
             self.dim, self.geometry.is_flat(), self.is_perturbed)
 
 
-def _sweep(base, body, update, what, cap):
-    """Solve  x = base + delta_inv(body)  for degrees 0..cap-1, one filtration
-    degree at a time.
+def _parts(a):
+    """The homogeneous parts of a form, keyed by filtration degree."""
+    parts = {}
+    for k, p in a.terms.items():
+        parts.setdefault(2 * k[0] + sum(k[1]), {})[k] = p
+    return {d: WeylForm._make(a.dim, t) for d, t in parts.items()}
 
-    ``update(x, step)`` is the change of ``body`` when x grows by ``step``;
-    it need only keep degrees <= cap - 2, the ones read.  Degree d of x is
-    base_d + delta_inv(body_{d-1}), and body_{d-1} is final once x is known
-    below degree d, so every stored degree is exact.  The last one feeds no
-    body that is read, so it gets no update.  ConvergenceError from the
-    closing fixed-point check means some operator stopped raising filtration
-    degree.
-    """
-    def part(a, d):
-        return WeylForm(a.dim, {k: p for k, p in a.terms.items()
-                                if 2 * k[0] + sum(k[1]) == d})
 
-    x = WeylForm.zero(base.dim)
+def _solve(base, pairs, geom, what, cap):
+    """Solve  x = base + delta_inv(B)  below the cap, one degree at a time:
+    x_d = base_d + delta_inv(B_e), e = d - 1.  B_e is par x_e plus the
+    (i/hbar)[b, c] over ``pairs(xs, e)``, and reads the parts xs of x through
+    degree e only.  A term of B_e off degree e means an operator did not
+    keep filtration degree: ConvergenceError."""
+    zero = WeylForm.zero(base.dim)
+    bases = _parts(base)
+    xs = {}
     for d in range(cap):
-        step = part(base, d) + delta_inv(part(body, d - 1))
-        if not step.is_zero():
-            if d < cap - 1:
-                body = body + update(x, step)
-            x = x + step
-    if not (base + delta_inv(body) - x).capped(cap - 1).is_zero():
-        raise ConvergenceError(
-            "%s is not a fixed point through degree %d" % (what, cap - 1))
-    return x
+        b = cov_ext_deriv(xs[d - 1], geom) if d - 1 in xs else zero
+        for left, right in pairs(xs, d - 1):
+            b = b + odd_bracket(left, right, geom)
+        if b.capped(d - 1) - b.capped(d - 2) != b:
+            raise ConvergenceError(
+                "%s is not a fixed point through degree %d" % (what, cap - 1))
+        x = bases.get(d, zero) + delta_inv(b)
+        if not x.is_zero():
+            xs[d] = x
+    return sum(xs.values(), zero)
 
 
 def solve_r(spec, cap):
@@ -189,18 +191,17 @@ def solve_r(spec, cap):
 
     Returns the unique fixed point with delta_inv(r) = 0 and lowest degree 3,
     through filtration degree cap - 1: every term is exact, and none has
-    degree cap or more.  Growing the 1-form r by s grows (i/hbar) r o r by
-    (i/hbar)[r + s/2, s].
+    degree cap or more.  For 1-forms r_i o r_j + r_j o r_i = [r_i, r_j], so
+    each pair of parts i <= j is bracketed once, and halved when i = j.
     """
     if cap < 3:
         raise ValueError("degree cap must be at least 3")
-    geom = spec.geometry
 
-    def update(r, step):
-        return (cov_ext_deriv(step, geom)
-                + odd_bracket(r + step.scale(_HALF), step, geom, cap=cap))
+    def pairs(rs, e):
+        return [(ri.scale(_HALF) if 2 * i == e + 2 else ri, rs[e + 2 - i])
+                for i, ri in rs.items() if 2 * i <= e + 2 and e + 2 - i in rs]
 
-    r = _sweep(WeylForm.zero(spec.dim), spec.q_form(), update, "r-recursion", cap)
+    r = _solve(delta_inv(spec.q_form()), pairs, spec.geometry, "r-recursion", cap)
     if not delta_inv(r).is_zero():
         raise ConvergenceError("fixed point violates the delta_inv(r) = 0 gauge")
     if not r.is_zero() and r.min_degree() < 3:
@@ -217,15 +218,26 @@ def flat_section(f, spec, r, cap):
     scalar part f through degree cap - 1, every term exact; ``r`` must be
     solved at ``cap`` or above.
     """
-    geom = spec.geometry
     if isinstance(f, Polynomial):
-        f = HbarSeries(cap // 2, {0: f})
+        f = HbarSeries(0, {0: f})
+    rs = _parts(r)
 
-    def update(_a, step):
-        return cov_ext_deriv(step, geom) + odd_bracket(r, step, geom, cap=cap)
+    def pairs(parts, e):
+        return [(rs[e + 2 - j], aj) for j, aj in parts.items() if e + 2 - j in rs]
 
-    return _sweep(WeylForm.from_series(f, spec.dim), WeylForm.zero(spec.dim),
-                  update, "section recursion", cap)
+    return _solve(WeylForm.from_series(f, spec.dim), pairs, spec.geometry,
+                  "section recursion", cap)
+
+
+def _pair_sum(op, a, b, geom, cap):
+    """The sum of op(a_i, b_j) over the parts with i + j <= cap."""
+    out = {}
+    b_parts = _parts(b)
+    for i, ai in _parts(a).items():
+        for bj in (part for j, part in b_parts.items() if i + j <= cap):
+            for k, p in op(ai, bj, geom).terms.items():
+                accumulate(out, k, p)
+    return WeylForm._make(a.dim, out)
 
 
 def abelian_residual(a, spec, r, cap):
@@ -238,21 +250,19 @@ def abelian_residual(a, spec, r, cap):
     """
     geom = spec.geometry
     out = cov_ext_deriv(a.capped(cap - 2), geom) - delta(a)
-    if not r.is_zero():
-        out = out + odd_bracket(r, a, geom, cap=cap)
-    return out.capped(cap - 2)
+    return (out + _pair_sum(odd_bracket, r, a, geom, cap)).capped(cap - 2)
 
 
 def curvature_residual(r, spec, cap):
     """delta r - (Q + par r + (i/hbar) r o r): the defining equation of r.
 
-    It takes the product r o r whole, not by increments, so it shares no
+    It takes r o r whole, over ordered pairs of parts, so it shares no
     bracket with solve_r.  Like ``abelian_residual`` it is truncated at
     degree cap - 2 for an r solved at ``cap``, and computes nothing above.
     """
     geom = spec.geometry
     body = (spec.q_form() + cov_ext_deriv(r.capped(cap - 2), geom)
-            + i_over_hbar(moyal(r, r, geom, cap=cap)))
+            + i_over_hbar(_pair_sum(moyal, r, r, geom, cap)))
     return (delta(r) - body).capped(cap - 2)
 
 

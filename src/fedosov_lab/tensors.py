@@ -390,9 +390,6 @@ class TensorSeries:
     def coeff(self, n):
         return self.hs.coeff(n, Tensor2.zeros(self.dim, self.variance))
 
-    def powers(self):
-        return sorted(self.hs.coeffs)
-
     def __add__(self, other):
         self._check(other)
         return TensorSeries(self.dim, self.variance, self.hs + other.hs)

@@ -7,9 +7,9 @@ A ``WeylForm`` is a finite sum of monomials
 
 stored sparsely as  (h, u, form) -> Polynomial.  The *filtration degree* of a
 monomial is 2*h + |u|.  A form holds exactly the terms it was given: it has
-no degree bound of its own.  Truncation is decided where it is needed, by
-``capped(d)`` or by the pair bound ``cap`` of ``moyal`` and ``odd_bracket``,
-which is what keeps the fixed-point recursions finite.
+no degree bound of its own, and no product takes one: ``capped(d)`` is the
+one truncation.  The fixed-point recursions stay finite because they
+multiply homogeneous parts, each pair landing on a single degree.
 
 The fiberwise product is
 
@@ -18,8 +18,8 @@ The fiberwise product is
                * (d^k a / dy^{r1}..dy^{rk}) * (d^k b / dy^{s1}..dy^{sk}),
 
 with dx factors multiplied by wedge.  Each graded piece preserves the
-filtration degree of a product exactly, so a degree bound can be enforced
-pairwise, before a pair's product is formed.
+filtration degree of a product exactly, so the product of homogeneous parts
+of degrees i and j is homogeneous of degree i + j.
 This module holds no contraction weights.  The chart caches one table per
 k, ``Geometry.contractions(k)``: the whole scalar of each fully contracted
 pair y^d o_k y^e.  ``moyal_sigma`` reads it directly; ``moyal`` reads the
@@ -254,16 +254,13 @@ class WeylForm:
 # -- the fiberwise product ------------------------------------------------------------
 
 
-def moyal(a, b, geom, bracket=False, cap=None):
+def moyal(a, b, geom, bracket=False):
     """Fiberwise product a o b.
 
     Each monomial pair reads its contractions, weights included, from the
     chart's cached table ``geom.moyal_weights(ua, ub, bracket)``; the pair's
-    coefficient product is formed once and scaled per entry.  ``cap`` bounds
-    the pairs: one whose degrees sum above it is skipped before its product
-    is formed, so the result is the product's terms of degree <= cap.
-    ``bracket`` returns (i/hbar)[a, b] instead (see the module docstring);
-    its cap is tested on the degree before the division by hbar.
+    coefficient product is formed once and scaled per entry.  ``bracket``
+    returns (i/hbar)[a, b] instead (see the module docstring).
     """
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
@@ -271,15 +268,8 @@ def moyal(a, b, geom, bracket=False, cap=None):
         raise ValueError("form dim does not match chart dim")
     out = {}
     weights = geom.moyal_weights
-    b_items = [(2 * hb + sum(ub), hb, ub, Ib, pb)
-               for (hb, ub, Ib), pb in b.terms.items()]
-    if cap is not None:
-        b_items.sort(key=lambda t: t[0])
     for (ha, ua, Ia), pa in a.terms.items():
-        base_a = 2 * ha + sum(ua)
-        for base_b, hb, ub, Ib, pb in b_items:
-            if cap is not None and base_a + base_b > cap:
-                break
+        for (hb, ub, Ib), pb in b.terms.items():
             merged = wedge_merge(Ia, Ib)
             if merged is None:
                 continue
@@ -294,14 +284,13 @@ def moyal(a, b, geom, bracket=False, cap=None):
     return WeylForm._make(a.dim, out)
 
 
-def odd_bracket(a, b, geom, cap=None):
+def odd_bracket(a, b, geom):
     """(i/hbar)[a, b] in one product pass over the odd graded pieces.
 
-    ``cap`` bounds the pairs as in ``moyal``, so the result keeps degrees
-    <= cap - 2.  Its equality with i_over_hbar(commutator(a, b)) is a tested
-    identity.
+    On homogeneous parts of degrees i and j the result has degree i + j - 2.
+    Its equality with i_over_hbar(commutator(a, b)) is a tested identity.
     """
-    return moyal(a, b, geom, bracket=True, cap=cap)
+    return moyal(a, b, geom, bracket=True)
 
 
 def moyal_sigma(a, b, geom, order=None):

@@ -158,10 +158,11 @@ def rand_gamma(rng, dim, deg=1, entries=6):
     return {k: v for k, v in g.items() if not v.is_zero()}
 
 
-def rand_curved_geometry(rng, dim, deg=1):
-    """Random curved chart; retries until the curvature is nonzero."""
+def rand_curved_geometry(rng, dim, deg=1, omega=None):
+    """Random curved chart on ``omega`` (default: the block form); retries
+    until the curvature is nonzero."""
     while True:
-        g = Geometry(dim, gamma=rand_gamma(rng, dim, deg))
+        g = Geometry(dim, omega=omega, gamma=rand_gamma(rng, dim, deg))
         if not g.is_flat():
             return g
 

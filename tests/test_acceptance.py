@@ -399,7 +399,7 @@ def test_criterion_6_structural_suite():
                     ok = ok and commutator(a, b, geom) == direct
                     ok = ok and odd_bracket(a, b, geom) == i_over_hbar(direct)
                     ac, bc = a.capped(3), b.capped(3)
-                    ok = ok and odd_bracket(ac, bc, geom, cap=3) == \
+                    ok = ok and odd_bracket(ac, bc, geom).capped(1) == \
                         i_over_hbar(commutator(ac, bc, geom).capped(3))
                     mixed = a + a.mul_hbar(2)
                     ok = ok and odd_bracket(mixed, b, geom) == \

@@ -2,13 +2,15 @@
 
 A stdlib-only scan, the companion of ``test_imports.py``.  It collects each
 definition in ``src/fedosov_lab`` and each reference in the Python files of
-``src/``, ``tests/``, ``demos/`` and ``bench/``.  A reference is a name, an
-attribute, an imported name or its alias, or a string constant naming a
-dotted path (the bench tracer wraps functions it names by string, such as
-``"weyl.WeylForm.__sub__"``).  Docstrings and ``__all__`` lists declare
-names rather than use them, so they do not count; nor does a use inside the
-body of a definition of the same name.  Dunder methods are exempt: Python
-calls them.
+``src/``, ``tests/``, ``demos/`` and ``bench/``.  A reference is an
+attribute, an imported name or its alias, a string constant naming a dotted
+path (the bench tracer wraps functions it names by string, such as
+``"weyl.WeylForm.__sub__"``), or, for a function or class that is not a
+method, a bare name.  A method is only ever reached through an attribute,
+so a local variable that shares its name does not count.  Docstrings and
+``__all__`` lists declare names rather than use them, so they do not count;
+nor does a use inside the body of a definition of the same name.  Dunder
+methods are exempt: Python calls them.
 """
 
 import ast
@@ -43,26 +45,33 @@ def _export_lists(tree):
     return out
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def definitions(source):
-    """(line, name) of every function, method and class, dunders excluded."""
-    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
+    """(line, name, is_method) of every function, method and class, dunders
+    excluded."""
+    tree = ast.parse(source)
+    methods = {id(child) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for child in node.body if isinstance(child, _DEFS)}
+    return sorted((node.lineno, node.name, id(node) in methods)
+                  for node in ast.walk(tree) if isinstance(node, _DEFS)
                   and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
 def references(source):
-    """Every name the source refers to, outside a definition of that name."""
+    """The names the source refers to, outside a definition of that name:
+    (bare names, names reached through an attribute, alias or dotted path)."""
     tree = ast.parse(source)
     skip = _docstrings(tree) | _export_lists(tree)
-    found = set()
+    bare, qualified = set(), set()
 
     def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, _DEFS):
             inside = inside | {node.name}
-        names = []
+        found, names = qualified, []
         if isinstance(node, ast.Name):
-            names = [node.id]
+            found, names = bare, [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
         elif isinstance(node, ast.alias):
@@ -75,7 +84,14 @@ def references(source):
             visit(child, inside)
 
     visit(tree, frozenset())
-    return found
+    return bare, qualified
+
+
+def unreferenced(source, bare, qualified):
+    """(line, name) of each definition in ``source`` that no reference
+    reaches: a method only through a qualified reference."""
+    return [(line, name) for line, name, is_method in definitions(source)
+            if name not in qualified and (is_method or name not in bare)]
 
 
 def _sources(top):
@@ -104,27 +120,40 @@ class Box:
     def dead(self):
         return self.dead()
 
+    def shadowed(self):
+        pass
+
+    def listed(self):
+        pass
+
 
 def traced():
     pass
 
 
+def helper():
+    pass
+
+
 BOX = Box()
-TRACED = ("mod.traced", "not a path: dead")
+TRACED = ("mod.traced", "mod.Box.listed", "not a path: dead")
+shadowed = helper()
 '''
-    refs = references(source)
-    assert [name for _line, name in definitions(source) if name not in refs] == \
-        ["dead"]
-    assert "traced" in refs
+    bare, qualified = references(source)
+    assert [name for _line, name in unreferenced(source, bare, qualified)] == \
+        ["dead", "shadowed"]
+    assert "traced" in qualified and "helper" in bare
 
 
 def test_every_package_definition_is_referenced():
-    refs = set()
+    bare, qualified = set(), set()
     for top in SEARCHED:
         for _path, source in _sources(os.path.join(ROOT, top)):
-            refs |= references(source)
+            b, q = references(source)
+            bare |= b
+            qualified |= q
     dead = []
     for path, source in _sources(PACKAGE):
         dead.extend("%s:%d %s" % (path, line, name)
-                    for line, name in definitions(source) if name not in refs)
+                    for line, name in unreferenced(source, bare, qualified))
     assert dead == []

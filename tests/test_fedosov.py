@@ -18,10 +18,11 @@ from fedosov_lab.geometry import Geometry, cov_ext_deriv
 from fedosov_lab.io import load_scenario
 from fedosov_lab.tensors import Tensor2, TensorSeries, diamond_power, series_inverse
 from fedosov_lab.weyl import (WeylForm, commutator, delta, delta_inv, i_over_hbar,
-                              moyal, moyal_sigma, y_dx_form)
+                              moyal, moyal_sigma, odd_bracket, y_dx_form)
 
 from conftest import (rand_closed_skew_poly, rand_cubic, rand_curved_geometry,
-                      rand_poly, rand_quadratic, rand_skew_constant)
+                      rand_form_qdeg, rand_poly, rand_quadratic, rand_skew_constant,
+                      rand_structure_geometry)
 
 F = Fraction
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -341,7 +342,7 @@ def test_every_stored_term_is_exact(rng, chart):
 
 
 def test_solves_and_residuals_compute_only_degrees_they_read(rng, monkeypatch):
-    """At cap 6 the sweeps read bodies through degree 4 and the residuals
+    """At cap 6 the solves read bodies through degree 4 and the residuals
     report degree 4 and below, so no covariant derivative is taken of a
     degree above 4 and no bracket or product keeps a degree above it."""
     def degree(a):
@@ -366,6 +367,65 @@ def test_solves_and_residuals_compute_only_degrees_they_read(rng, monkeypatch):
     assert abelian_residual(a, spec, r, 6).is_zero()
     assert {name for name, _d in seen} == {"cov_ext_deriv", "odd_bracket", "i_over_hbar"}
     assert max(d for _name, d in seen) <= 4, seen
+
+
+def test_residuals_sum_exactly_the_part_pairs_their_window_reads(rng):
+    """Each residual equals its defining expression with the whole product
+    or bracket, truncated at cap - 2, on a block and a non-block curved
+    chart: the part pairs with i + j <= cap are all that reach the window.
+    The solved forms (solved at cap 7 or below, to keep the whole products
+    small) are corrupted below the cap, so the residuals are not zero and
+    every pair shows."""
+    block = rand_curved_geometry(rng, 2, deg=0)
+    other = rand_curved_geometry(rng, 2, deg=0, omega=rand_structure_geometry(rng, 2).omega)
+    for geom in (block, other):
+        spec = WeylCurvatureSpec(geom, TensorSeries.from_terms(
+            2, "lower", 5, [(1, rand_closed_skew_poly(rng, 2, deg=2))]))
+        q = spec.q_form()
+        r7 = solve_r(spec, 7)
+        a7 = flat_section(rand_quadratic(rng, 2), spec, r7, 7)
+        for cap in range(4, 11):
+            r, a = r7.capped(cap - 1), a7.capped(cap - 1)
+            if cap <= 7:
+                assert curvature_residual(r, spec, cap).is_zero()
+                assert abelian_residual(a, spec, r, cap).is_zero()
+            r = r + rand_form_qdeg(rng, 2, cap - 1, 1, nterms=3, max_h=2, max_ydeg=5)
+            a = a + rand_form_qdeg(rng, 2, cap - 1, 0, nterms=3, max_h=2, max_ydeg=5)
+            want = (delta(r) - (q + cov_ext_deriv(r.capped(cap - 2), geom)
+                                + i_over_hbar(moyal(r, r, geom)))).capped(cap - 2)
+            assert curvature_residual(r, spec, cap) == want, cap
+            want = (cov_ext_deriv(a.capped(cap - 2), geom) - delta(a)
+                    + odd_bracket(r, a, geom)).capped(cap - 2)
+            assert abelian_residual(a, spec, r, cap) == want, cap
+
+
+def test_solves_bracket_each_part_pair_once(rng, monkeypatch):
+    """At cap 8 solve_r brackets each unordered pair of its parts r_i, r_j
+    with i + j <= cap once, and flat_section each pair r_i, a_j once: every
+    bracket takes two nonzero homogeneous parts."""
+    def part_degree(x):
+        (d,) = degrees(x)
+        return d
+
+    seen = []
+    real = fedosov.odd_bracket
+
+    def recording(x, y, geom):
+        seen.append((part_degree(x), part_degree(y)))
+        return real(x, y, geom)
+
+    monkeypatch.setattr(fedosov, "odd_bracket", recording)
+    spec, f = _curved_poly_chart(rng)
+    cap = 8
+    r = solve_r(spec, cap)
+    assert degrees(r) == set(range(3, cap))
+    assert sorted(seen) == [(i, j) for i in range(3, cap) for j in range(i, cap)
+                            if i + j <= cap]
+    seen.clear()
+    a = flat_section(f, spec, r, cap)
+    assert degrees(a) == set(range(cap))
+    assert sorted(seen) == [(i, j) for i in range(3, cap) for j in range(cap)
+                            if i + j <= cap]
 
 
 def test_star_cap_stability(rng):
@@ -555,7 +615,7 @@ def degrees(a):
 @pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "k1"])
 def test_solves_match_picard_oracle_through_the_cap(rng, perturbed):
     """solve_r and flat_section equal a from-scratch Picard iteration of the
-    whole equations, with full products and no increments, at every degree
+    whole equations, with full products and no parts, at every degree
     they store: below the cap.  The residual tests stop at cap - 2; this one
     also covers degree cap - 1."""
     cap = 6
@@ -585,10 +645,10 @@ def test_solves_match_picard_oracle_through_the_cap(rng, perturbed):
 @pytest.fixture
 def degree_keeping_update(monkeypatch):
     """Add delta to the covariant derivative.  delta lowers the filtration
-    degree by one, so each step of degree d puts a term of degree d - 1 into
-    the body after that degree was read, and delta_inv(delta s) = s for
-    every step of y-degree >= 1 with delta_inv(s) = 0: the degree-by-degree
-    solve is then not a fixed point, which its closing check reports."""
+    degree by one, so the body B_e built from a part of degree e with
+    y-degree >= 1 gets a term of degree e - 1, after that degree was read:
+    the degree-by-degree solve is then not a fixed point, which its check
+    that B_e has no term off degree e reports."""
     from fedosov_lab.weyl import delta
     real = fedosov.cov_ext_deriv
     monkeypatch.setattr(fedosov, "cov_ext_deriv",

@@ -115,21 +115,7 @@ def test_moyal_degree_filtered(rng):
         for (h, u, _f) in prod.terms:
             assert 2 * h + sum(u) <= da + db
         cap = max(da, db)
-        assert moyal(a.capped(cap), b.capped(cap), geom, cap=cap) == prod.capped(cap)
-    # the pair bound keeps exactly the product's terms of degree <= cap, and
-    # the bracket's before its division by hbar: forms over hbar^0..hbar^2
-    # and form degrees 0..2, at every cap from below the lowest product
-    # degree to above the highest
-    for dim in (2, 4):
-        for geom in (Geometry(dim), rand_structure_geometry(rng, dim)):
-            for _ in range(4):
-                a = rand_form(rng, dim, cap=None, nterms=5, max_h=2)
-                b = rand_form(rng, dim, cap=None, nterms=5, max_h=2)
-                prod = moyal(a, b, geom)
-                br = odd_bracket(a, b, geom)
-                for cap in range(12):
-                    assert moyal(a, b, geom, cap=cap) == prod.capped(cap), cap
-                    assert odd_bracket(a, b, geom, cap=cap) == br.capped(cap - 2), cap
+        assert moyal(a.capped(cap), b.capped(cap), geom).capped(cap) == prod.capped(cap)
 
 
 def test_commutator_signs(rng):
@@ -154,8 +140,8 @@ def test_commutator_signs(rng):
 
 def test_odd_bracket_equals_commutator(rng):
     # (i/hbar)[a,b] = 2i/hbar sum_{k odd} a o_k b for homogeneous form
-    # degree, any degree; also on capped inputs (the cap is tested before
-    # the division by hbar) and on inputs spread over several hbar powers
+    # degree, any degree; also on capped inputs (capping the commutator at c
+    # caps the bracket at c - 2) and on inputs spread over several hbar powers
     for dim in (2, 4):
         geom = Geometry(dim)
         for q1 in range(3):
@@ -166,7 +152,7 @@ def test_odd_bracket_equals_commutator(rng):
                     assert odd_bracket(a, b, geom) == i_over_hbar(commutator(a, b, geom))
                     for cap in (2, 3, 5):
                         ac, bc = a.capped(cap), b.capped(cap)
-                        assert odd_bracket(ac, bc, geom, cap=cap) == \
+                        assert odd_bracket(ac, bc, geom).capped(cap - 2) == \
                             i_over_hbar(commutator(ac, bc, geom).capped(cap))
                     mixed = a + a.mul_hbar(1) + a.mul_hbar(3)
                     assert odd_bracket(mixed, b, geom) == \
@@ -230,14 +216,12 @@ def oracle_descending_factorial(u, d):
     return out
 
 
-def oracle_moyal(a, b, geom, bracket=False, cap=None):
+def oracle_moyal(a, b, geom, bracket=False):
     out = {}
     shift = 1 if bracket else 0
     start = GaussianRational(0, 2) if bracket else ONE
     for (ha, ua, Ia), pa in a.terms.items():
         for (hb, ub, Ib), pb in b.terms.items():
-            if cap is not None and 2 * (ha + hb) + sum(ua) + sum(ub) > cap:
-                continue
             merged = wedge_merge(Ia, Ib)
             if merged is None:
                 continue
@@ -277,9 +261,8 @@ def test_moyal_and_odd_bracket_match_per_row_oracle(rng, dim):
                           .mul_hbar(1))
                 a = trunc(a + a.mul_hbar(1))
                 for x, y in ((a, b), (b, a)):
-                    assert moyal(x, y, geom, cap=cap) == oracle_moyal(x, y, geom, cap=cap)
-                    assert odd_bracket(x, y, geom, cap=cap) == \
-                        oracle_moyal(x, y, geom, bracket=True, cap=cap)
+                    assert moyal(x, y, geom) == oracle_moyal(x, y, geom)
+                    assert odd_bracket(x, y, geom) == oracle_moyal(x, y, geom, bracket=True)
     # a chart whose wbar is half the block one reads the same keys and must
     # find its own weights, not the block chart's
     scaled = Geometry(dim, omega=[[2 * v for v in row] for row in standard_omega(dim)])
@@ -321,7 +304,7 @@ def test_moyal_sigma_order_is_its_only_bound(rng):
                 for _ in range(3):
                     a = rand_form(rng, dim, cap=cap, nterms=5)
                     b = rand_form(rng, dim, cap=cap, nterms=5)
-                    full = sigma(moyal(a, b, geom, cap=cap))
+                    full = sigma(moyal(a, b, geom).capped(cap))
                     for n in range(cap // 2 + 1):
                         assert moyal_sigma(a, b, geom, order=n) == full.with_order(n)
 
