@@ -17,11 +17,9 @@ two observables is then
     f * g = sigma(section(f) o section(g)),
 
 read off order by order in hbar.  A solve at degree cap D stores degrees
-0..D-1, each exact.  A product coefficient at hbar^N reads section degrees
-through 2N, so D = 2N+1 would do; StarEngine always uses D = 2N+2, and a
-cap-sensitivity test checks that two caps agree rather than trusting it.
-The residuals of both equations are truncated at degree D-2, the top degree
-whose every term reads stored degrees only.
+0..D-1, each exact; a product coefficient at hbar^N reads section degrees
+through 2N, so StarEngine uses D = 2N+1.  Both residuals are truncated at
+degree D-2, the top degree whose every term reads stored degrees only.
 
 The section equation is linear over constants in f, so
 
@@ -311,7 +309,7 @@ class StarEngine:
             raise ValueError("order must be at least 1")
         self.spec = spec
         self.order = order
-        self.cap = 2 * order + 2
+        self.cap = 2 * order + 1
         self._r = None
         self._grid = None
         self._sections = {}   # observable key -> assembled section

@@ -235,7 +235,10 @@ def _scenario_from_dict(data):
         key = tuple(_integer(j, "gamma index") - 1 for j in idx)
         if not all(0 <= j < dim for j in key):
             raise ScenarioError("gamma index outside 1..%d" % dim)
-        gamma[key] = _poly(value, dim, "gamma")
+        p = _poly(value, dim, "gamma")
+        if gamma.setdefault(key, p) != p:
+            raise ScenarioError("gamma entry %s is listed twice with different "
+                                "values" % list(idx))
     geometry = Geometry(dim, omega=omega, gamma=gamma or None)
     order = _integer(data.get("order", 4), "order", MAX_ORDER)
     if order < 1:

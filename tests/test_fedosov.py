@@ -428,6 +428,26 @@ def test_solves_bracket_each_part_pair_once(rng, monkeypatch):
                             if i + j <= cap]
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_engine_stores_degrees_through_twice_the_order(rng, order):
+    """An engine of order N stores degrees 0..2N of r and of every section,
+    the degrees a product through hbar^N reads, and nothing above; each is
+    the reference solve at cap 2N + 2, capped at 2N."""
+    spec, f = _curved_poly_chart(rng)
+    eng = StarEngine(spec, order)
+    top = 2 * order
+    r = solve_r(spec, top + 2)
+    assert max(degrees(eng.r()), default=0) <= top
+    assert eng.r() == r.capped(top)
+    obs = [f, rand_cubic(rng, 2), Polynomial.variable(2, 1),
+           HbarSeries(order, {0: rand_quadratic(rng, 2),
+                              1: rand_poly(rng, 2, deg=1, terms=2)})]
+    for g in obs:
+        a = eng.section(g)
+        assert max(degrees(a)) <= top
+        assert a == flat_section(g, spec, r, top + 2).capped(top)
+
+
 def test_star_cap_stability(rng):
     gc = rand_curved_geometry(rng, 2)
     spec = WeylCurvatureSpec(gc)

@@ -152,6 +152,10 @@ def test_load_scenario_rejects_bad_data():
         load_scenario({"geometry": {"dim": 2, "gamma": [[[1, 1], "x2"]]}})
     with pytest.raises(ScenarioError):
         load_scenario({"geometry": {"dim": 2, "gamma": [[[1, 1, 9], "x2"]]}})
+    # a triple listed twice must not silently take its last value
+    with pytest.raises(ScenarioError, match="listed twice"):
+        load_scenario({"geometry": {"dim": 2, "gamma": [[[1, 1, 2], "x1"],
+                                                        [[1, 1, 2], "x2"]]}})
     # a parse error inside a field keeps its specific type
     with pytest.raises(ParseError):
         load_scenario({"geometry": {"dim": 2},

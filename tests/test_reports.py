@@ -11,7 +11,7 @@ identities, sections, the perturbed product).  Their ``star`` and
 ``compare`` reports are pinned at ``order=2`` as well: a passing ``verify``
 prints only "0" residuals, while ``star`` prints coefficients and
 ``compare`` the probe and predicted bivectors of two engines, and order 2
-(cap 6) is the first to reach the k = 3 contractions on a curved chart.
+(cap 5) is the first to reach the k = 3 contractions on a curved chart.
 At that order the solved forms themselves are pinned too: r and the
 sections behind each curved ``verify``.
 """
@@ -23,7 +23,7 @@ import pytest
 
 from fedosov_lab import cli
 from fedosov_lab.algebra import Polynomial
-from fedosov_lab.fedosov import StarEngine
+from fedosov_lab.fedosov import StarEngine, flat_section, solve_r
 from fedosov_lab.io import load_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -90,10 +90,13 @@ CURVED_ORDER2_DIGESTS = {
     ("curved_r4_plain", "star"): "0edbb1a7c82879414b604b7d39b632e64390b5e6e6dc09faa0b5e0c59dfbbeb4",
 }
 
-# The solved forms of the curved charts at order 2 (cap 6): the sha256 of
-# str(r) and of the sections of f, g and each coordinate.  A solve stores
-# degrees 0..cap-1 only, each exact, so these pin every coefficient that a
-# product through hbar^2 reads, and one degree more.  About 3 s for all four.
+# The solved forms of the curved charts at cap 6, by the reference solves:
+# the sha256 of str(r) and of the sections of f, g and each coordinate.  A
+# solve stores degrees 0..cap-1 only, each exact, so these pin every
+# coefficient that a product through hbar^2 reads (degrees through 4, which
+# an order-2 engine stores at its cap 5), and degree 5, which the verify
+# residuals read at order 2.  The order-2 engine's forms must equal these
+# capped at degree 4.  About 3 s for all four.
 FORM_DIGESTS = {
     "curved_r4_k1_const": {
         "r": "5f0e814e0532c94e38cb0818ba0ad55b1110e9323fb41a49db31f166339dd459",
@@ -169,12 +172,19 @@ def test_curved_report_bytes_are_unchanged(name, command, order, digest):
 @pytest.mark.parametrize("name", sorted(FORM_DIGESTS))
 def test_solved_forms_are_unchanged(name):
     scenario = load_scenario(os.path.join(SCENARIOS, name + ".json"))
-    engine = StarEngine(scenario.build_spec(), 2)
+    spec = scenario.build_spec()
     f, g = cli._default_observables(scenario)
     dim = scenario.geometry.dim
-    forms = {"r": engine.r(), "f": engine.section(f), "g": engine.section(g)}
+    obs = {"f": f, "g": g}
     for i in range(dim):
-        forms["x%d" % (i + 1)] = engine.section(Polynomial.variable(dim, i))
+        obs["x%d" % (i + 1)] = Polynomial.variable(dim, i)
+    r = solve_r(spec, 6)
+    forms = {"r": r}
+    forms.update((key, flat_section(p, spec, r, 6)) for key, p in obs.items())
     got = {key: hashlib.sha256(str(a).encode("utf-8")).hexdigest()
            for key, a in forms.items()}
     assert got == FORM_DIGESTS[name]
+    engine = StarEngine(spec, 2)
+    assert engine.r() == r.capped(4)
+    for key, p in obs.items():
+        assert engine.section(p) == forms[key].capped(4), key
