@@ -20,6 +20,9 @@ read off order by order in hbar.  A solve at degree cap D stores degrees
 0..D-1, each exact; a product coefficient at hbar^N reads section degrees
 through 2N, so StarEngine uses D = 2N+1.  Both residuals are truncated at
 degree D-2, the top degree whose every term reads stored degrees only.
+Since degree d reads only lower ones, a solve at a lower cap is resumed,
+not repeated: verify extends the engine's own r and sections by the one
+degree 2N+1 its residuals read, and checks those.
 
 The section equation is linear over constants in f, so
 
@@ -27,8 +30,8 @@ The section equation is linear over constants in f, so
 
 StarEngine uses this at two cache levels: it solves the recursion once per
 monomial hbar^n x^m, and it memoizes each observable's section assembled
-from those.  ``flat_section`` solves a whole observable directly and is the
-reference the assembled sections are tested against.
+from those.  ``flat_section`` solves a whole observable directly; it is the
+reference the assembled sections are tested against, and it extends them.
 
 The module also houses the scalar sequences sigma_p, kappa_p, c_p that
 govern the perturbation series in the flat/constant case: they satisfy
@@ -162,16 +165,17 @@ def _parts(a):
     return {d: WeylForm._make(a.dim, t) for d, t in parts.items()}
 
 
-def _solve(base, pairs, geom, what, cap):
+def _solve(base, pairs, geom, what, cap, below=None):
     """Solve  x = base + delta_inv(B)  below the cap, one degree at a time:
     x_d = base_d + delta_inv(B_e), e = d - 1.  B_e is par x_e plus the
     (i/hbar)[b, c] over ``pairs(xs, e)``, and reads the parts xs of x through
-    degree e only.  A term of B_e off degree e means an operator did not
-    keep filtration degree: ConvergenceError."""
+    degree e only, so a solution ``below`` at a lower cap keeps its parts
+    and the solve resumes above their top degree.  A term of B_e off degree e
+    means an operator did not keep filtration degree: ConvergenceError."""
     zero = WeylForm.zero(base.dim)
     bases = _parts(base)
-    xs = {}
-    for d in range(cap):
+    xs = {} if below is None else _parts(below)
+    for d in range(max(xs, default=-1) + 1, cap):
         b = cov_ext_deriv(xs[d - 1], geom) if d - 1 in xs else zero
         for left, right in pairs(xs, d - 1):
             b = b + odd_bracket(left, right, geom)
@@ -184,13 +188,15 @@ def _solve(base, pairs, geom, what, cap):
     return sum(xs.values(), zero)
 
 
-def solve_r(spec, cap):
+def solve_r(spec, cap, below=None):
     """Solve  r = delta_inv(Q + par r + (i/hbar) r o r)  below the cap.
 
     Returns the unique fixed point with delta_inv(r) = 0 and lowest degree 3,
     through filtration degree cap - 1: every term is exact, and none has
     degree cap or more.  For 1-forms r_i o r_j + r_j o r_i = [r_i, r_j], so
     each pair of parts i <= j is bracketed once, and halved when i = j.
+    ``below``, a solve at a lower cap, is extended: only the degrees above
+    its top one are computed.
     """
     if cap < 3:
         raise ValueError("degree cap must be at least 3")
@@ -199,7 +205,7 @@ def solve_r(spec, cap):
         return [(ri.scale(_HALF) if 2 * i == e + 2 else ri, rs[e + 2 - i])
                 for i, ri in rs.items() if 2 * i <= e + 2 and e + 2 - i in rs]
 
-    r = _solve(delta_inv(spec.q_form()), pairs, spec.geometry, "r-recursion", cap)
+    r = _solve(delta_inv(spec.q_form()), pairs, spec.geometry, "r-recursion", cap, below)
     if not delta_inv(r).is_zero():
         raise ConvergenceError("fixed point violates the delta_inv(r) = 0 gauge")
     if not r.is_zero() and r.min_degree() < 3:
@@ -207,14 +213,16 @@ def solve_r(spec, cap):
     return r
 
 
-def flat_section(f, spec, r, cap):
+def flat_section(f, spec, r, cap, below=None):
     """Solve  a = f + delta_inv(par a + (i/hbar) [r, a])  below the cap.
 
     ``f`` is a polynomial observable or an hbar-series of polynomials; the
     recursion is hbar-linear, so a series input needs one solve, not one per
     coefficient.  The result is the section of the flattened connection with
     scalar part f through degree cap - 1, every term exact; ``r`` must be
-    solved at ``cap`` or above.
+    solved at ``cap`` or above.  ``below``, the section of f at a lower cap
+    (``StarEngine.section(f)`` for one), is extended: only the degrees above
+    its top one are computed.
     """
     if isinstance(f, Polynomial):
         f = HbarSeries(0, {0: f})
@@ -224,7 +232,7 @@ def flat_section(f, spec, r, cap):
         return [(rs[e + 2 - j], aj) for j, aj in parts.items() if e + 2 - j in rs]
 
     return _solve(WeylForm.from_series(f, spec.dim), pairs, spec.geometry,
-                  "section recursion", cap)
+                  "section recursion", cap, below)
 
 
 def _pair_sum(op, a, b, geom, cap):

@@ -1,11 +1,15 @@
 """Exit codes, report output, and command plumbing of the console front end."""
 
 import json
+import os
 
 import pytest
 
-from fedosov_lab import cli
-from fedosov_lab.io import MAX_COEFF_LIMIT, MAX_ORDER, Check, Report
+from fedosov_lab import cli, fedosov
+from fedosov_lab.algebra import Polynomial
+from fedosov_lab.fedosov import StarEngine, flat_section, solve_r
+from fedosov_lab.io import MAX_COEFF_LIMIT, MAX_ORDER, Check, Report, load_scenario
+from fedosov_lab.weyl import WeylForm
 
 from conftest import invalid_json_files, scenarios_at_limit
 
@@ -23,6 +27,10 @@ FLAT_PLAIN = {
     "geometry": {"dim": 2},
     "order": 2,
 }
+
+
+CURVED = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                      "curved_r4_k1_poly.json")
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -347,3 +355,98 @@ def test_failed_report_write_is_usage_error(tmp_path, capsys, run_calls):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert run_calls == ["star"]
+
+
+# -- verify checks the engine's own forms ---------------------------------------
+
+
+def test_verify_residuals_check_the_engine_sections(monkeypatch, capsys):
+    """A term y1^2 added to the engine's section of g, which no product
+    reads, fails g's abelian residual: the residual checks the section the
+    engine holds, not a second solve."""
+    g = load_scenario(CURVED).observables["g"]
+    real = StarEngine.section
+
+    def corrupted(self, f):
+        a = real(self, f)
+        if isinstance(f, Polynomial) and f == g:
+            a = a + WeylForm(4, {(0, (2, 0, 0, 0), ()): Polynomial.one(4)})
+        return a
+
+    monkeypatch.setattr(StarEngine, "section", corrupted)
+    assert cli.main(["verify", "--scenario", CURVED, "--order", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "failing: section.abelian-residual-g\n"
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_verify_residual_window_is_pinned(monkeypatch, order):
+    """The flatness and abelian residuals run at cap 2N + 2, with window
+    2N, on r and the sections of f and g through degree 2N + 1: each equals
+    the fresh solve at that cap.  A residual at the engine's cap 2N + 1
+    would still read zero, so only this pins the window."""
+    seen = []
+    real_curvature, real_abelian = cli.curvature_residual, cli.abelian_residual
+
+    def curvature(r, spec, cap):
+        seen.append(("r", r, cap))
+        return real_curvature(r, spec, cap)
+
+    def abelian(a, spec, r, cap):
+        seen.append(("a", a, cap))
+        return real_abelian(a, spec, r, cap)
+
+    monkeypatch.setattr(cli, "curvature_residual", curvature)
+    monkeypatch.setattr(cli, "abelian_residual", abelian)
+    scenario = load_scenario(CURVED)
+    assert cli.run("verify", scenario, order=order).passed
+    spec, cap = scenario.build_spec(), 2 * order + 2
+    r = solve_r(spec, cap)
+    want = [("r", r, cap)] + [("a", flat_section(scenario.observables[name], spec, r, cap), cap)
+                              for name in ("f", "g")]
+    assert seen == want
+
+
+def test_verify_resumes_the_engine_forms_by_one_degree(monkeypatch):
+    """In verify, r and the sections of f and g are solved from degree 0
+    inside the engine only; the residual phase extends the very forms the
+    engine handed out, and computes degree 2N + 1 of each, which reads
+    degree 2N."""
+    order = 2
+    handed = []
+    for name in ("r", "section"):
+        def handing(self, *args, real=getattr(StarEngine, name)):
+            handed.append(real(self, *args))
+            return handed[-1]
+        monkeypatch.setattr(StarEngine, name, handing)
+    real_cov = fedosov.cov_ext_deriv
+    resumed = []
+
+    def resuming(solve):
+        def wrapped(*args, below):
+            assert any(below is form for form in handed)
+            read = []
+
+            def recording(a, geom):
+                read.extend({2 * h + sum(u) for (h, u, _form) in a.terms})
+                return real_cov(a, geom)
+            monkeypatch.setattr(fedosov, "cov_ext_deriv", recording)
+            try:
+                return solve(*args, below=below)
+            finally:
+                monkeypatch.setattr(fedosov, "cov_ext_deriv", real_cov)
+                resumed.append(read)
+        return wrapped
+
+    monkeypatch.setattr(cli, "solve_r", resuming(solve_r))
+    monkeypatch.setattr(cli, "flat_section", resuming(flat_section))
+    fresh = []  # the cap of every solve from degree 0
+    for name in ("solve_r", "flat_section"):
+        def counting(*args, real=getattr(fedosov, name)):
+            fresh.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(fedosov, name, counting)
+    assert cli.run("verify", load_scenario(CURVED), order=order).passed
+    assert resumed == [[2 * order]] * 3
+    assert fresh and set(fresh) == {2 * order + 1}

@@ -316,8 +316,8 @@ def test_connection_cap_stability(rng):
     assert r6 != r8.capped(6)  # r8 has degree-6 terms, which r6 does not store
 
 
-def _curved_poly_chart(rng):
-    geom = rand_curved_geometry(rng, 2)
+def _curved_poly_chart(rng, omega=None):
+    geom = rand_curved_geometry(rng, 2, omega=omega)
     alpha = rand_closed_skew_poly(rng, 2, deg=1)
     spec = WeylCurvatureSpec(
         geom, TensorSeries.from_terms(2, "lower", 4, [(1, alpha)]))
@@ -610,6 +610,51 @@ def test_flat_section_runs_once_per_monomial(rng, monkeypatch):
     eng.star_series(f, HbarSeries(2, {1: x2}))
     assert sorted(solved) == [(0, (0, 1)), (0, (1, 0)), (0, (1, 1)),
                               (0, (2, 0)), (1, (0, 1)), (1, (1, 0))]
+
+
+# -- resuming a solve --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["block", "non-block"])
+def test_resumed_solves_equal_fresh_solves(rng, monkeypatch, block):
+    """A solve given its own solution at cap c keeps those parts and
+    computes degree c only, which reads degree c - 1 and below; the result
+    is the fresh solve at cap c + 1.  A section also resumes from the
+    engine's assembled one, of a polynomial or of an hbar-series."""
+    read = []
+    real = fedosov.cov_ext_deriv
+
+    def recording(a, geom):
+        read.extend(degrees(a))
+        return real(a, geom)
+
+    def resumed(solve, *args, **kw):
+        read.clear()
+        monkeypatch.setattr(fedosov, "cov_ext_deriv", recording)
+        try:
+            return solve(*args, **kw)
+        finally:
+            monkeypatch.setattr(fedosov, "cov_ext_deriv", real)
+
+    omega = None if block else rand_structure_geometry(rng, 2).omega
+    spec, f = _curved_poly_chart(rng, omega)
+    for c in (4, 5, 6):
+        r = solve_r(spec, c + 1)
+        assert resumed(solve_r, spec, c + 1, below=solve_r(spec, c)) == r, c
+        assert read == [c - 1], c
+        below = flat_section(f, spec, solve_r(spec, c), c)
+        assert resumed(flat_section, f, spec, r, c + 1, below=below) == \
+            flat_section(f, spec, r, c + 1), c
+        assert read == [c - 1], c
+    order = 2
+    eng = StarEngine(spec, order)
+    r = solve_r(spec, eng.cap + 1)
+    for f in (rand_cubic(rng, 2),
+              HbarSeries(order, {0: rand_quadratic(rng, 2),
+                                 1: rand_poly(rng, 2, deg=1, terms=2)})):
+        assert resumed(flat_section, f, spec, r, eng.cap + 1,
+                       below=eng.section(f)) == flat_section(f, spec, r, eng.cap + 1)
+        assert read == [2 * order]
 
 
 # -- the solves against a Picard oracle ----------------------------------------------
