@@ -519,10 +519,6 @@ class HbarSeries:
                 clean[n] = v
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, order):
-        return cls(order, {})
-
     def coeff(self, n, default=None):
         return self.coeffs.get(n, default)
 

@@ -193,7 +193,7 @@ def predicted_onediff(alpha_h, geom, order):
     """
     fp = formal_poisson(alpha_h, geom, order - 1)
     return HbarSeries(order, {m + 1: t.scale(_MINUS_HALF_I)
-                              for m, t in fp.hs.coeffs.items() if m >= 1})
+                              for m, t in fp.coeffs.items() if m >= 1})
 
 
 class OrderComparison:

@@ -50,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import HbarSeries, Polynomial, accumulate
-from .tensors import TensorSeries, is_closed
+from .tensors import is_closed
 from .weyl import (WeylForm, central_two_form, delta, delta_inv, i_over_hbar,
                    moyal, moyal_sigma, odd_bracket)
 from .geometry import cov_ext_deriv
@@ -88,8 +88,9 @@ class ConvergenceError(RuntimeError):
 class WeylCurvatureSpec:
     """A chart together with a central perturbation of its curvature input.
 
-    The perturbation is a finite hbar-polynomial of covariant two-forms,
-    each coefficient skew and closed, with no hbar^0 part.  It enters the
+    The perturbation is a finite hbar-polynomial of covariant two-forms, an
+    HbarSeries of Tensor2 (``TensorSeries.from_terms`` builds one), each
+    coefficient skew and closed, with no hbar^0 part.  It enters the
     r-equation as the central Weyl form  sum_k hbar^k alpha_k.
     """
 
@@ -98,11 +99,11 @@ class WeylCurvatureSpec:
         if perturbation is not None and perturbation.is_zero():
             perturbation = None
         if perturbation is not None:
-            if perturbation.variance != "lower":
-                raise PerturbationError("perturbation must be covariant")
-            if perturbation.dim != geometry.dim:
-                raise PerturbationError("perturbation dim does not match chart")
-            for k, t in perturbation.hs.coeffs.items():
+            for k, t in perturbation.coeffs.items():
+                if t.variance != "lower":
+                    raise PerturbationError("perturbation must be covariant")
+                if t.dim != geometry.dim:
+                    raise PerturbationError("perturbation dim does not match chart")
                 if k == 0:
                     raise PerturbationError("perturbation must have no hbar^0 part")
                 if not t.is_skew():
@@ -129,15 +130,16 @@ class WeylCurvatureSpec:
             return False
         if not self.is_perturbed:
             return True
-        return all(t.is_constant() for t in self.perturbation.hs.coeffs.values())
+        return all(t.is_constant() for t in self.perturbation.coeffs.values())
 
     def unperturbed(self):
         return WeylCurvatureSpec(self.geometry)
 
     def alpha_series(self, order):
-        """The perturbation as a TensorSeries truncated/extended to ``order``."""
+        """The perturbation as an HbarSeries of Tensor2 truncated/extended
+        to ``order``."""
         if not self.is_perturbed:
-            return TensorSeries(self.dim, "lower", HbarSeries(order, {}))
+            return HbarSeries(order)
         return self.perturbation.with_order(order)
 
     def q_form(self):
@@ -148,7 +150,7 @@ class WeylCurvatureSpec:
         if not geom.is_flat():
             q = q + geom.curvature().weyl_two_form
         if self.is_perturbed:
-            for k, t in sorted(self.perturbation.hs.coeffs.items()):
+            for k, t in sorted(self.perturbation.coeffs.items()):
                 q = q + central_two_form(t, hpow=k)
         return q
 

@@ -19,10 +19,12 @@ raise and lower both indices at once:
 contractions, and those of ``series_inverse`` and the curvature, is a product
 of ``matmul``, the one exact matrix product of the package.
 
-``formal_poisson`` assembles the deformed bivector series from a perturbation
-of the symplectic form, and ``series_inverse`` inverts a form-valued series
-order by order; the two must agree, which the tests exploit as a dual-route
-check.
+A tensor series is a plain ``HbarSeries`` of ``Tensor2``, built with its
+shapes checked by ``TensorSeries.from_terms``; a reader of a missing
+coefficient passes ``Tensor2.zeros`` to ``coeff``.  ``formal_poisson``
+assembles the deformed bivector series from a perturbation of the symplectic
+form, and ``series_inverse`` inverts a form-valued series order by order; the
+two must agree, which the tests exploit as a dual-route check.
 """
 
 from __future__ import annotations
@@ -361,73 +363,25 @@ def is_closed(alpha):
 
 
 class TensorSeries:
-    """Truncated hbar-series whose coefficients are like-variance tensors."""
+    """Checked constructor of tensor series, plain HbarSeries of Tensor2."""
 
-    __slots__ = ("dim", "variance", "hs")
-
-    def __init__(self, dim, variance, hs):
+    @staticmethod
+    def from_terms(dim, variance, order, terms):
+        """Build from an iterable of (power, Tensor2) pairs; repeated powers
+        add and powers above ``order`` drop."""
         if variance not in ("lower", "upper"):
             raise VarianceError("variance must be 'lower' or 'upper'")
-        for n, t in hs.coeffs.items():
-            if not isinstance(t, Tensor2) or t.dim != dim or t.variance != variance:
-                raise VarianceError("series coefficient at order %d has wrong shape" % n)
-        self.dim = dim
-        self.variance = variance
-        self.hs = hs
-
-    @classmethod
-    def from_terms(cls, dim, variance, order, terms):
-        """Build from an iterable of (power, Tensor2) pairs; repeated powers add."""
         coeffs = {}
         for n, t in terms:
+            if not isinstance(t, Tensor2) or t.dim != dim or t.variance != variance:
+                raise VarianceError("series coefficient at order %d has wrong shape" % n)
             coeffs[n] = coeffs[n] + t if n in coeffs else t
-        return cls(dim, variance, HbarSeries(order, coeffs))
-
-    @property
-    def order(self):
-        return self.hs.order
-
-    def coeff(self, n):
-        return self.hs.coeff(n, Tensor2.zeros(self.dim, self.variance))
-
-    def __add__(self, other):
-        self._check(other)
-        return TensorSeries(self.dim, self.variance, self.hs + other.hs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return TensorSeries(self.dim, self.variance, self.hs - other.hs)
-
-    def _check(self, other):
-        if self.dim != other.dim or self.variance != other.variance:
-            raise VarianceError("tensor series are not compatible")
-
-    def map_tensors(self, fn, variance=None):
-        out = self.hs.map(fn)
-        return TensorSeries(self.dim, variance or self.variance, out)
-
-    def with_order(self, order):
-        return TensorSeries(self.dim, self.variance, self.hs.with_order(order))
-
-    def min_power(self):
-        return self.hs.min_power()
-
-    def is_zero(self):
-        return self.hs.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSeries):
-            return NotImplemented
-        return (self.dim, self.variance, self.hs) == (other.dim, other.variance, other.hs)
-
-    def __repr__(self):
-        return "TensorSeries(%d, %s, %s)" % (self.dim, self.variance, self.hs)
+        return HbarSeries(order, coeffs)
 
 
 def series_diamond(A, B, geom, order=None):
-    A._check(B)
-    hs = A.hs.convolve(B.hs, mul=lambda a, b: diamond(a, b, geom), order=order)
-    return TensorSeries(A.dim, A.variance, hs)
+    """Order-by-order diamond product of two like-variance tensor series."""
+    return A.convolve(B, mul=lambda a, b: diamond(a, b, geom), order=order)
 
 
 def series_schouten(A, B, order=None):
@@ -436,7 +390,7 @@ def series_schouten(A, B, order=None):
     Returns the HbarSeries of Tensor3 brackets; zero iff the series bracket
     vanishes through the truncation order.
     """
-    return A.hs.convolve(B.hs, mul=schouten, order=order)
+    return A.convolve(B, mul=schouten, order=order)
 
 
 def formal_poisson(perturbation, geom, order):
@@ -451,19 +405,18 @@ def formal_poisson(perturbation, geom, order):
     Poisson bivector; for any perturbation it inverts w + a^hbar, which
     ``series_inverse`` checks independently.
     """
-    if perturbation.variance != "lower":
-        raise VarianceError("perturbation must be a lower tensor series")
-    if perturbation.dim != geom.dim:
-        raise ValueError("perturbation dim does not match chart dim")
-    zero_part = perturbation.hs.coeff(0)
-    if zero_part is not None and not zero_part.is_zero():
-        raise ValueError("perturbation must start at hbar^1 or higher")
-    for n, t in perturbation.hs.coeffs.items():
+    for n, t in perturbation.coeffs.items():
+        if t.variance != "lower":
+            raise VarianceError("perturbation must be a lower tensor series")
+        if t.dim != geom.dim:
+            raise ValueError("perturbation dim does not match chart dim")
+        if n == 0:
+            raise ValueError("perturbation must start at hbar^1 or higher")
         if not t.is_skew():
             raise ValueError("perturbation coefficient at order %d is not skew" % n)
 
-    abar = perturbation.with_order(order).map_tensors(lambda t: mu(t, geom), variance="upper")
-    acc = TensorSeries(geom.dim, "upper", HbarSeries(order, {0: geom.omega_bar}))
+    abar = perturbation.with_order(order).map(lambda t: mu(t, geom))
+    acc = HbarSeries(order, {0: geom.omega_bar})
     power = abar
     while not power.is_zero():
         acc = acc - power
@@ -477,12 +430,15 @@ def series_inverse(omega_series, order):
     The hbar^0 coefficient must be a constant invertible matrix.  Returns the
     upper series Obar with  O_{ij} Obar^{jk} = delta_i^k  through ``order``.
     """
-    if omega_series.variance != "lower":
+    if any(t.variance != "lower" for t in omega_series.coeffs.values()):
         raise VarianceError("series_inverse expects a lower tensor series")
-    dim = omega_series.dim
-    w0 = Tensor2(dim, "upper", invert_scalar_matrix(omega_series.coeff(0).constant_rows()))
+    o0 = omega_series.coeff(0)
+    if o0 is None:
+        raise SingularMatrixError("series has no hbar^0 term")
+    dim = o0.dim
+    w0 = Tensor2(dim, "upper", invert_scalar_matrix(o0.constant_rows()))
     inv = {0: w0}
-    higher = {n: t for n, t in omega_series.hs.coeffs.items() if 0 < n <= order}
+    higher = {n: t for n, t in omega_series.coeffs.items() if 0 < n <= order}
     for n in range(1, order + 1):
         # O_0 inv_n = -sum_{l >= 1} O_l inv_{n-l}
         acc = Tensor2.zeros(dim, "upper")
@@ -490,8 +446,7 @@ def series_inverse(omega_series, order):
             if l <= n:
                 acc = acc + Tensor2(dim, "upper", matmul(el.rows, inv[n - l].rows))
         inv[n] = -Tensor2(dim, "upper", matmul(w0.rows, acc.rows))
-    coeffs = {n: t for n, t in inv.items() if not t.is_zero()}
-    return TensorSeries(dim, "upper", HbarSeries(order, coeffs))
+    return HbarSeries(order, inv)
 
 
 def invert_scalar_matrix(rows):

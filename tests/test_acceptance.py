@@ -135,7 +135,7 @@ def test_criterion_2_flat_constant_inverse_series():
                     assert res.coeff(0) == xi * xj, (dim, k, i, j)
                     for n in range(1, order + 1):
                         # route one: minus (i/2) times the series inverse
-                        want = obar.coeff(n - 1).entry(i, j).scale(MINUS_HALF_I)
+                        want = obar.coeff(n - 1, Tensor2.zeros(dim, "upper")).entry(i, j).scale(MINUS_HALF_I)
                         assert res.coeff(n) == want, (dim, k, i, j, n)
                         # route two: diamond powers at n = p*k + 1, else zero
                         if n == 1:

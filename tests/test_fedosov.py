@@ -296,7 +296,7 @@ def test_perturbed_coordinate_products_invert_the_form_series(rng, dim, k):
             res = eng.star(xi, xj)
             assert res.coeff(0) == xi * xj
             for n in range(1, order + 1):
-                want = obar.coeff(n - 1).entry(i, j).scale(
+                want = obar.coeff(n - 1, Tensor2.zeros(dim, "upper")).entry(i, j).scale(
                     GaussianRational(0, F(-1, 2)))
                 assert res.coeff(n) == want, (i, j, n)
 
@@ -763,3 +763,14 @@ def test_perturbation_validation():
     zero = Tensor2.zeros(2, "lower")
     spec = WeylCurvatureSpec(g2, TensorSeries.from_terms(2, "lower", 3, {1: zero}.items()))
     assert not spec.is_perturbed
+
+
+def test_perturbation_shape_checks():
+    g2 = Geometry(2)
+    al = Tensor2(2, "lower", [[0, 1], [-1, 0]])
+    upper = TensorSeries.from_terms(2, "upper", 3, [(1, Tensor2(2, "upper", al.rows))])
+    with pytest.raises(PerturbationError):
+        WeylCurvatureSpec(g2, upper)
+    with pytest.raises(PerturbationError):
+        WeylCurvatureSpec(g2, TensorSeries.from_terms(
+            4, "lower", 3, [(1, Geometry(4).omega)]))

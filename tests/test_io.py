@@ -204,7 +204,7 @@ def test_limits_hold_every_bundled_scenario():
         assert sc.geometry.dim <= MAX_DIM and sc.order <= MAX_ORDER
         assert sc.coeff_limit <= MAX_COEFF_LIMIT
         if sc.perturbation is not None:
-            assert max(sc.perturbation.hs.coeffs) <= MAX_K
+            assert max(sc.perturbation.coeffs) <= MAX_K
 
 
 @pytest.mark.parametrize("field", sorted(LIMITS))

@@ -13,7 +13,9 @@ prints only "0" residuals, while ``star`` prints coefficients and
 ``compare`` the probe and predicted bivectors of two engines, and order 2
 (cap 5) is the first to reach the k = 3 contractions on a curved chart.
 At that order the solved forms themselves are pinned too: r and the
-sections behind each curved ``verify``.
+sections behind each curved ``verify``.  ``star``, ``compare`` and
+``poisson`` are pinned once more at ``order=3``, where the predicted
+bivectors reach hbar^3.
 """
 
 import hashlib
@@ -90,6 +92,22 @@ CURVED_ORDER2_DIGESTS = {
     ("curved_r4_plain", "star"): "0edbb1a7c82879414b604b7d39b632e64390b5e6e6dc09faa0b5e0c59dfbbeb4",
 }
 
+# The curved compare and poisson reports at order 3, and every curved star
+# report: the first pins that print a predicted bivector past hbar^2, and
+# k2_const's hbar^2 perturbation in a poisson report.  About 10 s in all.
+CURVED_ORDER3_DIGESTS = {
+    ("curved_r4_k1_const", "compare"): "7001ac6b4d30985bfe2d0da180e4eaa55ff1fa938d8dc97d59106c0bf240a8a7",
+    ("curved_r4_k1_const", "poisson"): "5413b0d8037a11808347fd669852f8a76fbca44b289083fd66f4a82f98389da3",
+    ("curved_r4_k1_poly", "compare"): "7399141fe81e4155fc904da012559a6d9fbf54628c95ecb96fba00b77cf2f5ee",
+    ("curved_r4_k1_poly", "poisson"): "d303c6ba66a85d528ac7cf96aac65cd8e832cfda9258029d6709cd3b82586ef1",
+    ("curved_r4_k2_const", "compare"): "e6451e01edba731251584f6c6a0ec8bd90d3745fcb6503a18d4444683314ffe0",
+    ("curved_r4_k2_const", "poisson"): "e6529e7364ede35a0386e0b7dad0088f88269da65c8d0edb2c06e4d7942b4901",
+    ("curved_r4_k1_const", "star"): "305f29a6d967c7b20fc51fa3da71c402b725d3e26b048ac8d29be617023667d9",
+    ("curved_r4_k1_poly", "star"): "462baa3e746f6038f61141ed9583f0435bb598aed719a537ba061e2227d8c6ee",
+    ("curved_r4_k2_const", "star"): "6d116423f45eb4415dbd09aa0b1cf5c5ab21d5a7c29e9df570e07188a503be4c",
+    ("curved_r4_plain", "star"): "caf101655c2220090e7a9120ffa8289747cfd90a16c687ebd0d120aa7567360a",
+}
+
 # The solved forms of the curved charts at cap 6, by the reference solves:
 # the sha256 of str(r) and of the sections of f, g and each coordinate.  A
 # solve stores degrees 0..cap-1 only, each exact, so these pin every
@@ -140,7 +158,9 @@ CURVED_CASES = (
     [pytest.param(name, cmd, 1, d, id="%s-%s" % (name, cmd))
      for (name, cmd), d in sorted(CURVED_DIGESTS.items())]
     + [pytest.param(name, cmd, 2, d, id="%s-%s-order2" % (name, cmd))
-       for (name, cmd), d in sorted(CURVED_ORDER2_DIGESTS.items())])
+       for (name, cmd), d in sorted(CURVED_ORDER2_DIGESTS.items())]
+    + [pytest.param(name, cmd, 3, d, id="%s-%s-order3" % (name, cmd))
+       for (name, cmd), d in sorted(CURVED_ORDER3_DIGESTS.items())])
 
 
 def _digest(name, command, order=None):
@@ -156,6 +176,8 @@ def test_every_scenario_is_pinned():
     assert all(name.startswith("curved_") for name, _cmd in CURVED_DIGESTS)
     assert sorted(CURVED_ORDER2_DIGESTS) == sorted(
         key for key in CURVED_DIGESTS if key[1] in ("star", "compare"))
+    assert sorted(CURVED_ORDER3_DIGESTS) == sorted(
+        key for key in CURVED_DIGESTS if key[1] in ("star", "compare", "poisson"))
     assert sorted(pinned | {name for name, _cmd in CURVED_DIGESTS}) == bundled
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from fedosov_lab.algebra import GaussianRational, Polynomial
 from fedosov_lab.geometry import Geometry
-from fedosov_lab.tensors import (Tensor2, TensorSeries, VarianceError,
-                                 diamond, diamond_power, formal_poisson,
+from fedosov_lab.tensors import (SingularMatrixError, Tensor2, TensorSeries,
+                                 VarianceError, diamond, diamond_power, formal_poisson,
                                  invert_scalar_matrix, is_closed, matmul, mu,
                                  mu_inv, schouten, series_diamond, series_inverse,
                                  series_schouten, two_form_d)
@@ -285,8 +285,8 @@ def test_series_inverse_is_two_sided_inverse(rng):
             for k in range(dim):
                 s = Polynomial.zero(dim)
                 for m in range(n + 1):
-                    lo = series.coeff(m)
-                    hi = inv.coeff(n - m)
+                    lo = series.coeff(m, Tensor2.zeros(dim, "lower"))
+                    hi = inv.coeff(n - m, Tensor2.zeros(dim, "upper"))
                     for j in range(dim):
                         s = s + lo.entry(i, j) * hi.entry(j, k)
                 want = Polynomial.one(dim) if (n == 0 and i == k) else Polynomial.zero(dim)
@@ -336,7 +336,60 @@ def test_series_diamond_is_hbar_convolution(rng):
     B = TensorSeries.from_terms(dim, "lower", 4, {2: a2}.items())
     prod = series_diamond(A, B, geom)
     assert prod.coeff(3) == diamond(a1, a2, geom)
-    assert prod.coeff(1).is_zero() and prod.coeff(2).is_zero() and prod.coeff(4).is_zero()
+    zero = Tensor2.zeros(dim, "lower")
+    assert prod.coeff(1, zero).is_zero() and prod.coeff(2, zero).is_zero() and prod.coeff(4, zero).is_zero()
+
+
+def test_from_terms_checks_every_term():
+    al = Tensor2(2, "lower", [[0, 1], [-1, 0]])
+    with pytest.raises(VarianceError):
+        TensorSeries.from_terms(2, "sideways", 3, [(1, al)])
+    with pytest.raises(VarianceError):
+        TensorSeries.from_terms(2, "lower", 3, [(1, Polynomial.variable(2, 0))])
+    with pytest.raises(VarianceError):
+        TensorSeries.from_terms(4, "lower", 3, [(1, al)])
+    with pytest.raises(VarianceError):
+        TensorSeries.from_terms(2, "upper", 3, [(1, al)])
+    with pytest.raises(VarianceError):
+        TensorSeries.from_terms(2, "lower", 3, [(1, al), (2, Tensor2(2, "upper", al.rows))])
+
+
+def test_from_terms_adds_repeated_powers_and_truncates():
+    a = Tensor2(2, "lower", [[0, 1], [-1, 0]])
+    b = Tensor2(2, "lower", [[0, Polynomial.variable(2, 0)], [-Polynomial.variable(2, 0), 0]])
+    series = TensorSeries.from_terms(2, "lower", 2, [(1, a), (2, b), (1, b), (3, a)])
+    assert series.order == 2
+    assert series.coeff(1) == a + b and series.coeff(2) == b
+    assert series == TensorSeries.from_terms(2, "lower", 2, [(1, a + b), (2, b)])
+    assert series.min_power() == 1
+    cancelled = TensorSeries.from_terms(2, "lower", 2, [(1, a), (1, -a), (3, b)])
+    assert cancelled.is_zero() and cancelled.min_power() is None
+
+
+def test_formal_poisson_rejects_bad_perturbations():
+    geom = Geometry(2)
+    al = Tensor2(2, "lower", [[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="hbar\\^1"):
+        formal_poisson(TensorSeries.from_terms(2, "lower", 3, [(0, al)]), geom, 3)
+    with pytest.raises(VarianceError):
+        formal_poisson(TensorSeries.from_terms(2, "upper", 3, [(1, mu(al, geom))]), geom, 3)
+    with pytest.raises(ValueError, match="dim"):
+        formal_poisson(TensorSeries.from_terms(
+            4, "lower", 3, [(1, Geometry(4).omega)]), geom, 3)
+    notskew = Tensor2(2, "lower", [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="skew"):
+        formal_poisson(TensorSeries.from_terms(2, "lower", 3, [(1, notskew)]), geom, 3)
+
+
+def test_series_inverse_rejects_bad_series():
+    geom = Geometry(2)
+    with pytest.raises(VarianceError):
+        series_inverse(TensorSeries.from_terms(2, "upper", 3, [(0, geom.omega_bar)]), 3)
+    al = Tensor2(2, "lower", [[0, 1], [-1, 0]])
+    with pytest.raises(SingularMatrixError):
+        series_inverse(TensorSeries.from_terms(2, "lower", 3, [(1, al)]), 3)
+    with pytest.raises(SingularMatrixError):
+        series_inverse(TensorSeries.from_terms(2, "lower", 3, []), 3)
 
 
 def test_invert_scalar_matrix():
