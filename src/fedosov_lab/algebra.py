@@ -18,10 +18,13 @@ once per coefficient product.  ``Polynomial.terms`` rebuilds the
 
 No sparse container stores a zero: a ``Polynomial`` holds only nonzero
 numerators, reduced against its denominator, and a ``WeylForm`` only nonzero
-polynomials, so equality can compare the stored dicts directly.  Every
-``WeylForm`` and ``HbarSeries`` term sum goes through ``accumulate``, the one
-place that adds into a sparse dict and drops the key when the sum cancels;
-``Polynomial`` sums its integer pairs in its own loops.
+polynomials, so equality can compare the stored dicts directly.  The product
+sums of ``weyl`` (``moyal`` and ``moyal_sigma``) add integer numerators into
+one accumulator there, which reduces each coefficient once and drops what
+cancels.  Every other ``WeylForm`` and
+``HbarSeries`` term sum goes through ``accumulate``, the one place that adds
+into a sparse dict and drops the key when the sum cancels; ``Polynomial``
+sums its integer pairs in its own loops.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import GaussianRational, ONE, Polynomial, accumulate, index_exponent
+from .algebra import GaussianRational, ONE, Polynomial, _split, accumulate, index_exponent
 from .tensors import SingularMatrixError, Tensor2, invert_scalar_matrix, matmul
 from .weyl import WeylForm, exterior_d, odd_bracket
 
@@ -89,6 +89,7 @@ class Geometry:
 
         self.gamma = self._canonical_gamma(gamma or {})
         self._contractions = {}
+        self._numerators = {}
         self._weights = {}
         self._gamma_weyl = None
         self._curvature = None
@@ -157,14 +158,25 @@ class Geometry:
                 for (d, e), w in sums.items()}
         return table
 
+    def contraction_numerators(self, k):
+        """``contractions(k)`` with each scalar c split as (re, im, den),
+        c = (re + im*i) / den in lowest terms, built once per chart and k."""
+        table = self._numerators.get(k)
+        if table is None:
+            table = self._numerators[k] = {
+                key: _split(c) for key, c in self.contractions(k).items()}
+        return table
+
     def moyal_weights(self, ua, ub, bracket):
-        """Every contraction of y^ua o y^ub, as a tuple of (dh, u, c), built
-        once per chart and key (ua, ub, bracket).
+        """Every contraction of y^ua o y^ub, as a tuple of (dh, u, re, im,
+        den), built once per chart and key (ua, ub, bracket).
 
         The product y^ua o y^ub is the sum of c * hbar^dh * y^u over the
-        entries.  A key (d, e) of ``contractions(k)`` with d <= ua and
-        e <= ub leaves u = ua - d + ub - e with its scalar times
-        binom(ua, d) * binom(ub, e), since the falling factorial
+        entries, c = (re + im*i) / den: the scalar is stored pre-split into
+        Gaussian-integer numerators over a reduced positive denominator, so
+        a product adds it as integers.  A key (d, e) of ``contractions(k)``
+        with d <= ua and e <= ub leaves u = ua - d + ub - e with its scalar
+        times binom(ua, d) * binom(ub, e), since the falling factorial
         (ua)_d = binom(ua, d) * d!; c sums the keys that leave the same u,
         and dh = k.  With ``bracket`` only odd k enter, with c times 2i and
         dh = k - 1: the odd pieces of (i/hbar)[y^ua, y^ub].  No entry has
@@ -182,7 +194,7 @@ class Geometry:
                     if n:
                         u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
                         accumulate(sums, u, c * n)
-                entries.extend((k - shift, u, _TWO_I * c if bracket else c)
+                entries.extend((k - shift, u) + _split(_TWO_I * c if bracket else c)
                                for u, c in sums.items())
             entries = self._weights[key] = tuple(entries)
         return entries

@@ -22,9 +22,13 @@ filtration degree of a product exactly, so the product of homogeneous parts
 of degrees i and j is homogeneous of degree i + j.
 This module holds no contraction weights.  The chart caches one table per
 k, ``Geometry.contractions(k)``: the whole scalar of each fully contracted
-pair y^d o_k y^e.  ``moyal_sigma`` reads it directly; ``moyal`` reads the
-pieces of y^ua o y^ub, scalars included, from ``Geometry.moyal_weights(ua,
-ub, bracket)``, which the chart builds from the same table.
+pair y^d o_k y^e.  ``moyal_sigma`` reads it with each scalar split into
+Gaussian-integer numerators over a denominator
+(``Geometry.contraction_numerators(k)``); ``moyal`` reads the pieces of
+y^ua o y^ub, split scalars included, from ``Geometry.moyal_weights(ua, ub,
+bracket)``, which the chart builds from the same table.  Both add every
+pair's coefficient product into one integer accumulator, ``_Sum``, which
+reduces each output coefficient once.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -46,6 +50,7 @@ holds piecewise, which the recursion machinery depends on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import GaussianRational, HbarSeries, Polynomial, I, accumulate
 
@@ -254,19 +259,92 @@ class WeylForm:
 # -- the fiberwise product ------------------------------------------------------------
 
 
-def moyal(a, b, geom, bracket=False):
-    """Fiberwise product a o b.
+class _Sum:
+    """An in-place sum of scaled polynomials, keyed like a form's terms.
 
-    Each monomial pair reads its contractions, weights included, from the
-    chart's cached table ``geom.moyal_weights(ua, ub, bracket)``; the pair's
-    coefficient product is formed once and scaled per entry.  ``bracket``
-    returns (i/hbar)[a, b] instead (see the module docstring).
+    Each key holds ``[den, {exp: (re, im)}]``: Gaussian-integer numerators
+    over the key's running positive denominator, which becomes the lcm (and
+    the numerators are rescaled) when a term with another denominator
+    arrives.  Nothing is reduced while summing; ``polys`` reduces each key
+    once, through ``Polynomial._reduced``, and drops zero numerators and
+    keys that cancel: the in-place sparse-sum idiom of Monagan and Pearce
+    (CASC 2007), over exact Gaussian rationals.
     """
+
+    __slots__ = ("dim", "keys")
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.keys = {}
+
+    def add(self, key, num, den, p, q):
+        """Add (p + q*i) / den times the numerator dict ``num`` into ``key``."""
+        slot = self.keys.get(key)
+        if slot is None:
+            acc = {}
+            self.keys[key] = [den, acc]
+        else:
+            top, acc = slot
+            if top != den:
+                if top % den:
+                    new = lcm(top, den)
+                    f = new // top
+                    for e, (a, b) in acc.items():
+                        acc[e] = (a * f, b * f)
+                    slot[0] = top = new
+                m = top // den
+                p *= m
+                q *= m
+        get = acc.get
+        if not q:
+            for e, (a, b) in num.items():
+                prev = get(e)
+                acc[e] = ((a * p, b * p) if prev is None
+                          else (prev[0] + a * p, prev[1] + b * p))
+        elif not p:
+            for e, (a, b) in num.items():
+                prev = get(e)
+                acc[e] = ((-b * q, a * q) if prev is None
+                          else (prev[0] - b * q, prev[1] + a * q))
+        else:
+            for e, (a, b) in num.items():
+                re, im = a * p - b * q, a * q + b * p
+                prev = get(e)
+                acc[e] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+
+    def polys(self):
+        """key -> reduced nonzero Polynomial; empties the sum, releasing each
+        key's numerators as its polynomial is built."""
+        out = {}
+        keys = self.keys
+        for key in list(keys):
+            den, acc = keys.pop(key)
+            num = {e: v for e, v in acc.items() if v[0] or v[1]}
+            if num:
+                out[key] = Polynomial._reduced(self.dim, num, den, den)
+        return out
+
+
+def _check_dims(a, b, geom):
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
     if a.dim != geom.dim:
         raise ValueError("form dim does not match chart dim")
-    out = {}
+
+
+def moyal(a, b, geom, bracket=False):
+    """Fiberwise product a o b.
+
+    Each monomial pair reads its contractions from the chart's cached table
+    ``geom.moyal_weights(ua, ub, bracket)``, whose scalars are stored as
+    Gaussian-integer numerators over a denominator.  The pair's coefficient
+    product is formed once, and each entry adds it, times its scalar, into
+    one integer accumulator that reduces each output coefficient once.
+    ``bracket`` returns (i/hbar)[a, b] instead (see the module docstring).
+    """
+    _check_dims(a, b, geom)
+    acc = _Sum(geom.dim)
+    add = acc.add
     weights = geom.moyal_weights
     for (ha, ua, Ia), pa in a.terms.items():
         for (hb, ub, Ib), pb in b.terms.items():
@@ -277,11 +355,14 @@ def moyal(a, b, geom, bracket=False):
             if not entries:
                 continue
             sign, IJ = merged
-            pab = pa * pb if sign > 0 else -(pa * pb)
+            pab = pa * pb
+            num, den = pab._num, pab._den
             h = ha + hb
-            for dh, u, c in entries:
-                accumulate(out, (h + dh, u, IJ), pab.scale(c))
-    return WeylForm._make(a.dim, out)
+            for dh, u, re, im, cden in entries:
+                if sign < 0:
+                    re, im = -re, -im
+                add((h + dh, u, IJ), num, den * cden, re, im)
+    return WeylForm._make(geom.dim, acc.polys())
 
 
 def odd_bracket(a, b, geom):
@@ -299,17 +380,18 @@ def moyal_sigma(a, b, geom, order=None):
 
     Only fully contracted pairs survive the projection: both monomials must
     be dx-free with equal y-degree k, and the pair y^u, y^v contributes the
-    chart's cached scalar ``geom.contractions(k)[(u, v)]``, one lookup per
-    pair.  ``order`` is the only bound: a pair that lands above hbar^order
-    is skipped before its product is formed.  With ``order=None`` every pair
-    is kept, and the result's order is its top power.
+    chart's cached scalar ``geom.contraction_numerators(k)[(u, v)]``, stored
+    as Gaussian-integer numerators over a denominator, one lookup per pair.
+    Each pair's product is added into one integer accumulator keyed by the
+    hbar power, which reduces each coefficient once.  ``order`` is the only
+    bound: a pair that lands above hbar^order is skipped before its product
+    is formed.  With ``order=None`` every pair is kept, and the result's
+    order is its top power.
     """
-    if a.dim != b.dim:
-        raise ValueError("weyl form dims differ")
-    if a.dim != geom.dim:
-        raise ValueError("form dim does not match chart dim")
-    out = {}
-    weights = geom.contractions
+    _check_dims(a, b, geom)
+    acc = _Sum(a.dim)
+    add = acc.add
+    weights = geom.contraction_numerators
     by_deg = {}
     for (hb, ub, Ib), pb in b.terms.items():
         if Ib:
@@ -330,7 +412,10 @@ def moyal_sigma(a, b, geom, order=None):
             c = lookup.get((ua, ub))
             if c is None:
                 continue
-            accumulate(out, h, (pa * pb).scale(c))
+            re, im, cden = c
+            pab = pa * pb
+            add(h, pab._num, pab._den * cden, re, im)
+    out = acc.polys()
     return HbarSeries(max(out, default=0) if order is None else order, out)
 
 

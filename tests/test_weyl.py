@@ -14,8 +14,12 @@ from fedosov_lab.weyl import (HbarDivisionError, WeylForm, commutator, delta,
                               moyal_sigma, odd_bracket, sigma, wedge_merge,
                               y_dx_form, y_gradient)
 
-from conftest import (rand_form, rand_form_qdeg, rand_poly, rand_skew_constant,
-                      rand_structure_geometry)
+from fedosov_lab.fedosov import (WeylCurvatureSpec, abelian_residual, curvature_residual,
+                                 flat_section, solve_r)
+
+from conftest import (rand_curved_geometry, rand_form, rand_form_qdeg, rand_poly,
+                      rand_skew_constant, rand_structure_geometry)
+from test_algebra import _assert_canonical_polynomial
 
 F = Fraction
 
@@ -293,6 +297,50 @@ def test_moyal_sigma_equals_sigma_of_moyal(rng):
                     full = sigma(moyal(a, b, geom))
                     n = max(ms.order, full.order)
                     assert ms.with_order(n) == full.with_order(n)
+
+
+def test_product_sums_return_canonical_polynomials(rng):
+    """moyal, odd_bracket and moyal_sigma add every pair into one integer
+    accumulator and reduce each coefficient once; both residuals sum such
+    products.  Every Polynomial they return is reduced and stores no zero
+    numerator, and a key whose sum cancels is absent.  The coefficients mix the denominators
+    2, 3 and 5 (one imaginary), on a block and a non-block chart."""
+    dim = 2
+    x1, x2 = (Polynomial.variable(dim, j) for j in range(dim))
+    half, third, fifth_i = F(1, 2), F(1, 3), GaussianRational(0, F(1, 5))
+    c = [x1.scale(half) + third, x2.scale(fifth_i) - half, (x1 * x2).scale(third) + fifth_i]
+    # an even 0-form with hbar, and a 1-form with dx factors on both sides
+    a = WeylForm(dim, {(0, (0, 0), ()): c[0], (0, (1, 0), ()): c[1], (0, (0, 1), ()): c[2],
+                       (1, (1, 1), ()): c[0], (0, (2, 1), ()): c[1]})
+    b = WeylForm(dim, {(0, (1, 0), (0,)): c[2], (1, (0, 2), (1,)): c[0],
+                       (0, (1, 1), (1,)): c[1]})
+    # on every chart moyal_sigma(s, s) at hbar^1 sums w^{12} and w^{21}
+    s = WeylForm(dim, {(0, (0, 0), ()): c[1], (0, (1, 0), ()): c[2], (0, (0, 1), ()): c[2]})
+
+    def canonical(value):
+        terms = value.terms if isinstance(value, WeylForm) else value.coeffs
+        for p in terms.values():
+            _assert_canonical_polynomial(p)
+        return value
+
+    other = rand_structure_geometry(rng, dim)
+    for geom in (Geometry(dim), other, rand_curved_geometry(rng, dim, deg=0),
+                 rand_curved_geometry(rng, dim, deg=0, omega=other.omega)):
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            assert not canonical(moyal(x, y, geom)).is_zero()
+            canonical(odd_bracket(x, y, geom))
+            canonical(moyal_sigma(x, y, geom))
+        assert odd_bracket(a, a, geom).is_zero()  # every key cancels
+        assert not canonical(moyal_sigma(a, a, geom)).is_zero()
+        ss = canonical(moyal_sigma(s, s, geom))
+        assert 0 in ss.coeffs and 1 not in ss.coeffs
+        # the residuals of a solved r and section, each corrupted
+        spec = WeylCurvatureSpec(geom)
+        r = solve_r(spec, 6)
+        sec = flat_section(c[0] + c[2], spec, r, 6) + b.scale(fifth_i)
+        r = r + WeylForm(dim, {(1, (2, 1), (1,)): c[2], (0, (3, 1), (0,)): c[1]})
+        assert not canonical(curvature_residual(r, spec, 6)).is_zero()
+        assert not canonical(abelian_residual(sec, spec, r, 6)).is_zero()
 
 
 def test_moyal_sigma_order_is_its_only_bound(rng):

@@ -1,0 +1,124 @@
+"""Paired parent/change runs of ``fedosov-lab verify --out`` at order 3.
+
+Standard library only.  Run from anywhere, with two checkouts of the
+repository (for example a ``git archive`` of the parent commit and the
+working tree):
+
+    python3 tools/order3_pairs.py PARENT CHANGE --pairs 2 --json pairs.json
+
+Each side runs ``python3 -m fedosov_lab.cli verify --scenario
+<checkout>/scenarios/<name>.json --order N --out <report>`` in a fresh
+process that imports the package from ``<checkout>/src``.  For every
+scenario and pair the two sides run back to back, one at a time, and the
+side that goes first alternates (the parent first in even pairs), so slow
+spells of a shared machine fall on both.  Each run records its wall time,
+its max RSS (``os.wait4``) and the sha256 of its report.
+
+The default scenarios are the four bundled ``curved_r4_*`` ones.  The exit
+status is 1 when a run fails or when the two sides' reports differ in any
+pair, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+SCENARIOS = ("curved_r4_k1_poly", "curved_r4_k1_const", "curved_r4_k2_const",
+             "curved_r4_plain")
+SIDES = ("parent", "change")
+
+
+def run_verify(checkout, scenario, order, out):
+    """One ``verify --out`` in a fresh process: (exit code, wall s, max RSS MB,
+    report sha256 or None)."""
+    checkout = os.path.abspath(checkout)
+    cmd = [sys.executable, "-m", "fedosov_lab.cli", "verify",
+           "--scenario", os.path.join(checkout, "scenarios", scenario + ".json"),
+           "--order", str(order), "--out", out]
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = code = os.waitstatus_to_exitcode(status)
+    sha = None
+    if code == 0:
+        with open(out, "rb") as fh:
+            sha = hashlib.sha256(fh.read()).hexdigest()
+        os.remove(out)
+    return code, wall, usage.ru_maxrss / 1024, sha
+
+
+def run_pairs(paths, scenarios, order, pairs, log=print):
+    """Every run, per scenario and side, and whether every pair agreed."""
+    results = {}
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        for name in scenarios:
+            rows = results[name] = {side: {"wall_s": [], "max_rss_mb": [], "sha256": [],
+                                           "exit": []} for side in SIDES}
+            for i in range(pairs):
+                order_in_pair = SIDES if i % 2 == 0 else SIDES[::-1]
+                shas = {}
+                for side in order_in_pair:
+                    code, wall, rss, sha = run_verify(paths[side], name, order, out)
+                    row = rows[side]
+                    row["exit"].append(code)
+                    row["wall_s"].append(round(wall, 3))
+                    row["max_rss_mb"].append(round(rss, 2))
+                    row["sha256"].append(sha)
+                    shas[side] = sha
+                    log("%-20s pair %d %-6s exit %d  %8.2f s  %7.2f MB  %s"
+                        % (name, i, side, code, wall, rss, (sha or "-")[:8]))
+                if shas["parent"] is None or shas["parent"] != shas["change"]:
+                    ok = False
+            for side in SIDES:
+                rows[side]["median_wall_s"] = round(statistics.median(rows[side]["wall_s"]), 3)
+                rows[side]["median_max_rss_mb"] = round(
+                    statistics.median(rows[side]["max_rss_mb"]), 2)
+    return results, ok
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("--pairs", type=int, default=1, help="pairs per scenario")
+    parser.add_argument("--order", type=int, default=3, help="verify --order")
+    parser.add_argument("--scenario", action="append",
+                        help="a bundled scenario name (repeatable); default: the "
+                        "four curved_r4_* scenarios")
+    parser.add_argument("--json", help="write every run and the medians to this file")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    results, ok = run_pairs({"parent": args.parent, "change": args.change},
+                            args.scenario or SCENARIOS, args.order, args.pairs)
+    for name, rows in results.items():
+        print("%-20s median wall %8.2f -> %8.2f s   max RSS %7.2f -> %7.2f MB"
+              % (name, rows["parent"]["median_wall_s"], rows["change"]["median_wall_s"],
+                 rows["parent"]["median_max_rss_mb"], rows["change"]["median_max_rss_mb"]))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"order": args.order, "pairs": args.pairs,
+                       "first_in_pair": [SIDES[i % 2] for i in range(args.pairs)],
+                       "reports_match": ok, "scenarios": results}, fh, indent=1)
+            fh.write("\n")
+    if not ok:
+        print("error: a run failed or the parent and change reports differ",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
