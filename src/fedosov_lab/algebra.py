@@ -18,13 +18,12 @@ once per coefficient product.  ``Polynomial.terms`` rebuilds the
 
 No sparse container stores a zero: a ``Polynomial`` holds only nonzero
 numerators, reduced against its denominator, and a ``WeylForm`` only nonzero
-polynomials, so equality can compare the stored dicts directly.  The product
-sums of ``weyl`` (``moyal`` and ``moyal_sigma``) add integer numerators into
-one accumulator there, which reduces each coefficient once and drops what
-cancels.  Every other ``WeylForm`` and
-``HbarSeries`` term sum goes through ``accumulate``, the one place that adds
-into a sparse dict and drops the key when the sum cancels; ``Polynomial``
-sums its integer pairs in its own loops.
+polynomials, so equality can compare the stored dicts directly.  Only this
+module reads the integer format.  Every weighted sum of polynomials under
+keys (the Weyl products, ``delta``, ``delta_inv``, ``exterior_d``) goes
+through ``_Sum``, which adds numerators in place and reduces each key once;
+other sums of whole values go through ``accumulate``, which drops the key
+when the sum cancels; ``Polynomial`` sums its integer pairs in its own loops.
 """
 
 from __future__ import annotations
@@ -55,7 +54,8 @@ def accumulate(out, key, v, subtract=False):
     A missing key receives ``v`` (or ``-v``) only when that value is nonzero,
     and a key whose sum cancels is deleted.  The zero test is truthiness;
     tensor coefficients of an ``HbarSeries`` have no truth value of their
-    own, so ``HbarSeries`` drops zeros in its constructor as well.
+    own, so ``HbarSeries`` drops zeros in its constructor as well.  A
+    weighted sum of polynomials under keys uses ``_Sum`` instead.
     """
     prev = out.get(key)
     if prev is None:
@@ -498,6 +498,75 @@ def _term_str(exp, q, imag):
         factors.append("i")
     factors.extend(mono)
     return sign, "*".join(factors)
+
+
+class _Sum:
+    """An in-place sum of scaled polynomials under keys, such as a form's
+    ``(h, u, form)`` terms.
+
+    Each key holds ``[den, {exp: (re, im)}]``: Gaussian-integer numerators
+    over the key's running positive denominator, which becomes the lcm (and
+    the numerators are rescaled) when a term with another denominator
+    arrives.  Nothing is reduced while summing; ``polys`` reduces each key
+    once and drops zero numerators and keys that cancel: the in-place
+    sparse-sum idiom of Monagan and Pearce (CASC 2007), over exact Gaussian
+    rationals.
+    """
+
+    __slots__ = ("dim", "keys")
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.keys = {}
+
+    def add(self, key, poly, re, im=0, den=1):
+        """Add (re + im*i) / den times the Polynomial ``poly`` into ``key``;
+        ``re``, ``im`` and ``den > 0`` are ints."""
+        den *= poly._den
+        slot = self.keys.get(key)
+        if slot is None:
+            acc = {}
+            self.keys[key] = [den, acc]
+        else:
+            top, acc = slot
+            if top != den:
+                if top % den:
+                    new = lcm(top, den)
+                    f = new // top
+                    for e, (a, b) in acc.items():
+                        acc[e] = (a * f, b * f)
+                    slot[0] = top = new
+                m = top // den
+                re *= m
+                im *= m
+        get = acc.get
+        if not im:
+            for e, (a, b) in poly._num.items():
+                prev = get(e)
+                acc[e] = ((a * re, b * re) if prev is None
+                          else (prev[0] + a * re, prev[1] + b * re))
+        elif not re:
+            for e, (a, b) in poly._num.items():
+                prev = get(e)
+                acc[e] = ((-b * im, a * im) if prev is None
+                          else (prev[0] - b * im, prev[1] + a * im))
+        else:
+            for e, (a, b) in poly._num.items():
+                x, y = a * re - b * im, a * im + b * re
+                prev = get(e)
+                acc[e] = (x, y) if prev is None else (prev[0] + x, prev[1] + y)
+
+    def polys(self):
+        """key -> reduced nonzero Polynomial; empties the sum, releasing each
+        key's numerators as its polynomial is built."""
+        out = {}
+        keys = self.keys
+        for key in list(keys):
+            den, acc = keys.pop(key)
+            num = {e: v for e, v in acc.items() if v[0] or v[1]}
+            if num:
+                out[key] = Polynomial._reduced(self.dim, num, den, den)
+        return out
 
 
 class HbarSeries:

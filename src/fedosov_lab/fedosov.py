@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import HbarSeries, Polynomial, accumulate
+from .algebra import HbarSeries, Polynomial, _Sum
 from .tensors import is_closed
 from .weyl import (WeylForm, central_two_form, delta, delta_inv, i_over_hbar,
                    moyal, moyal_sigma, odd_bracket)
@@ -239,13 +239,13 @@ def flat_section(f, spec, r, cap, below=None):
 
 def _pair_sum(op, a, b, geom, cap):
     """The sum of op(a_i, b_j) over the parts with i + j <= cap."""
-    out = {}
+    acc = _Sum(a.dim)
     b_parts = _parts(b)
     for i, ai in _parts(a).items():
         for bj in (part for j, part in b_parts.items() if i + j <= cap):
             for k, p in op(ai, bj, geom).terms.items():
-                accumulate(out, k, p)
-    return WeylForm._make(a.dim, out)
+                acc.add(k, p, 1)
+    return WeylForm._make(a.dim, acc.polys())
 
 
 def abelian_residual(a, spec, r, cap):

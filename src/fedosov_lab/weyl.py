@@ -26,9 +26,9 @@ pair y^d o_k y^e.  ``moyal_sigma`` reads it with each scalar split into
 Gaussian-integer numerators over a denominator
 (``Geometry.contraction_numerators(k)``); ``moyal`` reads the pieces of
 y^ua o y^ub, split scalars included, from ``Geometry.moyal_weights(ua, ub,
-bracket)``, which the chart builds from the same table.  Both add every
-pair's coefficient product into one integer accumulator, ``_Sum``, which
-reduces each output coefficient once.
+bracket)``, which the chart builds from the same table.  The products,
+``delta``, ``delta_inv`` and ``exterior_d`` add each term, times an integer
+scalar, into ``algebra._Sum``, which reduces each output coefficient once.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -49,10 +49,7 @@ holds piecewise, which the recursion machinery depends on.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-from .algebra import GaussianRational, HbarSeries, Polynomial, I, accumulate
+from .algebra import GaussianRational, HbarSeries, Polynomial, I, _Sum, accumulate
 
 __all__ = [
     "WeylForm",
@@ -259,72 +256,6 @@ class WeylForm:
 # -- the fiberwise product ------------------------------------------------------------
 
 
-class _Sum:
-    """An in-place sum of scaled polynomials, keyed like a form's terms.
-
-    Each key holds ``[den, {exp: (re, im)}]``: Gaussian-integer numerators
-    over the key's running positive denominator, which becomes the lcm (and
-    the numerators are rescaled) when a term with another denominator
-    arrives.  Nothing is reduced while summing; ``polys`` reduces each key
-    once, through ``Polynomial._reduced``, and drops zero numerators and
-    keys that cancel: the in-place sparse-sum idiom of Monagan and Pearce
-    (CASC 2007), over exact Gaussian rationals.
-    """
-
-    __slots__ = ("dim", "keys")
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.keys = {}
-
-    def add(self, key, num, den, p, q):
-        """Add (p + q*i) / den times the numerator dict ``num`` into ``key``."""
-        slot = self.keys.get(key)
-        if slot is None:
-            acc = {}
-            self.keys[key] = [den, acc]
-        else:
-            top, acc = slot
-            if top != den:
-                if top % den:
-                    new = lcm(top, den)
-                    f = new // top
-                    for e, (a, b) in acc.items():
-                        acc[e] = (a * f, b * f)
-                    slot[0] = top = new
-                m = top // den
-                p *= m
-                q *= m
-        get = acc.get
-        if not q:
-            for e, (a, b) in num.items():
-                prev = get(e)
-                acc[e] = ((a * p, b * p) if prev is None
-                          else (prev[0] + a * p, prev[1] + b * p))
-        elif not p:
-            for e, (a, b) in num.items():
-                prev = get(e)
-                acc[e] = ((-b * q, a * q) if prev is None
-                          else (prev[0] - b * q, prev[1] + a * q))
-        else:
-            for e, (a, b) in num.items():
-                re, im = a * p - b * q, a * q + b * p
-                prev = get(e)
-                acc[e] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-
-    def polys(self):
-        """key -> reduced nonzero Polynomial; empties the sum, releasing each
-        key's numerators as its polynomial is built."""
-        out = {}
-        keys = self.keys
-        for key in list(keys):
-            den, acc = keys.pop(key)
-            num = {e: v for e, v in acc.items() if v[0] or v[1]}
-            if num:
-                out[key] = Polynomial._reduced(self.dim, num, den, den)
-        return out
-
-
 def _check_dims(a, b, geom):
     if a.dim != b.dim:
         raise ValueError("weyl form dims differ")
@@ -356,12 +287,9 @@ def moyal(a, b, geom, bracket=False):
                 continue
             sign, IJ = merged
             pab = pa * pb
-            num, den = pab._num, pab._den
             h = ha + hb
             for dh, u, re, im, cden in entries:
-                if sign < 0:
-                    re, im = -re, -im
-                add((h + dh, u, IJ), num, den * cden, re, im)
+                add((h + dh, u, IJ), pab, sign * re, sign * im, cden)
     return WeylForm._make(geom.dim, acc.polys())
 
 
@@ -412,9 +340,7 @@ def moyal_sigma(a, b, geom, order=None):
             c = lookup.get((ua, ub))
             if c is None:
                 continue
-            re, im, cden = c
-            pab = pa * pb
-            add(h, pab._num, pab._den * cden, re, im)
+            add(h, pa * pb, *c)
     out = acc.polys()
     return HbarSeries(max(out, default=0) if order is None else order, out)
 
@@ -444,7 +370,7 @@ def i_over_hbar(a):
 
 def delta(a):
     """dx^k ^ (da/dy^k): trades one y for one dx, lowering degree by one."""
-    out = {}
+    acc = _Sum(a.dim)
     for (h, u, form), p in a.terms.items():
         for k in range(a.dim):
             e = u[k]
@@ -454,23 +380,20 @@ def delta(a):
             if merged is None:
                 continue
             sign, nf = merged
-            accumulate(out, (h, u[:k] + (e - 1,) + u[k + 1:], nf), p.scale(e * sign))
-    return WeylForm._make(a.dim, out)
+            acc.add((h, u[:k] + (e - 1,) + u[k + 1:], nf), p, e * sign)
+    return WeylForm._make(a.dim, acc.polys())
 
 
 def delta_inv(a):
     """The partial inverse of delta; kills pieces with no y and no dx."""
-    out = {}
+    acc = _Sum(a.dim)
     for (h, u, form), p in a.terms.items():
         total = sum(u) + len(form)
-        if total == 0:
-            continue
-        w = Fraction(1, total)
         for pos, k in enumerate(form):
             nu = u[:k] + (u[k] + 1,) + u[k + 1:]
             nf = form[:pos] + form[pos + 1:]
-            accumulate(out, (h, nu, nf), p.scale(w if pos % 2 == 0 else -w))
-    return WeylForm._make(a.dim, out)
+            acc.add((h, nu, nf), p, -1 if pos % 2 else 1, 0, total)
+    return WeylForm._make(a.dim, acc.polys())
 
 
 def sigma(a):
@@ -487,7 +410,7 @@ def sigma(a):
 
 def exterior_d(a):
     """Exterior derivative in the base variables: dx^m ^ (da/dx^m)."""
-    out = {}
+    acc = _Sum(a.dim)
     for (h, u, form), p in a.terms.items():
         for m in range(a.dim):
             dp = p.partial(m)
@@ -497,8 +420,8 @@ def exterior_d(a):
             if merged is None:
                 continue
             sign, nf = merged
-            accumulate(out, (h, u, nf), dp, subtract=sign < 0)
-    return WeylForm._make(a.dim, out)
+            acc.add((h, u, nf), dp, sign)
+    return WeylForm._make(a.dim, acc.polys())
 
 
 # -- builders bridging tensors and Weyl forms ------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fedosov_lab.algebra import (GaussianRational, HbarSeries, I, ONE, Polynomial, ZERO,
-                                 accumulate)
+                                 _split, _Sum, accumulate)
 from fedosov_lab.geometry import Geometry
 from fedosov_lab.weyl import WeylForm, delta, delta_inv, exterior_d, moyal, moyal_sigma
 
@@ -230,6 +230,46 @@ def test_accumulate_keeps_no_zero(v):
     accumulate(out, "d", v)
     accumulate(out, "d", v)
     assert out == {"d": v + v}
+
+
+def test_keyed_sum_matches_scale_and_add(rng):
+    # _Sum adds (re + im*i)/den * poly under a key on integers and reduces
+    # each key once; the oracle scales every term and adds.
+    dim = 2
+    x1, x2 = (Polynomial.variable(dim, j) for j in range(dim))
+    acc = _Sum(dim)
+    acc.add("a", x1, 1, 0, 2)
+    acc.add("a", x2, 0, 1, 3)
+    assert acc.keys["a"][0] == 6  # a second denominator lifts the key to the lcm
+    acc.add("b", x1, 1)
+    acc.add("b", x1.scale(3), -1, 0, 3)  # the sum cancels
+    acc.add("c", x1 + x2, 1, 0, 2)
+    acc.add("c", x2, -1, 0, 2)
+    assert acc.keys["c"][1][(0, 1)] == (0, 0)
+    acc.add("d", x1, 0)
+    out = acc.polys()
+    assert acc.keys == {}  # polys() empties the sum
+    # the cancelled keys are absent, and x2's zero numerator is dropped
+    assert out == {"a": x1.scale(F(1, 2)) + x2.scale(GaussianRational(0, F(1, 3))),
+                   "c": x1.scale(F(1, 2))}
+    for _ in range(40):
+        acc = _Sum(dim)
+        oracle = {}
+        added = []
+        for _ in range(rng.randint(1, 8)):
+            key = rng.randint(0, 3)
+            if added and rng.random() < 0.3:  # take back an earlier term
+                key, p, c = rng.choice(added)
+                c = -c
+            else:
+                p, c = rand_poly(rng, dim, deg=2, terms=3), rand_coeff(rng)
+                added.append((key, p, c))
+            acc.add(key, p, *_split(c))
+            oracle[key] = oracle.get(key, Polynomial.zero(dim)) + p.scale(c)
+        out = acc.polys()
+        assert out == {k: v for k, v in oracle.items() if v}
+        for p in out.values():
+            _assert_canonical_polynomial(p)
 
 
 def _assert_canonical_polynomial(p):

@@ -6,6 +6,10 @@ in ``tests/`` and ``demos/``, collect the names bound by ``import`` and
 ``from ... import`` statements and the names the file reads.
 ``from __future__`` imports are compiler switches, not bindings, and a name
 listed in the module's ``__all__`` counts as used.
+
+The same scan keeps ``Polynomial``'s stored format (its ``_num``/``_den``
+numerators and its ``_reduced`` constructor) inside ``algebra``: no other
+package module reads it, so sums of polynomials go through ``algebra._Sum``.
 """
 
 import ast
@@ -56,3 +60,24 @@ def test_module_uses_every_import(module):
 def test_script_uses_every_import(script):
     with open(os.path.join(ROOT, script), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+FORMAT = {"_num", "_den", "_reduced"}
+
+
+def format_accesses(source):
+    """(line, attribute) of each access to Polynomial's stored format."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in FORMAT)
+
+
+def test_scan_finds_a_format_access():
+    source = "p = a * b\nn, d = p._num, p._den\nPolynomial._reduced(2, n, d, d)\n"
+    assert format_accesses(source) == [(2, "_den"), (2, "_num"), (3, "_reduced")]
+    assert format_accesses("self._numerators = {}\n") == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "algebra.py"])
+def test_only_algebra_reads_the_polynomial_format(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert format_accesses(fh.read()) == []

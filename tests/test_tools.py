@@ -1,7 +1,9 @@
 """The paired order-3 runner in ``tools/``."""
 
+import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -27,6 +29,29 @@ def test_order3_runner_pairs_a_checkout_with_itself(tmp_path):
     for side in ("parent", "change"):
         assert rows[side]["exit"] == [0, 0]
         assert rows[side]["median_wall_s"] > 0 and rows[side]["median_max_rss_mb"] > 0
+    assert rows["pairs_won"] in (0, 1, 2) and rows["parent_wall_iqr_s"] >= 0
+    assert rows["verdict"] in ("faster", "slower", "unresolved")
+    assert "won %d/2" % rows["pairs_won"] in proc.stdout
+
+
+def test_order3_runner_verdict_needs_more_than_the_parent_spread():
+    spec = importlib.util.spec_from_file_location("order3_pairs", RUNNER)
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+
+    def rows(parent, change):
+        return {"parent": {"wall_s": parent, "median_wall_s": statistics.median(parent)},
+                "change": {"wall_s": change, "median_wall_s": statistics.median(change)}}
+
+    # parent quartiles 9 and 12 (exclusive method): a 3 s spread
+    assert runner.compare(rows([9, 10, 12], [7, 8, 9])) == {
+        "pairs_won": 3, "parent_wall_iqr_s": 3, "verdict": "unresolved"}
+    # a gap past the spread counts only with nine tenths of the pairs
+    assert runner.compare(rows([9, 10, 12], [5, 6, 13]))["verdict"] == "unresolved"
+    assert runner.compare(rows([9, 10, 12], [5, 6, 11]))["verdict"] == "faster"
+    assert runner.compare(rows([9, 10, 12], [14, 15, 11]))["verdict"] == "unresolved"
+    assert runner.compare(rows([9, 10, 12], [14, 15, 16]))["verdict"] == "slower"
+    assert runner.compare(rows([10], [1]))["verdict"] == "unresolved"
 
 
 def test_order3_runner_fails_when_reports_differ(tmp_path):

@@ -300,11 +300,12 @@ def test_moyal_sigma_equals_sigma_of_moyal(rng):
 
 
 def test_product_sums_return_canonical_polynomials(rng):
-    """moyal, odd_bracket and moyal_sigma add every pair into one integer
-    accumulator and reduce each coefficient once; both residuals sum such
-    products.  Every Polynomial they return is reduced and stores no zero
-    numerator, and a key whose sum cancels is absent.  The coefficients mix the denominators
-    2, 3 and 5 (one imaginary), on a block and a non-block chart."""
+    """moyal, odd_bracket, moyal_sigma, delta, delta_inv and exterior_d add
+    every term into one integer accumulator and reduce each coefficient
+    once; both residuals sum such products.  Every Polynomial they return is
+    reduced and stores no zero numerator, and a key whose sum cancels is
+    absent.  The coefficients mix the denominators 2, 3 and 5 (one
+    imaginary), on a block and a non-block chart."""
     dim = 2
     x1, x2 = (Polynomial.variable(dim, j) for j in range(dim))
     half, third, fifth_i = F(1, 2), F(1, 3), GaussianRational(0, F(1, 5))
@@ -322,6 +323,12 @@ def test_product_sums_return_canonical_polynomials(rng):
         for p in terms.values():
             _assert_canonical_polynomial(p)
         return value
+
+    for x in (a, b, s):
+        for op in (delta, delta_inv, exterior_d):
+            canonical(op(x))
+    assert not delta_inv(b).is_zero() and not exterior_d(a).is_zero()
+    assert delta(delta(a)).is_zero() and exterior_d(exterior_d(b)).is_zero()
 
     other = rand_structure_geometry(rng, dim)
     for geom in (Geometry(dim), other, rand_curved_geometry(rng, dim, deg=0),

@@ -14,6 +14,14 @@ side that goes first alternates (the parent first in even pairs), so slow
 spells of a shared machine fall on both.  Each run records its wall time,
 its max RSS (``os.wait4``) and the sha256 of its report.
 
+Per scenario it reports the median wall time and max RSS of each side, the
+pairs whose change ran faster than its parent, the spread of the parent's
+wall times (upper minus lower quartile), and a verdict.  The verdict is
+``faster`` when the change's median is lower than the parent's by more than
+that spread and the change won at least nine tenths of the pairs, ``slower``
+when it is higher by more than the spread and lost at least nine tenths,
+and ``unresolved`` otherwise (always so with one pair).
+
 The default scenarios are the four bundled ``curved_r4_*`` ones.  The exit
 status is 1 when a run fails or when the two sides' reports differ in any
 pair, and 0 otherwise.
@@ -57,6 +65,26 @@ def run_verify(checkout, scenario, order, out):
     return code, wall, usage.ru_maxrss / 1024, sha
 
 
+def compare(rows):
+    """Pairs won by the change, the parent's wall-time quartile spread and
+    the verdict, from one scenario's runs."""
+    parent, change = rows["parent"]["wall_s"], rows["change"]["wall_s"]
+    won = sum(c < p for p, c in zip(parent, change))
+    lost = sum(c > p for p, c in zip(parent, change))
+    spread = 0.0
+    if len(parent) > 1:
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        spread = q3 - q1
+    diff = rows["change"]["median_wall_s"] - rows["parent"]["median_wall_s"]
+    verdict = "unresolved"
+    if len(parent) > 1 and abs(diff) > spread:
+        if diff < 0 and won >= 0.9 * len(parent):
+            verdict = "faster"
+        elif diff > 0 and lost >= 0.9 * len(parent):
+            verdict = "slower"
+    return {"pairs_won": won, "parent_wall_iqr_s": round(spread, 3), "verdict": verdict}
+
+
 def run_pairs(paths, scenarios, order, pairs, log=print):
     """Every run, per scenario and side, and whether every pair agreed."""
     results = {}
@@ -85,6 +113,7 @@ def run_pairs(paths, scenarios, order, pairs, log=print):
                 rows[side]["median_wall_s"] = round(statistics.median(rows[side]["wall_s"]), 3)
                 rows[side]["median_max_rss_mb"] = round(
                     statistics.median(rows[side]["max_rss_mb"]), 2)
+            rows.update(compare(rows))
     return results, ok
 
 
@@ -97,15 +126,18 @@ def main(argv=None):
     parser.add_argument("--scenario", action="append",
                         help="a bundled scenario name (repeatable); default: the "
                         "four curved_r4_* scenarios")
-    parser.add_argument("--json", help="write every run and the medians to this file")
+    parser.add_argument("--json", help="write every run, the medians and the "
+                        "per-scenario comparison to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     results, ok = run_pairs({"parent": args.parent, "change": args.change},
                             args.scenario or SCENARIOS, args.order, args.pairs)
     for name, rows in results.items():
-        print("%-20s median wall %8.2f -> %8.2f s   max RSS %7.2f -> %7.2f MB"
+        print("%-20s median wall %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
+              "   max RSS %7.2f -> %7.2f MB"
               % (name, rows["parent"]["median_wall_s"], rows["change"]["median_wall_s"],
+                 rows["pairs_won"], args.pairs, rows["parent_wall_iqr_s"], rows["verdict"],
                  rows["parent"]["median_max_rss_mb"], rows["change"]["median_max_rss_mb"]))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
