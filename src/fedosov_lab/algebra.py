@@ -20,10 +20,11 @@ No sparse container stores a zero: a ``Polynomial`` holds only nonzero
 numerators, reduced against its denominator, and a ``WeylForm`` only nonzero
 polynomials, so equality can compare the stored dicts directly.  Only this
 module reads the integer format.  Every weighted sum of polynomials under
-keys (the Weyl products, ``delta``, ``delta_inv``, ``exterior_d``) goes
-through ``_Sum``, which adds numerators in place and reduces each key once;
-other sums of whole values go through ``accumulate``, which drops the key
-when the sum cancels; ``Polynomial`` sums its integer pairs in its own loops.
+keys (the Weyl products, ``delta``, ``delta_inv``, ``exterior_d``,
+``weyl.index_form``) goes through ``_Sum``, which adds numerators in place
+and reduces each key once; other sums of whole values go through
+``accumulate``, which drops the key when the sum cancels; ``Polynomial``
+sums its integer pairs in its own loops.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import add
 from types import MappingProxyType
 
 __all__ = ["GaussianRational", "Polynomial", "HbarSeries", "ZERO", "ONE", "I",
-           "accumulate", "index_exponent"]
+           "accumulate"]
 
 
 def _frac(x):
@@ -54,8 +55,11 @@ def accumulate(out, key, v, subtract=False):
     A missing key receives ``v`` (or ``-v``) only when that value is nonzero,
     and a key whose sum cancels is deleted.  The zero test is truthiness;
     tensor coefficients of an ``HbarSeries`` have no truth value of their
-    own, so ``HbarSeries`` drops zeros in its constructor as well.  A
-    weighted sum of polynomials under keys uses ``_Sum`` instead.
+    own, so ``HbarSeries`` drops zeros in its constructor as well.  Its
+    users are ``HbarSeries``, ``Tensor3``, ``tensors.matmul``, the chart's
+    scalar tables and ``WeylForm``'s ``+``/``-``.  A weighted sum of
+    polynomials under keys, such as a Weyl product or a form built by
+    ``weyl.index_form``, uses ``_Sum`` instead.
     """
     prev = out.get(key)
     if prev is None:
@@ -67,14 +71,6 @@ def accumulate(out, key, v, subtract=False):
         out[key] = s
     else:
         del out[key]
-
-
-def index_exponent(dim, idx):
-    """The exponent tuple of the monomial x^{i_1} ... x^{i_n}, idx = (i_1, ...)."""
-    u = [0] * dim
-    for i in idx:
-        u[i] += 1
-    return tuple(u)
 
 
 class GaussianRational:

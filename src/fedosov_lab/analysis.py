@@ -28,10 +28,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import (GaussianRational, HbarSeries, Polynomial, I, accumulate,
-                      index_exponent)
-from .tensors import Tensor2, formal_poisson, mu, two_form_d
-from .weyl import (WeylForm, central_two_form, delta_inv, i_over_hbar, moyal,
+from .algebra import GaussianRational, HbarSeries, Polynomial, I
+from .tensors import Tensor2, formal_poisson, matmul, mu, two_form_d
+from .weyl import (central_two_form, delta_inv, i_over_hbar, index_form, moyal,
                    moyal_sigma, odd_bracket, two_form_to_tensor, y_dx_form,
                    y_gradient)
 from .geometry import GeometryError, cov_ext_deriv
@@ -93,13 +92,9 @@ def cal_r(geom):
     """
     dim = geom.dim
     curv = geom.curvature()
-    forms = []
-    for l in range(dim):
-        terms = {}
-        for i, j, k in itertools.product(range(dim), repeat=3):
-            accumulate(terms, (0, index_exponent(dim, (i, j, k)), ()),
-                       curv.entry(i, j, k, l))
-        forms.append(WeylForm(dim, terms))
+    cubes = list(itertools.product(range(dim), repeat=3))
+    forms = [index_form(dim, ((0, ijk, (), curv.entry(*ijk, l)) for ijk in cubes))
+             for l in range(dim)]
     zero = Polynomial.zero(dim)
     rows = [[moyal_sigma(a1, a2, geom).coeff(3, zero).scale(_MINUS_I)
              for a2 in forms] for a1 in forms]
@@ -313,16 +308,12 @@ def curvature_onediff_identities(geom, f, g):
     ta = transport(a1)
     tb = transport(b1)
 
-    # cubic transport of a linear section: -(1/24) wbar^{lm} R_{ijkl} y^3 d_m f
-    #   = -(1/24) sum_l (wbar^{lm} d_m f) A_l
-    expect = WeylForm.zero(dim)
-    for l, form in enumerate(calr.forms):
-        coeff = Polynomial.zero(dim)
-        for m in range(dim):
-            w = geom.omega_bar.entry(l, m).constant_value()
-            coeff = coeff + f.partial(m).scale(w)
-        expect = expect + form.mul_poly(coeff)
-    rhs24 = expect.scale(GaussianRational(Fraction(-1, 24)))
+    # cubic transport of a linear section:
+    #   -(1/24) R_{ijkl} (wbar^{lm} d_m f) y^i y^j y^k
+    df = matmul(geom.omega_bar.rows, [[f.partial(m)] for m in range(dim)])
+    terms = ((0, (i, j, k), (), curv.entry(i, j, k, l) * df[l][0])
+             for i, j, k, l in itertools.product(range(dim), repeat=4))
+    rhs24 = index_form(dim, terms).scale(GaussianRational(Fraction(-1, 24)))
     checks.append(_check_forms("transport.cubic-curvature-term", ta, rhs24))
 
     # the central transport form: B = delta_inv((i/hbar) y-free(u o u)); the

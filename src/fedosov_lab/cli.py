@@ -22,7 +22,7 @@ import sys
 
 from .algebra import GaussianRational, HbarSeries, Polynomial
 from .tensors import Tensor2, formal_poisson, series_inverse, series_schouten
-from .weyl import WeylForm, delta, delta_inv, sigma
+from .weyl import WeylForm, delta, delta_inv, index_form, sigma
 from .geometry import validate_geometry
 from .fedosov import StarEngine, coeff_sequences, curvature_residual, \
     abelian_residual, flat_section, solve_r
@@ -58,12 +58,8 @@ def _verify_checks(scenario, order):
 
     # structural operator checks on a deterministic probe form
     dim = geom.dim
-    probe = WeylForm(dim, {
-        (0, tuple(2 if t == 0 else 0 for t in range(dim)), (0,)):
-            Polynomial.variable(dim, dim - 1),
-        (1, tuple(1 if t == dim - 1 else 0 for t in range(dim)), ()):
-            Polynomial.one(dim),
-    })
+    probe = index_form(dim, [(0, (0, 0), (0,), Polynomial.variable(dim, dim - 1)),
+                             (1, (dim - 1,), (), Polynomial.one(dim))])
     dd = delta(delta(probe))
     checks.append(Check("weyl.delta-squared", str(dd), dd.is_zero()))
     kk = delta_inv(delta_inv(probe))

@@ -32,9 +32,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import GaussianRational, ONE, Polynomial, _split, accumulate, index_exponent
+from .algebra import GaussianRational, ONE, Polynomial, _split, accumulate
 from .tensors import SingularMatrixError, Tensor2, invert_scalar_matrix, matmul
-from .weyl import WeylForm, exterior_d, odd_bracket
+from .weyl import exterior_d, index_form, odd_bracket
 
 __all__ = [
     "Geometry",
@@ -202,12 +202,9 @@ class Geometry:
     def gamma_weyl(self):
         """The connection one-form (1/2) Gamma_{ijk} y^i y^j dx^k."""
         if self._gamma_weyl is None:
-            terms = {}
-            half = Fraction(1, 2)
-            for i, j, k in itertools.product(range(self.dim), repeat=3):
-                accumulate(terms, (0, index_exponent(self.dim, (i, j)), (k,)),
-                           self.christoffel(i, j, k).scale(half))
-            self._gamma_weyl = WeylForm(self.dim, terms)
+            terms = ((0, (i, j), (k,), self.christoffel(i, j, k))
+                     for i, j, k in itertools.product(range(self.dim), repeat=3))
+            self._gamma_weyl = index_form(self.dim, terms).scale(Fraction(1, 2))
         return self._gamma_weyl
 
     def curvature(self):
@@ -223,8 +220,9 @@ class Curvature4:
     """The lowered curvature tensor R_{ijkl} of a chart's connection.
 
     Validated on construction: symmetric in (i, j), skew in (k, l), the
-    contraction R_{ijkl} y^j y^k y^l vanishes identically, and a flat
-    connection produces the zero tensor.
+    first Bianchi identity R_{ijkl} + R_{iklj} + R_{iljk} = 0 holds, and a
+    flat connection produces the zero tensor.  ``weyl_two_form`` is
+    R_w = (1/4) R_{ijkl} y^i y^j dx^k ^ dx^l.
     """
 
     def __init__(self, geom):
@@ -248,7 +246,9 @@ class Curvature4:
                         lowered[i][j][l][k] = -v
         self.entries = lowered
         self._validate(geom)
-        self.weyl_two_form = self._build_weyl_form()
+        terms = ((0, (i, j), (k, l), lowered[i][j][k][l])
+                 for i, j, k, l in itertools.product(range(dim), repeat=4))
+        self.weyl_two_form = index_form(dim, terms).scale(Fraction(1, 4))
 
     def entry(self, i, j, k, l):
         return self.entries[i][j][k][l]
@@ -266,28 +266,14 @@ class Curvature4:
                     for l in range(dim):
                         if e[i][j][k][l] != e[j][i][k][l]:
                             raise GeometryError("curvature not symmetric in first index pair")
-        # Skew in (k, l) holds by construction; check the cyclic contraction.
+        # Skew in (k, l) holds by construction, so the cyclic sum is skew in
+        # (j, k, l) and its entries with j < k < l cover all of it.
         for i in range(dim):
-            acc = Polynomial.zero(dim)
-            for j, k, l in itertools.product(range(dim), repeat=3):
-                if e[i][j][k][l]:
-                    # Coefficient of the monomial y^j y^k y^l, summed symmetrically.
-                    acc = acc + e[i][j][k][l] * Polynomial.monomial(
-                        dim, index_exponent(dim, (j, k, l)))
-            if not acc.is_zero():
-                raise GeometryError("curvature violates the cyclic contraction identity")
+            for j, k, l in itertools.combinations(range(dim), 3):
+                if not (e[i][j][k][l] + e[i][k][l][j] + e[i][l][j][k]).is_zero():
+                    raise GeometryError("curvature violates the first Bianchi identity")
         if geom.is_flat() and not self.is_zero():
             raise GeometryError("flat connection produced nonzero curvature")
-
-    def _build_weyl_form(self):
-        dim = self.dim
-        terms = {}
-        for i, j, k, l in itertools.product(range(dim), repeat=4):
-            if k < l:
-                # dx^k ^ dx^l picks R_{ijkl} - R_{ijlk} = 2 R_{ijkl}.
-                accumulate(terms, (0, index_exponent(dim, (i, j)), (k, l)),
-                           self.entries[i][j][k][l].scale(Fraction(1, 2)))
-        return WeylForm(dim, terms)
 
 
 def validate_geometry(geom):

@@ -119,9 +119,8 @@ class Tensor2:
     def scale(self, c):
         return self.map(lambda p: p.scale(c))
 
-    def map(self, fn, variance=None):
-        return Tensor2(self.dim, variance or self.variance,
-                       [[fn(v) for v in r] for r in self.rows])
+    def map(self, fn):
+        return Tensor2(self.dim, self.variance, [[fn(v) for v in r] for r in self.rows])
 
     def transpose(self):
         return Tensor2(self.dim, self.variance,

@@ -27,8 +27,9 @@ Gaussian-integer numerators over a denominator
 (``Geometry.contraction_numerators(k)``); ``moyal`` reads the pieces of
 y^ua o y^ub, split scalars included, from ``Geometry.moyal_weights(ua, ub,
 bracket)``, which the chart builds from the same table.  The products,
-``delta``, ``delta_inv`` and ``exterior_d`` add each term, times an integer
-scalar, into ``algebra._Sum``, which reduces each output coefficient once.
+``delta``, ``delta_inv``, ``exterior_d`` and ``index_form``, the one builder
+of a form from an index formula, add each term, times an integer scalar,
+into ``algebra._Sum``, which reduces each output coefficient once.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -64,6 +65,7 @@ __all__ = [
     "exterior_d",
     "i_over_hbar",
     "wedge_merge",
+    "index_form",
     "central_two_form",
     "y_dx_form",
     "y_gradient",
@@ -174,15 +176,6 @@ class WeylForm:
         if not c:
             return WeylForm.zero(self.dim)
         return WeylForm._make(self.dim, {k: p.scale(c) for k, p in self.terms.items()})
-
-    def mul_poly(self, q):
-        """Multiply every coefficient by a base polynomial."""
-        out = {}
-        for k, p in self.terms.items():
-            v = p * q
-            if not v.is_zero():
-                out[k] = v
-        return WeylForm._make(self.dim, out)
 
     def mul_hbar(self, k=1):
         return WeylForm._make(self.dim, {(h + k, u, form): p
@@ -427,41 +420,49 @@ def exterior_d(a):
 # -- builders bridging tensors and Weyl forms ------------------------------------------
 
 
+def index_form(dim, terms):
+    """The Weyl form of an index formula: the sum over ``terms`` of
+
+        c * hbar^h * y^{i_1} ... y^{i_n} * dx^{k_1} ^ ... ^ dx^{k_q},
+
+    each term given as (h, (i_1, ..., i_n), (k_1, ..., k_q), c) with c a
+    Polynomial and 0-based indices in any order.  The y indices multiply
+    into the exponent; the dx indices are sorted with the wedge sign, and a
+    term with a repeated dx index vanishes.  Terms add into ``algebra._Sum``,
+    so zero and cancelling coefficients leave no key.
+    """
+    acc = _Sum(dim)
+    for h, ys, dxs, c in terms:
+        u = [0] * dim
+        for i in ys:
+            u[i] += 1
+        sign, form = 1, ()
+        for k in dxs:
+            merged = wedge_merge(form, (k,))
+            if merged is None:
+                break
+            s, form = merged
+            sign *= s
+        else:
+            acc.add((h, tuple(u), form), c, sign)
+    return WeylForm._make(dim, acc.polys())
+
+
 def central_two_form(t, hpow=0):
     """Embed a skew lower tensor as the central 2-form sum_{i<j} t_ij dx^i ^ dx^j."""
-    terms = {}
-    dim = t.dim
-    zero = (0,) * dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v = t.rows[i][j]
-            if not v.is_zero():
-                terms[(hpow, zero, (i, j))] = v
-    return WeylForm(dim, terms)
+    return index_form(t.dim, ((hpow, (), (i, j), t.rows[i][j])
+                              for i in range(t.dim) for j in range(i + 1, t.dim)))
 
 
 def y_dx_form(t, hpow=0):
     """The one-form t_{ij} y^i dx^j from a lower tensor."""
-    dim = t.dim
-    terms = {}
-    for i in range(dim):
-        u = tuple(1 if m == i else 0 for m in range(dim))
-        for j in range(dim):
-            accumulate(terms, (hpow, u, (j,)), t.rows[i][j])
-    return WeylForm(dim, terms)
+    return index_form(t.dim, ((hpow, (i,), (j,), t.rows[i][j])
+                              for i in range(t.dim) for j in range(t.dim)))
 
 
 def y_gradient(f):
     """The fiber-linear 0-form (df/dx^j) y^j of an observable."""
-    dim = f.dim
-    terms = {}
-    for j in range(dim):
-        d = f.partial(j)
-        if d.is_zero():
-            continue
-        u = tuple(1 if m == j else 0 for m in range(dim))
-        terms[(0, u, ())] = d
-    return WeylForm._make(dim, terms)
+    return index_form(f.dim, ((0, (j,), (), f.partial(j)) for j in range(f.dim)))
 
 
 def two_form_to_tensor(a, hpow=0):

@@ -5,6 +5,7 @@ enforces its own wall-clock budget.  Expected values are frozen closed forms
 computed inline, never read back from the code under test.
 """
 
+import itertools
 import math
 import random
 import time
@@ -612,6 +613,11 @@ def test_criterion_6_structural_suite():
                                 acc[key] = acc.get(
                                     key, Polynomial.zero(dim)) + v
                     ok = ok and all(p.is_zero() for p in acc.values())
+                    # first Bianchi identity: R_{ijkl} + R_{iklj} + R_{iljk} = 0
+                    ok = ok and all(
+                        (curv.entry(i, j, k, l) + curv.entry(i, k, l, j)
+                         + curv.entry(i, l, j, k)).is_zero()
+                        for j, k, l in itertools.product(range(dim), repeat=3))
                 count += 1
     record("bianchi-contraction", count, ok)
 

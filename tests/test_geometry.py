@@ -170,6 +170,8 @@ def test_curvature_symmetries_and_bianchi(rng, dim, deg):
                         e = curv.entry(i, j, k, l)
                         assert e == curv.entry(j, i, k, l)
                         assert e == -curv.entry(i, j, l, k)
+                        # first Bianchi identity: R_{ijkl} + R_{iklj} + R_{iljk} = 0
+                        assert (e + curv.entry(i, k, l, j) + curv.entry(i, l, j, k)).is_zero()
         # first Bianchi contraction: R_{ijkl} y^j y^k y^l = 0 identically
         ys = [WeylForm(dim, {(0, tuple(1 if t == m else 0 for t in range(dim)), ()):
                              Polynomial.one(dim)}) for m in range(dim)]
@@ -233,6 +235,20 @@ def test_curvature_matches_index_oracle(rng, dim):
                 for k in range(dim):
                     for l in range(dim):
                         assert curv.entry(i, j, k, l) == curvature_oracle(g, i, j, k, l)
+
+
+def test_curvature_validation_rejects_broken_bianchi(rng):
+    # +x4 at R_{0123}, R_{1023} and -x4 at their (k, l) mirrors keep the
+    # (i, j) symmetry and the (k, l) skew but break the first Bianchi identity
+    g = rand_curved_geometry(rng, 4)
+    curv = g.curvature()
+    x4 = Polynomial.variable(4, 3)
+    e = curv.entries
+    for i, j in ((0, 1), (1, 0)):
+        e[i][j][2][3] = e[i][j][2][3] + x4
+        e[i][j][3][2] = e[i][j][3][2] - x4
+    with pytest.raises(GeometryError, match="first Bianchi identity"):
+        curv._validate(g)
 
 
 def test_weyl_two_form_convention(rng):

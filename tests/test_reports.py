@@ -5,7 +5,7 @@ change that is meant to keep every output unchanged (a refactor, a faster
 algorithm) must leave all of them equal; a change that means to alter an
 output re-records the affected digests and says why.  The flat scenarios are
 pinned at their own order.  A curved ``verify`` at its own order 3 takes
-12-28 s on a shared 2-vCPU machine, so the curved scenarios are pinned at
+7-15 s on a shared 2-vCPU machine, so the curved scenarios are pinned at
 ``order=1``, where every layer still runs (chart checks, curvature
 identities, sections, the perturbed product).  Their ``star`` and
 ``compare`` reports are pinned at ``order=2`` as well: a passing ``verify``

@@ -230,7 +230,7 @@ def test_schouten_matches_jacobiator(rng):
     # [A,A](dx^i,dx^j,dx^k) = 2 * Jacobiator(x^i,x^j,x^k) for skew A
     dim = 4
     for _ in range(20):
-        A = rand_skew_poly(rng, dim, deg=2).map(lambda p: p, variance="upper")
+        A = Tensor2(dim, "upper", rand_skew_poly(rng, dim, deg=2).rows)
         S = schouten(A, A)
         for (i, j, k) in combinations(range(dim), 3):
             assert S.entry(i, j, k) == jacobiator(A, i, j, k).scale(2)
@@ -241,7 +241,7 @@ def test_schouten_of_poisson_structures_vanishes(rng):
     assert schouten(geom.omega_bar, geom.omega_bar).is_zero()
     # any constant skew bivector is Poisson
     for _ in range(5):
-        A = rand_skew_constant(rng, 4).map(lambda p: p, variance="upper")
+        A = Tensor2(4, "upper", rand_skew_constant(rng, 4).rows)
         assert schouten(A, A).is_zero()
 
 

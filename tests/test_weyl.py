@@ -9,9 +9,9 @@ import pytest
 from fedosov_lab.algebra import GaussianRational, I, ONE, Polynomial, accumulate
 from fedosov_lab.geometry import Geometry, standard_omega
 from fedosov_lab.tensors import Tensor2, diamond_power, mu
-from fedosov_lab.weyl import (HbarDivisionError, WeylForm, commutator, delta,
-                              delta_inv, exterior_d, i_over_hbar, moyal,
-                              moyal_sigma, odd_bracket, sigma, wedge_merge,
+from fedosov_lab.weyl import (HbarDivisionError, WeylForm, central_two_form, commutator,
+                              delta, delta_inv, exterior_d, i_over_hbar, index_form,
+                              moyal, moyal_sigma, odd_bracket, sigma, wedge_merge,
                               y_dx_form, y_gradient)
 
 from fedosov_lab.fedosov import (WeylCurvatureSpec, abelian_residual, curvature_residual,
@@ -552,3 +552,30 @@ def test_y_gradient_matches_manual(rng):
     for j in range(3):
         u = tuple(1 if m == j else 0 for m in range(3))
         assert w.terms.get((0, u, ()), Polynomial.zero(3)) == f.partial(j)
+    # a tensor that is not skew: central_two_form reads only its entries i < j
+    t = Tensor2(3, "lower", [[rand_poly(rng, 3, deg=1) for _ in range(3)] for _ in range(3)])
+    assert central_two_form(t, hpow=2) == WeylForm(3, {
+        (2, (0, 0, 0), (i, j)): t.rows[i][j] for i in range(3) for j in range(i + 1, 3)})
+    assert y_dx_form(t, hpow=1) == WeylForm(3, {
+        (1, tuple(1 if m == i else 0 for m in range(3)), (j,)): t.rows[i][j]
+        for i in range(3) for j in range(3)})
+
+
+def test_index_form_wedge_signs_and_keys():
+    dim = 3
+    p = Polynomial.variable(dim, 0).scale(F(1, 3)) + Polynomial.one(dim)
+    q = Polynomial.variable(dim, 2)
+    zero = Polynomial.zero(dim)
+    # unsorted dx indices carry the sign of their sorting permutation
+    assert index_form(dim, [(0, (), (1, 0), p)]) == WeylForm(dim, {(0, (0, 0, 0), (0, 1)): -p})
+    assert index_form(dim, [(1, (2,), (2, 0, 1), p)]) == WeylForm(
+        dim, {(1, (0, 0, 1), (0, 1, 2)): p})
+    # a repeated dx index gives nothing
+    assert index_form(dim, [(0, (0,), (1, 2, 1), p)]).is_zero()
+    # y indices in any order give one key
+    assert index_form(dim, [(0, (0, 2, 0), (1,), p), (0, (2, 0, 0), (1,), q)]) == WeylForm(
+        dim, {(0, (2, 0, 1), (1,)): p + q})
+    # zero coefficients and cancelling terms leave no key
+    w = index_form(dim, [(0, (1,), (), zero), (0, (0, 1), (2, 0), p),
+                         (0, (1, 0), (0, 2), p), (1, (), (), q)])
+    assert w.terms == {(1, (0, 0, 0), ()): q}
