@@ -310,8 +310,8 @@ def curvature_onediff_identities(geom, f, g):
 
     # cubic transport of a linear section:
     #   -(1/24) R_{ijkl} (wbar^{lm} d_m f) y^i y^j y^k
-    df = matmul(geom.omega_bar.rows, [[f.partial(m)] for m in range(dim)])
-    terms = ((0, (i, j, k), (), curv.entry(i, j, k, l) * df[l][0])
+    raised = matmul(geom.omega_bar.rows, [[f.partial(m)] for m in range(dim)])
+    terms = ((0, (i, j, k), (), curv.entry(i, j, k, l) * raised[l][0])
              for i, j, k, l in itertools.product(range(dim), repeat=4))
     rhs24 = index_form(dim, terms).scale(GaussianRational(Fraction(-1, 24)))
     checks.append(_check_forms("transport.cubic-curvature-term", ta, rhs24))
