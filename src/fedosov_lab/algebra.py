@@ -22,7 +22,9 @@ polynomials, so equality can compare the stored dicts directly.  Only this
 module reads the integer format.  Every weighted sum of polynomials under
 keys (the Weyl products, ``delta``, ``delta_inv``, ``exterior_d``,
 ``weyl.index_form``) goes through ``_Sum``, which adds numerators in place
-and reduces each key once; other sums of whole values go through
+and reduces each key once; ``_Sum.add_product`` adds a weighted product of
+two polynomials term pair by term pair, so the scalar projection of a Weyl
+product forms no product polynomial; other sums of whole values go through
 ``accumulate``, which drops the key when the sum cancels; ``Polynomial``
 sums its integer pairs in its own loops.
 """
@@ -503,10 +505,11 @@ class _Sum:
     Each key holds ``[den, {exp: (re, im)}]``: Gaussian-integer numerators
     over the key's running positive denominator, which becomes the lcm (and
     the numerators are rescaled) when a term with another denominator
-    arrives.  Nothing is reduced while summing; ``polys`` reduces each key
-    once and drops zero numerators and keys that cancel: the in-place
-    sparse-sum idiom of Monagan and Pearce (CASC 2007), over exact Gaussian
-    rationals.
+    arrives.  ``add`` adds a scaled polynomial and ``add_product`` a scaled
+    product of two, multiplied term pair by term pair into the numerators.
+    Nothing is reduced while summing; ``polys`` reduces each key once and
+    drops zero numerators and keys that cancel: the in-place sparse-sum
+    idiom of Monagan and Pearce (CASC 2007), over exact Gaussian rationals.
     """
 
     __slots__ = ("dim", "keys")
@@ -515,26 +518,33 @@ class _Sum:
         self.dim = dim
         self.keys = {}
 
-    def add(self, key, poly, re, im=0, den=1):
-        """Add (re + im*i) / den times the Polynomial ``poly`` into ``key``;
-        ``re``, ``im`` and ``den > 0`` are ints."""
-        den *= poly._den
+    def _slot(self, key, den):
+        """The numerators of ``key`` over a denominator that ``den`` divides,
+        and that denominator's quotient by ``den``; a key whose denominator
+        ``den`` does not divide is first lifted to the lcm."""
         slot = self.keys.get(key)
         if slot is None:
             acc = {}
             self.keys[key] = [den, acc]
-        else:
-            top, acc = slot
-            if top != den:
-                if top % den:
-                    new = lcm(top, den)
-                    f = new // top
-                    for e, (a, b) in acc.items():
-                        acc[e] = (a * f, b * f)
-                    slot[0] = top = new
-                m = top // den
-                re *= m
-                im *= m
+            return acc, 1
+        top, acc = slot
+        if top == den:
+            return acc, 1
+        if top % den:
+            new = lcm(top, den)
+            f = new // top
+            for e, (a, b) in acc.items():
+                acc[e] = (a * f, b * f)
+            slot[0] = top = new
+        return acc, top // den
+
+    def add(self, key, poly, re, im=0, den=1):
+        """Add (re + im*i) / den times the Polynomial ``poly`` into ``key``;
+        ``re``, ``im`` and ``den > 0`` are ints."""
+        acc, m = self._slot(key, den * poly._den)
+        if m != 1:
+            re *= m
+            im *= m
         get = acc.get
         if not im:
             for e, (a, b) in poly._num.items():
@@ -551,6 +561,28 @@ class _Sum:
                 x, y = a * re - b * im, a * im + b * re
                 prev = get(e)
                 acc[e] = (x, y) if prev is None else (prev[0] + x, prev[1] + y)
+
+    def add_product(self, key, pa, pb, re, im=0, den=1):
+        """Add (re + im*i) / den times the product ``pa * pb`` into ``key``,
+        term pair by term pair, without forming or reducing the product;
+        ``re``, ``im`` and ``den > 0`` are ints."""
+        acc, m = self._slot(key, den * pa._den * pb._den)
+        if m != 1:
+            re *= m
+            im *= m
+        get = acc.get
+        right = list(pb._num.items())
+        for e1, (a, b) in pa._num.items():
+            # the scalar goes into the left coefficient once per left term
+            x, y = a * re - b * im, a * im + b * re
+            for e2, (c, d) in right:
+                e = tuple(map(add, e1, e2))
+                if y:
+                    p, q = x * c - y * d, x * d + y * c
+                else:
+                    p, q = x * c, x * d
+                prev = get(e)
+                acc[e] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
 
     def polys(self):
         """key -> reduced nonzero Polynomial; empties the sum, releasing each

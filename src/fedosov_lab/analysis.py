@@ -65,17 +65,16 @@ def _same_chart(g1, g2):
 class CalR:
     """The curvature pair contraction, stored prefactor-free.
 
-    ``forms`` are the cubic curvature forms A_l = R_{ijkl} y^i y^j y^k;
     ``lower`` is the real polynomial matrix P with
-    A_{l1} o_3 A_{l2} = i hbar^3 P_{l1 l2}; ``upper`` raises both indices,
+    A_{l1} o_3 A_{l2} = i hbar^3 P_{l1 l2}, for the cubic curvature forms
+    A_l = R_{ijkl} y^i y^j y^k; ``upper`` raises both indices,
     upper = -wbar wbar P.  P is skew.
     """
 
-    __slots__ = ("geometry", "forms", "lower", "upper")
+    __slots__ = ("geometry", "lower", "upper")
 
-    def __init__(self, geometry, forms, lower):
+    def __init__(self, geometry, lower):
         self.geometry = geometry
-        self.forms = forms
         self.lower = lower
         self.upper = mu(lower, geometry)
 
@@ -98,7 +97,7 @@ def cal_r(geom):
     zero = Polynomial.zero(dim)
     rows = [[moyal_sigma(a1, a2, geom).coeff(3, zero).scale(_MINUS_I)
              for a2 in forms] for a1 in forms]
-    return CalR(geom, forms, Tensor2(dim, "lower", rows))
+    return CalR(geom, Tensor2(dim, "lower", rows))
 
 
 # -- propagation two-forms -------------------------------------------------------

@@ -51,7 +51,6 @@ class GeometryError(ValueError):
 
 
 _MINUS_I_HALF = GaussianRational(0, Fraction(-1, 2))
-_TWO_I = GaussianRational(0, 2)
 
 
 def standard_omega(dim):
@@ -159,12 +158,15 @@ class Geometry:
         return table
 
     def contraction_numerators(self, k):
-        """``contractions(k)`` with each scalar c split as (re, im, den),
-        c = (re + im*i) / den in lowest terms, built once per chart and k."""
+        """``contractions(k)`` indexed by the left exponent, {d: {e: (re, im,
+        den, pos)}}, built once per chart and k: each scalar split as
+        c = (re + im*i) / den in lowest terms, and ``pos``, the key's place
+        in ``contractions(k)``, which fixes the order of ``moyal_weights``."""
         table = self._numerators.get(k)
         if table is None:
-            table = self._numerators[k] = {
-                key: _split(c) for key, c in self.contractions(k).items()}
+            table = self._numerators[k] = {}
+            for pos, ((d, e), c) in enumerate(self.contractions(k).items()):
+                table.setdefault(d, {})[e] = _split(c) + (pos,)
         return table
 
     def moyal_weights(self, ua, ub, bracket):
@@ -181,6 +183,12 @@ class Geometry:
         and dh = k.  With ``bracket`` only odd k enter, with c times 2i and
         dh = k - 1: the odd pieces of (i/hbar)[y^ua, y^ub].  No entry has
         c = 0, and the caller applies the wedge sign of the dx factors.
+
+        A miss reads ``contraction_numerators(k)``: it visits only the rows
+        d <= ua, takes binom(ua, d) once per row, and sums integer
+        numerators over a running lcm in the order of ``contractions(k)``,
+        so its entries, and their order, are those of a Fraction sum over
+        that table; each entry is reduced once.
         """
         key = (ua, ub, bracket)
         entries = self._weights.get(key)
@@ -188,14 +196,27 @@ class Geometry:
             shift = 1 if bracket else 0
             entries = []
             for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
+                terms = []
+                for d, row in self.contraction_numerators(k).items():
+                    n = math.prod(map(math.comb, ua, d))
+                    if not n:
+                        continue
+                    left = tuple(x - y for x, y in zip(ua, d))
+                    for e, (re, im, den, pos) in row.items():
+                        m = math.prod(map(math.comb, ub, e))
+                        if m:
+                            m *= n
+                            u = tuple(x - y + z for x, y, z in zip(left, e, ub))
+                            terms.append((pos, u, re * m, im * m, den))
+                terms.sort()  # the order of contractions(k); pos is unique
                 sums = {}
-                for (d, e), c in self.contractions(k).items():
-                    n = math.prod(map(math.comb, ua + ub, d + e))
-                    if n:
-                        u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
-                        accumulate(sums, u, c * n)
-                entries.extend((k - shift, u) + _split(_TWO_I * c if bracket else c)
-                               for u, c in sums.items())
+                for _pos, u, re, im, den in terms:
+                    _add_over(sums, u, re, im, den)
+                for u, (top, re, im) in sums.items():
+                    if bracket:
+                        re, im = -2 * im, 2 * re
+                    g = math.gcd(top, re, im)
+                    entries.append((k - shift, u, re // g, im // g, top // g))
             entries = self._weights[key] = tuple(entries)
         return entries
 
@@ -274,6 +295,26 @@ class Curvature4:
                     raise GeometryError("curvature violates the first Bianchi identity")
         if geom.is_flat() and not self.is_zero():
             raise GeometryError("flat connection produced nonzero curvature")
+
+
+def _add_over(sums, u, re, im, den):
+    """Add (re + im*i) / den into ``sums[u] = (top, re, im)``, numerators
+    over a running lcm ``top``; a sum that cancels leaves no key."""
+    prev = sums.get(u)
+    if prev is None:
+        sums[u] = (den, re, im)
+        return
+    top, a, b = prev
+    if top != den:
+        new = math.lcm(top, den)
+        f, m = new // top, new // den
+        top, a, b, re, im = new, a * f, b * f, re * m, im * m
+    a += re
+    b += im
+    if a or b:
+        sums[u] = (top, a, b)
+    else:
+        del sums[u]
 
 
 def validate_geometry(geom):

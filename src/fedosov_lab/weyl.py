@@ -22,14 +22,19 @@ filtration degree of a product exactly, so the product of homogeneous parts
 of degrees i and j is homogeneous of degree i + j.
 This module holds no contraction weights.  The chart caches one table per
 k, ``Geometry.contractions(k)``: the whole scalar of each fully contracted
-pair y^d o_k y^e.  ``moyal_sigma`` reads it with each scalar split into
-Gaussian-integer numerators over a denominator
-(``Geometry.contraction_numerators(k)``); ``moyal`` reads the pieces of
+pair y^d o_k y^e.  ``Geometry.contraction_numerators(k)`` holds the same
+scalars indexed by the left exponent, {d: {e: (re, im, den, pos)}}, split
+into Gaussian-integer numerators over a denominator; ``moyal_sigma`` reads
+it with two lookups per pair, ``[ua][ub]``.  ``moyal`` reads the pieces of
 y^ua o y^ub, split scalars included, from ``Geometry.moyal_weights(ua, ub,
-bracket)``, which the chart builds from the same table.  The products,
-``delta``, ``delta_inv``, ``exterior_d`` and ``index_form``, the one builder
-of a form from an index formula, add each term, times an integer scalar,
-into ``algebra._Sum``, which reduces each output coefficient once.
+bracket)``, which the chart sums in integers from the rows d <= ua of the
+same table.  The products, ``delta``, ``delta_inv``, ``exterior_d`` and
+``index_form``, the one builder of a form from an index formula, add each
+term, times an integer scalar, into ``algebra._Sum``, which reduces each
+output coefficient once.  ``moyal`` forms each pair's coefficient product
+once, as its entries share it; ``moyal_sigma`` multiplies each pair's two
+coefficients straight into the sum (``_Sum.add_product``), so it never
+forms or reduces the product polynomial.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -139,6 +144,9 @@ class WeylForm:
 
     @classmethod
     def from_poly(cls, p, hpow=0):
+        """The 0-form p * hbar^hpow, with no y.  Public API, kept on purpose:
+        the package itself builds forms through ``index_form`` and
+        ``from_series``, and callers embed one polynomial with this."""
         if p.is_zero():
             return cls.zero(p.dim)
         return cls._make(p.dim, {(hpow, (0,) * p.dim, ()): p})
@@ -178,6 +186,8 @@ class WeylForm:
         return WeylForm._make(self.dim, {k: p.scale(c) for k, p in self.terms.items()})
 
     def mul_hbar(self, k=1):
+        """Multiply by hbar^k.  Public API, kept on purpose beside
+        ``div_hbar``, its inverse on forms that carry hbar."""
         return WeylForm._make(self.dim, {(h + k, u, form): p
                                          for (h, u, form), p in self.terms.items()})
 
@@ -301,17 +311,17 @@ def moyal_sigma(a, b, geom, order=None):
 
     Only fully contracted pairs survive the projection: both monomials must
     be dx-free with equal y-degree k, and the pair y^u, y^v contributes the
-    chart's cached scalar ``geom.contraction_numerators(k)[(u, v)]``, stored
-    as Gaussian-integer numerators over a denominator, one lookup per pair.
-    Each pair's product is added into one integer accumulator keyed by the
-    hbar power, which reduces each coefficient once.  ``order`` is the only
-    bound: a pair that lands above hbar^order is skipped before its product
-    is formed.  With ``order=None`` every pair is kept, and the result's
-    order is its top power.
+    chart's cached scalar ``geom.contraction_numerators(k)[u][v]``, stored
+    as Gaussian-integer numerators over a denominator.  Each pair's
+    coefficients are multiplied term pair by term pair straight into one
+    integer accumulator keyed by the hbar power, which reduces each
+    coefficient once.  ``order`` is the only bound: a pair that lands above
+    hbar^order is skipped before it is multiplied.  With ``order=None``
+    every pair is kept, and the result's order is its top power.
     """
     _check_dims(a, b, geom)
     acc = _Sum(a.dim)
-    add = acc.add
+    add = acc.add_product
     weights = geom.contraction_numerators
     by_deg = {}
     for (hb, ub, Ib), pb in b.terms.items():
@@ -325,15 +335,16 @@ def moyal_sigma(a, b, geom, order=None):
         rows = by_deg.get(k)
         if rows is None:
             continue
-        lookup = weights(k)
+        row = weights(k).get(ua)
+        if row is None:
+            continue
         for hb, ub, pb in rows:
             h = ha + hb + k
             if order is not None and h > order:
                 continue
-            c = lookup.get((ua, ub))
-            if c is None:
-                continue
-            add(h, pa * pb, *c)
+            c = row.get(ub)
+            if c is not None:
+                add(h, pa, pb, c[0], c[1], c[2])
     out = acc.polys()
     return HbarSeries(max(out, default=0) if order is None else order, out)
 

@@ -4,6 +4,7 @@ Every helper takes an explicit ``random.Random`` so that each test controls
 its own seed and the whole suite is reproducible run to run.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -165,6 +166,29 @@ def rand_curved_geometry(rng, dim, deg=1, omega=None):
         g = Geometry(dim, omega=omega, gamma=rand_gamma(rng, dim, deg))
         if not g.is_flat():
             return g
+
+
+def bianchi_three_form(entries):
+    """The nonzero coefficients of R_{ijkl} y^i dx^j ^ dx^k ^ dx^l for a
+    tensor given as ``entries[i][j][k][l]``, keyed (i, (j, k, l)) with
+    j < k < l: the alternating sum of R_{i..} over the orderings of (j, k, l).
+
+    For a tensor skew in (k, l) that sum is twice the cyclic sum
+    R_{ijkl} + R_{iklj} + R_{iljk}, so the form is zero exactly when the first
+    Bianchi identity holds.  (The contraction R_{ijkl} y^j y^k y^l is zero
+    for every tensor skew in (k, l), so it checks nothing.)"""
+    dim = len(entries)
+    out = {}
+    for i in range(dim):
+        for jkl in itertools.combinations(range(dim), 3):
+            s = Polynomial.zero(dim)
+            for j, k, l in itertools.permutations(jkl):
+                odd = (j > k) + (j > l) + (k > l)
+                v = entries[i][j][k][l]
+                s = s - v if odd % 2 else s + v
+            if not s.is_zero():
+                out[(i, jkl)] = s
+    return out
 
 
 @pytest.fixture

@@ -272,6 +272,43 @@ def test_keyed_sum_matches_scale_and_add(rng):
             _assert_canonical_polynomial(p)
 
 
+def test_add_product_matches_add_of_product(rng):
+    # _Sum.add_product multiplies the two polynomials term pair by term pair
+    # into the key; the oracle forms pa * pb and adds it with add.
+    dim = 2
+    x1, x2 = (Polynomial.variable(dim, j) for j in range(dim))
+    acc = _Sum(dim)
+    acc.add_product("a", x1, x2.scale(F(1, 3)), 1, 0, 2)
+    assert acc.keys["a"][0] == 6
+    acc.add_product("a", x1.scale(F(1, 5)), x1, 0, 1)
+    assert acc.keys["a"][0] == 30  # a second denominator lifts the key to the lcm
+    acc.add_product("a", x1, x1, 0, -1, 5)  # ... and the x1^2 term cancels
+    acc.add_product("b", x1 + x2, x1 - x2, 1)  # (x1 + x2)(x1 - x2) - x1^2 + x2^2
+    acc.add_product("b", x1, x1, -1)
+    acc.add_product("b", x2, x2, 1)
+    out = acc.polys()
+    assert out == {"a": (x1 * x2).scale(F(1, 6))}  # "b" cancels to nothing
+    for _ in range(40):
+        fused, oracle = _Sum(dim), _Sum(dim)
+        added = []
+        for _ in range(rng.randint(1, 8)):
+            key = rng.randint(0, 3)
+            if added and rng.random() < 0.3:  # take back an earlier product
+                key, pa, pb, c = rng.choice(added)
+                c = -c
+            else:
+                pa, pb = (rand_poly(rng, dim, deg=2, terms=3) for _ in range(2))
+                c = rand_coeff(rng)
+                added.append((key, pa, pb, c))
+            if c:
+                fused.add_product(key, pa, pb, *_split(c))
+                oracle.add(key, pa * pb, *_split(c))
+        out = fused.polys()
+        assert out == oracle.polys()
+        for p in out.values():
+            _assert_canonical_polynomial(p)
+
+
 def _assert_canonical_polynomial(p):
     # Gaussian-integer numerators over one positive denominator, reduced,
     # with no (0, 0) stored: the form that == and hash compare directly.

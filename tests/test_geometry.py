@@ -11,10 +11,10 @@ from fedosov_lab.algebra import GaussianRational, Polynomial
 from fedosov_lab.geometry import (Geometry, GeometryError, cov_ext_deriv,
                                   standard_omega, validate_geometry)
 from fedosov_lab.tensors import Tensor2
-from fedosov_lab.weyl import WeylForm, commutator, delta, i_over_hbar, moyal
+from fedosov_lab.weyl import WeylForm, commutator, delta, i_over_hbar, index_form, moyal
 
-from conftest import (rand_curved_geometry, rand_form, rand_form_qdeg, rand_gamma,
-                      rand_skew_constant, rand_structure_geometry)
+from conftest import (bianchi_three_form, rand_curved_geometry, rand_form, rand_form_qdeg,
+                      rand_gamma, rand_skew_constant, rand_structure_geometry)
 
 F = Fraction
 
@@ -172,23 +172,10 @@ def test_curvature_symmetries_and_bianchi(rng, dim, deg):
                         assert e == -curv.entry(i, j, l, k)
                         # first Bianchi identity: R_{ijkl} + R_{iklj} + R_{iljk} = 0
                         assert (e + curv.entry(i, k, l, j) + curv.entry(i, l, j, k)).is_zero()
-        # first Bianchi contraction: R_{ijkl} y^j y^k y^l = 0 identically
-        ys = [WeylForm(dim, {(0, tuple(1 if t == m else 0 for t in range(dim)), ()):
-                             Polynomial.one(dim)}) for m in range(dim)]
-        for i in range(dim):
-            acc = WeylForm.zero(dim)
-            for j in range(dim):
-                for k in range(dim):
-                    for l in range(dim):
-                        e = curv.entry(i, j, k, l)
-                        if e.is_zero():
-                            continue
-                        u = [0] * dim
-                        u[j] += 1
-                        u[k] += 1
-                        u[l] += 1
-                        acc = acc + WeylForm(dim, {(0, tuple(u), ()): e})
-            assert acc.is_zero(), i
+        # first Bianchi identity as a contraction: R_{ijkl} y^i dx^j ^ dx^k ^ dx^l = 0,
+        # and in Weyl dress delta(R_w) = 0, which Fedosov's recursion needs
+        assert bianchi_three_form(curv.entries) == {}
+        assert delta(curv.weyl_two_form).is_zero()
 
 
 def curvature_oracle(geom, i, j, k, l):
@@ -249,6 +236,13 @@ def test_curvature_validation_rejects_broken_bianchi(rng):
         e[i][j][3][2] = e[i][j][3][2] - x4
     with pytest.raises(GeometryError, match="first Bianchi identity"):
         curv._validate(g)
+    # the contraction check of test_curvature_symmetries_and_bianchi and of
+    # acceptance criterion 6 sees the break, at y^1 dx^2 ^ dx^3 ^ dx^4 and
+    # at y^2 dx^1 ^ dx^3 ^ dx^4, and so does delta of the broken R_w
+    assert bianchi_three_form(e) == {(0, (1, 2, 3)): x4.scale(2), (1, (0, 2, 3)): x4.scale(2)}
+    broken = index_form(4, ((0, (i, j), (k, l), e[i][j][k][l])
+                            for i, j, k, l in itertools.product(range(4), repeat=4)))
+    assert not delta(broken).is_zero()
 
 
 def test_weyl_two_form_convention(rng):

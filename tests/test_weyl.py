@@ -1,12 +1,13 @@
 """Weyl algebra: fiberwise product, graded pieces, commutator, delta operators."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, I, ONE, Polynomial, accumulate
+from fedosov_lab.algebra import GaussianRational, I, ONE, Polynomial, _split, accumulate
 from fedosov_lab.geometry import Geometry, standard_omega
 from fedosov_lab.tensors import Tensor2, diamond_power, mu
 from fedosov_lab.weyl import (HbarDivisionError, WeylForm, central_two_form, commutator,
@@ -279,6 +280,40 @@ def test_moyal_and_odd_bracket_match_per_row_oracle(rng, dim):
             for (u, v), entries in zip(keys, tables[-1]):
                 assert geom.moyal_weights(u, v, bracket) is entries  # cached per chart
         assert tables[0] != tables[1]  # each chart keeps its own weights
+
+
+def fraction_moyal_weights(geom, ua, ub, bracket):
+    """The weights of y^ua o y^ub summed in Fraction over the flat table
+    ``contractions(k)``, key by key in its order."""
+    shift = 1 if bracket else 0
+    entries = []
+    for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
+        sums = {}
+        for (d, e), c in geom.contractions(k).items():
+            n = math.prod(map(math.comb, ua + ub, d + e))
+            if n:
+                u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
+                accumulate(sums, u, c * n)
+        entries.extend((k - shift, u) + _split(GaussianRational(0, 2) * c if bracket else c)
+                       for u, c in sums.items())
+    return tuple(entries)
+
+
+def test_moyal_weights_match_fraction_reference(rng):
+    # The integer sum over the rows d <= ua of contraction_numerators(k)
+    # must give the Fraction sum's entries in the Fraction sum's order.  Off
+    # the block form one left exponent has several right partners, so the
+    # rows interleave in contractions(k) and the order is a real check.
+    for dim in (2, 4):
+        scaled = Geometry(dim, omega=[[2 * v for v in row] for row in standard_omega(dim)])
+        top = 3 if dim == 4 else 5
+        exps = [u for u in itertools.product(range(top + 1), repeat=dim) if sum(u) <= top]
+        for geom in (Geometry(dim), scaled, rand_structure_geometry(rng, dim)):
+            for ua in exps:
+                for ub in exps:
+                    for bracket in (False, True):
+                        assert (geom.moyal_weights(ua, ub, bracket)
+                                == fraction_moyal_weights(geom, ua, ub, bracket)), (ua, ub)
 
 
 def test_moyal_sigma_equals_sigma_of_moyal(rng):
