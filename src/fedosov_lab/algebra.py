@@ -51,6 +51,15 @@ def _frac(x):
 _F0 = Fraction(0)
 
 
+def _check_exponents(exp, dim, what="exponent"):
+    """Raise ``ValueError`` unless ``exp`` holds ``dim`` non-negative ints."""
+    if len(exp) != dim:
+        raise ValueError("%s tuple %r does not match dim %d" % (what, exp, dim))
+    for e in exp:
+        if type(e) is not int or e < 0:
+            raise ValueError("%s tuple %r must hold non-negative ints" % (what, exp))
+
+
 def accumulate(out, key, v, subtract=False):
     """Add ``v`` into ``out[key]`` (subtract it with ``subtract``), storing no zero.
 
@@ -221,6 +230,8 @@ class Polynomial:
     ``terms`` is a read-only view ``exp -> GaussianRational`` built on each
     access, with reduced Fractions.  The canonical text form lists terms in
     descending lexicographic exponent order, e.g. ``3/2*x1^2*x2-x2+1``.
+    The constructor takes only exponent tuples of ``dim`` non-negative ints
+    and raises ``ValueError`` on any other key.
     """
 
     __slots__ = ("dim", "_num", "_den")
@@ -229,8 +240,7 @@ class Polynomial:
         self.dim = dim
         clean = {}
         for exp, c in (terms or {}).items():
-            if len(exp) != dim:
-                raise ValueError("exponent tuple %r does not match dim %d" % (exp, dim))
+            _check_exponents(exp, dim)
             c = GaussianRational.coerce(c)
             if c:
                 clean[tuple(exp)] = c

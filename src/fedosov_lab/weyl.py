@@ -24,8 +24,10 @@ This module holds no contraction weights.  The chart caches one table per
 k, ``Geometry.contractions(k)``: the whole scalar of each fully contracted
 pair y^d o_k y^e.  ``Geometry.contraction_numerators(k)`` holds the same
 scalars indexed by the left exponent, {d: {e: (re, im, den, pos)}}, split
-into Gaussian-integer numerators over a denominator; ``moyal_sigma`` reads
-it with two lookups per pair, ``[ua][ub]``.  ``moyal`` reads the pieces of
+into Gaussian-integer numerators over a denominator; ``moyal_sigma`` walks
+the row of each left exponent, its contraction partners, and looks each
+partner up in an index of the right operand by y-exponent, so it visits only
+the pairs that contract.  ``moyal`` reads the pieces of
 y^ua o y^ub, split scalars included, from ``Geometry.moyal_weights(ua, ub,
 bracket)``, which the chart sums in integers from the rows d <= ua of the
 same table.  The products, ``delta``, ``delta_inv``, ``exterior_d`` and
@@ -55,7 +57,8 @@ holds piecewise, which the recursion machinery depends on.
 
 from __future__ import annotations
 
-from .algebra import GaussianRational, HbarSeries, Polynomial, I, _Sum, accumulate
+from .algebra import (GaussianRational, HbarSeries, Polynomial, I, _Sum, _check_exponents,
+                      accumulate)
 
 __all__ = [
     "WeylForm",
@@ -116,7 +119,10 @@ class WeylForm:
     """A Weyl-algebra-valued differential form, exact and sparse.
 
     It carries no degree bound: every operation keeps all the terms it
-    produces, and ``capped(d)`` is the one truncation.
+    produces, and ``capped(d)`` is the one truncation.  The constructor
+    takes only canonical keys (h, u, form): a non-negative int hbar power,
+    ``dim`` non-negative int y exponents, and dx indices strictly increasing
+    within range(dim); anything else raises ``ValueError``.
     """
 
     __slots__ = ("dim", "terms")
@@ -125,10 +131,16 @@ class WeylForm:
         self.dim = dim
         clean = {}
         for (h, u, form), p in (terms or {}).items():
-            if len(u) != dim:
-                raise ValueError("y-exponent tuple of wrong length")
+            if type(h) is not int or h < 0:
+                raise ValueError("hbar power %r must be a non-negative int" % (h,))
+            _check_exponents(u, dim, "y-exponent")
+            form = tuple(form)
+            if not (all(type(i) is int for i in form)
+                    and all(i < j for i, j in zip((-1,) + form, form + (dim,)))):
+                raise ValueError("dx indices %r must increase strictly within range(%d)"
+                                 % (form, dim))
             if not p.is_zero():
-                clean[(h, tuple(u), tuple(form))] = p
+                clean[(h, tuple(u), form)] = p
         self.terms = clean
 
     @classmethod
@@ -312,9 +324,13 @@ def moyal_sigma(a, b, geom, order=None):
     Only fully contracted pairs survive the projection: both monomials must
     be dx-free with equal y-degree k, and the pair y^u, y^v contributes the
     chart's cached scalar ``geom.contraction_numerators(k)[u][v]``, stored
-    as Gaussian-integer numerators over a denominator.  Each pair's
-    coefficients are multiplied term pair by term pair straight into one
-    integer accumulator keyed by the hbar power, which reduces each
+    as Gaussian-integer numerators over a denominator.  The right operand's
+    dx-free terms are indexed once by y-exponent, every hbar power kept;
+    each left term walks its row ``contraction_numerators(k)[u]``, one
+    partner v per entry (exactly one on the block structure matrix), and
+    looks v up in that index, so no pair that cannot contract is visited.
+    Each pair's coefficients are multiplied term pair by term pair straight
+    into one integer accumulator keyed by the hbar power, which reduces each
     coefficient once.  ``order`` is the only bound: a pair that lands above
     hbar^order is skipped before it is multiplied.  With ``order=None``
     every pair is kept, and the result's order is its top power.
@@ -323,27 +339,28 @@ def moyal_sigma(a, b, geom, order=None):
     acc = _Sum(a.dim)
     add = acc.add_product
     weights = geom.contraction_numerators
-    by_deg = {}
+    right = {}
     for (hb, ub, Ib), pb in b.terms.items():
-        if Ib:
-            continue
-        by_deg.setdefault(sum(ub), []).append((hb, ub, pb))
+        if not Ib:
+            right.setdefault(ub, []).append((hb, pb))
+    degrees = {sum(ub) for ub in right}
     for (ha, ua, Ia), pa in a.terms.items():
         if Ia:
             continue
         k = sum(ua)
-        rows = by_deg.get(k)
-        if rows is None:
+        if k not in degrees:
             continue
         row = weights(k).get(ua)
         if row is None:
             continue
-        for hb, ub, pb in rows:
-            h = ha + hb + k
-            if order is not None and h > order:
+        for ub, c in row.items():
+            partners = right.get(ub)
+            if partners is None:
                 continue
-            c = row.get(ub)
-            if c is not None:
+            for hb, pb in partners:
+                h = ha + hb + k
+                if order is not None and h > order:
+                    continue
                 add(h, pa, pb, c[0], c[1], c[2])
     out = acc.polys()
     return HbarSeries(max(out, default=0) if order is None else order, out)

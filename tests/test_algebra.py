@@ -152,6 +152,15 @@ def test_polynomial_accessors():
         Polynomial(2, {(1, 0, 0): ONE})
 
 
+@pytest.mark.parametrize("exp", [(-1, 0), (0, -2), (1.0, 0), (True, 0), ("1", 0)],
+                         ids=["negative", "negative-second", "float", "bool", "str"])
+def test_polynomial_rejects_non_canonical_exponents(exp):
+    # A negative exponent would print as a power of x1 and differentiate to
+    # a term of the wrong sign; only non-negative ints are exponents.
+    with pytest.raises(ValueError):
+        Polynomial(2, {exp: ONE})
+
+
 def test_polynomial_str_deterministic(rng):
     # the canonical text form must not depend on dict insertion order
     terms = {(2, 0): GaussianRational(F(3, 2)), (1, 1): -ONE,

@@ -399,6 +399,47 @@ def test_moyal_sigma_order_is_its_only_bound(rng):
                         assert moyal_sigma(a, b, geom, order=n) == full.with_order(n)
 
 
+def test_moyal_sigma_partner_walk_on_shared_and_missing_partners(rng):
+    # moyal_sigma indexes the right operand's dx-free terms by y-exponent and
+    # walks each left exponent's row of contraction partners.  The right
+    # operand here puts several hbar powers under one exponent and dx terms
+    # on the same exponents; the left one has exponents with no partner in
+    # the right one, and a y-degree the right one lacks.  Off the block form
+    # a row has several partners.
+    cap = 6
+    for dim in (2, 4):
+        scaled = Geometry(dim, omega=[[3 * v for v in row] for row in standard_omega(dim)])
+        exps = [u for u in itertools.product(range(4), repeat=dim) if 1 <= sum(u) <= 3]
+        right = [rng.choice([u for u in exps if sum(u) == k]) for k in (1, 2, 2, 3, 3)]
+        b = WeylForm.zero(dim)
+        for ub in right:
+            for h in range((cap - sum(ub)) // 2 + 1):
+                b = b + WeylForm(dim, {(h, ub, ()): rand_poly(rng, dim)})
+            b = b + WeylForm(dim, {(0, ub, (0,)): rand_poly(rng, dim),
+                                   (1, ub, (0, 1)): rand_poly(rng, dim)})
+        a = WeylForm(dim, {(h, ua, ()): rand_poly(rng, dim)
+                           for ua in exps for h in (0, 1)})
+        a = a + WeylForm(dim, {(0, (4,) + (0,) * (dim - 1), ()): rand_poly(rng, dim),
+                               (0, right[0], (1,)): rand_poly(rng, dim)})
+        assert {sum(u) for (_h, u, _f) in a.terms} - {sum(u) for u in right} == {4}
+        charts = {"block": Geometry(dim), "scaled": scaled,
+                  "random": rand_structure_geometry(rng, dim)}
+        for name, geom in charts.items():
+            rows = [geom.contraction_numerators(sum(ua))[ua] for ua in exps]
+            assert any(not set(row) & set(right) for row in rows)
+            if name == "random" and dim == 4:
+                # a 2D structure matrix is a multiple of the block form
+                assert max(len(row) for row in rows) > 1
+            full = moyal(a, b, geom)
+            window = sigma(full.capped(cap))
+            for n in range(cap // 2 + 1):
+                assert moyal_sigma(a, b, geom, order=n) == window.with_order(n)
+            ms, whole = moyal_sigma(a, b, geom), sigma(full)
+            top = max(ms.order, whole.order)
+            assert ms.with_order(top) == whole.with_order(top)
+            assert ms.order == max(ms.coeffs)
+
+
 def test_moyal_sigma_sums_pairings_that_share_exponents():
     # On a structure matrix with every entry nonzero, several 2-fold
     # pairings contract the same pair of y-quadratics; the projection must
@@ -479,6 +520,19 @@ def test_delta_inv_normalization_on_curvature_form():
                     terms[key] = prev + e.scale(F(1, 8))
     want = WeylForm(dim, {k: v for k, v in terms.items() if not v.is_zero()})
     assert got == want
+
+
+@pytest.mark.parametrize("key", [(0, (0, 1), (1, 0)), (0, (0, 1), (0, 0)),
+                                 (0, (0, 1), (6,)), (0, (0, 1), (-1,)),
+                                 (-1, (0, 1), ()), (0.0, (0, 1), ()),
+                                 (0, (-1, 1), ()), (0, (0, 1, 0), ())],
+                         ids=["dx-unsorted", "dx-repeated", "dx-past-dim", "dx-negative",
+                              "hbar-negative", "hbar-float", "y-negative", "y-wrong-length"])
+def test_weyl_form_rejects_non_canonical_keys(key):
+    # An unsorted dx tuple would be a second key for the same monomial, so
+    # equal forms would compare unequal; only canonical keys are accepted.
+    with pytest.raises(ValueError):
+        WeylForm(2, {key: Polynomial.one(2)})
 
 
 def test_hbar_division_guard():
