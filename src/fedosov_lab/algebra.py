@@ -21,8 +21,9 @@ numerators, reduced against its denominator, and a ``WeylForm`` only nonzero
 polynomials, so equality can compare the stored dicts directly.  Only this
 module reads the integer format.  Every weighted sum of polynomials under
 keys (the Weyl products, ``delta``, ``delta_inv``, ``exterior_d``,
-``weyl.index_form``) goes through ``_Sum``, which adds numerators in place
-and reduces each key once; ``_Sum.add_product`` adds a weighted product of
+``weyl.index_form``, ``StarEngine.section``'s assembly from monomial
+sections) goes through ``_Sum``, which adds numerators in place and
+reduces each key once; ``_Sum.add_product`` adds a weighted product of
 two polynomials term pair by term pair, so the scalar projection of a Weyl
 product forms no product polynomial; other sums of whole values go through
 ``accumulate``, which drops the key when the sum cancels; ``Polynomial``

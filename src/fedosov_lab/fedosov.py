@@ -30,8 +30,12 @@ The section equation is linear over constants in f, so
 
 StarEngine uses this at two cache levels: it solves the recursion once per
 monomial hbar^n x^m, and it memoizes each observable's section assembled
-from those.  ``flat_section`` solves a whole observable directly; it is the
-reference the assembled sections are tested against, and it extends them.
+from those.  The assembly adds every term of every monomial section, times
+its coefficient, into one ``algebra._Sum``, which reduces each output key
+once; a power n above the engine order is skipped, since the section of
+hbar^n x^m starts at degree 2n, above every stored one.  ``flat_section``
+solves a whole observable directly; it is the reference the assembled
+sections are tested against, and it extends them.
 
 The module also houses the scalar sequences sigma_p, kappa_p, c_p that
 govern the perturbation series in the flat/constant case: they satisfy
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import HbarSeries, Polynomial, _Sum
+from .algebra import HbarSeries, Polynomial, _Sum, _split
 from .tensors import is_closed
 from .weyl import (WeylForm, central_two_form, delta, delta_inv, i_over_hbar,
                    moyal, moyal_sigma, odd_bracket)
@@ -309,12 +313,15 @@ class StarEngine:
     The r-solution is solved once.  Sections are cached at two levels,
     both keyed by exact content: the section of each monomial hbar^n x^m,
     solved once by ``flat_section``, and the section of each observable,
-    assembled from its monomials' sections by linearity.  A polynomial
-    observable f is the hbar-series {0: f}.  The grid of coordinate
-    products is built once as well.
+    assembled from its monomials' sections by linearity in one
+    ``algebra._Sum``.  A polynomial observable f is the hbar-series {0: f}.
+    ``order`` is an int of at least 1.  The grid of coordinate products is
+    built once as well.
     """
 
     def __init__(self, spec, order):
+        if type(order) is not int:
+            raise ValueError("order must be an int, got %r" % (order,))
         if order < 1:
             raise ValueError("order must be at least 1")
         self.spec = spec
@@ -340,14 +347,20 @@ class StarEngine:
 
     def section(self, f):
         """The flat section with scalar part f (a polynomial or hbar-series)."""
-        coeffs = sorted(({0: f} if isinstance(f, Polynomial) else f.coeffs).items())
-        key = tuple(coeffs)  # Polynomial is canonical and hashable
+        series = {0: f} if isinstance(f, Polynomial) else f.coeffs
+        # The section of hbar^n x^m starts at degree 2n, so above the order
+        # it is zero at every stored degree.  Polynomial is canonical and
+        # hashable.
+        key = tuple(sorted((n, p) for n, p in series.items() if n <= self.order))
         a = self._sections.get(key)
         if a is None:
-            a = WeylForm.zero(self.spec.dim)
-            for n, p in coeffs:
+            acc = _Sum(self.spec.dim)
+            for n, p in key:
                 for exp, c in p.terms.items():
-                    a = a + self._monomial_section(n, exp).scale(c)
+                    re, im, den = _split(c)
+                    for k, q in self._monomial_section(n, exp).terms.items():
+                        acc.add(k, q, re, im, den)
+            a = WeylForm._make(self.spec.dim, acc.polys())
             self._sections[key] = a
         return a
 

@@ -612,6 +612,89 @@ def test_flat_section_runs_once_per_monomial(rng, monkeypatch):
                               (0, (2, 0)), (1, (0, 1)), (1, (1, 0))]
 
 
+def test_engine_skips_powers_above_its_order(rng, monkeypatch):
+    """The section of hbar^n x^m starts at degree 2n, so for n > order it is
+    zero at every degree the engine stores: the engine solves no section
+    for it, the assembled section equals the direct solve, and observables
+    that differ only above the order share one memo entry."""
+    geom = rand_curved_geometry(rng, 2)
+    spec = WeylCurvatureSpec(
+        geom, TensorSeries.from_terms(2, "lower", 1, [(1, rand_closed_skew_poly(rng, 2, 1))]))
+    eng = StarEngine(spec, order=1)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f = HbarSeries(5, {0: x2, 1: x1 * x2, 2: x1, 3: x1, 5: x2 * x2})
+    direct = fedosov.flat_section
+    want = direct(f, spec, eng.r(), eng.cap)
+    solved = []
+
+    def counting(f, spec, r, cap):
+        solved.extend(f.coeffs)
+        return direct(f, spec, r, cap)
+
+    monkeypatch.setattr(fedosov, "flat_section", counting)
+    assert eng.section(HbarSeries(5, {3: x1})).is_zero()
+    assert eng.section(f) == want
+    assert str(eng.section(f)) == str(want)
+    assert solved == [0, 1]
+    assert eng.section(HbarSeries(1, {0: x2, 1: x1 * x2})) is eng.section(f)
+
+
+def test_engine_sections_of_every_coefficient_shape(rng):
+    """The assembly sums non-real Gaussian coefficients, mixed denominators
+    (so keys are lifted to an lcm) and hbar powers whose sections share
+    keys, exactly and with no stored zero."""
+    order = 2
+    geom = rand_curved_geometry(rng, 2)
+    spec = WeylCurvatureSpec(
+        geom, TensorSeries.from_terms(2, "lower", order, [(1, rand_closed_skew_poly(rng, 2, 1))]))
+    eng = StarEngine(spec, order)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    gauss = GaussianRational(F(1, 3), F(2, 3))
+    mixed = (x1 * x1).scale(F(1, 2)) + (x1 * x2).scale(F(1, 3)) + x2.scale(F(5, 7))
+    obs = [(x1 * x2).scale(gauss) + x2 * x2 - x1,
+           mixed,
+           HbarSeries(order, {0: mixed + x1.scale(gauss),
+                              1: (x1 * x1).scale(gauss) - x2.scale(F(5, 7)),
+                              2: x1 + x2.scale(F(-1, 2))})]
+    for f in obs:
+        want = flat_section(f, spec, eng.r(), eng.cap)
+        got = eng.section(f)
+        assert got == want
+        assert str(got) == str(want)
+        assert all(not p.is_zero() and all(p.terms.values()) for p in got.terms.values())
+
+
+def test_warm_section_assembly_builds_no_whole_forms(rng, monkeypatch):
+    """Once its monomial sections are cached, an observable's section is
+    summed term by term: no WeylForm is scaled or added."""
+    eng = StarEngine(WeylCurvatureSpec(rand_curved_geometry(rng, 2)), order=2)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    eng.section(HbarSeries(2, {0: x1 * x1 + x1 * x2 + x2, 1: x1}))
+    fresh = HbarSeries(2, {0: (x1 * x1).scale(F(2, 3)) - (x1 * x2).scale(GaussianRational(1, 1)),
+                           1: x1.scale(F(5, 7))})
+    calls = []
+    for name in ("scale", "__add__"):
+        real = getattr(WeylForm, name)
+
+        def counting(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(WeylForm, name, counting)
+    got = eng.section(fresh)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == flat_section(fresh, eng.spec, eng.r(), eng.cap)
+
+
+@pytest.mark.parametrize("order, message", [
+    (2.0, "an int"), ("2", "an int"), (F(2), "an int"), (True, "an int"),
+    (None, "an int"), (0, "at least 1")])
+def test_engine_rejects_an_order_that_is_not_a_positive_int(order, message):
+    with pytest.raises(ValueError, match="order must be " + message):
+        StarEngine(WeylCurvatureSpec(Geometry(2)), order)
+
+
 # -- resuming a solve --------------------------------------------------------------
 
 
