@@ -28,14 +28,20 @@ The section equation is linear over constants in f, so
 
     section(sum c_{n,m} hbar^n x^m) = sum c_{n,m} section(hbar^n x^m).
 
-StarEngine uses this at two cache levels: it solves the recursion once per
-monomial hbar^n x^m, and it memoizes each observable's section assembled
-from those.  The assembly adds every term of every monomial section, times
-its coefficient, into one ``algebra._Sum``, which reduces each output key
-once; a power n above the engine order is skipped, since the section of
+StarEngine keeps three caches.  It solves the recursion once per monomial
+hbar^n x^m, and it memoizes each observable's section assembled from
+those: the assembly adds every term of every monomial section, times its
+coefficient, into one ``algebra._Sum``, which reduces each output key once.
+Since sigma(. o .) is bilinear as well, a product is the sum of
+c d sigma(section(hbar^n x^m) o section(hbar^n' x^m')) over the term pairs
+of f and g; the third cache, the pair table, holds that projection once
+per ordered monomial pair, so a product of observables whose pairs are
+known solves, assembles and projects nothing.  The table is unbounded and
+grows with the distinct ordered monomial pairs an engine multiplies.  A
+power n above the engine order is skipped throughout, since the section of
 hbar^n x^m starts at degree 2n, above every stored one.  ``flat_section``
 solves a whole observable directly; it is the reference the assembled
-sections are tested against, and it extends them.
+sections and the products are tested against, and it extends them.
 
 The module also houses the scalar sequences sigma_p, kappa_p, c_p that
 govern the perturbation series in the flat/constant case: they satisfy
@@ -310,13 +316,17 @@ class StarResult:
 class StarEngine:
     """Products for one curvature spec and order, with solves cached.
 
-    The r-solution is solved once.  Sections are cached at two levels,
-    both keyed by exact content: the section of each monomial hbar^n x^m,
-    solved once by ``flat_section``, and the section of each observable,
-    assembled from its monomials' sections by linearity in one
-    ``algebra._Sum``.  A polynomial observable f is the hbar-series {0: f}.
-    ``order`` is an int of at least 1.  The grid of coordinate products is
-    built once as well.
+    The r-solution is solved once, and three memos hold the rest, each
+    keyed by exact content: the section of each monomial hbar^n x^m, solved
+    once by ``flat_section``; the section of each observable, assembled
+    from its monomials' sections by linearity in one ``algebra._Sum``; and
+    the pair table, which maps an ordered pair of monomials to the
+    coefficients of sigma(section o section) through the order.  A product
+    reads only the pair table once it holds the operands' pairs.  The table
+    is not bounded: it grows with the distinct ordered monomial pairs that
+    the engine multiplies.  A polynomial observable f is the hbar-series
+    {0: f}.  ``order`` is an int of at least 1.  The grid of coordinate
+    products is built once as well.
     """
 
     def __init__(self, spec, order):
@@ -331,6 +341,7 @@ class StarEngine:
         self._grid = None
         self._sections = {}   # observable key -> assembled section
         self._monomials = {}  # (hbar power, exponent) -> section of hbar^n x^exp
+        self._pairs = {}      # ((n, exp), (n', exp')) -> ((h, coefficient), ...)
 
     def r(self):
         if self._r is None:
@@ -345,26 +356,57 @@ class StarEngine:
             self._monomials[(n, exp)] = a
         return a
 
+    def _key(self, f):
+        """The sorted (n, coefficient) pairs of f through the engine order.
+        The section of hbar^n x^m starts at degree 2n, so above the order it
+        is zero at every stored degree.  Polynomial is canonical and
+        hashable."""
+        if isinstance(f, Polynomial):
+            series = {0: f}
+        elif isinstance(f, HbarSeries):
+            series = f.coeffs
+        else:
+            raise TypeError("expected a Polynomial or an HbarSeries, got %s"
+                            % type(f).__name__)
+        return tuple(sorted((n, p) for n, p in series.items() if n <= self.order))
+
     def section(self, f):
-        """The flat section with scalar part f (a polynomial or hbar-series)."""
-        series = {0: f} if isinstance(f, Polynomial) else f.coeffs
-        # The section of hbar^n x^m starts at degree 2n, so above the order
-        # it is zero at every stored degree.  Polynomial is canonical and
-        # hashable.
-        key = tuple(sorted((n, p) for n, p in series.items() if n <= self.order))
+        """The flat section with scalar part f (a polynomial or hbar-series).
+        A lone monomial with coefficient 1 is its cached solve itself."""
+        key = self._key(f)
         a = self._sections.get(key)
         if a is None:
-            acc = _Sum(self.spec.dim)
-            for n, p in key:
-                for exp, c in p.terms.items():
-                    re, im, den = _split(c)
-                    for k, q in self._monomial_section(n, exp).terms.items():
+            terms = _split_terms(key)
+            if len(terms) == 1 and terms[0][1] == (1, 0, 1):
+                a = self._monomial_section(*terms[0][0])
+            else:
+                acc = _Sum(self.spec.dim)
+                for mono, (re, im, den) in terms:
+                    for k, q in self._monomial_section(*mono).terms.items():
                         acc.add(k, q, re, im, den)
-            a = WeylForm._make(self.spec.dim, acc.polys())
+                a = WeylForm._make(self.spec.dim, acc.polys())
             self._sections[key] = a
         return a
 
+    def _pair(self, a, b):
+        """The pair table's entry for the monomials a = (n, exp) and b, filled
+        from the engine's own sections on first use."""
+        entry = self._pairs.get((a, b))
+        if entry is None:
+            dim = self.spec.dim
+            sa, sb = (self.section(HbarSeries(self.order, {n: Polynomial.monomial(dim, exp)}))
+                      for n, exp in (a, b))
+            entry = tuple(moyal_sigma(sa, sb, self.spec.geometry,
+                                      order=self.order).coeffs.items())
+            self._pairs[(a, b)] = entry
+        return entry
+
     def star(self, f, g):
+        """The StarResult of two polynomial observables."""
+        for p in (f, g):
+            if not isinstance(p, Polynomial):
+                raise TypeError("star takes Polynomial observables, got %s; "
+                                "use star_series for hbar-series" % type(p).__name__)
         return StarResult(f, g, self.order, dict(self.star_series(f, g).coeffs))
 
     def coordinate_products(self):
@@ -378,9 +420,27 @@ class StarEngine:
 
     def star_series(self, f, g):
         """sigma(section(f) o section(g)) through the engine order, as an
-        hbar-series; f and g are polynomials or hbar-series."""
-        return moyal_sigma(self.section(f), self.section(g), self.spec.geometry,
-                           order=self.order)
+        hbar-series; f and g are polynomials or hbar-series.
+
+        The section is linear over constants and the projection bilinear,
+        so the product is the sum of
+        c d P(m, m') over the terms c hbar^n x^exp of f and d hbar^n' x^exp'
+        of g, with P(m, m') the pair table's entry; each pair's scalar is
+        multiplied as integers and added into one ``algebra._Sum`` keyed by
+        the hbar power, which reduces each coefficient once."""
+        left, right = _split_terms(self._key(f)), _split_terms(self._key(g))
+        acc = _Sum(self.spec.dim)
+        for a, (re1, im1, den1) in left:
+            for b, (re2, im2, den2) in right:
+                re, im = re1 * re2 - im1 * im2, re1 * im2 + im1 * re2
+                for h, q in self._pair(a, b):
+                    acc.add(h, q, re, im, den1 * den2)
+        return HbarSeries(self.order, acc.polys())
+
+
+def _split_terms(key):
+    """The terms of an engine key as ((n, exp), (re, im, den)) pairs."""
+    return [((n, exp), _split(c)) for n, p in key for exp, c in p.terms.items()]
 
 
 def star(f, g, spec, order):

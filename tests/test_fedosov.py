@@ -687,6 +687,108 @@ def test_warm_section_assembly_builds_no_whole_forms(rng, monkeypatch):
     assert got == flat_section(fresh, eng.spec, eng.r(), eng.cap)
 
 
+def test_unit_monomial_section_is_its_solve(rng):
+    """The section of a lone monomial with coefficient 1 is the cached
+    monomial solve itself, not a copy; a scaled monomial is assembled."""
+    eng = StarEngine(WeylCurvatureSpec(rand_curved_geometry(rng, 2)), order=2)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    got = eng.section(x1 * x2)
+    assert got is eng._monomial_section(0, (1, 1))
+    want = flat_section(x1 * x2, eng.spec, eng.r(), eng.cap)
+    assert got == want
+    assert str(got) == str(want)
+    assert eng.section(HbarSeries(2, {1: x1})) is eng._monomial_section(1, (1, 0))
+    scaled = eng.section(x1.scale(F(1, 2)))
+    assert scaled is not eng._monomial_section(0, (1, 0))
+    assert scaled == flat_section(x1.scale(F(1, 2)), eng.spec, eng.r(), eng.cap)
+
+
+def test_star_rejects_what_is_not_an_observable():
+    eng = StarEngine(WeylCurvatureSpec(Geometry(2)), order=1)
+    x1 = Polynomial.variable(2, 0)
+    series = HbarSeries(1, {0: x1})
+    for f, g in ((series, x1), (x1, series), (1, x1), (x1, ONE)):
+        with pytest.raises(TypeError, match="use star_series for hbar-series"):
+            eng.star(f, g)
+    for f, g in ((1, x1), (x1, "x1"), (x1, None), (x1, [x1])):
+        with pytest.raises(TypeError, match="a Polynomial or an HbarSeries"):
+            eng.star_series(f, g)
+    assert eng.star_series(series, x1) == eng.star(x1, x1).as_series()
+
+
+def _perturbed_chart(rng, chart, order):
+    """A curved 2D chart or the flat block-form 4D chart, perturbed at hbar^1."""
+    if chart == "curved":
+        geom, alpha = rand_curved_geometry(rng, 2), rand_closed_skew_poly(rng, 2, 1)
+    else:
+        geom, alpha = Geometry(4), rand_skew_constant(rng, 4)
+    return WeylCurvatureSpec(geom, TensorSeries.from_terms(
+        geom.dim, "lower", order, [(1, alpha)]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("chart", ["curved", "block"])
+def test_star_series_from_the_pair_table_equals_the_direct_product(rng, order, chart):
+    """Every product read from the monomial-pair table equals sigma of the
+    direct solves' product, exactly: non-real and mixed-denominator
+    coefficients, an hbar-series with a power above the order, a constant
+    and zero."""
+    spec = _perturbed_chart(rng, chart, order)
+    dim = spec.dim
+    eng = StarEngine(spec, order)
+    xs = [Polynomial.variable(dim, i) for i in range(dim)]
+    gauss = GaussianRational(F(1, 3), F(2, 3))
+    obs = [(xs[0] * xs[1]).scale(gauss) + xs[1] * xs[1] - xs[0],
+           (xs[0] * xs[0]).scale(F(1, 2)) + (xs[0] * xs[1]).scale(F(1, 3))
+           + xs[-1].scale(F(5, 7)),
+           HbarSeries(order + 2, {0: xs[0].scale(gauss) + xs[1], 1: xs[0] * xs[0],
+                                  order + 1: xs[1]}),
+           Polynomial.constant(dim, F(-3, 2)),
+           Polynomial.zero(dim)]
+    direct = [flat_section(f, spec, eng.r(), eng.cap) for f in obs]
+    for f, a in zip(obs, direct):
+        for g, b in zip(obs, direct):
+            want = moyal_sigma(a, b, spec.geometry, order=order)
+            got = eng.star_series(f, g)
+            assert got == want
+            assert str(got) == str(want)
+
+
+def test_warm_products_read_only_the_pair_table(rng, monkeypatch):
+    """A cold product fills one table entry, with one moyal_sigma call, per
+    new ordered monomial pair; a warm one solves, assembles and projects
+    nothing."""
+    eng = StarEngine(WeylCurvatureSpec(rand_curved_geometry(rng, 2)), order=2)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(fedosov, "moyal_sigma")
+    counting(fedosov, "flat_section")
+    counting(StarEngine, "section")
+    f = x1 * x1 + x2.scale(F(2, 3))
+    g = HbarSeries(2, {0: x1 - x2, 1: x1 * x2})
+    eng.star_series(f, g)
+    assert calls.count("moyal_sigma") == 2 * 3
+    eng.star(x1, x1 + x2.scale(F(1, 7)))
+    assert calls.count("moyal_sigma") == 2 * 3 + 2
+    calls.clear()
+    eng.star_series((x1 * x1).scale(GaussianRational(1, 2)) - x2,
+                    HbarSeries(2, {0: x2.scale(F(3, 2)) - x1, 1: (x1 * x2).scale(3)}))
+    eng.star(x1.scale(F(-5, 3)), x1 - x2)
+    assert calls == []
+    assert eng.star_series(f, g) == moyal_sigma(
+        eng.section(f), eng.section(g), eng.spec.geometry, order=2)
+
+
 @pytest.mark.parametrize("order, message", [
     (2.0, "an int"), ("2", "an int"), (F(2), "an int"), (True, "an int"),
     (None, "an int"), (0, "at least 1")])

@@ -29,9 +29,15 @@ def test_order3_runner_pairs_a_checkout_with_itself(tmp_path):
     for side in ("parent", "change"):
         assert rows[side]["exit"] == [0, 0]
         assert rows[side]["median_wall_s"] > 0 and rows[side]["median_max_rss_mb"] > 0
+        cpu = rows[side]["cpu_s"]
+        assert len(cpu) == 2 and all(t > 0 for t in cpu)
+        assert rows[side]["median_cpu_s"] == round(statistics.median(cpu), 3)
     assert rows["pairs_won"] in (0, 1, 2) and rows["parent_wall_iqr_s"] >= 0
     assert rows["verdict"] in ("faster", "slower", "unresolved")
     assert "won %d/2" % rows["pairs_won"] in proc.stdout
+    assert "CPU %8.2f -> %8.2f s" % (rows["parent"]["median_cpu_s"],
+                                     rows["change"]["median_cpu_s"]) in proc.stdout
+    assert proc.stdout.count(" s CPU ") == 4
 
 
 def test_order3_runner_verdict_needs_more_than_the_parent_spread():

@@ -12,12 +12,13 @@ process that imports the package from ``<checkout>/src``.  For every
 scenario and pair the two sides run back to back, one at a time, and the
 side that goes first alternates (the parent first in even pairs), so slow
 spells of a shared machine fall on both.  Each run records its wall time,
-its max RSS (``os.wait4``) and the sha256 of its report.
+its CPU time and max RSS (both from ``os.wait4``) and the sha256 of its
+report.
 
-Per scenario it reports the median wall time and max RSS of each side, the
-pairs whose change ran faster than its parent, the spread of the parent's
-wall times (upper minus lower quartile), and a verdict.  The verdict is
-``faster`` when the change's median is lower than the parent's by more than
+Per scenario it reports the median wall time, CPU time and max RSS of each
+side, the pairs whose change ran faster than its parent, the spread of the
+parent's wall times (upper minus lower quartile), and a verdict, which
+rests on wall time alone.  The verdict is ``faster`` when the change's median is lower than the parent's by more than
 that spread and the change won at least nine tenths of the pairs, ``slower``
 when it is higher by more than the spread and lost at least nine tenths,
 and ``unresolved`` otherwise (always so with one pair).
@@ -45,8 +46,8 @@ SIDES = ("parent", "change")
 
 
 def run_verify(checkout, scenario, order, out):
-    """One ``verify --out`` in a fresh process: (exit code, wall s, max RSS MB,
-    report sha256 or None)."""
+    """One ``verify --out`` in a fresh process: (exit code, wall s, CPU s
+    (user + system), max RSS MB, report sha256 or None)."""
     checkout = os.path.abspath(checkout)
     cmd = [sys.executable, "-m", "fedosov_lab.cli", "verify",
            "--scenario", os.path.join(checkout, "scenarios", scenario + ".json"),
@@ -62,7 +63,7 @@ def run_verify(checkout, scenario, order, out):
         with open(out, "rb") as fh:
             sha = hashlib.sha256(fh.read()).hexdigest()
         os.remove(out)
-    return code, wall, usage.ru_maxrss / 1024, sha
+    return code, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, sha
 
 
 def compare(rows):
@@ -92,25 +93,27 @@ def run_pairs(paths, scenarios, order, pairs, log=print):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         for name in scenarios:
-            rows = results[name] = {side: {"wall_s": [], "max_rss_mb": [], "sha256": [],
-                                           "exit": []} for side in SIDES}
+            rows = results[name] = {side: {"wall_s": [], "cpu_s": [], "max_rss_mb": [],
+                                           "sha256": [], "exit": []} for side in SIDES}
             for i in range(pairs):
                 order_in_pair = SIDES if i % 2 == 0 else SIDES[::-1]
                 shas = {}
                 for side in order_in_pair:
-                    code, wall, rss, sha = run_verify(paths[side], name, order, out)
+                    code, wall, cpu, rss, sha = run_verify(paths[side], name, order, out)
                     row = rows[side]
                     row["exit"].append(code)
                     row["wall_s"].append(round(wall, 3))
+                    row["cpu_s"].append(round(cpu, 3))
                     row["max_rss_mb"].append(round(rss, 2))
                     row["sha256"].append(sha)
                     shas[side] = sha
-                    log("%-20s pair %d %-6s exit %d  %8.2f s  %7.2f MB  %s"
-                        % (name, i, side, code, wall, rss, (sha or "-")[:8]))
+                    log("%-20s pair %d %-6s exit %d  %8.2f s  %8.2f s CPU  %7.2f MB  %s"
+                        % (name, i, side, code, wall, cpu, rss, (sha or "-")[:8]))
                 if shas["parent"] is None or shas["parent"] != shas["change"]:
                     ok = False
             for side in SIDES:
                 rows[side]["median_wall_s"] = round(statistics.median(rows[side]["wall_s"]), 3)
+                rows[side]["median_cpu_s"] = round(statistics.median(rows[side]["cpu_s"]), 3)
                 rows[side]["median_max_rss_mb"] = round(
                     statistics.median(rows[side]["max_rss_mb"]), 2)
             rows.update(compare(rows))
@@ -135,9 +138,10 @@ def main(argv=None):
                             args.scenario or SCENARIOS, args.order, args.pairs)
     for name, rows in results.items():
         print("%-20s median wall %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
-              "   max RSS %7.2f -> %7.2f MB"
+              "   CPU %8.2f -> %8.2f s   max RSS %7.2f -> %7.2f MB"
               % (name, rows["parent"]["median_wall_s"], rows["change"]["median_wall_s"],
                  rows["pairs_won"], args.pairs, rows["parent_wall_iqr_s"], rows["verdict"],
+                 rows["parent"]["median_cpu_s"], rows["change"]["median_cpu_s"],
                  rows["parent"]["median_max_rss_mb"], rows["change"]["median_max_rss_mb"]))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
