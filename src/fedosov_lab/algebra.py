@@ -19,10 +19,11 @@ once per coefficient product.  ``Polynomial.terms`` rebuilds the
 No sparse container stores a zero: a ``Polynomial`` holds only nonzero
 numerators, reduced against its denominator, and a ``WeylForm`` only nonzero
 polynomials, so equality can compare the stored dicts directly.  Only this
-module reads the integer format.  Every weighted sum of polynomials under
-keys (the Weyl products, ``delta``, ``delta_inv``, ``exterior_d``,
-``weyl.index_form``, ``StarEngine.section``'s assembly from monomial
-sections) goes through ``_Sum``, which adds numerators in place and
+module reads the integer format; ``Polynomial.integer_terms`` reads it out
+term by term, with the shared denominator.  Every weighted sum of
+polynomials under keys (the Weyl products, ``delta``, ``delta_inv``,
+``exterior_d``, ``weyl.index_form``, ``StarEngine.section``'s assembly from
+monomial sections) goes through ``_Sum``, which adds numerators in place and
 reduces each key once; ``_Sum.add_product`` adds a weighted product of
 two polynomials term pair by term pair, so the scalar projection of a Weyl
 product forms no product polynomial; other sums of whole values go through
@@ -313,6 +314,14 @@ class Polynomial:
         """Read-only view exp -> GaussianRational of the nonzero terms."""
         den = self._den
         return MappingProxyType({e: _gaussian(v, den) for e, v in self._num.items()})
+
+    def integer_terms(self):
+        """Yield (exp, (re, im, den)) per term: the coefficient is
+        (re + im*i) / den over the shared denominator, so not always in
+        lowest terms."""
+        den = self._den
+        for e, (re, im) in self._num.items():
+            yield e, (re, im, den)
 
     # -- arithmetic -------------------------------------------------------
 

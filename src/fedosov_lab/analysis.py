@@ -4,7 +4,7 @@ Perturbing the curvature input of the product by a central two-form series
 alpha^hbar shifts the product coefficients; on linear coordinate observables
 every higher-derivative contribution vanishes, so probing with coordinates
 extracts the constant bivector part of each order exactly.  A probe reads
-the cached coordinate grids of two StarEngines, and each engine fixes its
+the coordinate grids of two StarEngines, and each engine fixes its
 spec and its order.  This module computes those probes, the predicted
 bivector series
 

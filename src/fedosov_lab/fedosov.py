@@ -28,20 +28,20 @@ The section equation is linear over constants in f, so
 
     section(sum c_{n,m} hbar^n x^m) = sum c_{n,m} section(hbar^n x^m).
 
-StarEngine keeps three caches.  It solves the recursion once per monomial
-hbar^n x^m, and it memoizes each observable's section assembled from
-those: the assembly adds every term of every monomial section, times its
-coefficient, into one ``algebra._Sum``, which reduces each output key once.
-Since sigma(. o .) is bilinear as well, a product is the sum of
+StarEngine caches r, the solve of each monomial hbar^n x^m, and a pair
+table; sections and grids are assembled on demand.  An observable's section
+adds every term of every monomial section, times its coefficient, into one
+``algebra._Sum``, which reduces each output key once.  Since sigma(. o .) is
+bilinear as well, a product is the sum of
 c d sigma(section(hbar^n x^m) o section(hbar^n' x^m')) over the term pairs
-of f and g; the third cache, the pair table, holds that projection once
-per ordered monomial pair, so a product of observables whose pairs are
-known solves, assembles and projects nothing.  The table is unbounded and
-grows with the distinct ordered monomial pairs an engine multiplies.  A
-power n above the engine order is skipped throughout, since the section of
-hbar^n x^m starts at degree 2n, above every stored one.  ``flat_section``
-solves a whole observable directly; it is the reference the assembled
-sections and the products are tested against, and it extends them.
+of f and g; the pair table holds that projection once per ordered monomial
+pair, so a product of observables whose pairs are known solves, assembles
+and projects nothing.  The table is unbounded and grows with the distinct
+ordered monomial pairs an engine multiplies.  A power n above the engine
+order is skipped throughout, since the section of hbar^n x^m starts at
+degree 2n, above every stored one.  ``flat_section`` solves a whole
+observable directly; it is the reference the assembled sections and the
+products are tested against, and it extends them.
 
 The module also houses the scalar sequences sigma_p, kappa_p, c_p that
 govern the perturbation series in the flat/constant case: they satisfy
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import HbarSeries, Polynomial, _Sum, _split
+from .algebra import HbarSeries, Polynomial, _Sum
 from .tensors import is_closed
 from .weyl import (WeylForm, central_two_form, delta, delta_inv, i_over_hbar,
                    moyal, moyal_sigma, odd_bracket)
@@ -316,17 +316,15 @@ class StarResult:
 class StarEngine:
     """Products for one curvature spec and order, with solves cached.
 
-    The r-solution is solved once, and three memos hold the rest, each
-    keyed by exact content: the section of each monomial hbar^n x^m, solved
-    once by ``flat_section``; the section of each observable, assembled
-    from its monomials' sections by linearity in one ``algebra._Sum``; and
-    the pair table, which maps an ordered pair of monomials to the
-    coefficients of sigma(section o section) through the order.  A product
-    reads only the pair table once it holds the operands' pairs.  The table
-    is not bounded: it grows with the distinct ordered monomial pairs that
-    the engine multiplies.  A polynomial observable f is the hbar-series
-    {0: f}.  ``order`` is an int of at least 1.  The grid of coordinate
-    products is built once as well.
+    The engine caches r, the section of each monomial hbar^n x^m, solved
+    once by ``flat_section``, and the pair table, which maps an ordered pair
+    of monomials to the coefficients of sigma(section o section) through the
+    order.  Sections of other observables and the grid of coordinate
+    products are assembled from those on each call; a product reads only
+    the pair table once it holds the operands' pairs.  The table is not
+    bounded: it grows with the distinct ordered monomial pairs that the
+    engine multiplies.  A polynomial observable f is the hbar-series {0: f}.
+    ``order`` is an int of at least 1.
     """
 
     def __init__(self, spec, order):
@@ -338,8 +336,6 @@ class StarEngine:
         self.order = order
         self.cap = 2 * order + 1
         self._r = None
-        self._grid = None
-        self._sections = {}   # observable key -> assembled section
         self._monomials = {}  # (hbar power, exponent) -> section of hbar^n x^exp
         self._pairs = {}      # ((n, exp), (n', exp')) -> ((h, coefficient), ...)
 
@@ -356,11 +352,11 @@ class StarEngine:
             self._monomials[(n, exp)] = a
         return a
 
-    def _key(self, f):
-        """The sorted (n, coefficient) pairs of f through the engine order.
-        The section of hbar^n x^m starts at degree 2n, so above the order it
-        is zero at every stored degree.  Polynomial is canonical and
-        hashable."""
+    def _terms(self, f):
+        """The terms c hbar^n x^exp of f with n <= order, as
+        ((n, exp), (re, im, den)) with c = (re + im*i) / den.  The section of
+        hbar^n x^m starts at degree 2n, so above the order it is zero at every
+        stored degree."""
         if isinstance(f, Polynomial):
             series = {0: f}
         elif isinstance(f, HbarSeries):
@@ -368,25 +364,20 @@ class StarEngine:
         else:
             raise TypeError("expected a Polynomial or an HbarSeries, got %s"
                             % type(f).__name__)
-        return tuple(sorted((n, p) for n, p in series.items() if n <= self.order))
+        return [((n, exp), c) for n, p in series.items() if n <= self.order
+                for exp, c in p.integer_terms()]
 
     def section(self, f):
         """The flat section with scalar part f (a polynomial or hbar-series).
         A lone monomial with coefficient 1 is its cached solve itself."""
-        key = self._key(f)
-        a = self._sections.get(key)
-        if a is None:
-            terms = _split_terms(key)
-            if len(terms) == 1 and terms[0][1] == (1, 0, 1):
-                a = self._monomial_section(*terms[0][0])
-            else:
-                acc = _Sum(self.spec.dim)
-                for mono, (re, im, den) in terms:
-                    for k, q in self._monomial_section(*mono).terms.items():
-                        acc.add(k, q, re, im, den)
-                a = WeylForm._make(self.spec.dim, acc.polys())
-            self._sections[key] = a
-        return a
+        terms = self._terms(f)
+        if len(terms) == 1 and terms[0][1] == (1, 0, 1):
+            return self._monomial_section(*terms[0][0])
+        acc = _Sum(self.spec.dim)
+        for mono, (re, im, den) in terms:
+            for k, q in self._monomial_section(*mono).terms.items():
+                acc.add(k, q, re, im, den)
+        return WeylForm._make(self.spec.dim, acc.polys())
 
     def _pair(self, a, b):
         """The pair table's entry for the monomials a = (n, exp) and b, filled
@@ -410,13 +401,10 @@ class StarEngine:
         return StarResult(f, g, self.order, dict(self.star_series(f, g).coeffs))
 
     def coordinate_products(self):
-        """The dim x dim grid of StarResults x^i * x^j on the coordinates,
-        built once."""
-        if self._grid is None:
-            dim = self.spec.dim
-            xs = [Polynomial.variable(dim, i) for i in range(dim)]
-            self._grid = [[self.star(xi, xj) for xj in xs] for xi in xs]
-        return self._grid
+        """The dim x dim grid of StarResults x^i * x^j on the coordinates."""
+        dim = self.spec.dim
+        xs = [Polynomial.variable(dim, i) for i in range(dim)]
+        return [[self.star(xi, xj) for xj in xs] for xi in xs]
 
     def star_series(self, f, g):
         """sigma(section(f) o section(g)) through the engine order, as an
@@ -428,7 +416,7 @@ class StarEngine:
         of g, with P(m, m') the pair table's entry; each pair's scalar is
         multiplied as integers and added into one ``algebra._Sum`` keyed by
         the hbar power, which reduces each coefficient once."""
-        left, right = _split_terms(self._key(f)), _split_terms(self._key(g))
+        left, right = self._terms(f), self._terms(g)
         acc = _Sum(self.spec.dim)
         for a, (re1, im1, den1) in left:
             for b, (re2, im2, den2) in right:
@@ -436,11 +424,6 @@ class StarEngine:
                 for h, q in self._pair(a, b):
                     acc.add(h, q, re, im, den1 * den2)
         return HbarSeries(self.order, acc.polys())
-
-
-def _split_terms(key):
-    """The terms of an engine key as ((n, exp), (re, im, den)) pairs."""
-    return [((n, exp), _split(c)) for n, p in key for exp, c in p.terms.items()]
 
 
 def star(f, g, spec, order):

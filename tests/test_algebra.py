@@ -318,6 +318,27 @@ def test_add_product_matches_add_of_product(rng):
             _assert_canonical_polynomial(p)
 
 
+def test_integer_terms_read_each_coefficient_over_the_shared_denominator(rng):
+    dim = 3
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exp = tuple(rng.randint(0, 2) for _ in range(dim))
+            re, im = (F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(2))
+            terms[exp] = GaussianRational(re, im)
+        p = Polynomial(dim, terms)
+        got = list(p.integer_terms())
+        assert len(got) == len(p.terms)
+        assert len({den for _exp, (_re, _im, den) in got}) <= 1
+        for exp, (re, im, den) in got:
+            assert den > 0
+            assert GaussianRational(F(re, den), F(im, den)) == p.terms[exp]
+    assert list(Polynomial.zero(dim).integer_terms()) == []
+    x1x2 = Polynomial.monomial(dim, (1, 1, 0))
+    assert list(x1x2.integer_terms()) == [((1, 1, 0), (1, 0, 1))]
+    assert list(x1x2.scale(F(1, 2)).integer_terms()) == [((1, 1, 0), (1, 0, 2))]
+
+
 def _assert_canonical_polynomial(p):
     # Gaussian-integer numerators over one positive denominator, reduced,
     # with no (0, 0) stored: the form that == and hash compare directly.

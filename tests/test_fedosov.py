@@ -616,7 +616,7 @@ def test_engine_skips_powers_above_its_order(rng, monkeypatch):
     """The section of hbar^n x^m starts at degree 2n, so for n > order it is
     zero at every degree the engine stores: the engine solves no section
     for it, the assembled section equals the direct solve, and observables
-    that differ only above the order share one memo entry."""
+    that differ only above the order have equal sections."""
     geom = rand_curved_geometry(rng, 2)
     spec = WeylCurvatureSpec(
         geom, TensorSeries.from_terms(2, "lower", 1, [(1, rand_closed_skew_poly(rng, 2, 1))]))
@@ -636,7 +636,9 @@ def test_engine_skips_powers_above_its_order(rng, monkeypatch):
     assert eng.section(f) == want
     assert str(eng.section(f)) == str(want)
     assert solved == [0, 1]
-    assert eng.section(HbarSeries(1, {0: x2, 1: x1 * x2})) is eng.section(f)
+    same = eng.section(HbarSeries(1, {0: x2, 1: x1 * x2}))
+    assert same == want
+    assert str(same) == str(want)
 
 
 def test_engine_sections_of_every_coefficient_shape(rng):
@@ -701,6 +703,42 @@ def test_unit_monomial_section_is_its_solve(rng):
     scaled = eng.section(x1.scale(F(1, 2)))
     assert scaled is not eng._monomial_section(0, (1, 0))
     assert scaled == flat_section(x1.scale(F(1, 2)), eng.spec, eng.r(), eng.cap)
+
+
+def test_engine_assembles_sections_and_grids_on_each_call(rng, monkeypatch):
+    """The engine keeps no observable's section and no grid: a second call
+    assembles them again from the monomial solves and the pair table, with
+    equal results, and solves and projects nothing new."""
+    eng = StarEngine(WeylCurvatureSpec(rand_curved_geometry(rng, 2)), order=2)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    calls = []
+    for name in ("moyal_sigma", "flat_section", "solve_r"):
+        real = getattr(fedosov, name)
+
+        def counting(*args, real=real, name=name, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(fedosov, name, counting)
+    f = HbarSeries(2, {0: (x1 * x1).scale(F(2, 3)) + x2, 1: x1.scale(GaussianRational(1, 1))})
+    first = eng.section(f)
+    calls.clear()
+    second = eng.section(f)
+    assert calls == []
+    assert second == first
+    assert str(second) == str(first)
+    grid = eng.coordinate_products()
+    xs = [x1, x2]
+    for i, xi in enumerate(xs):
+        for j, xj in enumerate(xs):
+            want = eng.star(xi, xj)
+            assert grid[i][j].as_series() == want.as_series()
+            assert str(grid[i][j]) == str(want)
+    calls.clear()
+    again = eng.coordinate_products()
+    assert calls == []
+    assert [[str(res) for res in row] for row in again] == [
+        [str(res) for res in row] for row in grid]
 
 
 def test_star_rejects_what_is_not_an_observable():
