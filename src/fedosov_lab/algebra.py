@@ -10,11 +10,13 @@ Three layers, all exact (no floating point anywhere):
 Values are immutable by convention: every operation returns a new object.
 
 ``GaussianRational`` is the public scalar, but a ``Polynomial`` does not
-store one per term.  It keeps Gaussian-integer numerators ``exp -> (re, im)``
-over one shared positive denominator, so its arithmetic runs on Python ints
-and normalises once per operation (one gcd sweep over the result) instead of
-once per coefficient product.  ``Polynomial.terms`` rebuilds the
-``GaussianRational`` coefficients as a read-only view.
+store one per term.  It keeps Gaussian-integer numerators ``(re, im)`` over
+one shared positive denominator, keyed by packed exponents (one int per
+monomial, so a product of monomials is one int addition).  Its arithmetic
+runs on Python ints and normalises once per operation (one gcd sweep over
+the result) instead of once per coefficient product.  ``Polynomial.terms``
+rebuilds the ``GaussianRational`` coefficients, keyed by exponent tuples, as
+a read-only view.
 
 No sparse container stores a zero: a ``Polynomial`` holds only nonzero
 numerators, reduced against its denominator, and a ``WeylForm`` only nonzero
@@ -33,13 +35,14 @@ sums its integer pairs in its own loops.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 from types import MappingProxyType
 
 __all__ = ["GaussianRational", "Polynomial", "HbarSeries", "ZERO", "ONE", "I",
-           "accumulate"]
+           "MAX_PACKED_EXPONENT", "accumulate"]
 
 
 def _frac(x):
@@ -60,6 +63,44 @@ def _check_exponents(exp, dim, what="exponent"):
     for e in exp:
         if type(e) is not int or e < 0:
             raise ValueError("%s tuple %r must hold non-negative ints" % (what, exp))
+
+
+# A Polynomial keys each monomial by one packed int, a 16-bit field per
+# variable with x1's most significant: int order is lexicographic exponent
+# order, and a product of monomials is one int addition.  A stored exponent
+# is at most MAX_PACKED_EXPONENT, so two fields sum without a carry; a sum
+# that reaches 2^15 sets its field's top bit (the guard), and the product
+# raises.  Keys and tuples are memoized, so equal monomials share one object.
+MAX_PACKED_EXPONENT = (1 << 15) - 1
+
+
+@lru_cache(maxsize=None)
+def _fields(dim):
+    return struct.Struct(">%dH" % dim)
+
+
+@lru_cache(maxsize=None)
+def _guard(dim):
+    return int.from_bytes(b"\x80\x00" * dim, "big")
+
+
+@lru_cache(maxsize=1 << 12)
+def _pack(dim, exp):
+    """The key of a checked exponent tuple; ValueError past the bound."""
+    if max(exp, default=0) > MAX_PACKED_EXPONENT:
+        raise ValueError("exponent tuple %r exceeds %d" % (exp, MAX_PACKED_EXPONENT))
+    return int.from_bytes(_fields(dim).pack(*exp), "big")
+
+
+@lru_cache(maxsize=1 << 12)
+def _unpack(dim, key):
+    """The exponent tuple of a key; exact for a guarded product key too."""
+    return _fields(dim).unpack(key.to_bytes(2 * dim, "big"))
+
+
+def _overflow(dim, e):
+    return ValueError("product exponent tuple %r exceeds %d"
+                      % (_unpack(dim, e), MAX_PACKED_EXPONENT))
 
 
 def accumulate(out, key, v, subtract=False):
@@ -221,19 +262,21 @@ def _gaussian(pair, den):
 class Polynomial:
     """Sparse polynomial in ``dim`` chart variables over GaussianRational.
 
-    A term dict maps exponent tuples (length ``dim``) to Gaussian-integer
-    numerators ``(re, im)``, never ``(0, 0)``, over one shared positive
-    denominator: the coefficient of ``exp`` is ``(re + im*i) / den``.  The
-    form is kept reduced -- the gcd of ``den`` and every numerator is 1, and
-    the zero polynomial has ``den == 1`` -- so it is canonical, and ``==``
-    and ``hash`` compare it directly.  Arithmetic works on ints and reduces
-    once per result.
+    A term dict maps packed exponent keys (one int per monomial, see
+    ``_pack``) to Gaussian-integer numerators ``(re, im)``, never ``(0, 0)``,
+    over one shared positive denominator: the coefficient of ``exp`` is
+    ``(re + im*i) / den``.  The form is kept reduced -- the gcd of ``den``
+    and every numerator is 1, and the zero polynomial has ``den == 1`` -- so
+    it is canonical, and ``==`` and ``hash`` compare it directly.
+    Arithmetic works on ints and reduces once per result.
 
-    ``terms`` is a read-only view ``exp -> GaussianRational`` built on each
-    access, with reduced Fractions.  The canonical text form lists terms in
-    descending lexicographic exponent order, e.g. ``3/2*x1^2*x2-x2+1``.
-    The constructor takes only exponent tuples of ``dim`` non-negative ints
-    and raises ``ValueError`` on any other key.
+    ``terms`` is a read-only view ``exp -> GaussianRational`` with exponent
+    tuples, built on each access, with reduced Fractions.  The canonical
+    text form lists terms in descending lexicographic exponent order, e.g.
+    ``3/2*x1^2*x2-x2+1``.  The constructor takes only exponent tuples of
+    ``dim`` non-negative ints up to MAX_PACKED_EXPONENT and raises
+    ``ValueError`` on any other key; so does a product whose exponent would
+    pass that bound.
     """
 
     __slots__ = ("dim", "_num", "_den")
@@ -245,7 +288,7 @@ class Polynomial:
             _check_exponents(exp, dim)
             c = GaussianRational.coerce(c)
             if c:
-                clean[tuple(exp)] = c
+                clean[_pack(dim, exp)] = c
         # Each prime power of the lcm is the full denominator power of some
         # coefficient part, whose numerator that prime does not divide; so
         # the form is already reduced.
@@ -291,7 +334,7 @@ class Polynomial:
         if not c:
             return cls.zero(dim)
         re, im, den = _split(c)
-        return cls._make(dim, {(0,) * dim: (re, im)}, den)
+        return cls._make(dim, {0: (re, im)}, den)
 
     @classmethod
     def one(cls, dim):
@@ -302,8 +345,7 @@ class Polynomial:
         """The coordinate x_{j+1}; ``j`` is 0-based."""
         if not 0 <= j < dim:
             raise ValueError("variable index %d out of range for dim %d" % (j, dim))
-        exp = tuple(1 if t == j else 0 for t in range(dim))
-        return cls._make(dim, {exp: (1, 0)}, 1)
+        return cls._make(dim, {1 << 16 * (dim - 1 - j): (1, 0)}, 1)
 
     @classmethod
     def monomial(cls, dim, exp, c=1):
@@ -312,16 +354,17 @@ class Polynomial:
     @property
     def terms(self):
         """Read-only view exp -> GaussianRational of the nonzero terms."""
-        den = self._den
-        return MappingProxyType({e: _gaussian(v, den) for e, v in self._num.items()})
+        den, dim = self._den, self.dim
+        return MappingProxyType({_unpack(dim, e): _gaussian(v, den)
+                                 for e, v in self._num.items()})
 
     def integer_terms(self):
         """Yield (exp, (re, im, den)) per term: the coefficient is
         (re + im*i) / den over the shared denominator, so not always in
         lowest terms."""
-        den = self._den
+        den, dim = self._den, self.dim
         for e, (re, im) in self._num.items():
-            yield e, (re, im, den)
+            yield _unpack(dim, e), (re, im, den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -402,12 +445,27 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
+        guard = _guard(self.dim)
+        den = self._den * other._den
+        if len(self._num) == 1 or len(other._num) == 1:
+            # A one-term factor maps distinct keys to distinct keys, and a
+            # product of nonzero Gaussian integers is nonzero: no key
+            # collides and no zero is filtered.
+            many, one = (self, other) if len(other._num) == 1 else (other, self)
+            (e2, (c, d)), = one._num.items()
+            num = {}
+            for e1, (a, b) in many._num.items():
+                e = e1 + e2
+                if e & guard:
+                    raise _overflow(self.dim, e)
+                num[e] = (a * c - b * d, a * d + b * c)
+            return Polynomial._reduced(self.dim, num, den, den)
         out = {}
         get = out.get
         right = list(other._num.items())
         for e1, (a, b) in self._num.items():
             for e2, (c, d) in right:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 if b:
                     re = a * c - b * d
                     im = a * d + b * c
@@ -416,11 +474,12 @@ class Polynomial:
                     im = a * d
                 prev = get(e)
                 if prev is None:
+                    if e & guard:
+                        raise _overflow(self.dim, e)
                     out[e] = (re, im)
                 else:
                     out[e] = (prev[0] + re, prev[1] + im)
         num = {e: v for e, v in out.items() if v[0] or v[1]}
-        den = self._den * other._den
         return Polynomial._reduced(self.dim, num, den, den)
 
     def __rmul__(self, other):
@@ -442,11 +501,13 @@ class Polynomial:
             raise ValueError("variable index %d out of range" % j)
         # Lowering exponent j maps distinct monomials to distinct ones, so
         # no two terms land on one key.
+        shift = 16 * (self.dim - 1 - j)
+        one = 1 << shift
         out = {}
-        for exp, (a, b) in self._num.items():
-            k = exp[j]
+        for e, (a, b) in self._num.items():
+            k = e >> shift & 0xFFFF
             if k:
-                out[exp[:j] + (k - 1,) + exp[j + 1:]] = (a * k, b * k)
+                out[e - one] = (a * k, b * k)
         return Polynomial._reduced(self.dim, out, self._den, self._den)
 
     # -- predicates --------------------------------------------------------
@@ -455,15 +516,15 @@ class Polynomial:
         return not self._num
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self._num)
+        return self._num.keys() <= {0}
 
     def constant_value(self):
-        v = self._num.get((0,) * self.dim)
+        v = self._num.get(0)
         return ZERO if v is None else _gaussian(v, self._den)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self._num), default=-1)
+        return max((sum(_unpack(self.dim, e)) for e in self._num), default=-1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -488,8 +549,9 @@ class Polynomial:
             return "0"
         den = self._den
         pieces = []
-        for exp in sorted(self._num, reverse=True):
-            a, b = self._num[exp]
+        for e in sorted(self._num, reverse=True):
+            a, b = self._num[e]
+            exp = _unpack(self.dim, e)
             if a:
                 pieces.append(_term_str(exp, Fraction(a, den), imag=False))
             if b:
@@ -522,10 +584,10 @@ class _Sum:
     """An in-place sum of scaled polynomials under keys, such as a form's
     ``(h, u, form)`` terms.
 
-    Each key holds ``[den, {exp: (re, im)}]``: Gaussian-integer numerators
-    over the key's running positive denominator, which becomes the lcm (and
-    the numerators are rescaled) when a term with another denominator
-    arrives.  ``add`` adds a scaled polynomial and ``add_product`` a scaled
+    Each key holds ``[den, {packed exp: (re, im)}]``: Gaussian-integer
+    numerators over the key's running positive denominator, which becomes
+    the lcm (and the numerators are rescaled) when a term with another
+    denominator arrives.  ``add`` adds a scaled polynomial and ``add_product`` a scaled
     product of two, multiplied term pair by term pair into the numerators.
     Nothing is reduced while summing; ``polys`` reduces each key once and
     drops zero numerators and keys that cancel: the in-place sparse-sum
@@ -591,18 +653,24 @@ class _Sum:
             re *= m
             im *= m
         get = acc.get
+        guard = _guard(self.dim)
         right = list(pb._num.items())
         for e1, (a, b) in pa._num.items():
             # the scalar goes into the left coefficient once per left term
             x, y = a * re - b * im, a * im + b * re
             for e2, (c, d) in right:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 if y:
                     p, q = x * c - y * d, x * d + y * c
                 else:
                     p, q = x * c, x * d
                 prev = get(e)
-                acc[e] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
+                if prev is None:
+                    if e & guard:
+                        raise _overflow(self.dim, e)
+                    acc[e] = (p, q)
+                else:
+                    acc[e] = (prev[0] + p, prev[1] + q)
 
     def polys(self):
         """key -> reduced nonzero Polynomial; empties the sum, releasing each

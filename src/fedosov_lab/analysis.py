@@ -50,6 +50,7 @@ __all__ = [
     "curvature_onediff_identities",
 ]
 
+_HALF = GaussianRational(Fraction(1, 2))
 _MINUS_HALF_I = GaussianRational(0, Fraction(-1, 2))
 _MINUS_I = GaussianRational(0, -1)
 
@@ -111,11 +112,10 @@ def _transported(seed, n, geom):
     return u
 
 
-def _square_two_form(u, geom, hbar_power):
-    """i * (y-free part of u o u) / hbar^{hbar_power+1}, as a lower tensor."""
-    yfree = moyal(u, u, geom).y_free()
-    t = two_form_to_tensor(yfree, hbar_power + 1)
-    return t.scale(I)
+def _square_two_form(yfree, hbar_power):
+    """i * yfree / hbar^{hbar_power+1}, as a lower tensor, for ``yfree`` the
+    y-free part of a square u o u."""
+    return two_form_to_tensor(yfree, hbar_power + 1).scale(I)
 
 
 def beta_form(n, geom):
@@ -129,7 +129,7 @@ def beta_form(n, geom):
     if geom.is_flat():
         return Tensor2.zeros(geom.dim, "lower")
     u = _transported(geom.curvature().weyl_two_form, n, geom)
-    return _square_two_form(u, geom, n + 2)
+    return _square_two_form(moyal(u, u, geom).y_free(), n + 2)
 
 
 def gamma_form(n, alpha, k, geom):
@@ -149,7 +149,7 @@ def gamma_form(n, alpha, k, geom):
     if not two_form_d(alpha).is_zero():
         raise ValueError("alpha must be closed")
     u = _transported(central_two_form(alpha, hpow=k), n, geom)
-    return _square_two_form(u, geom, 2 * k + n)
+    return _square_two_form(moyal(u, u, geom).y_free(), 2 * k + n)
 
 
 # -- coordinate bivector probes --------------------------------------------------
@@ -166,9 +166,12 @@ def bivector_probe(engine, base, n):
         raise GeometryError("bivector probes need a shared chart")
     if n > min(engine.order, base.order):
         raise ValueError("probe order exceeds the expansion order")
-    g1 = engine.coordinate_products()
-    g2 = base.coordinate_products()
-    dim = engine.spec.dim
+    return _grid_difference(engine.coordinate_products(), base.coordinate_products(), n)
+
+
+def _grid_difference(g1, g2, n):
+    """The order-n coefficients of two coordinate grids, differenced."""
+    dim = len(g1)
     return Tensor2(dim, "upper",
                    [[g1[i][j].coeff(n) - g2[i][j].coeff(n) for j in range(dim)]
                     for i in range(dim)])
@@ -191,7 +194,11 @@ def predicted_onediff(alpha_h, geom, order):
 
 
 class OrderComparison:
-    """Probe vs prediction at one order, with its exact residual."""
+    """Probe vs prediction at one order, with its exact residual.
+
+    ``skew`` is the skew part (residual - residual^T) / 2: the residual of
+    the commutator probe C_n(x^i, x^j) - C_n(x^j, x^i).
+    """
 
     __slots__ = ("n", "probe", "predicted", "residual", "guaranteed")
 
@@ -205,6 +212,10 @@ class OrderComparison:
     @property
     def ok(self):
         return self.residual.is_zero()
+
+    @property
+    def skew(self):
+        return (self.residual - self.residual.transpose()).scale(_HALF)
 
     def __repr__(self):
         return "OrderComparison(n=%d, ok=%s, guaranteed=%s)" % (
@@ -243,9 +254,9 @@ def compare_onediff(engine):
 
     The spec and the order are the engine's.  The probes difference its
     coordinate grid against that of an unperturbed StarEngine on the same
-    chart at the same order.  Returns a ComparisonReport whose per-order
-    records hold the probe matrix, the predicted matrix, and their
-    difference.
+    chart at the same order; each grid is built once.  Returns a
+    ComparisonReport whose per-order records hold the probe matrix, the
+    predicted matrix, and their difference.
     """
     spec, order = engine.spec, engine.order
     if not spec.is_perturbed:
@@ -254,7 +265,8 @@ def compare_onediff(engine):
     predicted = predicted_onediff(spec.alpha_series(order), spec.geometry, order)
     limit = order if spec.is_flat_constant() else min(order, spec.min_k() + 1)
     zero = Tensor2.zeros(spec.dim, "upper")
-    records = [OrderComparison(n, bivector_probe(engine, base, n),
+    grid, base_grid = engine.coordinate_products(), base.coordinate_products()
+    records = [OrderComparison(n, _grid_difference(grid, base_grid, n),
                                predicted.coeff(n, zero), n <= limit)
                for n in range(order + 1)]
     return ComparisonReport(spec, order, records)
@@ -317,13 +329,15 @@ def curvature_onediff_identities(geom, f, g):
 
     # the central transport form: B = delta_inv((i/hbar) y-free(u o u)); the
     # curvature square channels into the pair tensor
-    b_central = delta_inv(i_over_hbar(moyal(u, u, geom).y_free()))
+    square = moyal(u, u, geom).y_free()
+    b_central = delta_inv(i_over_hbar(square))
     b_expect = y_dx_form(p_lower.scale(GaussianRational(Fraction(-1, 64))), hpow=2)
     checks.append(_check_forms(
         "transport.central-curvature-form", b_central, b_expect))
 
-    # beta bridge: the n = 0 propagation form equals -P/32
-    bridge_ok = beta_form(0, geom) == p_lower.scale(Fraction(-1, 32))
+    # beta bridge: the n = 0 propagation form, beta_form(0, geom), is the
+    # same square and equals -P/32
+    bridge_ok = _square_two_form(square, 2) == p_lower.scale(Fraction(-1, 32))
     checks.append(Check(
         "propagation.curvature-square-bridge",
         "0" if bridge_ok else "mismatch", bridge_ok))

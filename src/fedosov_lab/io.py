@@ -27,7 +27,7 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import GaussianRational, Polynomial
+from .algebra import MAX_PACKED_EXPONENT, GaussianRational, Polynomial
 from .tensors import Tensor2, TensorSeries
 from .geometry import Geometry
 from .fedosov import WeylCurvatureSpec
@@ -58,7 +58,9 @@ class ScenarioError(ValueError):
 # 3 on 2 shared vCPUs, CPython 3.11), so a value past one is a ScenarioError,
 # not a run without end.  MAX_ORDER also bounds ``--order``;
 # a perturbation power k above it never reaches a computed coefficient;
-# MAX_EXPONENT bounds each variable's exponent in a scenario polynomial.
+# MAX_EXPONENT bounds each variable's exponent in a scenario polynomial;
+# parse_poly itself rejects one past algebra.MAX_PACKED_EXPONENT (32767), the
+# largest exponent a Polynomial stores.
 # MAX_COEFF_LIMIT bounds ``coeff_limit`` and ``coeffs --order``: the exact
 # scalar tables grow about as N^2.3, 0.1 s at 64.  Bundled scenarios fit.
 MAX_DIM = 6
@@ -148,6 +150,8 @@ def parse_poly(text, dim):
                 coeff = coeff * GaussianRational(Fraction(int(m.group(1)), den))
                 continue
             raise ParseError("unrecognized factor %r in %r" % (factor, text))
+        if max(exps, default=0) > MAX_PACKED_EXPONENT:
+            raise ParseError("exponent past %d in %r" % (MAX_PACKED_EXPONENT, text))
         out = out + Polynomial(dim, {tuple(exps): coeff})
     return out
 

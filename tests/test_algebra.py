@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov_lab.algebra import (GaussianRational, HbarSeries, I, ONE, Polynomial, ZERO,
-                                 _split, _Sum, accumulate)
+from fedosov_lab.algebra import (MAX_PACKED_EXPONENT, GaussianRational, HbarSeries, I, ONE,
+                                 Polynomial, ZERO, _split, _Sum, _unpack, accumulate)
 from fedosov_lab.geometry import Geometry
 from fedosov_lab.weyl import WeylForm, delta, delta_inv, exterior_d, moyal, moyal_sigma
 
@@ -254,7 +254,7 @@ def test_keyed_sum_matches_scale_and_add(rng):
     acc.add("b", x1.scale(3), -1, 0, 3)  # the sum cancels
     acc.add("c", x1 + x2, 1, 0, 2)
     acc.add("c", x2, -1, 0, 2)
-    assert acc.keys["c"][1][(0, 1)] == (0, 0)
+    assert {_unpack(dim, e): v for e, v in acc.keys["c"][1].items()}[(0, 1)] == (0, 0)
     acc.add("d", x1, 0)
     out = acc.polys()
     assert acc.keys == {}  # polys() empties the sum
@@ -337,6 +337,27 @@ def test_integer_terms_read_each_coefficient_over_the_shared_denominator(rng):
     x1x2 = Polynomial.monomial(dim, (1, 1, 0))
     assert list(x1x2.integer_terms()) == [((1, 1, 0), (1, 0, 1))]
     assert list(x1x2.scale(F(1, 2)).integer_terms()) == [((1, 1, 0), (1, 0, 2))]
+
+
+def test_packed_exponents_stop_at_the_bound():
+    # Each exponent has a 16-bit field and is stored up to 2^15 - 1: past
+    # that the constructor raises, and so does a product, whichever factor
+    # has one term, rather than let the field carry into x1's.
+    dim = 3
+    assert MAX_PACKED_EXPONENT == 32767
+    top = Polynomial.monomial(dim, (0, 32767, 0))
+    assert dict(top.terms) == {(0, 32767, 0): ONE}
+    with pytest.raises(ValueError, match="32767"):
+        Polynomial.monomial(dim, (0, 32768, 0))
+    x2 = Polynomial.variable(dim, 1)
+    for a, b in ((top, x2), (x2, top), (top + x2, x2 + 1)):
+        with pytest.raises(ValueError, match=r"\(0, 32768, 0\)"):
+            a * b
+    with pytest.raises(ValueError, match=r"\(0, 32768, 0\)"):
+        _Sum(dim).add_product("a", top, x2, 1)
+    # reaching the bound is fine
+    assert top.partial(1) * x2 == top.scale(32767)
+    assert str(top.partial(1)) == "32767*x2^32766"
 
 
 def _assert_canonical_polynomial(p):

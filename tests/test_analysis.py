@@ -1,5 +1,6 @@
 """Curvature pair tensor, propagation two-forms, and bivector probes."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,17 @@ import pytest
 from fedosov_lab.algebra import GaussianRational, Polynomial
 from fedosov_lab.analysis import (beta_form, bivector_probe, cal_r,
                                   compare_onediff, curvature_onediff_identities,
-                                  gamma_form, predicted_onediff)
+                                  gamma_form, OrderComparison, predicted_onediff)
 from fedosov_lab.fedosov import StarEngine, WeylCurvatureSpec
 from fedosov_lab.geometry import Geometry, GeometryError
-from fedosov_lab.io import Check
+from fedosov_lab.io import Check, load_scenario
 from fedosov_lab.tensors import Tensor2, TensorSeries, diamond, diamond_power, mu
 
 from conftest import rand_curved_geometry, rand_quadratic, rand_skew_constant
 
 F = Fraction
 HALF_I = GaussianRational(0, F(1, 2))
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 # -- curvature pair tensor ---------------------------------------------------------
@@ -250,6 +252,54 @@ def test_compare_onediff_curved_guaranteed_window(rng):
     assert [c.guaranteed for c in report.orders] == [True, True, True, False]
     assert report.passed
     assert not report.failures()
+
+
+def _bundled_engine(name, order):
+    scenario = load_scenario(os.path.join(SCENARIOS, name + ".json"))
+    return StarEngine(scenario.build_spec(), order)
+
+
+def test_compare_onediff_builds_each_grid_once(monkeypatch):
+    # one 4 x 4 coordinate grid on the engine and one on the unperturbed
+    # base, however many orders are compared
+    engine = _bundled_engine("curved_r4_k1_poly", 2)
+    engine.coordinate_products()  # warm
+    calls = []
+    star = StarEngine.star
+
+    def counted(self, f, g):
+        calls.append(self)
+        return star(self, f, g)
+
+    monkeypatch.setattr(StarEngine, "star", counted)
+    report = compare_onediff(engine)
+    assert len(calls) == 32
+    assert sum(e is engine for e in calls) == 16
+    assert len(report.orders) == 3 and report.passed
+
+
+@pytest.mark.parametrize("name", ["curved_r4_k1_const", "curved_r4_k1_poly"])
+def test_commutator_probe_matches_one_order_past_the_guarantee(name):
+    # On these curved charts the probe residual at order min_k + 2 is not
+    # guaranteed and is not zero, but its skew part -- the residual of the
+    # commutator C_n(x^i, x^j) - C_n(x^j, x^i) -- is.
+    engine = _bundled_engine(name, 3)
+    report = compare_onediff(engine)
+    n = engine.spec.min_k() + 2
+    row = report.orders[n]
+    assert row.n == n == 3 and not row.guaranteed
+    assert row.skew.is_zero()
+    assert not row.ok
+    for c in report.orders[:n]:
+        assert c.ok and c.skew.is_zero()
+
+
+def test_order_comparison_skew_is_the_skew_part_of_the_residual():
+    probe = Tensor2(2, "upper", [[1, 3], [1, 0]])
+    predicted = Tensor2(2, "upper", [[0, 1], [0, 0]])
+    row = OrderComparison(2, probe, predicted, False)
+    assert row.residual == Tensor2(2, "upper", [[1, 2], [1, 0]])
+    assert row.skew == Tensor2(2, "upper", [[0, F(1, 2)], [F(-1, 2), 0]])
 
 
 def test_compare_onediff_needs_perturbation():

@@ -65,6 +65,13 @@ def test_parse_poly_variable_out_of_range():
         parse_poly("x0", 4)
 
 
+def test_parse_poly_exponent_past_the_stored_bound():
+    assert parse_poly("x2^32767", 2) == Polynomial.monomial(2, (0, 32767))
+    for text in ("x2^32768", "x1^20000*x1^20000+1"):
+        with pytest.raises(ParseError, match="32767"):
+            parse_poly(text, 2)
+
+
 @pytest.mark.parametrize("bad", ["", "x1*", "x1+", "1/0*x1", "y1", "x1^",
                                  "x1**x2", "3..5", "x1^-2"])
 def test_parse_poly_rejects(bad):

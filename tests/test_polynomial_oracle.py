@@ -3,8 +3,10 @@
 ``RefPoly`` is the earlier ``Polynomial`` arithmetic kept as an oracle: a
 dict exp -> GaussianRational, one ``Fraction`` normalisation per coefficient
 product and per sum.  ``Polynomial`` itself stores Gaussian-integer
-numerators over one shared denominator; on seeded random inputs both must
-agree coefficient by coefficient and in their printed form.
+numerators over one shared denominator, keyed by packed exponents; on
+seeded random inputs both must agree coefficient by coefficient and in their
+printed form, in 1 to 6 variables, for one-term factors (the product's fast
+path) and for exponents up to the stored bound 32767.
 """
 
 import random
@@ -120,6 +122,8 @@ def _terms(rng, dim):
         return {}                                    # zero polynomial
     if shape < 0.2:
         return {(0,) * dim: _coeff(rng)}             # constant
+    if shape < 0.4:
+        return {_exponent(rng, dim, 3): _coeff(rng)}  # one term: __mul__'s fast path
     return {_exponent(rng, dim, 3): _coeff(rng) for _ in range(rng.randint(1, 6))}
 
 
@@ -144,7 +148,7 @@ def _agree(new, ref):
     assert str(new) == str(ref)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_polynomial_matches_fraction_oracle(dim):
     rng = random.Random(7000 + dim)
     for _ in range(150):
@@ -164,3 +168,48 @@ def test_polynomial_matches_fraction_oracle(dim):
         for j in range(dim):
             _agree(p.partial(j), rp.partial(j))
             _agree((p * q).partial(j), (rp * rq).partial(j))
+
+
+def _near_bound(rng, dim, top):
+    """A term dict whose terms each hold one exponent in top-2..top."""
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        e = [rng.randint(0, 2) for _ in range(dim)]
+        e[rng.randrange(dim)] = rng.randint(top - 2, top)
+        out[tuple(e)] = _coeff(rng)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_polynomial_matches_oracle_at_the_exponent_bound(dim):
+    # Exponents up to 2^15 - 1 = 32767 are stored.  Sums, partials and
+    # products whose exponents stay within the bound agree with the oracle,
+    # printed term order included, for one-term and many-term factors; a
+    # product that would pass the bound raises.
+    top = 32767
+    rng = random.Random(7100 + dim)
+    for _ in range(40):
+        tp = _near_bound(rng, dim, top)
+        tq = {tuple(rng.randint(0, 2) for _ in range(dim)): _coeff(rng)
+              for _ in range(rng.choice((1, 1, 2, 3)))}
+        for a, b in ((tp, tq), (tq, tp), (tp, tp)):
+            p, q = Polynomial(dim, a), Polynomial(dim, b)
+            rp, rq = RefPoly(dim, a), RefPoly(dim, b)
+            _agree(p, rp)
+            _agree(p + q, rp + rq)
+            _agree(p - q, rp - rq)
+            for j in range(dim):
+                _agree(p.partial(j), rp.partial(j))
+            sums = [x + y for e1 in rp.terms for e2 in rq.terms for x, y in zip(e1, e2)]
+            if max(sums, default=0) <= top:
+                _agree(p * q, rp * rq)
+            else:
+                with pytest.raises(ValueError):
+                    p * q
+    # the largest stored exponent in every variable at once
+    e = (top,) * dim
+    c = GaussianRational(F(-3, 2), 1)
+    p = Polynomial.monomial(dim, e, c)
+    assert dict(p.terms) == {e: c}
+    assert p.degree() == top * dim
+    _agree(p, RefPoly(dim, {e: c}))

@@ -11,6 +11,13 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 RUNNER = os.path.join(ROOT, "tools", "order3_pairs.py")
 
 
+def _load_runner():
+    spec = importlib.util.spec_from_file_location("order3_pairs", RUNNER)
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    return runner
+
+
 def _run(*args):
     return subprocess.run([sys.executable, RUNNER, *args], capture_output=True,
                           text=True, timeout=120)
@@ -38,12 +45,14 @@ def test_order3_runner_pairs_a_checkout_with_itself(tmp_path):
     assert "CPU %8.2f -> %8.2f s" % (rows["parent"]["median_cpu_s"],
                                      rows["change"]["median_cpu_s"]) in proc.stdout
     assert proc.stdout.count(" s CPU ") == 4
+    assert rows["cpu_pairs_won"] in (0, 1, 2) and rows["parent_cpu_iqr_s"] >= 0
+    assert rows["cpu_verdict"] in ("faster", "slower", "unresolved")
+    assert "won %d/2, parent IQR %.2f s, %s)   max RSS" % (
+        rows["cpu_pairs_won"], rows["parent_cpu_iqr_s"], rows["cpu_verdict"]) in proc.stdout
 
 
 def test_order3_runner_verdict_needs_more_than_the_parent_spread():
-    spec = importlib.util.spec_from_file_location("order3_pairs", RUNNER)
-    runner = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(runner)
+    runner = _load_runner()
 
     def rows(parent, change):
         return {"parent": {"wall_s": parent, "median_wall_s": statistics.median(parent)},
@@ -58,6 +67,26 @@ def test_order3_runner_verdict_needs_more_than_the_parent_spread():
     assert runner.compare(rows([9, 10, 12], [14, 15, 11]))["verdict"] == "unresolved"
     assert runner.compare(rows([9, 10, 12], [14, 15, 16]))["verdict"] == "slower"
     assert runner.compare(rows([10], [1]))["verdict"] == "unresolved"
+
+
+def test_order3_runner_cpu_verdict_follows_the_same_rule():
+    runner = _load_runner()
+
+    def rows(wall, cpu):
+        return {side: {"wall_s": w, "median_wall_s": statistics.median(w),
+                       "cpu_s": c, "median_cpu_s": statistics.median(c)}
+                for side, w, c in zip(("parent", "change"), wall, cpu)}
+
+    # wall times too noisy to tell, CPU times that resolve the change
+    runs = rows(([9, 10, 14], [8, 11, 9]), ([8.0, 8.1, 8.2], [7.0, 7.1, 7.2]))
+    assert runner.compare(runs)["verdict"] == "unresolved"
+    assert runner.compare(runs, "cpu") == {
+        "cpu_pairs_won": 3, "parent_cpu_iqr_s": 0.2, "cpu_verdict": "faster"}
+    runs = rows(([9, 10, 14], [8, 11, 9]), ([7.0, 7.1, 7.2], [8.0, 8.1, 8.2]))
+    assert runner.compare(runs, "cpu")["cpu_verdict"] == "slower"
+    # a CPU gap inside the parent's spread stays unresolved
+    runs = rows(([9, 10, 14], [8, 11, 9]), ([7.0, 8.0, 9.0], [6.5, 7.5, 8.5]))
+    assert runner.compare(runs, "cpu")["cpu_verdict"] == "unresolved"
 
 
 def test_order3_runner_fails_when_reports_differ(tmp_path):

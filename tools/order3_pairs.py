@@ -16,12 +16,15 @@ its CPU time and max RSS (both from ``os.wait4``) and the sha256 of its
 report.
 
 Per scenario it reports the median wall time, CPU time and max RSS of each
-side, the pairs whose change ran faster than its parent, the spread of the
-parent's wall times (upper minus lower quartile), and a verdict, which
-rests on wall time alone.  The verdict is ``faster`` when the change's median is lower than the parent's by more than
+side and two verdicts, one from wall time and one from CPU time.  Each
+rests on the pairs whose change ran faster than its parent and on the
+spread of the parent's times (upper minus lower quartile).  A verdict is
+``faster`` when the change's median is lower than the parent's by more than
 that spread and the change won at least nine tenths of the pairs, ``slower``
 when it is higher by more than the spread and lost at least nine tenths,
-and ``unresolved`` otherwise (always so with one pair).
+and ``unresolved`` otherwise (always so with one pair).  On a shared
+machine the CPU time of a run swings less than its wall time, so the CPU
+verdict can resolve smaller changes.
 
 The default scenarios are the four bundled ``curved_r4_*`` ones.  The exit
 status is 1 when a run fails or when the two sides' reports differ in any
@@ -66,24 +69,28 @@ def run_verify(checkout, scenario, order, out):
     return code, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, sha
 
 
-def compare(rows):
-    """Pairs won by the change, the parent's wall-time quartile spread and
-    the verdict, from one scenario's runs."""
-    parent, change = rows["parent"]["wall_s"], rows["change"]["wall_s"]
+def compare(rows, metric="wall"):
+    """Pairs won by the change, the parent's quartile spread and the
+    verdict on ``metric`` ("wall" or "cpu" time), from one scenario's runs;
+    the CPU keys are prefixed ``cpu_``."""
+    key = metric + "_s"
+    parent, change = rows["parent"][key], rows["change"][key]
     won = sum(c < p for p, c in zip(parent, change))
     lost = sum(c > p for p, c in zip(parent, change))
     spread = 0.0
     if len(parent) > 1:
         q1, _, q3 = statistics.quantiles(parent, n=4)
         spread = q3 - q1
-    diff = rows["change"]["median_wall_s"] - rows["parent"]["median_wall_s"]
+    diff = rows["change"]["median_" + key] - rows["parent"]["median_" + key]
     verdict = "unresolved"
     if len(parent) > 1 and abs(diff) > spread:
         if diff < 0 and won >= 0.9 * len(parent):
             verdict = "faster"
         elif diff > 0 and lost >= 0.9 * len(parent):
             verdict = "slower"
-    return {"pairs_won": won, "parent_wall_iqr_s": round(spread, 3), "verdict": verdict}
+    prefix = "" if metric == "wall" else metric + "_"
+    return {prefix + "pairs_won": won, "parent_%s_iqr_s" % metric: round(spread, 3),
+            prefix + "verdict": verdict}
 
 
 def run_pairs(paths, scenarios, order, pairs, log=print):
@@ -117,6 +124,7 @@ def run_pairs(paths, scenarios, order, pairs, log=print):
                 rows[side]["median_max_rss_mb"] = round(
                     statistics.median(rows[side]["max_rss_mb"]), 2)
             rows.update(compare(rows))
+            rows.update(compare(rows, "cpu"))
     return results, ok
 
 
@@ -138,10 +146,13 @@ def main(argv=None):
                             args.scenario or SCENARIOS, args.order, args.pairs)
     for name, rows in results.items():
         print("%-20s median wall %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
-              "   CPU %8.2f -> %8.2f s   max RSS %7.2f -> %7.2f MB"
+              "   CPU %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
+              "   max RSS %7.2f -> %7.2f MB"
               % (name, rows["parent"]["median_wall_s"], rows["change"]["median_wall_s"],
                  rows["pairs_won"], args.pairs, rows["parent_wall_iqr_s"], rows["verdict"],
                  rows["parent"]["median_cpu_s"], rows["change"]["median_cpu_s"],
+                 rows["cpu_pairs_won"], args.pairs, rows["parent_cpu_iqr_s"],
+                 rows["cpu_verdict"],
                  rows["parent"]["median_max_rss_mb"], rows["change"]["median_max_rss_mb"]))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
