@@ -180,17 +180,21 @@ def _parts(a):
 def _solve(base, pairs, geom, what, cap, below=None):
     """Solve  x = base + delta_inv(B)  below the cap, one degree at a time:
     x_d = base_d + delta_inv(B_e), e = d - 1.  B_e is par x_e plus the
-    (i/hbar)[b, c] over ``pairs(xs, e)``, and reads the parts xs of x through
-    degree e only, so a solution ``below`` at a lower cap keeps its parts
-    and the solve resumes above their top degree.  A term of B_e off degree e
-    means an operator did not keep filtration degree: ConvergenceError."""
+    (i/hbar)[b, c] over ``pairs(xs, e)``, added into one ``algebra._Sum``
+    that reduces each key once; it reads the parts xs of x through degree e
+    only, so a solution ``below`` at a lower cap keeps its parts and the
+    solve resumes above their top degree.  A term of B_e off degree e means
+    an operator did not keep filtration degree: ConvergenceError."""
     zero = WeylForm.zero(base.dim)
     bases = _parts(base)
     xs = {} if below is None else _parts(below)
     for d in range(max(xs, default=-1) + 1, cap):
-        b = cov_ext_deriv(xs[d - 1], geom) if d - 1 in xs else zero
+        acc = _Sum(base.dim)
+        if d - 1 in xs:
+            _add_form(acc, cov_ext_deriv(xs[d - 1], geom))
         for left, right in pairs(xs, d - 1):
-            b = b + odd_bracket(left, right, geom)
+            _add_form(acc, odd_bracket(left, right, geom))
+        b = WeylForm._make(base.dim, acc.polys())
         if b.capped(d - 1) - b.capped(d - 2) != b:
             raise ConvergenceError(
                 "%s is not a fixed point through degree %d" % (what, cap - 1))
@@ -247,15 +251,18 @@ def flat_section(f, spec, r, cap, below=None):
                   "section recursion", cap, below)
 
 
-def _pair_sum(op, a, b, geom, cap):
-    """The sum of op(a_i, b_j) over the parts with i + j <= cap."""
-    acc = _Sum(a.dim)
+def _add_form(acc, form, sign=1):
+    """Add ``sign`` times every term of ``form`` into the ``_Sum`` acc."""
+    for k, p in form.terms.items():
+        acc.add(k, p, sign)
+
+
+def _add_pairs(acc, op, a, b, geom, cap):
+    """Add op(a_i, b_j) over the parts with i + j <= cap into acc."""
     b_parts = _parts(b)
     for i, ai in _parts(a).items():
         for bj in (part for j, part in b_parts.items() if i + j <= cap):
-            for k, p in op(ai, bj, geom).terms.items():
-                acc.add(k, p, 1)
-    return WeylForm._make(a.dim, acc.polys())
+            _add_form(acc, op(ai, bj, geom))
 
 
 def abelian_residual(a, spec, r, cap):
@@ -265,10 +272,15 @@ def abelian_residual(a, spec, r, cap):
     cap - 2, the top degree whose every term reads only stored degrees of
     a (delta takes degree cap - 1 there): it is zero exactly when the
     section is flat inside that window, and it computes nothing above it.
+    Its three parts add into one ``algebra._Sum``, which reduces each key
+    once and holds one form, not several.
     """
     geom = spec.geometry
-    out = cov_ext_deriv(a.capped(cap - 2), geom) - delta(a)
-    return (out + _pair_sum(odd_bracket, r, a, geom, cap)).capped(cap - 2)
+    acc = _Sum(a.dim)
+    _add_form(acc, cov_ext_deriv(a.capped(cap - 2), geom))
+    _add_form(acc, delta(a), -1)
+    _add_pairs(acc, odd_bracket, r, a, geom, cap)
+    return WeylForm._make(a.dim, acc.polys()).capped(cap - 2)
 
 
 def curvature_residual(r, spec, cap):
@@ -279,8 +291,10 @@ def curvature_residual(r, spec, cap):
     degree cap - 2 for an r solved at ``cap``, and computes nothing above.
     """
     geom = spec.geometry
+    acc = _Sum(r.dim)
+    _add_pairs(acc, moyal, r, r, geom, cap)
     body = (spec.q_form() + cov_ext_deriv(r.capped(cap - 2), geom)
-            + i_over_hbar(_pair_sum(moyal, r, r, geom, cap)))
+            + i_over_hbar(WeylForm._make(r.dim, acc.polys())))
     return (delta(r) - body).capped(cap - 2)
 
 

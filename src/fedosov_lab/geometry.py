@@ -32,9 +32,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import GaussianRational, ONE, Polynomial, _split, accumulate
+from .algebra import GaussianRational, ONE, Polynomial, _Sum, _split, accumulate
 from .tensors import SingularMatrixError, Tensor2, invert_scalar_matrix, matmul
-from .weyl import exterior_d, index_form, odd_bracket
+from .weyl import WeylForm, exterior_d, index_form, odd_bracket, wedge_merge
 
 __all__ = [
     "Geometry",
@@ -90,7 +90,9 @@ class Geometry:
         self._contractions = {}
         self._numerators = {}
         self._weights = {}
+        self._rows = {}
         self._gamma_weyl = None
+        self._fields = None
         self._curvature = None
 
     def _canonical_gamma(self, gamma):
@@ -184,11 +186,13 @@ class Geometry:
         dh = k - 1: the odd pieces of (i/hbar)[y^ua, y^ub].  No entry has
         c = 0, and the caller applies the wedge sign of the dx factors.
 
-        A miss reads ``contraction_numerators(k)``: it visits only the rows
-        d <= ua, takes binom(ua, d) once per row, and sums integer
-        numerators over a running lcm in the order of ``contractions(k)``,
-        so its entries, and their order, are those of a Fraction sum over
-        that table; each entry is reduced once.
+        A miss reads ``contraction_numerators(k)`` through its sparse rows:
+        for each row d and partner e it visits only their nonzero (index,
+        power) pairs, skips a row unless d <= ua and a partner unless
+        e <= ub, takes binom(ua, d) once per row, and sums integer numerators
+        over a running lcm in the order of ``contractions(k)``, so its
+        entries, and their order, are those of a Fraction sum over that
+        table; each entry is reduced once.
         """
         key = (ua, ub, bracket)
         entries = self._weights.get(key)
@@ -197,17 +201,20 @@ class Geometry:
             entries = []
             for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
                 terms = []
-                for d, row in self.contraction_numerators(k).items():
-                    n = math.prod(map(math.comb, ua, d))
+                for d, row in self._sparse_rows(k):
+                    n = _binomials(ua, d, 1)
                     if not n:
                         continue
-                    left = tuple(x - y for x, y in zip(ua, d))
-                    for e, (re, im, den, pos) in row.items():
-                        m = math.prod(map(math.comb, ub, e))
+                    left = list(ua)
+                    for i, p in d:
+                        left[i] -= p
+                    for e, re, im, den, pos in row:
+                        m = _binomials(ub, e, n)
                         if m:
-                            m *= n
-                            u = tuple(x - y + z for x, y, z in zip(left, e, ub))
-                            terms.append((pos, u, re * m, im * m, den))
+                            u = [x + y for x, y in zip(left, ub)]
+                            for i, p in e:
+                                u[i] -= p
+                            terms.append((pos, tuple(u), re * m, im * m, den))
                 terms.sort()  # the order of contractions(k); pos is unique
                 sums = {}
                 for _pos, u, re, im, den in terms:
@@ -220,6 +227,17 @@ class Geometry:
             entries = self._weights[key] = tuple(entries)
         return entries
 
+    def _sparse_rows(self, k):
+        """``contraction_numerators(k)`` as ((d, ((e, re, im, den, pos),
+        ...)), ...) with each exponent given by its nonzero (index, power)
+        pairs, built once per chart and k."""
+        rows = self._rows.get(k)
+        if rows is None:
+            rows = self._rows[k] = tuple(
+                (_nonzero(d), tuple((_nonzero(e),) + c for e, c in row.items()))
+                for d, row in self.contraction_numerators(k).items())
+        return rows
+
     def gamma_weyl(self):
         """The connection one-form (1/2) Gamma_{ijk} y^i y^j dx^k."""
         if self._gamma_weyl is None:
@@ -227,6 +245,30 @@ class Geometry:
                      for i, j, k in itertools.product(range(self.dim), repeat=3))
             self._gamma_weyl = index_form(self.dim, terms).scale(Fraction(1, 2))
         return self._gamma_weyl
+
+    def connection_fields(self):
+        """V_s = (i/hbar)[Gamma_w, y^s] for each s, built once per chart, as
+        ((t, ((k, v), ...)), ...): V_s is the sum of v y^t dx^k.
+
+        Gamma_w is quadratic in y, so (i/hbar)[Gamma_w, .] is a derivation
+        of the fibre algebra, fixed by these values on the y^s; each V_s
+        comes from ``odd_bracket`` and must be hbar^0, linear in y and a
+        one-form, or GeometryError is raised.
+        """
+        if self._fields is None:
+            dim = self.dim
+            fields = []
+            for s in range(dim):
+                y_s = index_form(dim, [(0, (s,), (), Polynomial.constant(dim, 1))])
+                rows = {}
+                for (h, u, form), v in odd_bracket(self.gamma_weyl(), y_s, self).terms.items():
+                    if h or sum(u) != 1 or len(form) != 1:
+                        raise GeometryError("connection bracket of y%d is not a linear "
+                                            "one-form" % (s + 1))
+                    rows.setdefault(u.index(1), []).append((form[0], v))
+                fields.append(tuple((t, tuple(row)) for t, row in sorted(rows.items())))
+            self._fields = tuple(fields)
+        return self._fields
 
     def curvature(self):
         if self._curvature is None:
@@ -297,6 +339,21 @@ class Curvature4:
             raise GeometryError("flat connection produced nonzero curvature")
 
 
+def _nonzero(exp):
+    """The nonzero (index, power) pairs of an exponent tuple."""
+    return tuple((i, p) for i, p in enumerate(exp) if p)
+
+
+def _binomials(u, pairs, n):
+    """n * prod binom(u_i, p) over the (index, power) ``pairs``; 0 unless
+    every p <= u_i."""
+    for i, p in pairs:
+        if u[i] < p:
+            return 0
+        n *= math.comb(u[i], p)
+    return n
+
+
 def _add_over(sums, u, re, im, den):
     """Add (re + im*i) / den into ``sums[u] = (top, re, im)``, numerators
     over a running lcm ``top``; a sum that cancels leaves no key."""
@@ -343,12 +400,33 @@ def validate_geometry(geom):
 def cov_ext_deriv(a, geom):
     """Covariant exterior derivative: par a = d a + (i/hbar) [Gamma_w, a].
 
-    Preserves the filtration degree; the bracket with the connection one-form
-    always carries an hbar, so the division is exact.  ``odd_bracket`` takes
-    it in one product pass, which the structural test suite verifies against
-    the two-sided commutator.
+    Preserves the filtration degree.  The connection term is a derivation
+    of the fibre algebra (see ``Geometry.connection_fields``): a term
+    c hbar^h y^u dx^I adds u_s c V_s with y^s lowered, each dx^k of V_s
+    wedged in front of dx^I.  Those terms and the terms of ``exterior_d``
+    go into one ``algebra._Sum``, which reduces each output key once.  Its
+    equality with d a + ``odd_bracket(Gamma_w, a)`` is a tested identity.
     """
     out = exterior_d(a)
     if geom.is_flat():
         return out
-    return out + odd_bracket(geom.gamma_weyl(), a, geom)
+    fields = geom.connection_fields()
+    acc = _Sum(a.dim)
+    add = acc.add_product
+    for k, p in out.terms.items():
+        acc.add(k, p, 1)
+    for (h, u, form), c in a.terms.items():
+        wedges = [wedge_merge((k,), form) for k in range(a.dim)]
+        for s, e in enumerate(u):
+            if not e:
+                continue
+            for t, row in fields[s]:
+                nu = list(u)
+                nu[s] -= 1
+                nu[t] += 1
+                nu = tuple(nu)
+                for k, v in row:
+                    merged = wedges[k]
+                    if merged is not None:
+                        add((h, nu, merged[1]), c, v, e * merged[0])
+    return WeylForm._make(a.dim, acc.polys())

@@ -41,7 +41,11 @@ forms or reduces the product polynomial.
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
 one pass: the odd pieces at hbar^{k-1}, with the real prefactor
-2i (-i/2)^k = (-1)^{(k-1)/2} / 2^{k-1} in place of (-i/2)^k.
+2i (-i/2)^k = (-1)^{(k-1)/2} / 2^{k-1} in place of (-i/2)^k.  The
+connection term (i/hbar)[Gamma_w, a] of ``geometry.cov_ext_deriv`` takes no
+product: Gamma_w is quadratic in y, so the bracket is a derivation of the
+fibre algebra, and the chart takes its values on the y^s from
+``odd_bracket`` once (``Geometry.connection_fields``).
 
 Sign conventions for the chart operators:
 

@@ -14,7 +14,7 @@ from fedosov_lab.geometry import Geometry, GeometryError
 from fedosov_lab.io import Check, load_scenario
 from fedosov_lab.tensors import Tensor2, TensorSeries, diamond, diamond_power, mu
 
-from conftest import rand_curved_geometry, rand_quadratic, rand_skew_constant
+from conftest import rand_curved_geometry, rand_quadratic, rand_skew_constant, rand_skew_poly
 
 F = Fraction
 HALF_I = GaussianRational(0, F(1, 2))
@@ -292,6 +292,20 @@ def test_commutator_probe_matches_one_order_past_the_guarantee(name):
     assert not row.ok
     for c in report.orders[:n]:
         assert c.ok and c.skew.is_zero()
+
+
+def test_commutator_probe_matches_one_order_past_the_guarantee_on_random_charts(rng):
+    # the same on seeded random curved 2D charts with an hbar^1 perturbation
+    # (every 2D two-form is closed)
+    for _ in range(4):
+        alpha = rand_skew_poly(rng, 2, deg=1)
+        while alpha.is_zero():
+            alpha = rand_skew_poly(rng, 2, deg=1)
+        spec = WeylCurvatureSpec(rand_curved_geometry(rng, 2),
+                                 TensorSeries.from_terms(2, "lower", 3, [(1, alpha)]))
+        row = compare_onediff(StarEngine(spec, 3)).orders[3]
+        assert not row.guaranteed and not row.ok
+        assert row.skew.is_zero()
 
 
 def test_order_comparison_skew_is_the_skew_part_of_the_residual():

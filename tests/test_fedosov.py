@@ -14,15 +14,15 @@ from fedosov_lab.fedosov import (PerturbationError, StarEngine,
                                  flat_section, solve_r, star,
                                  taylor_half_geometric, taylor_inv_sqrt,
                                  taylor_one_minus_sqrt)
-from fedosov_lab.geometry import Geometry, cov_ext_deriv
+from fedosov_lab.geometry import Geometry, GeometryError, cov_ext_deriv
 from fedosov_lab.io import load_scenario
 from fedosov_lab.tensors import Tensor2, TensorSeries, diamond_power, series_inverse
 from fedosov_lab.weyl import (WeylForm, commutator, delta, delta_inv, i_over_hbar,
                               moyal, moyal_sigma, odd_bracket, y_dx_form)
 
 from conftest import (rand_closed_skew_poly, rand_cubic, rand_curved_geometry,
-                      rand_form_qdeg, rand_poly, rand_quadratic, rand_skew_constant,
-                      rand_structure_geometry)
+                      rand_form_qdeg, rand_gamma, rand_poly, rand_quadratic,
+                      rand_skew_constant, rand_structure_geometry)
 
 F = Fraction
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -878,6 +878,98 @@ def test_resumed_solves_equal_fresh_solves(rng, monkeypatch, block):
         assert resumed(flat_section, f, spec, r, eng.cap + 1,
                        below=eng.section(f)) == flat_section(f, spec, r, eng.cap + 1)
         assert read == [2 * order]
+
+
+# -- naturality and associativity on curved charts ----------------------------------
+
+
+def pulled_back(p, A):
+    """p(A x'): the polynomial p with x_i replaced by sum_j A_ij x'_j."""
+    dim = p.dim
+    lin = [sum((Polynomial.variable(dim, j).scale(A[i][j]) for j in range(dim)),
+               Polynomial.zero(dim)) for i in range(dim)]
+    out = Polynomial.zero(dim)
+    for exp, c in p.terms.items():
+        t = Polynomial.constant(dim, c)
+        for i, e in enumerate(exp):
+            if e:
+                t = t * lin[i] ** e
+        out = out + t
+    return out
+
+
+def linear_change(rng, geom, substitute=True):
+    """A random integer A with entries in [-2, 2] and the chart pulled back
+    by x = A x': w' = A^T w A and Gamma'_abc(x') = A_ia A_jb A_kc
+    Gamma_ijk(A x').  With ``substitute`` False the Christoffel entries are
+    not evaluated at A x', which is wrong for every non-constant entry."""
+    dim = geom.dim
+    w = geom.omega.constant_rows()
+    while True:
+        A = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+        omega = [[sum(A[i][a] * w[i][j] * A[j][b] for i in range(dim) for j in range(dim))
+                  for b in range(dim)] for a in range(dim)]
+        if omega != w:
+            try:
+                Geometry(dim, omega=omega)
+                break
+            except GeometryError:  # A is singular
+                continue
+    gamma = {}
+    for a, b, c in itertools.combinations_with_replacement(range(dim), 3):
+        p = Polynomial.zero(dim)
+        for i, j, k in itertools.product(range(dim), repeat=3):
+            if A[i][a] * A[j][b] * A[k][c]:
+                p = p + geom.christoffel(i, j, k).scale(A[i][a] * A[j][b] * A[k][c])
+        gamma[(a, b, c)] = pulled_back(p, A) if substitute else p
+    return A, Geometry(dim, omega=omega, gamma=gamma)
+
+
+@pytest.mark.parametrize("dim, order, cases", [(2, 3, 3), (4, 2, 1)])
+def test_star_is_natural_under_linear_changes_of_chart(rng, dim, order, cases):
+    """f' *' g' = (f * g)(A x') coefficient by coefficient on curved charts,
+    whose pulled-back structure matrix is not the block form; pulling Gamma
+    back without substituting A x' breaks it."""
+    for substitute in (True, False):
+        for _ in range(cases):
+            geom = Geometry(dim, gamma=rand_gamma(rng, dim))
+            while all(p.is_constant() for p in geom.gamma.values()):
+                geom = Geometry(dim, gamma=rand_gamma(rng, dim))
+            A, other = linear_change(rng, geom, substitute)
+            f, g = rand_quadratic(rng, dim), rand_quadratic(rng, dim)
+            want = StarEngine(WeylCurvatureSpec(geom), order).star(f, g)
+            got = StarEngine(WeylCurvatureSpec(other), order).star(
+                pulled_back(f, A), pulled_back(g, A))
+            equal = all(got.coeff(n) == pulled_back(want.coeff(n), A)
+                        for n in range(order + 1))
+            assert equal is substitute
+
+
+def associator(product, f, g, h):
+    """(f * g) * h - f * (g * h) for a product of hbar-series."""
+    return product(product(f, g), h) - product(f, product(g, h))
+
+
+@pytest.mark.parametrize("name", ["curved_r4_plain", "curved_r4_k1_poly",
+                                  "curved_r4_k1_const", "curved_r4_k2_const"])
+def test_star_is_associative_on_the_curved_scenarios(rng, name):
+    """Random quadratic triples at order 2.  The control adds hbar^2 f E(g),
+    E = sum x_i d_i, to the product: its associator is hbar^2 f g E(h) =
+    2 hbar^2 f g h, never zero."""
+    order = 2
+    engine = StarEngine(load_scenario(os.path.join(SCENARIOS, name + ".json")).build_spec(),
+                        order)
+
+    def corrupted(a, b):
+        a0, b0 = (p.coeff(0, Polynomial.zero(4)) for p in (a, b))
+        euler = sum((Polynomial.variable(4, i) * b0.partial(i) for i in range(4)),
+                    Polynomial.zero(4))
+        return engine.star_series(a, b) + HbarSeries(order, {2: a0 * euler})
+
+    for _ in range(3):
+        f, g, h = (HbarSeries(order, {0: rand_quadratic(rng, 4)}) for _ in range(3))
+        assert associator(engine.star_series, f, g, h).is_zero()
+        assert not associator(corrupted, f, g, h).is_zero()
 
 
 # -- the solves against a Picard oracle ----------------------------------------------

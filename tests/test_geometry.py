@@ -11,7 +11,8 @@ from fedosov_lab.algebra import GaussianRational, Polynomial
 from fedosov_lab.geometry import (Geometry, GeometryError, cov_ext_deriv,
                                   standard_omega, validate_geometry)
 from fedosov_lab.tensors import Tensor2
-from fedosov_lab.weyl import WeylForm, commutator, delta, i_over_hbar, index_form, moyal
+from fedosov_lab.weyl import (WeylForm, commutator, delta, exterior_d, i_over_hbar, index_form,
+                              moyal, odd_bracket)
 
 from conftest import (bianchi_three_form, rand_curved_geometry, rand_form, rand_form_qdeg,
                       rand_gamma, rand_skew_constant, rand_structure_geometry)
@@ -274,6 +275,36 @@ def test_flat_partial_is_exterior_d(rng):
     for _ in range(10):
         a = rand_form(rng, 2, cap=8)
         assert cov_ext_deriv(a, g) == __import__("fedosov_lab.weyl", fromlist=["exterior_d"]).exterior_d(a)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("block", [True, False], ids=["block", "non-block"])
+def test_connection_term_is_the_odd_bracket_with_gamma(rng, monkeypatch, dim, block):
+    # the derivation through the cached V_s equals the full product pass
+    # exactly on forms of hbar^0..2, y-degree 0..4 and dx-degree 0..2; the
+    # V_s of a chart with one Christoffel entry changed must not
+    for _ in range(3):
+        omega = None if block else rand_structure_geometry(rng, dim).omega
+        g = rand_curved_geometry(rng, dim, omega=omega)
+        forms = [rand_form(rng, dim, cap=None, nterms=5, max_h=2, max_ydeg=4, max_q=2)
+                 for _ in range(4)]
+        for a in forms:
+            assert cov_ext_deriv(a, g) == exterior_d(a) + odd_bracket(g.gamma_weyl(), a, g)
+        idx, p = next(iter(g.gamma.items()))
+        other = Geometry(dim, omega=g.omega, gamma={**g.gamma, idx: p + 1})
+        monkeypatch.setattr(g, "connection_fields", other.connection_fields)
+        ys = index_form(dim, [(0, (s,), (), Polynomial.constant(dim, 1)) for s in range(dim)])
+        assert cov_ext_deriv(ys, g) != odd_bracket(g.gamma_weyl(), ys, g)
+
+
+def test_connection_fields_reject_a_bracket_that_is_not_a_linear_one_form(monkeypatch):
+    from fedosov_lab import geometry
+    g = Geometry(2, gamma={(0, 0, 1): Polynomial.variable(2, 0)})
+    real = geometry.odd_bracket
+    monkeypatch.setattr(geometry, "odd_bracket",
+                        lambda a, b, geom: real(a, b, geom).mul_hbar())
+    with pytest.raises(GeometryError, match="y1 is not a linear one-form"):
+        g.connection_fields()
 
 
 @pytest.mark.parametrize("dim", [2, 4])

@@ -51,6 +51,36 @@ def test_order3_runner_pairs_a_checkout_with_itself(tmp_path):
         rows["cpu_pairs_won"], rows["parent_cpu_iqr_s"], rows["cpu_verdict"]) in proc.stdout
 
 
+def test_order3_runner_pairs_a_checkout_with_itself_in_process(tmp_path):
+    out = tmp_path / "pairs.json"
+    proc = _run(ROOT, ROOT, "--order", "1", "--scenario", "flat_r2_plain",
+                "--scenario", "flat_r2_k1_const", "--pairs", "2", "--in-process",
+                "--json", str(out))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["reports_match"] and data["in_process"]
+    rows = data["scenarios"]["flat_r2_plain"]
+    inner = rows["in_process"]
+    shas = inner["parent"]["sha256"] + inner["change"]["sha256"]
+    assert len(shas) == 4 and set(shas) == set(rows["parent"]["sha256"])
+    for side in ("parent", "change"):
+        cpu = inner[side]["cpu_s"]
+        assert len(cpu) == 2 and all(t > 0 for t in cpu)
+        assert inner[side]["median_cpu_s"] == round(statistics.median(cpu), 6)
+    ratios = [c / p for p, c in zip(inner["parent"]["cpu_s"], inner["change"]["cpu_s"])]
+    assert inner["cpu_ratio"] == round(statistics.median(ratios), 4)
+    assert inner["pairs_won"] == sum(r < 1 for r in ratios)
+    # every in-process run comes after every separate process, whose max
+    # RSS would otherwise count this process's grown memory
+    lines = proc.stdout.splitlines()
+    inner_lines = [i for i, line in enumerate(lines) if " in process " in line]
+    assert len(inner_lines) == 8
+    assert max(i for i, line in enumerate(lines) if " exit " in line) < min(inner_lines)
+    assert "in-process CPU %8.2f -> %8.2f s (ratio %.3f, won %d/2)" % (
+        inner["parent"]["median_cpu_s"], inner["change"]["median_cpu_s"],
+        inner["cpu_ratio"], inner["pairs_won"]) in proc.stdout
+
+
 def test_order3_runner_verdict_needs_more_than_the_parent_spread():
     runner = _load_runner()
 

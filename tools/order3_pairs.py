@@ -26,6 +26,16 @@ and ``unresolved`` otherwise (always so with one pair).  On a shared
 machine the CPU time of a run swings less than its wall time, so the CPU
 verdict can resolve smaller changes.
 
+With ``--in-process`` it also copies both checkouts' packages into a
+temporary directory under distinct names, imports both into this one
+interpreter, and, after every separate process has run, runs the same
+number of pairs there, alternating the two sides' ``cli.run("verify",
+...)`` calls as above.  Each in-process run records its CPU time
+(``time.process_time``) and the sha256 of its report; per scenario the
+tool reports the median of the pairs' CPU ratios (change over parent) and
+the pairs the change won, next to the verdicts.  Process start-up and
+imports stay out of these times.
+
 The default scenarios are the four bundled ``curved_r4_*`` ones.  The exit
 status is 1 when a run fails or when the two sides' reports differ in any
 pair, and 0 otherwise.
@@ -34,9 +44,12 @@ pair, and 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
+import importlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -69,6 +82,57 @@ def run_verify(checkout, scenario, order, out):
     return code, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, sha
 
 
+def load_packages(paths, tmp):
+    """Each side's package, copied from its checkout into ``tmp`` and
+    imported under the name ``fedosov_lab_<side>``, as {side: (cli, io)}."""
+    out = {}
+    sys.path.insert(0, tmp)
+    try:
+        for side in SIDES:
+            name = "fedosov_lab_" + side
+            shutil.copytree(os.path.join(os.path.abspath(paths[side]), "src", "fedosov_lab"),
+                            os.path.join(tmp, name),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            out[side] = tuple(importlib.import_module("%s.%s" % (name, mod))
+                              for mod in ("cli", "io"))
+    finally:
+        sys.path.remove(tmp)
+    return out
+
+
+def run_in_process(package, checkout, scenario, order):
+    """One in-process ``verify``: (CPU s, report sha256)."""
+    cli, io = package
+    spec = io.load_scenario(os.path.join(os.path.abspath(checkout), "scenarios",
+                                         scenario + ".json"))
+    gc.collect()
+    t0 = time.process_time()
+    report = cli.run("verify", spec, order=order)
+    cpu = time.process_time() - t0
+    return cpu, hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+
+
+def in_process_pairs(packages, paths, name, order, pairs, log=print):
+    """The alternating in-process runs of one scenario, the median paired
+    CPU ratio (change over parent), the pairs won, and whether every pair's
+    reports agreed."""
+    rows = {side: {"cpu_s": [], "sha256": []} for side in SIDES}
+    ok = True
+    for i in range(pairs):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            cpu, sha = run_in_process(packages[side], paths[side], name, order)
+            rows[side]["cpu_s"].append(round(cpu, 6))
+            rows[side]["sha256"].append(sha)
+            log("%-20s pair %d %-6s in process  %8.2f s CPU  %s" % (name, i, side, cpu, sha[:8]))
+        ok = ok and rows["parent"]["sha256"][-1] == rows["change"]["sha256"][-1]
+    parent, change = rows["parent"]["cpu_s"], rows["change"]["cpu_s"]
+    for side in SIDES:
+        rows[side]["median_cpu_s"] = round(statistics.median(rows[side]["cpu_s"]), 6)
+    rows["cpu_ratio"] = round(statistics.median(c / p for p, c in zip(parent, change)), 4)
+    rows["pairs_won"] = sum(c < p for p, c in zip(parent, change))
+    return rows, ok
+
+
 def compare(rows, metric="wall"):
     """Pairs won by the change, the parent's quartile spread and the
     verdict on ``metric`` ("wall" or "cpu" time), from one scenario's runs;
@@ -93,8 +157,11 @@ def compare(rows, metric="wall"):
             prefix + "verdict": verdict}
 
 
-def run_pairs(paths, scenarios, order, pairs, log=print):
-    """Every run, per scenario and side, and whether every pair agreed."""
+def run_pairs(paths, scenarios, order, pairs, log=print, in_process=False):
+    """Every run, per scenario and side, and whether every pair agreed;
+    with ``in_process`` each scenario also holds its in-process pairs.
+    Those run after every separate process: a child's max RSS counts the
+    memory of this process when it starts the child."""
     results = {}
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,6 +192,12 @@ def run_pairs(paths, scenarios, order, pairs, log=print):
                     statistics.median(rows[side]["max_rss_mb"]), 2)
             rows.update(compare(rows))
             rows.update(compare(rows, "cpu"))
+        if in_process:
+            packages = load_packages(paths, tmp)
+            for name in scenarios:
+                results[name]["in_process"], agreed = in_process_pairs(
+                    packages, paths, name, order, pairs, log)
+                ok = ok and agreed
     return results, ok
 
 
@@ -137,26 +210,35 @@ def main(argv=None):
     parser.add_argument("--scenario", action="append",
                         help="a bundled scenario name (repeatable); default: the "
                         "four curved_r4_* scenarios")
+    parser.add_argument("--in-process", action="store_true",
+                        help="also pair both packages' verify runs inside this process")
     parser.add_argument("--json", help="write every run, the medians and the "
                         "per-scenario comparison to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     results, ok = run_pairs({"parent": args.parent, "change": args.change},
-                            args.scenario or SCENARIOS, args.order, args.pairs)
+                            args.scenario or SCENARIOS, args.order, args.pairs,
+                            in_process=args.in_process)
     for name, rows in results.items():
-        print("%-20s median wall %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
-              "   CPU %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
-              "   max RSS %7.2f -> %7.2f MB"
-              % (name, rows["parent"]["median_wall_s"], rows["change"]["median_wall_s"],
-                 rows["pairs_won"], args.pairs, rows["parent_wall_iqr_s"], rows["verdict"],
-                 rows["parent"]["median_cpu_s"], rows["change"]["median_cpu_s"],
-                 rows["cpu_pairs_won"], args.pairs, rows["parent_cpu_iqr_s"],
-                 rows["cpu_verdict"],
-                 rows["parent"]["median_max_rss_mb"], rows["change"]["median_max_rss_mb"]))
+        line = ("%-20s median wall %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
+                "   CPU %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
+                "   max RSS %7.2f -> %7.2f MB"
+                % (name, rows["parent"]["median_wall_s"], rows["change"]["median_wall_s"],
+                   rows["pairs_won"], args.pairs, rows["parent_wall_iqr_s"], rows["verdict"],
+                   rows["parent"]["median_cpu_s"], rows["change"]["median_cpu_s"],
+                   rows["cpu_pairs_won"], args.pairs, rows["parent_cpu_iqr_s"],
+                   rows["cpu_verdict"],
+                   rows["parent"]["median_max_rss_mb"], rows["change"]["median_max_rss_mb"]))
+        if args.in_process:
+            inner = rows["in_process"]
+            line += ("   in-process CPU %8.2f -> %8.2f s (ratio %.3f, won %d/%d)"
+                     % (inner["parent"]["median_cpu_s"], inner["change"]["median_cpu_s"],
+                        inner["cpu_ratio"], inner["pairs_won"], args.pairs))
+        print(line)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"order": args.order, "pairs": args.pairs,
+            json.dump({"order": args.order, "pairs": args.pairs, "in_process": args.in_process,
                        "first_in_pair": [SIDES[i % 2] for i in range(args.pairs)],
                        "reports_match": ok, "scenarios": results}, fh, indent=1)
             fh.write("\n")
