@@ -29,8 +29,14 @@ monomial sections) goes through ``_Sum``, which adds numerators in place and
 reduces each key once; ``_Sum.add_product`` adds a weighted product of
 two polynomials term pair by term pair, so the scalar projection of a Weyl
 product forms no product polynomial; other sums of whole values go through
-``accumulate``, which drops the key when the sum cancels; ``Polynomial``
-sums its integer pairs in its own loops.
+``accumulate``, which drops the key when the sum cancels.
+
+Two integer kernels do the term arithmetic of ``Polynomial`` and ``_Sum``
+alike: ``_add_scaled`` adds a Gaussian-integer multiple of a numerator dict
+(``+``, ``-``, ``scale``, ``_Sum.add``) and ``_add_product`` a multiple of
+the product of two (``*``, ``_Sum.add_product``), both in place into a
+plain dict.  Only a product with a one-term factor and the term maps of
+``partial`` and ``-`` run loops of their own.
 """
 
 from __future__ import annotations
@@ -101,6 +107,55 @@ def _unpack(dim, key):
 def _overflow(dim, e):
     return ValueError("product exponent tuple %r exceeds %d"
                       % (_unpack(dim, e), MAX_PACKED_EXPONENT))
+
+
+# The two integer kernels.  Both add into a plain dict of numerators
+# {packed exp: (re, im)} and keep a sum that cancels as (0, 0); the caller
+# drops those once (``Polynomial._settled``).
+
+def _add_scaled(out, num, re, im):
+    """Add (re + im*i) times the numerators ``num`` into ``out``."""
+    get = out.get
+    if not im:
+        for e, (a, b) in num.items():
+            prev = get(e)
+            out[e] = ((a * re, b * re) if prev is None
+                      else (prev[0] + a * re, prev[1] + b * re))
+    elif not re:
+        for e, (a, b) in num.items():
+            prev = get(e)
+            out[e] = ((-b * im, a * im) if prev is None
+                      else (prev[0] - b * im, prev[1] + a * im))
+    else:
+        for e, (a, b) in num.items():
+            x, y = a * re - b * im, a * im + b * re
+            prev = get(e)
+            out[e] = (x, y) if prev is None else (prev[0] + x, prev[1] + y)
+
+
+def _add_product(out, dim, left, right, re, im):
+    """Add (re + im*i) times the product of the numerators ``left`` and
+    ``right`` into ``out``, term pair by term pair; a product key past
+    MAX_PACKED_EXPONENT raises."""
+    get = out.get
+    guard = _guard(dim)
+    right = list(right.items())
+    for e1, (a, b) in left.items():
+        # the scalar goes into the left coefficient once per left term
+        x, y = a * re - b * im, a * im + b * re
+        for e2, (c, d) in right:
+            e = e1 + e2
+            if y:
+                p, q = x * c - y * d, x * d + y * c
+            else:
+                p, q = x * c, x * d
+            prev = get(e)
+            if prev is None:
+                if e & guard:
+                    raise _overflow(dim, e)
+                out[e] = (p, q)
+            else:
+                out[e] = (prev[0] + p, prev[1] + q)
 
 
 def accumulate(out, key, v, subtract=False):
@@ -325,6 +380,11 @@ class Polynomial:
         return cls._make(dim, num, den)
 
     @classmethod
+    def _settled(cls, dim, acc, den, g):
+        """``_reduced`` of summed numerators, dropping the sums that cancelled."""
+        return cls._reduced(dim, {e: v for e, v in acc.items() if v[0] or v[1]}, den, g)
+
+    @classmethod
     def zero(cls, dim):
         return cls._make(dim, {}, 1)
 
@@ -383,28 +443,10 @@ class Polynomial:
         # prime that divides d1 and d2 equally often, so it divides gcd(d1, d2).
         g = gcd(d1, d2)
         m1, m2 = d2 // g, d1 // g
-        if m1 == 1:
-            out = dict(self._num)
-        else:
-            out = {e: (a * m1, b * m1) for e, (a, b) in self._num.items()}
-        if subtract:
-            m2 = -m2
-        get = out.get
-        for e, (c, d) in other._num.items():
-            if m2 != 1:
-                c *= m2
-                d *= m2
-            prev = get(e)
-            if prev is None:
-                out[e] = (c, d)
-            else:
-                c += prev[0]
-                d += prev[1]
-                if c or d:
-                    out[e] = (c, d)
-                else:
-                    del out[e]
-        return Polynomial._reduced(self.dim, out, d1 * m1, g)
+        out = {}
+        _add_scaled(out, self._num, m1, 0)
+        _add_scaled(out, other._num, -m2 if subtract else m2, 0)
+        return Polynomial._settled(self.dim, out, d1 * m1, g)
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -432,10 +474,9 @@ class Polynomial:
             if cr == -1:
                 return -self
         p, q, s = _split(c)
-        if q:
-            num = {e: (a * p - b * q, a * q + b * p) for e, (a, b) in self._num.items()}
-        else:
-            num = {e: (a * p, b * p) for e, (a, b) in self._num.items()}
+        # a nonzero Gaussian integer times a nonzero one is nonzero
+        num = {}
+        _add_scaled(num, self._num, p, q)
         den = self._den * s
         return Polynomial._reduced(self.dim, num, den, den)
 
@@ -445,7 +486,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        guard = _guard(self.dim)
         den = self._den * other._den
         if len(self._num) == 1 or len(other._num) == 1:
             # A one-term factor maps distinct keys to distinct keys, and a
@@ -453,6 +493,7 @@ class Polynomial:
             # collides and no zero is filtered.
             many, one = (self, other) if len(other._num) == 1 else (other, self)
             (e2, (c, d)), = one._num.items()
+            guard = _guard(self.dim)
             num = {}
             for e1, (a, b) in many._num.items():
                 e = e1 + e2
@@ -461,26 +502,8 @@ class Polynomial:
                 num[e] = (a * c - b * d, a * d + b * c)
             return Polynomial._reduced(self.dim, num, den, den)
         out = {}
-        get = out.get
-        right = list(other._num.items())
-        for e1, (a, b) in self._num.items():
-            for e2, (c, d) in right:
-                e = e1 + e2
-                if b:
-                    re = a * c - b * d
-                    im = a * d + b * c
-                else:
-                    re = a * c
-                    im = a * d
-                prev = get(e)
-                if prev is None:
-                    if e & guard:
-                        raise _overflow(self.dim, e)
-                    out[e] = (re, im)
-                else:
-                    out[e] = (prev[0] + re, prev[1] + im)
-        num = {e: v for e, v in out.items() if v[0] or v[1]}
-        return Polynomial._reduced(self.dim, num, den, den)
+        _add_product(out, self.dim, self._num, other._num, 1, 0)
+        return Polynomial._settled(self.dim, out, den, den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -587,8 +610,8 @@ class _Sum:
     Each key holds ``[den, {packed exp: (re, im)}]``: Gaussian-integer
     numerators over the key's running positive denominator, which becomes
     the lcm (and the numerators are rescaled) when a term with another
-    denominator arrives.  ``add`` adds a scaled polynomial and ``add_product`` a scaled
-    product of two, multiplied term pair by term pair into the numerators.
+    denominator arrives.  ``add`` adds a scaled polynomial (``_add_scaled``)
+    and ``add_product`` a scaled product of two (``_add_product``).
     Nothing is reduced while summing; ``polys`` reduces each key once and
     drops zero numerators and keys that cancel: the in-place sparse-sum
     idiom of Monagan and Pearce (CASC 2007), over exact Gaussian rationals.
@@ -624,53 +647,14 @@ class _Sum:
         """Add (re + im*i) / den times the Polynomial ``poly`` into ``key``;
         ``re``, ``im`` and ``den > 0`` are ints."""
         acc, m = self._slot(key, den * poly._den)
-        if m != 1:
-            re *= m
-            im *= m
-        get = acc.get
-        if not im:
-            for e, (a, b) in poly._num.items():
-                prev = get(e)
-                acc[e] = ((a * re, b * re) if prev is None
-                          else (prev[0] + a * re, prev[1] + b * re))
-        elif not re:
-            for e, (a, b) in poly._num.items():
-                prev = get(e)
-                acc[e] = ((-b * im, a * im) if prev is None
-                          else (prev[0] - b * im, prev[1] + a * im))
-        else:
-            for e, (a, b) in poly._num.items():
-                x, y = a * re - b * im, a * im + b * re
-                prev = get(e)
-                acc[e] = (x, y) if prev is None else (prev[0] + x, prev[1] + y)
+        _add_scaled(acc, poly._num, re * m, im * m)
 
     def add_product(self, key, pa, pb, re, im=0, den=1):
         """Add (re + im*i) / den times the product ``pa * pb`` into ``key``,
         term pair by term pair, without forming or reducing the product;
         ``re``, ``im`` and ``den > 0`` are ints."""
         acc, m = self._slot(key, den * pa._den * pb._den)
-        if m != 1:
-            re *= m
-            im *= m
-        get = acc.get
-        guard = _guard(self.dim)
-        right = list(pb._num.items())
-        for e1, (a, b) in pa._num.items():
-            # the scalar goes into the left coefficient once per left term
-            x, y = a * re - b * im, a * im + b * re
-            for e2, (c, d) in right:
-                e = e1 + e2
-                if y:
-                    p, q = x * c - y * d, x * d + y * c
-                else:
-                    p, q = x * c, x * d
-                prev = get(e)
-                if prev is None:
-                    if e & guard:
-                        raise _overflow(self.dim, e)
-                    acc[e] = (p, q)
-                else:
-                    acc[e] = (prev[0] + p, prev[1] + q)
+        _add_product(acc, self.dim, pa._num, pb._num, re * m, im * m)
 
     def polys(self):
         """key -> reduced nonzero Polynomial; empties the sum, releasing each
@@ -679,9 +663,9 @@ class _Sum:
         keys = self.keys
         for key in list(keys):
             den, acc = keys.pop(key)
-            num = {e: v for e, v in acc.items() if v[0] or v[1]}
-            if num:
-                out[key] = Polynomial._reduced(self.dim, num, den, den)
+            p = Polynomial._settled(self.dim, acc, den, den)
+            if p:
+                out[key] = p
         return out
 
 

@@ -27,8 +27,8 @@ from .geometry import validate_geometry
 from .fedosov import StarEngine, coeff_sequences, curvature_residual, \
     abelian_residual, flat_section, solve_r
 from .analysis import compare_onediff, curvature_onediff_identities
-from .io import (MAX_COEFF_LIMIT, MAX_ORDER, Check, ParseError, Report,
-                 ScenarioError, load_scenario)
+from .io import (DEFAULT_COEFF_LIMIT, MAX_COEFF_LIMIT, MAX_ORDER, Check, ParseError,
+                 Report, ScenarioError, _size, load_scenario)
 
 __all__ = ["main", "run"]
 
@@ -197,14 +197,6 @@ def _poisson_checks(scenario, order):
     return checks
 
 
-def _check_limit(value, name, top):
-    """Raise ScenarioError when ``value`` is below 1 or above ``top``."""
-    if value < 1:
-        raise ScenarioError("%s must be at least 1, got %d" % (name, value))
-    if value > top:
-        raise ScenarioError("%s must be at most %d, got %d" % (name, top, value))
-
-
 def run(command, scenario, order=None, coeff_limit=None):
     """Run one command against a loaded Scenario and return a Report.
 
@@ -212,11 +204,11 @@ def run(command, scenario, order=None, coeff_limit=None):
     call only, within the size limits of ``io``; the scenario is not changed.
     """
     if order is not None:
-        _check_limit(order, "order", MAX_ORDER)
+        _size(order, "order", MAX_ORDER)
     elif scenario is not None:
         order = scenario.order
     if coeff_limit is not None:
-        _check_limit(coeff_limit, "coeff_limit", MAX_COEFF_LIMIT)
+        _size(coeff_limit, "coeff_limit", MAX_COEFF_LIMIT)
     if scenario is None and command in ("verify", "star", "compare", "poisson"):
         raise ScenarioError("command %r requires a scenario" % command)
     if command == "verify":
@@ -228,7 +220,7 @@ def run(command, scenario, order=None, coeff_limit=None):
     elif command == "coeffs":
         limit = coeff_limit
         if limit is None:
-            limit = scenario.coeff_limit if scenario else 8
+            limit = scenario.coeff_limit if scenario else DEFAULT_COEFF_LIMIT
         checks = _coeffs_checks(limit)
     elif command == "poisson":
         checks = _poisson_checks(scenario, order)
@@ -253,8 +245,8 @@ def main(argv=None):
     try:
         if args.order is not None:
             # checked before the scenario loads, so a bad flag costs nothing
-            _check_limit(args.order, "--order",
-                     MAX_COEFF_LIMIT if args.command == "coeffs" else MAX_ORDER)
+            _size(args.order, "--order",
+                  MAX_COEFF_LIMIT if args.command == "coeffs" else MAX_ORDER)
         scenario = None
         if args.scenario is not None:
             scenario = load_scenario(args.scenario)

@@ -90,7 +90,7 @@ class Geometry:
         self._contractions = {}
         self._numerators = {}
         self._weights = {}
-        self._rows = {}
+        self._entries = {}
         self._gamma_weyl = None
         self._fields = None
         self._curvature = None
@@ -161,14 +161,13 @@ class Geometry:
 
     def contraction_numerators(self, k):
         """``contractions(k)`` indexed by the left exponent, {d: {e: (re, im,
-        den, pos)}}, built once per chart and k: each scalar split as
-        c = (re + im*i) / den in lowest terms, and ``pos``, the key's place
-        in ``contractions(k)``, which fixes the order of ``moyal_weights``."""
+        den)}}, built once per chart and k: each scalar split as
+        c = (re + im*i) / den in lowest terms."""
         table = self._numerators.get(k)
         if table is None:
             table = self._numerators[k] = {}
-            for pos, ((d, e), c) in enumerate(self.contractions(k).items()):
-                table.setdefault(d, {})[e] = _split(c) + (pos,)
+            for (d, e), c in self.contractions(k).items():
+                table.setdefault(d, {})[e] = _split(c)
         return table
 
     def moyal_weights(self, ua, ub, bracket):
@@ -186,39 +185,29 @@ class Geometry:
         dh = k - 1: the odd pieces of (i/hbar)[y^ua, y^ub].  No entry has
         c = 0, and the caller applies the wedge sign of the dx factors.
 
-        A miss reads ``contraction_numerators(k)`` through its sparse rows:
-        for each row d and partner e it visits only their nonzero (index,
-        power) pairs, skips a row unless d <= ua and a partner unless
-        e <= ub, takes binom(ua, d) once per row, and sums integer numerators
-        over a running lcm in the order of ``contractions(k)``, so its
-        entries, and their order, are those of a Fraction sum over that
+        A miss walks ``_contraction_entries(k)``, the keys of
+        ``contractions(k)`` in its order with each exponent given by its
+        nonzero (index, power) pairs: it stops at a key's first power above
+        ``ua`` or ``ub`` and sums integer numerators over a running lcm, so
+        its entries, and their order, are those of a Fraction sum over that
         table; each entry is reduced once.
         """
         key = (ua, ub, bracket)
         entries = self._weights.get(key)
         if entries is None:
             shift = 1 if bracket else 0
+            both = [x + y for x, y in zip(ua, ub)]
             entries = []
             for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
-                terms = []
-                for d, row in self._sparse_rows(k):
-                    n = _binomials(ua, d, 1)
-                    if not n:
-                        continue
-                    left = list(ua)
-                    for i, p in d:
-                        left[i] -= p
-                    for e, re, im, den, pos in row:
-                        m = _binomials(ub, e, n)
-                        if m:
-                            u = [x + y for x, y in zip(left, ub)]
-                            for i, p in e:
-                                u[i] -= p
-                            terms.append((pos, tuple(u), re * m, im * m, den))
-                terms.sort()  # the order of contractions(k); pos is unique
                 sums = {}
-                for _pos, u, re, im, den in terms:
-                    _add_over(sums, u, re, im, den)
+                for d, e, re, im, den in self._contraction_entries(k):
+                    m = _binomials(ua, d, 1)
+                    m = m and _binomials(ub, e, m)
+                    if m:
+                        u = both[:]
+                        for i, p in d + e:
+                            u[i] -= p
+                        _add_over(sums, tuple(u), re * m, im * m, den)
                 for u, (top, re, im) in sums.items():
                     if bracket:
                         re, im = -2 * im, 2 * re
@@ -227,16 +216,17 @@ class Geometry:
             entries = self._weights[key] = tuple(entries)
         return entries
 
-    def _sparse_rows(self, k):
-        """``contraction_numerators(k)`` as ((d, ((e, re, im, den, pos),
-        ...)), ...) with each exponent given by its nonzero (index, power)
-        pairs, built once per chart and k."""
-        rows = self._rows.get(k)
-        if rows is None:
-            rows = self._rows[k] = tuple(
-                (_nonzero(d), tuple((_nonzero(e),) + c for e, c in row.items()))
-                for d, row in self.contraction_numerators(k).items())
-        return rows
+    def _contraction_entries(self, k):
+        """``contractions(k)`` in its order as ((d, e, re, im, den), ...),
+        each exponent given by its nonzero (index, power) pairs and each
+        scalar split as in ``contraction_numerators``, built once per chart
+        and k."""
+        entries = self._entries.get(k)
+        if entries is None:
+            entries = self._entries[k] = tuple(
+                (_nonzero(d), _nonzero(e)) + _split(c)
+                for (d, e), c in self.contractions(k).items())
+        return entries
 
     def gamma_weyl(self):
         """The connection one-form (1/2) Gamma_{ijk} y^i y^j dx^k."""

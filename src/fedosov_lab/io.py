@@ -68,6 +68,7 @@ MAX_ORDER = 8
 MAX_K = MAX_ORDER
 MAX_EXPONENT = 8
 MAX_COEFF_LIMIT = 64
+DEFAULT_COEFF_LIMIT = 8
 
 _RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -167,7 +168,7 @@ class Scenario:
     """
 
     def __init__(self, scenario_id, geometry, perturbation=None, order=4,
-                 observables=None, coeff_limit=8):
+                 observables=None, coeff_limit=DEFAULT_COEFF_LIMIT):
         self.scenario_id = scenario_id
         self.geometry = geometry
         self.perturbation = perturbation
@@ -225,6 +226,15 @@ def _integer(value, what, limit=None):
     return value
 
 
+def _size(value, what, top):
+    """An integer in 1..top, else a ScenarioError: the bound of every run
+    size, from a scenario or from the command line."""
+    _integer(value, what, top)
+    if value < 1:
+        raise ScenarioError("%s must be at least 1, got %d" % (what, value))
+    return value
+
+
 def _scenario_from_dict(data):
     gdata = data["geometry"]
     dim = _integer(gdata["dim"], "dim", MAX_DIM)
@@ -244,12 +254,9 @@ def _scenario_from_dict(data):
             raise ScenarioError("gamma entry %s is listed twice with different "
                                 "values" % list(idx))
     geometry = Geometry(dim, omega=omega, gamma=gamma or None)
-    order = _integer(data.get("order", 4), "order", MAX_ORDER)
-    if order < 1:
-        raise ScenarioError("order must be at least 1, got %d" % order)
-    coeff_limit = _integer(data.get("coeff_limit", 8), "coeff_limit", MAX_COEFF_LIMIT)
-    if coeff_limit < 1:
-        raise ScenarioError("coeff_limit must be at least 1, got %d" % coeff_limit)
+    order = _size(data.get("order", 4), "order", MAX_ORDER)
+    coeff_limit = _size(data.get("coeff_limit", DEFAULT_COEFF_LIMIT), "coeff_limit",
+                        MAX_COEFF_LIMIT)
 
     perturbation = None
     plist = data.get("perturbation", [])
@@ -257,9 +264,7 @@ def _scenario_from_dict(data):
         terms = []
         top = 0
         for entry in plist:
-            k = _integer(entry["k"], "perturbation power k", MAX_K)
-            if k < 1:
-                raise ScenarioError("perturbation power k must be >= 1")
+            k = _size(entry["k"], "perturbation power k", MAX_K)
             rows = _parse_matrix(entry["alpha"], dim, "alpha")
             terms.append((k, Tensor2(dim, "lower", rows)))
             top = max(top, k)

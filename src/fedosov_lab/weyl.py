@@ -23,20 +23,21 @@ of degrees i and j is homogeneous of degree i + j.
 This module holds no contraction weights.  The chart caches one table per
 k, ``Geometry.contractions(k)``: the whole scalar of each fully contracted
 pair y^d o_k y^e.  ``Geometry.contraction_numerators(k)`` holds the same
-scalars indexed by the left exponent, {d: {e: (re, im, den, pos)}}, split
-into Gaussian-integer numerators over a denominator; ``moyal_sigma`` walks
-the row of each left exponent, its contraction partners, and looks each
-partner up in an index of the right operand by y-exponent, so it visits only
-the pairs that contract.  ``moyal`` reads the pieces of
-y^ua o y^ub, split scalars included, from ``Geometry.moyal_weights(ua, ub,
-bracket)``, which the chart sums in integers from the rows d <= ua of the
-same table.  The products, ``delta``, ``delta_inv``, ``exterior_d`` and
-``index_form``, the one builder of a form from an index formula, add each
-term, times an integer scalar, into ``algebra._Sum``, which reduces each
-output coefficient once.  ``moyal`` forms each pair's coefficient product
-once, as its entries share it; ``moyal_sigma`` multiplies each pair's two
-coefficients straight into the sum (``_Sum.add_product``), so it never
-forms or reduces the product polynomial.
+scalars indexed by the left exponent, {d: {e: (re, im, den)}}, split into
+Gaussian-integer numerators over a denominator; ``moyal_sigma`` walks the
+row of each left exponent, its contraction partners, and looks each partner
+up in an index of the right operand by y-exponent, so it visits only the
+pairs that contract.  ``moyal`` reads the pieces of y^ua o y^ub, split
+scalars included, from ``Geometry.moyal_weights(ua, ub, bracket)``, which
+the chart sums in integers from the keys d <= ua, e <= ub of
+``contractions(k)``, in that table's order.  The products, ``delta``,
+``delta_inv``, ``exterior_d`` and ``index_form``, the one builder of a form
+from an index formula, add each term, times an integer scalar, into
+``algebra._Sum``, which reduces each output coefficient once.  ``moyal``
+forms each pair's coefficient product once, as its entries share it;
+``moyal_sigma`` multiplies each pair's two coefficients straight into the
+sum (``_Sum.add_product``), so it never forms or reduces the product
+polynomial.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -119,6 +120,12 @@ def wedge_merge(I1, I2):
     return sign, tuple(out)
 
 
+def _check_coefficient(p, dim):
+    """Raise ``ValueError`` unless ``p`` is a Polynomial in ``dim`` variables."""
+    if not (isinstance(p, Polynomial) and p.dim == dim):
+        raise ValueError("coefficient %r is not a Polynomial of dim %d" % (p, dim))
+
+
 class WeylForm:
     """A Weyl-algebra-valued differential form, exact and sparse.
 
@@ -126,7 +133,8 @@ class WeylForm:
     produces, and ``capped(d)`` is the one truncation.  The constructor
     takes only canonical keys (h, u, form): a non-negative int hbar power,
     ``dim`` non-negative int y exponents, and dx indices strictly increasing
-    within range(dim); anything else raises ``ValueError``.
+    within range(dim), each with a ``Polynomial`` coefficient of dim
+    ``dim``; anything else raises ``ValueError``.
     """
 
     __slots__ = ("dim", "terms")
@@ -143,6 +151,7 @@ class WeylForm:
                     and all(i < j for i, j in zip((-1,) + form, form + (dim,)))):
                 raise ValueError("dx indices %r must increase strictly within range(%d)"
                                  % (form, dim))
+            _check_coefficient(p, dim)
             if not p.is_zero():
                 clean[(h, tuple(u), form)] = p
         self.terms = clean
@@ -170,6 +179,8 @@ class WeylForm:
     @classmethod
     def from_series(cls, hs, dim):
         """Embed an hbar-series of base polynomials as a 0-form."""
+        for p in hs.coeffs.values():
+            _check_coefficient(p, dim)
         zero = (0,) * dim
         return cls._make(dim, {(n, zero, ()): p for n, p in hs.coeffs.items()
                                if not p.is_zero()})
@@ -465,6 +476,7 @@ def index_form(dim, terms):
     """
     acc = _Sum(dim)
     for h, ys, dxs, c in terms:
+        _check_coefficient(c, dim)
         u = [0] * dim
         for i in ys:
             u[i] += 1

@@ -925,21 +925,45 @@ def linear_change(rng, geom, substitute=True):
     return A, Geometry(dim, omega=omega, gamma=gamma)
 
 
-@pytest.mark.parametrize("dim, order, cases", [(2, 3, 3), (4, 2, 1)])
-def test_star_is_natural_under_linear_changes_of_chart(rng, dim, order, cases):
+def pulled_back_two_form(alpha, A, substitute=True):
+    """alpha'_ab(x') = A_ia A_jb alpha_ij(A x'); with ``substitute`` False
+    the entries are not evaluated at A x'."""
+    dim = alpha.dim
+    rows = [[sum((alpha.rows[i][j].scale(A[i][a] * A[j][b])
+                  for i in range(dim) for j in range(dim)), Polynomial.zero(dim))
+             for b in range(dim)] for a in range(dim)]
+    return Tensor2(dim, "lower", [[pulled_back(p, A) if substitute else p for p in row]
+                                  for row in rows])
+
+
+@pytest.mark.parametrize("dim, order, cases, perturbed", [
+    pytest.param(2, 3, 3, False, id="2-3-3"), pytest.param(4, 2, 1, False, id="4-2-1"),
+    pytest.param(2, 3, 3, True, id="2-3-3-alpha")])
+def test_star_is_natural_under_linear_changes_of_chart(rng, dim, order, cases, perturbed):
     """f' *' g' = (f * g)(A x') coefficient by coefficient on curved charts,
     whose pulled-back structure matrix is not the block form; pulling Gamma
-    back without substituting A x' breaks it."""
+    back without substituting A x' breaks it.  With ``perturbed`` the chart
+    also carries a non-constant alpha at hbar^1, pulled back as a two-form,
+    and the control pulls Gamma back correctly but alpha without A x'."""
     for substitute in (True, False):
         for _ in range(cases):
             geom = Geometry(dim, gamma=rand_gamma(rng, dim))
             while all(p.is_constant() for p in geom.gamma.values()):
                 geom = Geometry(dim, gamma=rand_gamma(rng, dim))
-            A, other = linear_change(rng, geom, substitute)
+            if perturbed:
+                A, other = linear_change(rng, geom)
+                alpha = rand_closed_skew_poly(rng, dim)
+                while all(p.is_constant() for row in alpha.rows for p in row):
+                    alpha = rand_closed_skew_poly(rng, dim)
+                specs = [WeylCurvatureSpec(chart, TensorSeries.from_terms(
+                    dim, "lower", order, [(1, a)])) for chart, a in
+                    ((geom, alpha), (other, pulled_back_two_form(alpha, A, substitute)))]
+            else:
+                A, other = linear_change(rng, geom, substitute)
+                specs = [WeylCurvatureSpec(geom), WeylCurvatureSpec(other)]
             f, g = rand_quadratic(rng, dim), rand_quadratic(rng, dim)
-            want = StarEngine(WeylCurvatureSpec(geom), order).star(f, g)
-            got = StarEngine(WeylCurvatureSpec(other), order).star(
-                pulled_back(f, A), pulled_back(g, A))
+            want = StarEngine(specs[0], order).star(f, g)
+            got = StarEngine(specs[1], order).star(pulled_back(f, A), pulled_back(g, A))
             equal = all(got.coeff(n) == pulled_back(want.coeff(n), A)
                         for n in range(order + 1))
             assert equal is substitute

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, I, ONE, Polynomial, _split, accumulate
+from fedosov_lab.algebra import (GaussianRational, HbarSeries, I, ONE, Polynomial, _split,
+                                 accumulate)
 from fedosov_lab.geometry import Geometry, standard_omega
 from fedosov_lab.tensors import Tensor2, diamond_power, mu
 from fedosov_lab.weyl import (HbarDivisionError, WeylForm, central_two_form, commutator,
@@ -533,6 +534,25 @@ def test_weyl_form_rejects_non_canonical_keys(key):
     # equal forms would compare unequal; only canonical keys are accepted.
     with pytest.raises(ValueError):
         WeylForm(2, {key: Polynomial.one(2)})
+
+
+X4 = Polynomial.variable(4, 3)
+FLAT2 = WeylCurvatureSpec(Geometry(2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeylForm(2, {(0, (0, 0), (1,)): X4}),
+    lambda: WeylForm(2, {(0, (0, 0), ()): 3}),
+    lambda: WeylForm.from_series(HbarSeries(0, {0: X4}), 2),
+    lambda: index_form(2, [(0, (0,), (), X4)]),
+    lambda: flat_section(X4, FLAT2, solve_r(FLAT2, 3), 3),
+], ids=["constructor", "int", "from-series", "index-form", "flat-section"])
+def test_weyl_form_rejects_a_coefficient_of_another_dim(build):
+    # Read in dim 2, the packed key of the dim-4 x4 is the key of x2: the
+    # form would silently hold x2 (index_form gave x2*y1, delta_inv of the
+    # constructor's form x2*y2), and an int coefficient raised AttributeError.
+    with pytest.raises(ValueError, match="not a Polynomial of dim 2"):
+        build()
 
 
 def test_hbar_division_guard():
