@@ -680,13 +680,13 @@ class HbarSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=None):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        if type(order) is not int or order < 0:
+            raise ValueError("truncation order %r must be a non-negative int" % (order,))
         self.order = order
         clean = {}
         for n, v in (coeffs or {}).items():
-            if n < 0:
-                raise ValueError("negative hbar power %d" % n)
+            if type(n) is not int or n < 0:
+                raise ValueError("hbar power %r must be a non-negative int" % (n,))
             if n <= order and not v.is_zero():
                 clean[n] = v
         self.coeffs = clean

@@ -28,11 +28,13 @@ identity, so the choice is unique among the two candidates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
-from .algebra import GaussianRational, ONE, Polynomial, _Sum, _split, accumulate
+from .algebra import GaussianRational, ONE, Polynomial, _Sum, accumulate
 from .tensors import SingularMatrixError, Tensor2, invert_scalar_matrix, matmul
 from .weyl import WeylForm, exterior_d, index_form, odd_bracket, wedge_merge
 
@@ -88,9 +90,7 @@ class Geometry:
 
         self.gamma = self._canonical_gamma(gamma or {})
         self._contractions = {}
-        self._numerators = {}
         self._weights = {}
-        self._entries = {}
         self._gamma_weyl = None
         self._fields = None
         self._curvature = None
@@ -131,11 +131,26 @@ class Geometry:
         (one y^s), and c = (-i/2)^k * d! * e! * (the summed weights of the
         multisets that give (d, e)): the whole scalar of the pair.  Off the
         block form several multisets give one (d, e), and a key whose
-        weights cancel is not stored.  The k = 0 table maps the pair of zero
-        exponents to 1.
+        weights cancel is not stored.  The weights are summed per left
+        exponent, so the keys of each d sit together, in the row order of
+        ``contraction_numerators(k)``; on the block form each d has one
+        partner e.  The k = 0 table maps the pair of zero exponents to 1.
         """
-        table = self._contractions.get(k)
-        if table is None:
+        return self._record(k)[0]
+
+    def contraction_numerators(self, k):
+        """``contractions(k)`` as integer rows by left exponent, {d: {e:
+        (re, im, den)}}, in that table's order, built once per chart and k:
+        each scalar is c = (re + im*i) / den over one denominator den for
+        the whole table, the lcm of its scalars' denominators, so a scalar
+        need not be in lowest terms."""
+        return self._record(k)[1]
+
+    def _record(self, k):
+        """(``contractions(k)``, ``contraction_numerators(k)``, den), built
+        in one pass and cached per chart and k."""
+        record = self._contractions.get(k)
+        if record is None:
             dim = self.dim
             entries = [(r, s, v) for r, row in enumerate(self.omega_bar.constant_rows())
                        for s, v in enumerate(row) if v]
@@ -152,23 +167,17 @@ class Geometry:
                     mult = mult + 1 if t == prev else 1
                     prev = t
                     w = w * v / mult
-                accumulate(sums, (tuple(d), tuple(e)), w)
+                accumulate(sums.setdefault(tuple(d), {}), tuple(e), w)
             pre = _MINUS_I_HALF ** k
-            table = self._contractions[k] = {
-                (d, e): pre * w * math.prod(map(math.factorial, d + e))
-                for (d, e), w in sums.items()}
-        return table
-
-    def contraction_numerators(self, k):
-        """``contractions(k)`` indexed by the left exponent, {d: {e: (re, im,
-        den)}}, built once per chart and k: each scalar split as
-        c = (re + im*i) / den in lowest terms."""
-        table = self._numerators.get(k)
-        if table is None:
-            table = self._numerators[k] = {}
-            for (d, e), c in self.contractions(k).items():
-                table.setdefault(d, {})[e] = _split(c)
-        return table
+            table = {(d, e): pre * w * math.prod(map(math.factorial, d + e))
+                     for d, row in sums.items() for e, w in row.items()}
+            den = math.lcm(*(q.denominator for c in table.values() for q in (c.re, c.im)))
+            rows = {}
+            for (d, e), c in table.items():
+                rows.setdefault(d, {})[e] = (c.re.numerator * (den // c.re.denominator),
+                                             c.im.numerator * (den // c.im.denominator), den)
+            record = self._contractions[k] = (table, rows, den)
+        return record
 
     def moyal_weights(self, ua, ub, bracket):
         """Every contraction of y^ua o y^ub, as a tuple of (dh, u, re, im,
@@ -185,47 +194,45 @@ class Geometry:
         dh = k - 1: the odd pieces of (i/hbar)[y^ua, y^ub].  No entry has
         c = 0, and the caller applies the wedge sign of the dx factors.
 
-        A miss walks ``_contraction_entries(k)``, the keys of
-        ``contractions(k)`` in its order with each exponent given by its
-        nonzero (index, power) pairs: it stops at a key's first power above
-        ``ua`` or ``ub`` and sums integer numerators over a running lcm, so
-        its entries, and their order, are those of a Fraction sum over that
-        table; each entry is reduced once.
+        A miss walks the rows of ``contraction_numerators(k)``, skipping a
+        row whose d is not <= ua (and an entry whose e is not <= ub), and
+        sums plain integer numerators over the table's one denominator, so
+        its entries, and their order, are those of a Fraction sum over
+        ``contractions(k)``; each entry is reduced once.  The binomials and
+        the test d <= ua are one lookup in ``_binomials(ua)``.
         """
         key = (ua, ub, bracket)
         entries = self._weights.get(key)
         if entries is None:
             shift = 1 if bracket else 0
-            both = [x + y for x, y in zip(ua, ub)]
+            both = tuple(map(operator.add, ua, ub))
+            left, right = _binomials(ua), _binomials(ub)
             entries = []
             for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
+                _table, rows, den = self._record(k)
                 sums = {}
-                for d, e, re, im, den in self._contraction_entries(k):
-                    m = _binomials(ua, d, 1)
-                    m = m and _binomials(ub, e, m)
-                    if m:
-                        u = both[:]
-                        for i, p in d + e:
-                            u[i] -= p
-                        _add_over(sums, tuple(u), re * m, im * m, den)
-                for u, (top, re, im) in sums.items():
+                for d, row in rows.items():
+                    m = left.get(d)
+                    if m is None:
+                        continue
+                    for e, (re, im, _den) in row.items():
+                        n = right.get(e)
+                        if n is not None:
+                            n *= m
+                            u = tuple(map(operator.sub, both, map(operator.add, d, e)))
+                            a, b = sums.get(u, (0, 0))
+                            a += re * n
+                            b += im * n
+                            if a or b:
+                                sums[u] = a, b
+                            else:
+                                del sums[u]
+                for u, (re, im) in sums.items():
                     if bracket:
                         re, im = -2 * im, 2 * re
-                    g = math.gcd(top, re, im)
-                    entries.append((k - shift, u, re // g, im // g, top // g))
+                    g = math.gcd(den, re, im)
+                    entries.append((k - shift, u, re // g, im // g, den // g))
             entries = self._weights[key] = tuple(entries)
-        return entries
-
-    def _contraction_entries(self, k):
-        """``contractions(k)`` in its order as ((d, e, re, im, den), ...),
-        each exponent given by its nonzero (index, power) pairs and each
-        scalar split as in ``contraction_numerators``, built once per chart
-        and k."""
-        entries = self._entries.get(k)
-        if entries is None:
-            entries = self._entries[k] = tuple(
-                (_nonzero(d), _nonzero(e)) + _split(c)
-                for (d, e), c in self.contractions(k).items())
         return entries
 
     def gamma_weyl(self):
@@ -329,39 +336,13 @@ class Curvature4:
             raise GeometryError("flat connection produced nonzero curvature")
 
 
-def _nonzero(exp):
-    """The nonzero (index, power) pairs of an exponent tuple."""
-    return tuple((i, p) for i, p in enumerate(exp) if p)
-
-
-def _binomials(u, pairs, n):
-    """n * prod binom(u_i, p) over the (index, power) ``pairs``; 0 unless
-    every p <= u_i."""
-    for i, p in pairs:
-        if u[i] < p:
-            return 0
-        n *= math.comb(u[i], p)
-    return n
-
-
-def _add_over(sums, u, re, im, den):
-    """Add (re + im*i) / den into ``sums[u] = (top, re, im)``, numerators
-    over a running lcm ``top``; a sum that cancels leaves no key."""
-    prev = sums.get(u)
-    if prev is None:
-        sums[u] = (den, re, im)
-        return
-    top, a, b = prev
-    if top != den:
-        new = math.lcm(top, den)
-        f, m = new // top, new // den
-        top, a, b, re, im = new, a * f, b * f, re * m, im * m
-    a += re
-    b += im
-    if a or b:
-        sums[u] = (top, a, b)
-    else:
-        del sums[u]
+@functools.lru_cache(maxsize=1024)
+def _binomials(u):
+    """{d: prod binom(u_i, d_i)} over the exponent tuples d <= u, built once
+    per u and only read: a ``moyal_weights`` miss takes each contraction
+    row's binomial factors from it and skips a row whose d is absent."""
+    return {d: math.prod(map(math.comb, u, d))
+            for d in itertools.product(*[range(x + 1) for x in u])}
 
 
 def validate_geometry(geom):

@@ -11,8 +11,13 @@ matches the canonical printing of Polynomial:
     rational:= digits ['/' digits]
     var     := 'x' index ['^' exponent]     (index is 1-based)
 
-Whitespace is insignificant.  Parsing the printed form of any polynomial
-returns an equal polynomial.
+These productions are the parser: they are compiled once into regular
+expressions, and ``parse_poly`` matches the whole text against ``expr``,
+then walks its terms and their factors.  Spaces and tabs are removed first;
+any other character outside the grammar, a newline included, is a
+``ParseError``.  ``parse_rational`` reads ``['+'|'-'] rational`` with the
+same production, ignoring whitespace around it and spaces within it.
+Parsing the printed form of any polynomial returns an equal polynomial.
 
 A check is one record, ``Check(anchor, residual, passed)``; the identity
 suites of ``analysis`` and the commands of ``cli`` all return it.  A
@@ -27,7 +32,7 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import MAX_PACKED_EXPONENT, GaussianRational, Polynomial
+from .algebra import MAX_PACKED_EXPONENT, GaussianRational, I, Polynomial
 from .tensors import Tensor2, TensorSeries
 from .geometry import Geometry
 from .fedosov import WeylCurvatureSpec
@@ -70,87 +75,54 @@ MAX_EXPONENT = 8
 MAX_COEFF_LIMIT = 64
 DEFAULT_COEFF_LIMIT = 8
 
-_RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
-_VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+# ``_EXPR`` is expr, ``_PRODUCT`` term, ``_FACTOR`` factor and ``_NUMBER``
+# rational; ``_TERM`` finds one signed term of an expr that matched.
+_NUMBER = r"(\d+)(?:/(\d+))?"
+_FACTOR = re.compile(_NUMBER + r"|(i)|x(\d+)(?:\^(\d+))?")
+_PRODUCT = r"(?:{0})(?:\*(?:{0}))*".format(_FACTOR.pattern)
+_TERM = re.compile(r"([+-]?)(%s)" % _PRODUCT)
+_EXPR = re.compile(r"[+-]?{0}(?:[+-]{0})*".format(_PRODUCT))
+_RATIONAL = re.compile(r"([+-]?)" + _NUMBER)
+
+
+def _fraction(num, den, text):
+    """The Fraction of a matched ``_NUMBER``; a zero denominator raises."""
+    den = int(den or 1)
+    if not den:
+        raise ParseError("zero denominator in %r" % text)
+    return Fraction(int(num), den)
 
 
 def parse_rational(text):
-    """Parse ``a`` or ``a/b`` (optional leading sign) into a Fraction."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ParseError("empty rational")
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        s = s[1:]
-    m = _RATIONAL_RE.match(s)
+    """Parse ``a`` or ``a/b`` (optional leading sign) into a Fraction;
+    whitespace around it and spaces within it are ignored."""
+    m = _RATIONAL.fullmatch(text.strip().replace(" ", ""))
     if not m:
         raise ParseError("malformed rational %r" % text)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    if den == 0:
-        raise ParseError("zero denominator in %r" % text)
-    return Fraction(sign * num, den)
-
-
-def _split_terms(s):
-    """Split on top-level + and - into (sign, body) pieces."""
-    pieces = []
-    start = 0
-    sign = 1
-    if s and s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        start = 1
-    cur = start
-    for idx in range(start, len(s)):
-        ch = s[idx]
-        if ch in "+-" and idx > cur:
-            prev = s[idx - 1]
-            if prev in "*/^":
-                raise ParseError("operator %r follows %r" % (ch, prev))
-            pieces.append((sign, s[cur:idx]))
-            sign = -1 if ch == "-" else 1
-            cur = idx + 1
-    if cur >= len(s):
-        raise ParseError("dangling sign in %r" % s)
-    pieces.append((sign, s[cur:]))
-    return pieces
+    q = _fraction(m[2], m[3], text)
+    return -q if m[1] == "-" else q
 
 
 def parse_poly(text, dim):
     """Parse the polynomial grammar above into a Polynomial over ``dim`` vars."""
     s = text.replace(" ", "").replace("\t", "")
-    if not s:
-        raise ParseError("empty polynomial")
+    if not _EXPR.fullmatch(s):
+        raise ParseError("malformed polynomial %r" % text)
     out = Polynomial.zero(dim)
-    for sign, body in _split_terms(s):
-        if not body:
-            raise ParseError("empty term in %r" % text)
-        coeff = GaussianRational(Fraction(sign))
+    for term in _TERM.finditer(s):
+        coeff = GaussianRational(-1 if term[1] == "-" else 1)
         exps = [0] * dim
-        for factor in body.split("*"):
-            if not factor:
-                raise ParseError("empty factor in term %r" % body)
-            if factor == "i":
-                coeff = coeff * GaussianRational(0, 1)
-                continue
-            m = _VAR_RE.match(factor)
-            if m:
-                j = int(m.group(1))
+        for factor in _FACTOR.finditer(term[2]):
+            num, den, imag, var, power = factor.groups()
+            if imag:
+                coeff = coeff * I
+            elif var:
+                j = int(var)
                 if not 1 <= j <= dim:
-                    raise ParseError(
-                        "variable x%d outside 1..%d in %r" % (j, dim, text))
-                e = int(m.group(2)) if m.group(2) else 1
-                exps[j - 1] += e
-                continue
-            m = _RATIONAL_RE.match(factor)
-            if m:
-                den = int(m.group(2)) if m.group(2) else 1
-                if den == 0:
-                    raise ParseError("zero denominator in %r" % factor)
-                coeff = coeff * GaussianRational(Fraction(int(m.group(1)), den))
-                continue
-            raise ParseError("unrecognized factor %r in %r" % (factor, text))
+                    raise ParseError("variable x%d outside 1..%d in %r" % (j, dim, text))
+                exps[j - 1] += int(power or 1)
+            else:
+                coeff = coeff * GaussianRational(_fraction(num, den, factor[0]))
         if max(exps, default=0) > MAX_PACKED_EXPONENT:
             raise ParseError("exponent past %d in %r" % (MAX_PACKED_EXPONENT, text))
         out = out + Polynomial(dim, {tuple(exps): coeff})

@@ -20,17 +20,17 @@ The fiberwise product is
 with dx factors multiplied by wedge.  Each graded piece preserves the
 filtration degree of a product exactly, so the product of homogeneous parts
 of degrees i and j is homogeneous of degree i + j.
-This module holds no contraction weights.  The chart caches one table per
-k, ``Geometry.contractions(k)``: the whole scalar of each fully contracted
-pair y^d o_k y^e.  ``Geometry.contraction_numerators(k)`` holds the same
-scalars indexed by the left exponent, {d: {e: (re, im, den)}}, split into
-Gaussian-integer numerators over a denominator; ``moyal_sigma`` walks the
-row of each left exponent, its contraction partners, and looks each partner
-up in an index of the right operand by y-exponent, so it visits only the
-pairs that contract.  ``moyal`` reads the pieces of y^ua o y^ub, split
-scalars included, from ``Geometry.moyal_weights(ua, ub, bracket)``, which
-the chart sums in integers from the keys d <= ua, e <= ub of
-``contractions(k)``, in that table's order.  The products, ``delta``,
+This module holds no contraction weights.  The chart caches one record per
+k: ``Geometry.contractions(k)``, the whole scalar of each fully contracted
+pair y^d o_k y^e, and ``Geometry.contraction_numerators(k)``, the same
+scalars as integer rows by left exponent, {d: {e: (re, im, den)}}, in that
+table's order, Gaussian-integer numerators over one denominator per table.
+``moyal_sigma`` walks the row of each left exponent, its contraction
+partners, and looks each partner up in an index of the right operand by
+y-exponent, so it visits only the pairs that contract.  ``moyal`` reads the
+pieces of y^ua o y^ub, split scalars included, from
+``Geometry.moyal_weights(ua, ub, bracket)``, which the chart sums in
+integers over the same rows, d <= ua and e <= ub.  The products, ``delta``,
 ``delta_inv``, ``exterior_d`` and ``index_form``, the one builder of a form
 from an index formula, add each term, times an integer scalar, into
 ``algebra._Sum``, which reduces each output coefficient once.  ``moyal``
@@ -126,6 +126,12 @@ def _check_coefficient(p, dim):
         raise ValueError("coefficient %r is not a Polynomial of dim %d" % (p, dim))
 
 
+def _check_hbar(h):
+    """Raise ``ValueError`` unless the hbar power ``h`` is a non-negative int."""
+    if type(h) is not int or h < 0:
+        raise ValueError("hbar power %r must be a non-negative int" % (h,))
+
+
 class WeylForm:
     """A Weyl-algebra-valued differential form, exact and sparse.
 
@@ -143,8 +149,7 @@ class WeylForm:
         self.dim = dim
         clean = {}
         for (h, u, form), p in (terms or {}).items():
-            if type(h) is not int or h < 0:
-                raise ValueError("hbar power %r must be a non-negative int" % (h,))
+            _check_hbar(h)
             _check_exponents(u, dim, "y-exponent")
             form = tuple(form)
             if not (all(type(i) is int for i in form)
@@ -172,6 +177,7 @@ class WeylForm:
         """The 0-form p * hbar^hpow, with no y.  Public API, kept on purpose:
         the package itself builds forms through ``index_form`` and
         ``from_series``, and callers embed one polynomial with this."""
+        _check_hbar(hpow)
         if p.is_zero():
             return cls.zero(p.dim)
         return cls._make(p.dim, {(hpow, (0,) * p.dim, ()): p})
@@ -214,7 +220,10 @@ class WeylForm:
 
     def mul_hbar(self, k=1):
         """Multiply by hbar^k.  Public API, kept on purpose beside
-        ``div_hbar``, its inverse on forms that carry hbar."""
+        ``div_hbar``, its inverse on forms that carry hbar.  ``k`` is an int,
+        and a k that leaves a negative hbar power raises ``ValueError``."""
+        if type(k) is not int or any(h + k < 0 for h, _u, _f in self.terms):
+            raise ValueError("hbar^%r must be an int leaving no negative hbar power" % (k,))
         return WeylForm._make(self.dim, {(h + k, u, form): p
                                          for (h, u, form), p in self.terms.items()})
 
@@ -468,15 +477,19 @@ def index_form(dim, terms):
 
         c * hbar^h * y^{i_1} ... y^{i_n} * dx^{k_1} ^ ... ^ dx^{k_q},
 
-    each term given as (h, (i_1, ..., i_n), (k_1, ..., k_q), c) with c a
-    Polynomial and 0-based indices in any order.  The y indices multiply
-    into the exponent; the dx indices are sorted with the wedge sign, and a
-    term with a repeated dx index vanishes.  Terms add into ``algebra._Sum``,
-    so zero and cancelling coefficients leave no key.
+    each term given as (h, (i_1, ..., i_n), (k_1, ..., k_q), c) with h a
+    non-negative int, c a Polynomial and 0-based int indices in any order;
+    any other term raises ``ValueError``, as the constructor does.  The y
+    indices multiply into the exponent; the dx indices are sorted with the
+    wedge sign, and a term with a repeated dx index vanishes.  Terms add
+    into ``algebra._Sum``, so zero and cancelling coefficients leave no key.
     """
     acc = _Sum(dim)
     for h, ys, dxs, c in terms:
         _check_coefficient(c, dim)
+        _check_hbar(h)
+        if not all(type(i) is int and 0 <= i < dim for i in (*ys, *dxs)):
+            raise ValueError("y and dx indices %r, %r must be ints in range(%d)" % (ys, dxs, dim))
         u = [0] * dim
         for i in ys:
             u[i] += 1

@@ -215,6 +215,18 @@ def test_hbar_series_truncation_and_shift(rng):
         HbarSeries(3, {-1: Polynomial.one(dim)})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: HbarSeries(1.5, {0: Polynomial.one(2)}),
+    lambda: HbarSeries(2, {0.5: Polynomial.one(2)}),
+    lambda: HbarSeries(2, {True: Polynomial.one(2)}),
+], ids=["order-float", "power-float", "power-bool"])
+def test_hbar_series_orders_and_powers_are_ints(build):
+    # A float order printed as O(hbar^2.5), and a float power was stored
+    # and printed as hbar^0.
+    with pytest.raises(ValueError):
+        build()
+
+
 # -- accumulate and the no-stored-zero invariant ------------------------------
 
 

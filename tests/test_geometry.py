@@ -150,6 +150,26 @@ def test_contractions_match_multiset_oracle(rng):
     assert shared[1]  # the non-block chart exercises summed multisets
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_contractions_sit_in_the_rows_of_their_numerators(rng, dim):
+    # contractions(k) lists each left exponent's keys together, in the row
+    # order of contraction_numerators(k), whose entries hold the same
+    # scalars over one denominator per table: so a moyal_weights miss that
+    # walks the rows meets the keys in the table's order.
+    for g in (Geometry(dim), rand_structure_geometry(rng, dim), rand_structure_geometry(rng, dim)):
+        for k in range(5):
+            table = g.contractions(k)
+            rows = g.contraction_numerators(k)
+            assert list(table) == [(d, e) for d, row in rows.items() for e in row]
+            dens = {den for row in rows.values() for _re, _im, den in row.values()}
+            assert len(dens) == 1
+            [den] = dens
+            for (d, e), c in table.items():
+                re, im, _den = rows[d][e]
+                assert c == GaussianRational(F(re, den), F(im, den))
+            assert g.contraction_numerators(k) is rows  # built once per chart and k
+
+
 # -- curvature -----------------------------------------------------------------
 
 

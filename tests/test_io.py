@@ -3,11 +3,13 @@
 import glob
 import json
 import os
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, Polynomial
+from fedosov_lab.algebra import MAX_PACKED_EXPONENT, GaussianRational, Polynomial
 from fedosov_lab.io import (MAX_COEFF_LIMIT, MAX_DIM, MAX_EXPONENT, MAX_K,
                             MAX_ORDER, Check, ParseError, Report, ScenarioError,
                             load_scenario, parse_poly, parse_rational)
@@ -85,6 +87,138 @@ def test_parse_print_round_trip(rng, dim):
         p = rand_poly(rng, dim, deg=3, terms=4, allow_imag=True)
         assert parse_poly(str(p), dim) == p
     assert parse_poly(str(Polynomial.zero(dim)), dim) == Polynomial.zero(dim)
+
+
+# -- the scanner oracle --------------------------------------------------------------
+#
+# The hand-written scanner that ``io`` used before its grammar was compiled,
+# kept as an oracle: it splits on top-level signs, then on '*', and matches
+# each factor.  Its ``$`` anchors also match before a final newline, so a
+# newline right before an operator or at the end slipped through; the
+# compiled grammar rejects every newline.
+
+_ORACLE_RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_ORACLE_VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+
+
+def oracle_parse_rational(text):
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ParseError("empty rational")
+    sign = 1
+    if s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        s = s[1:]
+    m = _ORACLE_RATIONAL_RE.match(s)
+    if not m:
+        raise ParseError("malformed rational %r" % text)
+    num = int(m.group(1))
+    den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise ParseError("zero denominator in %r" % text)
+    return Fraction(sign * num, den)
+
+
+def _oracle_split_terms(s):
+    pieces = []
+    start = 0
+    sign = 1
+    if s and s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        start = 1
+    cur = start
+    for idx in range(start, len(s)):
+        ch = s[idx]
+        if ch in "+-" and idx > cur:
+            prev = s[idx - 1]
+            if prev in "*/^":
+                raise ParseError("operator %r follows %r" % (ch, prev))
+            pieces.append((sign, s[cur:idx]))
+            sign = -1 if ch == "-" else 1
+            cur = idx + 1
+    if cur >= len(s):
+        raise ParseError("dangling sign in %r" % s)
+    pieces.append((sign, s[cur:]))
+    return pieces
+
+
+def oracle_parse_poly(text, dim):
+    s = text.replace(" ", "").replace("\t", "")
+    if not s:
+        raise ParseError("empty polynomial")
+    out = Polynomial.zero(dim)
+    for sign, body in _oracle_split_terms(s):
+        coeff = GaussianRational(Fraction(sign))
+        exps = [0] * dim
+        for factor in body.split("*"):
+            if not factor:
+                raise ParseError("empty factor in term %r" % body)
+            if factor == "i":
+                coeff = coeff * GaussianRational(0, 1)
+                continue
+            m = _ORACLE_VAR_RE.match(factor)
+            if m:
+                j = int(m.group(1))
+                if not 1 <= j <= dim:
+                    raise ParseError("variable x%d outside 1..%d" % (j, dim))
+                exps[j - 1] += int(m.group(2)) if m.group(2) else 1
+                continue
+            m = _ORACLE_RATIONAL_RE.match(factor)
+            if m:
+                den = int(m.group(2)) if m.group(2) else 1
+                if den == 0:
+                    raise ParseError("zero denominator in %r" % factor)
+                coeff = coeff * GaussianRational(Fraction(int(m.group(1)), den))
+                continue
+            raise ParseError("unrecognized factor %r" % factor)
+        if max(exps, default=0) > MAX_PACKED_EXPONENT:
+            raise ParseError("exponent past %d" % MAX_PACKED_EXPONENT)
+        out = out + Polynomial(dim, {tuple(exps): coeff})
+    return out
+
+
+def _outcome(parse, *args):
+    """The parsed value, or ParseError."""
+    try:
+        return parse(*args)
+    except ParseError:
+        return ParseError
+
+
+def test_parsers_agree_with_the_scanner_oracle():
+    # Seeded strings over the grammar's alphabet plus space, tab and
+    # newline: both parsers give equal values or both raise ParseError,
+    # except that the compiled grammar rejects every newline.
+    rng = random.Random(29)
+    alphabet = "0123456789xi^*/+- \t\n"
+    seen = {"accepted": 0, "rejected": 0, "newline": 0}
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert _outcome(parse_rational, text) == _outcome(oracle_parse_rational, text), text
+        got = _outcome(parse_poly, text, 2)
+        if "\n" in text:
+            assert got is ParseError, repr(text)
+            seen["newline"] += 1
+            continue
+        assert got == _outcome(oracle_parse_poly, text, 2), repr(text)
+        seen["accepted" if got is not ParseError else "rejected"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+@pytest.mark.parametrize("text", ["x1\n", "x1\n+x2", "2\n*x1", "3/2\n-i"])
+def test_parse_poly_rejects_a_newline_the_scanner_let_through(text):
+    assert oracle_parse_poly(text, 2) == oracle_parse_poly(text.replace("\n", ""), 2)
+    with pytest.raises(ParseError, match="malformed"):
+        parse_poly(text, 2)
+
+
+def test_parse_errors_keep_their_messages():
+    for text, message in (("x3", "variable x3 outside 1..2"), ("2*1/0", "zero denominator"),
+                          ("x1^20000*x1^20000", "exponent past 32767")):
+        with pytest.raises(ParseError, match=message):
+            parse_poly(text, 2)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_rational("-3/0")
 
 
 # -- scenarios ---------------------------------------------------------------------

@@ -457,6 +457,15 @@ def test_moyal_sigma_sums_pairings_that_share_exponents():
     assert moyal_sigma(a, b, geom).coeff(2) != Polynomial.zero(4)
 
 
+def test_moyal_sigma_rejects_an_order_that_is_not_an_int():
+    geom = Geometry(2)
+    a = WeylForm(2, {(0, (1, 0), ()): Polynomial.one(2)})
+    b = WeylForm(2, {(0, (0, 1), ()): Polynomial.one(2)})
+    assert moyal_sigma(a, b, geom, order=1).order == 1
+    with pytest.raises(ValueError):
+        moyal_sigma(a, b, geom, order=1.5)
+
+
 # -- delta, delta_inv, sigma -----------------------------------------------------
 
 
@@ -553,6 +562,39 @@ def test_weyl_form_rejects_a_coefficient_of_another_dim(build):
     # constructor's form x2*y2), and an int coefficient raised AttributeError.
     with pytest.raises(ValueError, match="not a Polynomial of dim 2"):
         build()
+
+
+X2 = Polynomial.variable(2, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: index_form(2, [(0, (-1,), (), X2)]),
+    lambda: index_form(2, [(0, (), (5,), X2)]),
+    lambda: index_form(2, [(0, (5,), (), X2)]),
+    lambda: index_form(2, [(-1, (0,), (), X2)]),
+    lambda: y_dx_form(Tensor2(2, "lower", [[X2, 0], [0, 0]]), hpow=-1),
+    lambda: WeylForm.from_poly(X2, -1),
+    lambda: WeylForm.from_poly(X2, 1).mul_hbar(-2),
+    lambda: WeylForm.from_poly(X2, 1.5),
+], ids=["index-form-y-negative", "index-form-dx-past-dim", "index-form-y-past-dim",
+        "index-form-hbar-negative", "y-dx-form-hbar-negative", "from-poly-hbar-negative",
+        "mul-hbar-below-zero", "from-poly-hbar-float"])
+def test_weyl_form_builders_keep_the_constructors_key_rules(build):
+    # The builders skip the constructor, so each checks its own keys: a
+    # negative y index used to wrap to another variable (x1*y2), a dx index
+    # past dim printed as dx_{6}, a y index past dim raised IndexError, and
+    # hbar^-1 or hbar^1.5 were stored as given.
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_weyl_form_builders_accept_canonical_keys():
+    form = WeylForm.from_poly(X2, 1)
+    assert form.mul_hbar(-1) == WeylForm.from_poly(X2)
+    assert form.mul_hbar(0) == form
+    assert WeylForm.zero(2).mul_hbar(-3).is_zero()
+    assert (index_form(2, [(2, (1, 1), (1, 0), X2)])
+            == WeylForm(2, {(2, (0, 2), (0, 1)): -X2}))
 
 
 def test_hbar_division_guard():
