@@ -28,7 +28,6 @@ identity, so the choice is unique among the two candidates.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -147,8 +146,8 @@ class Geometry:
         return self._record(k)[1]
 
     def _record(self, k):
-        """(``contractions(k)``, ``contraction_numerators(k)``, den), built
-        in one pass and cached per chart and k."""
+        """(``contractions(k)``, ``contraction_numerators(k)``), built in
+        one pass and cached per chart and k."""
         record = self._contractions.get(k)
         if record is None:
             dim = self.dim
@@ -176,7 +175,7 @@ class Geometry:
             for (d, e), c in table.items():
                 rows.setdefault(d, {})[e] = (c.re.numerator * (den // c.re.denominator),
                                              c.im.numerator * (den // c.im.denominator), den)
-            record = self._contractions[k] = (table, rows, den)
+            record = self._contractions[k] = (table, rows)
         return record
 
     def moyal_weights(self, ua, ub, bracket):
@@ -198,26 +197,25 @@ class Geometry:
         row whose d is not <= ua (and an entry whose e is not <= ub), and
         sums plain integer numerators over the table's one denominator, so
         its entries, and their order, are those of a Fraction sum over
-        ``contractions(k)``; each entry is reduced once.  The binomials and
-        the test d <= ua are one lookup in ``_binomials(ua)``.
+        ``contractions(k)``; each entry is reduced once.  math.comb is 0
+        when d_i > ua_i, so a row's binomial factor m = binom(ua, d) is
+        also its test d <= ua, and likewise binom(ub, e) for an entry.
         """
         key = (ua, ub, bracket)
         entries = self._weights.get(key)
         if entries is None:
             shift = 1 if bracket else 0
             both = tuple(map(operator.add, ua, ub))
-            left, right = _binomials(ua), _binomials(ub)
             entries = []
             for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
-                _table, rows, den = self._record(k)
                 sums = {}
-                for d, row in rows.items():
-                    m = left.get(d)
-                    if m is None:
+                for d, row in self.contraction_numerators(k).items():
+                    m = math.prod(map(math.comb, ua, d))
+                    if not m:
                         continue
-                    for e, (re, im, _den) in row.items():
-                        n = right.get(e)
-                        if n is not None:
+                    for e, (re, im, den) in row.items():
+                        n = math.prod(map(math.comb, ub, e))
+                        if n:
                             n *= m
                             u = tuple(map(operator.sub, both, map(operator.add, d, e)))
                             a, b = sums.get(u, (0, 0))
@@ -227,6 +225,7 @@ class Geometry:
                                 sums[u] = a, b
                             else:
                                 del sums[u]
+                # den, read with the entries, is the same for the whole table
                 for u, (re, im) in sums.items():
                     if bracket:
                         re, im = -2 * im, 2 * re
@@ -334,15 +333,6 @@ class Curvature4:
                     raise GeometryError("curvature violates the first Bianchi identity")
         if geom.is_flat() and not self.is_zero():
             raise GeometryError("flat connection produced nonzero curvature")
-
-
-@functools.lru_cache(maxsize=1024)
-def _binomials(u):
-    """{d: prod binom(u_i, d_i)} over the exponent tuples d <= u, built once
-    per u and only read: a ``moyal_weights`` miss takes each contraction
-    row's binomial factors from it and skips a row whose d is absent."""
-    return {d: math.prod(map(math.comb, u, d))
-            for d in itertools.product(*[range(x + 1) for x in u])}
 
 
 def validate_geometry(geom):
