@@ -21,8 +21,8 @@ from .tensors import (Tensor2, Tensor3, TensorSeries, diamond, diamond_power,
                       SingularMatrixError, two_form_d, VarianceError)
 from .weyl import (WeylForm, central_two_form, commutator, delta, delta_inv,
                    exterior_d, HbarDivisionError, i_over_hbar, moyal,
-                   moyal_sigma, odd_bracket, sigma, two_form_to_tensor,
-                   y_dx_form, y_gradient)
+                   moyal_sigma, moyal_y_free, odd_bracket, sigma,
+                   two_form_to_tensor, y_dx_form, y_gradient)
 from .geometry import (cov_ext_deriv, Curvature4, Geometry, GeometryError,
                        standard_omega, validate_geometry)
 from .fedosov import (abelian_residual, CoeffTable, coeff_sequences,
@@ -47,7 +47,8 @@ __all__ = [
     "SingularMatrixError", "two_form_d", "VarianceError",
     "WeylForm", "central_two_form", "commutator", "delta", "delta_inv",
     "exterior_d", "HbarDivisionError", "i_over_hbar", "moyal", "moyal_sigma",
-    "odd_bracket", "sigma", "two_form_to_tensor", "y_dx_form", "y_gradient",
+    "moyal_y_free", "odd_bracket", "sigma", "two_form_to_tensor", "y_dx_form",
+    "y_gradient",
     "cov_ext_deriv", "Curvature4", "Geometry", "GeometryError",
     "standard_omega", "validate_geometry",
     "abelian_residual", "CoeffTable", "coeff_sequences", "ConvergenceError",

@@ -31,12 +31,14 @@ two polynomials term pair by term pair, so the scalar projection of a Weyl
 product forms no product polynomial; other sums of whole values go through
 ``accumulate``, which drops the key when the sum cancels.
 
-Two integer kernels do the term arithmetic of ``Polynomial`` and ``_Sum``
-alike: ``_add_scaled`` adds a Gaussian-integer multiple of a numerator dict
-(``+``, ``-``, ``scale``, ``_Sum.add``) and ``_add_product`` a multiple of
-the product of two (``*``, ``_Sum.add_product``), both in place into a
-plain dict.  Only a product with a one-term factor and the term maps of
-``partial`` and ``-`` run loops of their own.
+Three integer kernels do the term arithmetic of ``Polynomial`` and ``_Sum``
+alike: ``_scaled`` returns a Gaussian-integer multiple of a numerator dict
+as a new dict, in one pass (``scale``, the first operand of ``+`` and
+``-``, and a key's first ``_Sum.add``); ``_add_scaled`` adds such a
+multiple in place into a plain dict (the second operand, and every later
+``_Sum.add`` of a key) and ``_add_product`` a multiple of the product of
+two (``*``, ``_Sum.add_product``).  Only a product with a one-term factor
+and the term maps of ``partial`` and ``-`` run loops of their own.
 """
 
 from __future__ import annotations
@@ -109,9 +111,21 @@ def _overflow(dim, e):
                       % (_unpack(dim, e), MAX_PACKED_EXPONENT))
 
 
-# The two integer kernels.  Both add into a plain dict of numerators
-# {packed exp: (re, im)} and keep a sum that cancels as (0, 0); the caller
-# drops those once (``Polynomial._settled``).
+# The three integer kernels, over plain dicts of numerators {packed exp:
+# (re, im)}.  The two that add in place keep a sum that cancels as (0, 0);
+# the caller drops those once (``Polynomial._settled``).
+
+def _scaled(num, re, im):
+    """(re + im*i) times the numerators ``num``, as a new dict in one pass;
+    a copy when the multiplier is 1, so the result never aliases ``num``."""
+    if not im:
+        if re == 1:
+            return num.copy()
+        return {e: (a * re, b * re) for e, (a, b) in num.items()}
+    if not re:
+        return {e: (-b * im, a * im) for e, (a, b) in num.items()}
+    return {e: (a * re - b * im, a * im + b * re) for e, (a, b) in num.items()}
+
 
 def _add_scaled(out, num, re, im):
     """Add (re + im*i) times the numerators ``num`` into ``out``."""
@@ -443,8 +457,7 @@ class Polynomial:
         # prime that divides d1 and d2 equally often, so it divides gcd(d1, d2).
         g = gcd(d1, d2)
         m1, m2 = d2 // g, d1 // g
-        out = {}
-        _add_scaled(out, self._num, m1, 0)
+        out = _scaled(self._num, m1, 0)
         _add_scaled(out, other._num, -m2 if subtract else m2, 0)
         return Polynomial._settled(self.dim, out, d1 * m1, g)
 
@@ -475,10 +488,8 @@ class Polynomial:
                 return -self
         p, q, s = _split(c)
         # a nonzero Gaussian integer times a nonzero one is nonzero
-        num = {}
-        _add_scaled(num, self._num, p, q)
         den = self._den * s
-        return Polynomial._reduced(self.dim, num, den, den)
+        return Polynomial._reduced(self.dim, _scaled(self._num, p, q), den, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -603,6 +614,22 @@ def _term_str(exp, q, imag):
     return sign, "*".join(factors)
 
 
+def _lift(slot, den):
+    """The numerators of a ``_Sum`` key's ``slot`` over a denominator that
+    ``den`` divides, and that denominator's quotient by ``den``; a slot
+    whose denominator ``den`` does not divide is first lifted to the lcm."""
+    top, acc = slot
+    if top == den:
+        return acc, 1
+    if top % den:
+        new = lcm(top, den)
+        f = new // top
+        for e, (a, b) in acc.items():
+            acc[e] = (a * f, b * f)
+        slot[0] = top = new
+    return acc, top // den
+
+
 class _Sum:
     """An in-place sum of scaled polynomials under keys, such as a form's
     ``(h, u, form)`` terms.
@@ -610,8 +637,12 @@ class _Sum:
     Each key holds ``[den, {packed exp: (re, im)}]``: Gaussian-integer
     numerators over the key's running positive denominator, which becomes
     the lcm (and the numerators are rescaled) when a term with another
-    denominator arrives.  ``add`` adds a scaled polynomial (``_add_scaled``)
-    and ``add_product`` a scaled product of two (``_add_product``).
+    denominator arrives (``_lift``).  ``add`` adds a scaled polynomial: a
+    new key stores the scaled numerators as a new dict in one pass
+    (``_scaled``, a copy for the multiplier 1, so a key never shares the
+    polynomial's own dict), and a later add sums into it in place
+    (``_add_scaled``).  ``add_product`` adds a scaled product of two
+    (``_add_product``).
     Nothing is reduced while summing; ``polys`` reduces each key once and
     drops zero numerators and keys that cancel: the in-place sparse-sum
     idiom of Monagan and Pearce (CASC 2007), over exact Gaussian rationals.
@@ -623,37 +654,29 @@ class _Sum:
         self.dim = dim
         self.keys = {}
 
-    def _slot(self, key, den):
-        """The numerators of ``key`` over a denominator that ``den`` divides,
-        and that denominator's quotient by ``den``; a key whose denominator
-        ``den`` does not divide is first lifted to the lcm."""
-        slot = self.keys.get(key)
-        if slot is None:
-            acc = {}
-            self.keys[key] = [den, acc]
-            return acc, 1
-        top, acc = slot
-        if top == den:
-            return acc, 1
-        if top % den:
-            new = lcm(top, den)
-            f = new // top
-            for e, (a, b) in acc.items():
-                acc[e] = (a * f, b * f)
-            slot[0] = top = new
-        return acc, top // den
-
     def add(self, key, poly, re, im=0, den=1):
         """Add (re + im*i) / den times the Polynomial ``poly`` into ``key``;
-        ``re``, ``im`` and ``den > 0`` are ints."""
-        acc, m = self._slot(key, den * poly._den)
-        _add_scaled(acc, poly._num, re * m, im * m)
+        ``re``, ``im`` and ``den > 0`` are ints.  A new key takes the
+        scaled numerators in one pass (``_scaled``)."""
+        den *= poly._den
+        slot = self.keys.get(key)
+        if slot is None:
+            self.keys[key] = [den, _scaled(poly._num, re, im)]
+        else:
+            acc, m = _lift(slot, den)
+            _add_scaled(acc, poly._num, re * m, im * m)
 
     def add_product(self, key, pa, pb, re, im=0, den=1):
         """Add (re + im*i) / den times the product ``pa * pb`` into ``key``,
         term pair by term pair, without forming or reducing the product;
         ``re``, ``im`` and ``den > 0`` are ints."""
-        acc, m = self._slot(key, den * pa._den * pb._den)
+        den *= pa._den * pb._den
+        slot = self.keys.get(key)
+        if slot is None:
+            acc, m = {}, 1
+            self.keys[key] = [den, acc]
+        else:
+            acc, m = _lift(slot, den)
         _add_product(acc, self.dim, pa._num, pb._num, re * m, im * m)
 
     def polys(self):

@@ -31,8 +31,8 @@ from fractions import Fraction
 from .algebra import GaussianRational, HbarSeries, Polynomial, I
 from .tensors import Tensor2, formal_poisson, matmul, mu, two_form_d
 from .weyl import (central_two_form, delta_inv, i_over_hbar, index_form, moyal,
-                   moyal_sigma, odd_bracket, two_form_to_tensor, y_dx_form,
-                   y_gradient)
+                   moyal_sigma, moyal_y_free, odd_bracket, two_form_to_tensor,
+                   y_dx_form, y_gradient)
 from .geometry import GeometryError, cov_ext_deriv
 from .fedosov import StarEngine
 from .io import Check
@@ -129,7 +129,7 @@ def beta_form(n, geom):
     if geom.is_flat():
         return Tensor2.zeros(geom.dim, "lower")
     u = _transported(geom.curvature().weyl_two_form, n, geom)
-    return _square_two_form(moyal(u, u, geom).y_free(), n + 2)
+    return _square_two_form(moyal_y_free(u, u, geom), n + 2)
 
 
 def gamma_form(n, alpha, k, geom):
@@ -149,7 +149,7 @@ def gamma_form(n, alpha, k, geom):
     if not two_form_d(alpha).is_zero():
         raise ValueError("alpha must be closed")
     u = _transported(central_two_form(alpha, hpow=k), n, geom)
-    return _square_two_form(moyal(u, u, geom).y_free(), 2 * k + n)
+    return _square_two_form(moyal_y_free(u, u, geom), 2 * k + n)
 
 
 # -- coordinate bivector probes --------------------------------------------------
@@ -314,7 +314,7 @@ def curvature_onediff_identities(geom, f, g):
     u = delta_inv(curv.weyl_two_form)
 
     def transport(lin):
-        return delta_inv(odd_bracket(u, lin, geom))
+        return delta_inv(moyal(u, lin, geom, bracket=True))
 
     ta = transport(a1)
     tb = transport(b1)
@@ -329,7 +329,7 @@ def curvature_onediff_identities(geom, f, g):
 
     # the central transport form: B = delta_inv((i/hbar) y-free(u o u)); the
     # curvature square channels into the pair tensor
-    square = moyal(u, u, geom).y_free()
+    square = moyal_y_free(u, u, geom)
     b_central = delta_inv(i_over_hbar(square))
     b_expect = y_dx_form(p_lower.scale(GaussianRational(Fraction(-1, 64))), hpow=2)
     checks.append(_check_forms(

@@ -15,8 +15,9 @@ These productions are the parser: they are compiled once into regular
 expressions, and ``parse_poly`` matches the whole text against ``expr``,
 then walks its terms and their factors.  Spaces and tabs are removed first;
 any other character outside the grammar, a newline included, is a
-``ParseError``.  ``parse_rational`` reads ``['+'|'-'] rational`` with the
-same production, ignoring whitespace around it and spaces within it.
+``ParseError``, and so is a number longer than ``int()``'s digit limit.
+``parse_rational`` reads ``['+'|'-'] rational`` with the same production,
+ignoring whitespace around it and spaces within it.
 Parsing the printed form of any polynomial returns an equal polynomial.
 
 A check is one record, ``Check(anchor, residual, passed)``; the identity
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import MAX_PACKED_EXPONENT, GaussianRational, I, Polynomial
@@ -85,12 +87,22 @@ _EXPR = re.compile(r"[+-]?{0}(?:[+-]{0})*".format(_PRODUCT))
 _RATIONAL = re.compile(r"([+-]?)" + _NUMBER)
 
 
+def _int(digits):
+    """The int of a matched digit string; one longer than ``int()``'s digit
+    limit is a ParseError that names it by its first digits and length."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("number %s... has %d digits, past the limit of %d"
+                         % (digits[:12], len(digits), sys.get_int_max_str_digits())) from None
+
+
 def _fraction(num, den, text):
     """The Fraction of a matched ``_NUMBER``; a zero denominator raises."""
-    den = int(den or 1)
+    den = _int(den or "1")
     if not den:
         raise ParseError("zero denominator in %r" % text)
-    return Fraction(int(num), den)
+    return Fraction(_int(num), den)
 
 
 def parse_rational(text):
@@ -117,10 +129,10 @@ def parse_poly(text, dim):
             if imag:
                 coeff = coeff * I
             elif var:
-                j = int(var)
+                j = _int(var)
                 if not 1 <= j <= dim:
                     raise ParseError("variable x%d outside 1..%d in %r" % (j, dim, text))
-                exps[j - 1] += int(power or 1)
+                exps[j - 1] += _int(power or "1")
             else:
                 coeff = coeff * GaussianRational(_fraction(num, den, factor[0]))
         if max(exps, default=0) > MAX_PACKED_EXPONENT:

@@ -27,7 +27,11 @@ scalars as integer rows by left exponent, {d: {e: (re, im, den)}}, in that
 table's order, Gaussian-integer numerators over one denominator per table.
 ``moyal_sigma`` walks the row of each left exponent, its contraction
 partners, and looks each partner up in an index of the right operand by
-y-exponent, so it visits only the pairs that contract.  ``moyal`` reads the
+y-exponent, so it visits only the pairs that contract.  ``moyal_y_free``,
+the y-free part of a product (the square u o u read by the curvature
+identities and ``analysis.beta_form``/``gamma_form``), walks the same
+fully contracted pairs with their dx factors, wedge signs included, so it
+builds none of the product's other keys.  ``moyal`` reads the
 pieces of y^ua o y^ub, split scalars included, from
 ``Geometry.moyal_weights(ua, ub, bracket)``, which the chart sums in
 integers over the same rows, d <= ua and e <= ub.  The products, ``delta``,
@@ -35,9 +39,9 @@ integers over the same rows, d <= ua and e <= ub.  The products, ``delta``,
 from an index formula, add each term, times an integer scalar, into
 ``algebra._Sum``, which reduces each output coefficient once.  ``moyal``
 forms each pair's coefficient product once, as its entries share it;
-``moyal_sigma`` multiplies each pair's two coefficients straight into the
-sum (``_Sum.add_product``), so it never forms or reduces the product
-polynomial.
+``moyal_sigma`` and ``moyal_y_free`` multiply each pair's two coefficients
+straight into the sum (``_Sum.add_product``), so they never form or reduce
+the product polynomial.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -70,6 +74,7 @@ __all__ = [
     "HbarDivisionError",
     "moyal",
     "moyal_sigma",
+    "moyal_y_free",
     "odd_bracket",
     "commutator",
     "delta",
@@ -388,6 +393,40 @@ def moyal_sigma(a, b, geom, order=None):
                 add(h, pa, pb, c[0], c[1], c[2])
     out = acc.polys()
     return HbarSeries(max(out, default=0) if order is None else order, out)
+
+
+def moyal_y_free(a, b, geom):
+    """The y-free part of a o b, ``moyal(a, b, geom).y_free()``, without
+    building the full product.
+
+    Only fully contracted pairs leave no y: the monomials y^u and y^v have
+    equal y-degree k, and the pair contributes the chart's cached scalar
+    ``geom.contraction_numerators(k)[u][v]`` at hbar^(ha + hb + k), with
+    the wedge of its dx factors and that wedge's sign.  As in
+    ``moyal_sigma``, the right operand is indexed once by y-exponent, each
+    left term walks its row, and each pair's coefficients are multiplied
+    straight into one integer accumulator.
+    """
+    _check_dims(a, b, geom)
+    acc = _Sum(a.dim)
+    add = acc.add_product
+    weights = geom.contraction_numerators
+    zero = (0,) * a.dim
+    right = {}
+    for (hb, ub, Ib), pb in b.terms.items():
+        right.setdefault(ub, []).append((hb, Ib, pb))
+    degrees = {sum(ub) for ub in right}
+    for (ha, ua, Ia), pa in a.terms.items():
+        k = sum(ua)
+        if k not in degrees:
+            continue
+        for ub, (re, im, den) in weights(k).get(ua, {}).items():
+            for hb, Ib, pb in right.get(ub, ()):
+                merged = wedge_merge(Ia, Ib)
+                if merged is not None:
+                    sign, IJ = merged
+                    add((ha + hb + k, zero, IJ), pa, pb, sign * re, sign * im, den)
+    return WeylForm._make(a.dim, acc.polys())
 
 
 def commutator(a, b, geom):

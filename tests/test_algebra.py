@@ -293,6 +293,35 @@ def test_keyed_sum_matches_scale_and_add(rng):
             _assert_canonical_polynomial(p)
 
 
+def test_sum_first_add_leaves_its_source_polynomial_unchanged():
+    # A key's first add stores the scaled numerators as a new dict, a copy
+    # of poly's own for the multiplier 1; the second add then sums in place
+    # and the lift rescales in place, so an alias would change poly itself.
+    dim = 2
+    x1, x2 = (Polynomial.variable(dim, j) for j in range(dim))
+    p = x1.scale(F(1, 2)) + GaussianRational(0, F(1, 3))  # over 6
+    q = x2.scale(F(1, 5)) + x1  # over 5, which no key denominator here has
+    for re, im, den in ((1, 0, 1), (3, 0, 2), (2, -1, 7)):  # unit, real, complex
+        c = GaussianRational(F(re, den), F(im, den))
+        before = Polynomial(dim, dict(p.terms))
+        twice, lifted = _Sum(dim), _Sum(dim)
+        for acc in (twice, lifted):
+            acc.add("k", p, re, im, den)
+            assert acc.keys["k"][1] is not p._num
+            assert p == before
+        twice.add("k", p, re, im, den)
+        lifted.add("k", q, 1)
+        assert lifted.keys["k"][0] == 30 * den  # q's 5 lifted the key
+        assert p == before
+        assert twice.polys() == {"k": p.scale(c) + p.scale(c)}
+        assert lifted.polys() == {"k": p.scale(c) + q}
+        assert p == before
+    acc = _Sum(dim)
+    acc.add("k", p, 1)
+    acc.add("k", p, 1)
+    assert acc.polys() == {"k": p + p}
+
+
 def test_add_product_matches_add_of_product(rng):
     # _Sum.add_product multiplies the two polynomials term pair by term pair
     # into the key; the oracle forms pa * pb and adds it with add.

@@ -70,6 +70,20 @@ def test_verify_bad_scenario_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["f", "alpha"])
+def test_verify_number_past_the_digit_limit_exits_two_with_one_line(tmp_path, capsys, field):
+    data = json.loads(json.dumps(FLAT_PERTURBED))
+    if field == "f":
+        data["observables"]["f"] = "x1^" + "7" * 5000
+    else:
+        data["perturbation"][0]["alpha"] = [["0", "7" * 5000], ["-" + "7" * 5000, "0"]]
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["verify", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "number 777777777777... has 5000 digits" in err
+
+
 def test_failing_report_exits_one_and_names_anchors(tmp_path, capsys,
                                                     monkeypatch):
     def fake_run(command, scenario, order=None, coeff_limit=None):

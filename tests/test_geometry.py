@@ -150,6 +150,28 @@ def test_contractions_match_multiset_oracle(rng):
     assert shared[1]  # the non-block chart exercises summed multisets
 
 
+def test_contractions_of_a_non_real_structure_matrix_match_the_oracle():
+    # A real wbar sums its multiset weights in Fraction; a non-real one
+    # keeps GaussianRational products, checked here against the oracle.
+    i1 = GaussianRational(1, 1)
+    block = standard_omega(4)
+    for g in (Geometry(2, omega=[[0, i1], [-i1, 0]]),
+              Geometry(4, omega=[[v * GaussianRational(2, -1) for v in row] for row in block])):
+        assert any(v.im for row in g.omega_bar.constant_rows() for v in row)
+        for k in range(5):
+            oracle = oracle_contractions(g, k)
+            table = g.contractions(k)
+            assert set(table) <= set(oracle)
+            pre = GaussianRational(0, F(-1, 2)) ** k
+            for (d, e), ws in oracle.items():
+                fact = math.prod(math.factorial(x) for x in d + e)
+                assert table.get((d, e), 0) == pre * sum(ws, GaussianRational(0)) * fact
+            rows = g.contraction_numerators(k)
+            for (d, e), c in table.items():
+                re, im, den = rows[d][e]
+                assert c == GaussianRational(F(re, den), F(im, den))
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_contractions_sit_in_the_rows_of_their_numerators(rng, dim):
     # contractions(k) lists each left exponent's keys together, in the row

@@ -221,6 +221,22 @@ def test_parse_errors_keep_their_messages():
         parse_rational("-3/0")
 
 
+def test_numbers_past_the_digit_limit_are_parse_errors():
+    # int() refuses a decimal string of more than 4300 digits by default;
+    # the parsers name the number and raise ParseError, not ValueError.
+    long = "1" * 5000
+    for parse, text in ((parse_poly, long), (parse_poly, "x1^" + long),
+                        (parse_poly, "x" + long), (parse_poly, "2/" + long),
+                        (parse_rational, long), (parse_rational, "-3/" + long)):
+        args = (text, 2) if parse is parse_poly else (text,)
+        with pytest.raises(ParseError, match=r"number 1{12}\.\.\. has 5000 digits"):
+            parse(*args)
+    data = minimal_scenario_dict()
+    data["observables"]["f"] = long
+    with pytest.raises(ParseError, match="5000 digits"):
+        load_scenario(data)
+
+
 # -- scenarios ---------------------------------------------------------------------
 
 

@@ -13,8 +13,8 @@ from fedosov_lab.geometry import Geometry, standard_omega
 from fedosov_lab.tensors import Tensor2, diamond_power, mu
 from fedosov_lab.weyl import (HbarDivisionError, WeylForm, central_two_form, commutator,
                               delta, delta_inv, exterior_d, i_over_hbar, index_form,
-                              moyal, moyal_sigma, odd_bracket, sigma, wedge_merge,
-                              y_dx_form, y_gradient)
+                              moyal, moyal_sigma, moyal_y_free, odd_bracket, sigma,
+                              wedge_merge, y_dx_form, y_gradient)
 
 from fedosov_lab.fedosov import (WeylCurvatureSpec, abelian_residual, curvature_residual,
                                  flat_section, solve_r)
@@ -315,6 +315,50 @@ def test_moyal_weights_match_fraction_reference(rng):
                     for bracket in (False, True):
                         assert (geom.moyal_weights(ua, ub, bracket)
                                 == fraction_moyal_weights(geom, ua, ub, bracket)), (ua, ub)
+
+
+def test_moyal_weights_row_index_is_per_chart():
+    # A miss caches, per chart and (k, ua), the rows of
+    # contraction_numerators(k) with d <= ua: two charts whose wbar differ
+    # keep their own rows for the same exponents, and a later miss with the
+    # same ua reads the cached rows and still gives the Fraction sum.
+    dim = 4
+    block = Geometry(dim)
+    scaled = Geometry(dim, omega=[[2 * v for v in row] for row in standard_omega(dim)])
+    dense = Geometry(dim, omega=[[0, -2, 2, -3], [2, 0, -1, -3], [-2, 1, 0, 1], [3, 3, -1, 0]])
+    assert all(v for i, row in enumerate(dense.omega_bar.constant_rows())
+               for j, v in enumerate(row) if i != j)
+    ua, ub, ub2 = (2, 1, 0, 1), (1, 1, 1, 1), (0, 2, 1, 1)
+    for bracket in (False, True):
+        pair = [g.moyal_weights(ua, ub, bracket) for g in (block, scaled)]
+        assert pair[0] != pair[1]
+        for g, entries in zip((block, scaled), pair):
+            assert entries == fraction_moyal_weights(g, ua, ub, bracket)
+    assert dense.moyal_weights(ua, ub, False) == fraction_moyal_weights(dense, ua, ub, False)
+    cached = dict(dense._rows_under)
+    assert cached and all(key[1] == ua for key in cached)
+    for bracket in (False, True):
+        assert (dense.moyal_weights(ua, ub2, bracket)
+                == fraction_moyal_weights(dense, ua, ub2, bracket))
+    assert all(dense._rows_under[key] is rows for key, rows in cached.items())
+
+
+def test_moyal_y_free_equals_y_free_of_moyal(rng):
+    # The projection walks only the fully contracted pairs and keeps their
+    # dx factors: random forms mixing 0-, 1- and 2-forms on both sides make
+    # the wedge signs count.
+    wedged = 0
+    for dim in (2, 4):
+        for geom in (Geometry(dim), rand_structure_geometry(rng, dim),
+                     rand_structure_geometry(rng, dim)):
+            for _ in range(6):
+                a = rand_form(rng, dim, cap=None, nterms=5, max_q=2)
+                b = rand_form(rng, dim, cap=None, nterms=5, max_q=2)
+                got = moyal_y_free(a, b, geom)
+                assert got == moyal(a, b, geom).y_free()
+                assert got == moyal_y_free(a, b, geom)  # a second, cached pass
+                wedged += sum(1 for (_h, _u, form) in got.terms if len(form) == 2)
+    assert wedged  # some pairs wedged two dx factors into one term
 
 
 def test_moyal_sigma_equals_sigma_of_moyal(rng):
