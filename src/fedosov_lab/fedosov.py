@@ -22,7 +22,14 @@ through 2N, so StarEngine uses D = 2N+1.  Both residuals are truncated at
 degree D-2, the top degree whose every term reads stored degrees only.
 Since degree d reads only lower ones, a solve at a lower cap is resumed,
 not repeated: verify extends the engine's own r and sections by the one
-degree 2N+1 its residuals read, and checks those.
+degree 2N+1 its residuals read, and checks those.  The solve of a
+section's degree D-1 forms the body B_{D-2}, par a_{D-2} plus the brackets
+[r_i, a_j] with i + j = D, which are also the abelian residual's degree
+D-2 terms but - delta a_{D-1}; so an extended section keeps that body
+(``_Extension``), and ``abelian_residual`` adds it in place of those terms
+when its own parts of r and a name the operands the solve read, by
+identity or by value, and computes them otherwise.  Each top-degree pair
+is then bracketed once per verify, and the residual is unchanged.
 
 The section equation is linear over constants in f, so
 
@@ -177,27 +184,34 @@ def _parts(a):
     return {d: WeylForm._make(a.dim, t) for d, t in parts.items()}
 
 
-def _solve(base, pairs, geom, what, cap, below=None):
+def _solve(base, pairs, geom, what, cap, below=None, keep=None):
     """Solve  x = base + delta_inv(B)  below the cap, one degree at a time:
     x_d = base_d + delta_inv(B_e), e = d - 1.  B_e is par x_e plus the
-    (i/hbar)[b, c] over ``pairs(xs, e)``, added into one ``algebra._Sum``
-    that reduces each key once; it reads the parts xs of x through degree e
-    only, so a solution ``below`` at a lower cap keeps its parts and the
-    solve resumes above their top degree.  A term of B_e off degree e means
-    an operator did not keep filtration degree: ConvergenceError."""
+    (i/hbar)[b, c] over the operand pairs ``pairs(xs, e)``, keyed by their
+    degrees, added into one ``algebra._Sum`` that reduces each key once; it
+    reads the parts xs of x through degree e only, so a solution ``below``
+    at a lower cap keeps its parts and the solve resumes above their top
+    degree.  A term of B_e off degree e means an operator did not keep
+    filtration degree: ConvergenceError.  Given a dict ``keep``, the solve
+    of the top degree cap - 1 stores its body B_{cap-2} there under "body",
+    and what that body read under "read": the chart, the degree cap - 2,
+    the part x_{cap-2} (None when zero) and the pairs."""
     zero = WeylForm.zero(base.dim)
     bases = _parts(base)
     xs = {} if below is None else _parts(below)
     for d in range(max(xs, default=-1) + 1, cap):
         acc = _Sum(base.dim)
-        if d - 1 in xs:
-            _add_form(acc, cov_ext_deriv(xs[d - 1], geom))
-        for left, right in pairs(xs, d - 1):
+        part, operands = xs.get(d - 1), pairs(xs, d - 1)
+        if part is not None:
+            _add_form(acc, cov_ext_deriv(part, geom))
+        for left, right in operands.values():
             _add_form(acc, odd_bracket(left, right, geom))
         b = WeylForm._make(base.dim, acc.polys())
         if b.capped(d - 1) - b.capped(d - 2) != b:
             raise ConvergenceError(
                 "%s is not a fixed point through degree %d" % (what, cap - 1))
+        if keep is not None and d == cap - 1:
+            keep.update(body=b, read=(geom, d - 1, part, operands))
         x = bases.get(d, zero) + delta_inv(b)
         if not x.is_zero():
             xs[d] = x
@@ -218,8 +232,8 @@ def solve_r(spec, cap, below=None):
         raise ValueError("degree cap must be at least 3")
 
     def pairs(rs, e):
-        return [(ri.scale(_HALF) if 2 * i == e + 2 else ri, rs[e + 2 - i])
-                for i, ri in rs.items() if 2 * i <= e + 2 and e + 2 - i in rs]
+        return {(i, e + 2 - i): (ri.scale(_HALF) if 2 * i == e + 2 else ri, rs[e + 2 - i])
+                for i, ri in rs.items() if 2 * i <= e + 2 and e + 2 - i in rs}
 
     r = _solve(delta_inv(spec.q_form()), pairs, spec.geometry, "r-recursion", cap, below)
     if not delta_inv(r).is_zero():
@@ -238,17 +252,35 @@ def flat_section(f, spec, r, cap, below=None):
     scalar part f through degree cap - 1, every term exact; ``r`` must be
     solved at ``cap`` or above.  ``below``, the section of f at a lower cap
     (``StarEngine.section(f)`` for one), is extended: only the degrees above
-    its top one are computed.
+    its top one are computed, and the result, an ``_Extension``, also holds
+    the body its top degree was solved from until ``abelian_residual`` reads
+    it.  A solve from degree 0 keeps nothing.
     """
     if isinstance(f, Polynomial):
         f = HbarSeries(0, {0: f})
     rs = _parts(r)
 
     def pairs(parts, e):
-        return [(rs[e + 2 - j], aj) for j, aj in parts.items() if e + 2 - j in rs]
+        return {(e + 2 - j, j): (rs[e + 2 - j], aj)
+                for j, aj in parts.items() if e + 2 - j in rs}
 
-    return _solve(WeylForm.from_series(f, spec.dim), pairs, spec.geometry,
-                  "section recursion", cap, below)
+    kept = None if below is None else {}
+    a = _solve(WeylForm.from_series(f, spec.dim), pairs, spec.geometry,
+               "section recursion", cap, below, kept)
+    if not kept:
+        return a
+    a = _Extension._make(a.dim, a.terms)
+    a.kept = kept
+    return a
+
+
+class _Extension(WeylForm):
+    """A section that ``flat_section`` extended, with ``kept``: the body
+    B_{cap-2} of its top solved degree and what that body read (see
+    ``_solve``), until ``abelian_residual`` takes them.  Every operation on
+    it returns a plain ``WeylForm``, which keeps nothing."""
+
+    __slots__ = ("kept",)
 
 
 def _add_form(acc, form, sign=1):
@@ -257,10 +289,9 @@ def _add_form(acc, form, sign=1):
         acc.add(k, p, sign)
 
 
-def _add_pairs(acc, op, a, b, geom, cap):
+def _add_pairs(acc, op, a_parts, b_parts, geom, cap):
     """Add op(a_i, b_j) over the parts with i + j <= cap into acc."""
-    b_parts = _parts(b)
-    for i, ai in _parts(a).items():
+    for i, ai in a_parts.items():
         for bj in (part for j, part in b_parts.items() if i + j <= cap):
             _add_form(acc, op(ai, bj, geom))
 
@@ -274,12 +305,31 @@ def abelian_residual(a, spec, r, cap):
     section is flat inside that window, and it computes nothing above it.
     Its three parts add into one ``algebra._Sum``, which reduces each key
     once and holds one form, not several.
+
+    Its degree cap - 2 holds par a_{cap-2} and the brackets of the part pairs
+    r_i, a_j with i + j = cap: the body B_{cap-2} that the solve of
+    a_{cap-1} formed.  When ``a`` is an extension that ``flat_section`` left
+    holding that body (``_Extension``), the residual enumerates its own
+    parts of r and a at that degree, and adds the body in their place, first,
+    releasing it, only when they name the operands the solve read, by
+    identity or by value, on the same chart and degree.  Otherwise it
+    computes them.  So each top-degree pair is bracketed once per ``verify``,
+    the result is the same, and a solve that skipped or doubled a pair still
+    leaves a nonzero residual.
     """
     geom = spec.geometry
     acc = _Sum(a.dim)
-    _add_form(acc, cov_ext_deriv(a.capped(cap - 2), geom))
+    rs, parts = _parts(r), _parts(a)
+    top = cap - 2
+    kept = a.kept if isinstance(a, _Extension) else {}
+    if kept and kept.pop("read") == (geom, top, parts.get(top), {
+            (i, cap - i): (ri, parts[cap - i]) for i, ri in rs.items() if cap - i in parts}):
+        _add_form(acc, kept.pop("body"))
+        top -= 1
+    kept.clear()
+    _add_form(acc, cov_ext_deriv(a.capped(top), geom))
     _add_form(acc, delta(a), -1)
-    _add_pairs(acc, odd_bracket, r, a, geom, cap)
+    _add_pairs(acc, odd_bracket, rs, parts, geom, top + 2)
     return WeylForm._make(a.dim, acc.polys()).capped(cap - 2)
 
 
@@ -292,7 +342,8 @@ def curvature_residual(r, spec, cap):
     """
     geom = spec.geometry
     acc = _Sum(r.dim)
-    _add_pairs(acc, moyal, r, r, geom, cap)
+    rs = _parts(r)
+    _add_pairs(acc, moyal, rs, rs, geom, cap)
     body = (spec.q_form() + cov_ext_deriv(r.capped(cap - 2), geom)
             + i_over_hbar(WeylForm._make(r.dim, acc.polys())))
     return (delta(r) - body).capped(cap - 2)

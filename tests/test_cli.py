@@ -2,6 +2,7 @@
 
 import json
 import os
+import weakref
 
 import pytest
 
@@ -420,6 +421,31 @@ def test_verify_residual_window_is_pinned(monkeypatch, order):
     want = [("r", r, cap)] + [("a", flat_section(scenario.observables[name], spec, r, cap), cap)
                               for name in ("f", "g")]
     assert seen == want
+
+
+def test_verify_releases_f_before_extending_g(monkeypatch):
+    """verify holds neither f's extended section nor f's residual while it
+    extends g's section: both are released once f's check is made."""
+    class Tracked(fedosov._Extension):
+        __slots__ = ("__weakref__",)
+
+    refs = []
+
+    def tracked(form):
+        out = Tracked._make(form.dim, form.terms)
+        out.kept = getattr(form, "kept", {})
+        refs.append(weakref.ref(out))
+        return out
+
+    def extending(*args, real=cli.flat_section, **kw):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        return tracked(real(*args, **kw))
+
+    monkeypatch.setattr(cli, "flat_section", extending)
+    monkeypatch.setattr(cli, "abelian_residual",
+                        lambda *args, real=cli.abelian_residual: tracked(real(*args)))
+    assert cli.run("verify", load_scenario(CURVED), order=1).passed
+    assert len(refs) == 4
 
 
 def test_verify_resumes_the_engine_forms_by_one_degree(monkeypatch):

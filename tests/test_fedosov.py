@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fedosov_lab import cli, fedosov
-from fedosov_lab.algebra import GaussianRational, HbarSeries, ONE, Polynomial
+from fedosov_lab.algebra import GaussianRational, HbarSeries, I, ONE, Polynomial
 from fedosov_lab.fedosov import (PerturbationError, StarEngine,
                                  WeylCurvatureSpec, abelian_residual,
                                  coeff_sequences, curvature_residual,
@@ -16,7 +16,8 @@ from fedosov_lab.fedosov import (PerturbationError, StarEngine,
                                  taylor_one_minus_sqrt)
 from fedosov_lab.geometry import Geometry, GeometryError, cov_ext_deriv
 from fedosov_lab.io import load_scenario
-from fedosov_lab.tensors import Tensor2, TensorSeries, diamond_power, series_inverse
+from fedosov_lab.tensors import (Tensor2, TensorSeries, diamond_power, series_inverse,
+                                 series_schouten)
 from fedosov_lab.weyl import (WeylForm, commutator, delta, delta_inv, i_over_hbar,
                               moyal, moyal_sigma, odd_bracket, y_dx_form)
 
@@ -996,6 +997,50 @@ def test_star_is_associative_on_the_curved_scenarios(rng, name):
         assert not associator(corrupted, f, g, h).is_zero()
 
 
+def bivector_series(engine):
+    """pi_m^{ij} = i (C_{m+1}(x^i, x^j) - C_{m+1}(x^j, x^i)) for m below the
+    engine order, read off its coordinate grid: the series the product's
+    1-differentiable part deforms the Poisson bracket by, pi_0 = wbar."""
+    grid, dim = engine.coordinate_products(), engine.spec.dim
+    return HbarSeries(engine.order - 1, {
+        m: Tensor2(dim, "upper", [[(grid[i][j].coeff(m + 1) - grid[j][i].coeff(m + 1)).scale(I)
+                                   for j in range(dim)] for i in range(dim)])
+        for m in range(engine.order)})
+
+
+@pytest.mark.parametrize("chart", ["curved_r4_k1_poly", "random"])
+def test_the_products_bivector_series_is_poisson_at_every_order(rng, chart):
+    """The paper's first claim, that a star product defines a
+    1-differentiable deformation of the Poisson bracket: at order 3 the
+    Schouten square of the bivector series is zero at every order computed,
+    past the orders compare checks, on curved_r4_k1_poly and on a seeded
+    random curved 4D chart with a non-constant closed alpha at hbar^1.
+    Control, on the random chart: doubling one skew pair of non-constant
+    entries of pi_2 leaves a nonzero square.  On curved_r4_k1_poly no such
+    doubling shows: pi_1 has only the entries pi_1^{34} = -pi_1^{43} = -2 x2
+    and pi_2 is constant, so every bracket that reads them is zero at any
+    size."""
+    order = 3
+    if chart == "random":
+        alpha = rand_closed_skew_poly(rng, 4)
+        assert not alpha.is_constant()
+        spec = WeylCurvatureSpec(rand_curved_geometry(rng, 4),
+                                 TensorSeries.from_terms(4, "lower", order, [(1, alpha)]))
+    else:
+        spec = load_scenario(os.path.join(SCENARIOS, chart + ".json")).build_spec()
+    pi = bivector_series(StarEngine(spec, order))
+    assert pi.coeff(0) == spec.geometry.omega_bar
+    assert series_schouten(pi, pi).is_zero()
+    if chart != "random":
+        return
+    rows = [list(row) for row in pi.coeff(2).rows]
+    i, j = next((i, j) for i in range(4) for j in range(i + 1, 4)
+                if not rows[i][j].is_constant())
+    rows[i][j], rows[j][i] = rows[i][j].scale(2), rows[j][i].scale(2)
+    doubled = HbarSeries(order - 1, {**pi.coeffs, 2: Tensor2(4, "upper", rows)})
+    assert not series_schouten(doubled, doubled).is_zero()
+
+
 # -- the solves against a Picard oracle ----------------------------------------------
 
 
@@ -1113,3 +1158,133 @@ def test_perturbation_shape_checks():
     with pytest.raises(PerturbationError):
         WeylCurvatureSpec(g2, TensorSeries.from_terms(
             4, "lower", 3, [(1, Geometry(4).omega)]))
+
+
+# -- verify's abelian residual reads the top body its extension kept ------------------
+
+
+def bracketed(monkeypatch):
+    """The degrees (i, j) of every bracket fedosov takes, as it takes it."""
+    seen = []
+    real = fedosov.odd_bracket
+
+    def recording(x, y, geom):
+        (i,), (j,) = degrees(x), degrees(y)
+        seen.append((i, j))
+        return real(x, y, geom)
+
+    monkeypatch.setattr(fedosov, "odd_bracket", recording)
+    return seen
+
+
+def keeping(form, a):
+    """``form`` as an extension that holds the record ``a`` kept."""
+    out = fedosov._Extension._make(form.dim, form.terms)
+    out.kept = a.kept
+    return out
+
+
+def residual_pair(a, spec, r, cap, seen):
+    """The residual of the extension a, whose brackets are left in seen, and
+    the standalone residual of the same form, which keeps no body."""
+    want = abelian_residual(WeylForm(a.dim, a.terms), spec, r, cap)
+    seen.clear()
+    return abelian_residual(a, spec, r, cap), want
+
+
+@pytest.mark.parametrize("name, order", [
+    ("curved_r4_plain", 2), ("curved_r4_k1_poly", 2), ("curved_r4_k1_const", 2),
+    ("curved_r4_k2_const", 2), ("curved_r4_k1_poly", 3)])
+def test_verify_residuals_equal_the_standalone_residuals(monkeypatch, name, order):
+    """verify's residuals of f and g, each extended by one degree from the
+    engine's section, equal the standalone residuals of the same forms, and
+    print the same.  Each adds the body its extension kept in place of the
+    top pairs i + j = cap, which it no longer brackets, and releases it."""
+    scenario = load_scenario(os.path.join(SCENARIOS, name + ".json"))
+    spec = scenario.build_spec()
+    engine = StarEngine(spec, order)
+    cap = engine.cap + 1
+    r = solve_r(spec, cap, below=engine.r())
+    seen = bracketed(monkeypatch)
+    for obs in cli._default_observables(scenario):
+        a = flat_section(obs, spec, r, cap, below=engine.section(obs))
+        got, want = residual_pair(a, spec, r, cap, seen)
+        assert got == want and str(got) == str(want) == "0"
+        assert seen and max(i + j for i, j in seen) == cap - 1
+        assert a.kept == {}
+
+
+@pytest.mark.parametrize("cap", [6, 7, 8])
+def test_shared_residual_equals_the_standalone_one_on_random_charts(rng, monkeypatch, cap):
+    """On seeded random curved 2D charts the residual of a one-degree
+    extension equals the standalone one: zero on the solved section, and
+    nonzero once the extension's top degree gains the term x1 y1^{cap-1}
+    while its record stays.  The operands still match, so the residual
+    reads the body, and the term shows as - delta of it."""
+    spec, f = _curved_poly_chart(rng)
+    r = solve_r(spec, cap)
+    below = flat_section(f, spec, r, cap - 1)
+    seen = bracketed(monkeypatch)
+    a = flat_section(f, spec, r, cap, below=below)
+    got, want = residual_pair(a, spec, r, cap, seen)
+    assert got == want and got.is_zero()
+    assert max(i + j for i, j in seen) == cap - 1
+    a = flat_section(f, spec, r, cap, below=below)
+    top = WeylForm(2, {(0, (cap - 1, 0), ()): Polynomial.variable(2, 0)})
+    got, want = residual_pair(keeping(a + top, a), spec, r, cap, seen)
+    assert got == want and str(got) == str(want)
+    assert got == -delta(top) and max(i + j for i, j in seen) == cap - 1
+
+
+def test_shared_residual_keeps_its_strength(rng, monkeypatch):
+    """Two broken extensions at cap 7, each with a nonzero residual equal
+    to the standalone one, which brackets every top pair itself:
+    - the extension's solve skips the top pair (3, cap - 3), as r's part of
+      degree 3 is hidden from it, and its record lacks that pair;
+    - the section's part of degree cap - 2 gains Z = delta(x2 y1^{cap-1})
+      after the solve.  delta Z = 0, so only degree cap - 2 shows Z, through
+      par Z.  The body kept there holds par of the part without Z, so a
+      residual that took it would read zero; the operand no longer matches
+      the one the solve read, and the residual computes that degree."""
+    spec, f = _curved_poly_chart(rng)
+    cap = 7
+    r = solve_r(spec, cap)
+    below = flat_section(f, spec, r, cap - 1)
+    real = fedosov._parts
+
+    def hiding(x):
+        parts = real(x)
+        if x is r:
+            del parts[3]
+        return parts
+
+    monkeypatch.setattr(fedosov, "_parts", hiding)
+    skipped = flat_section(f, spec, r, cap, below=below)
+    monkeypatch.setattr(fedosov, "_parts", real)
+    assert (3, cap - 3) not in skipped.kept["read"][3]
+    a = flat_section(f, spec, r, cap, below=below)
+    z = delta(WeylForm(2, {(0, (cap - 1, 0), ()): Polynomial.variable(2, 1)}))
+    assert delta(z).is_zero() and degrees(z) == {cap - 2}
+    seen = bracketed(monkeypatch)
+    for broken in (skipped, keeping(a + z, a)):
+        got, want = residual_pair(broken, spec, r, cap, seen)
+        assert got == want and str(got) == str(want) and not got.is_zero()
+        assert max(i + j for i, j in seen) == cap
+    assert got.capped(cap - 3).is_zero()
+
+
+def test_extension_and_its_residual_bracket_each_part_pair_once(rng, monkeypatch):
+    """At cap 8 a one-degree extension and its residual bracket each part
+    pair r_i, a_j with i + j <= cap once between them: the extension the top
+    pairs, i + j = cap, and the residual every lower pair of its window."""
+    spec, f = _curved_poly_chart(rng)
+    cap = 8
+    r = solve_r(spec, cap)
+    below = flat_section(f, spec, r, cap - 1)
+    seen = bracketed(monkeypatch)
+    a = flat_section(f, spec, r, cap, below=below)
+    assert degrees(a) == set(range(cap))
+    assert sorted(seen) == [(i, cap - i) for i in range(3, cap)]
+    assert abelian_residual(a, spec, r, cap).is_zero()
+    assert sorted(seen) == [(i, j) for i in range(3, cap) for j in range(cap)
+                            if i + j <= cap]
