@@ -25,23 +25,24 @@ k: ``Geometry.contractions(k)``, the whole scalar of each fully contracted
 pair y^d o_k y^e, and ``Geometry.contraction_numerators(k)``, the same
 scalars as integer rows by left exponent, {d: {e: (re, im, den)}}, in that
 table's order, Gaussian-integer numerators over one denominator per table.
-``moyal_sigma`` walks the row of each left exponent, its contraction
-partners, and looks each partner up in an index of the right operand by
-y-exponent, so it visits only the pairs that contract.  ``moyal_y_free``,
-the y-free part of a product (the square u o u read by the curvature
-identities and ``analysis.beta_form``/``gamma_form``), walks the same
-fully contracted pairs with their dx factors, wedge signs included, so it
-builds none of the product's other keys.  ``moyal`` reads the
-pieces of y^ua o y^ub, split scalars included, from
-``Geometry.moyal_weights(ua, ub, bracket)``, which the chart sums in
-integers over the same rows, d <= ua and e <= ub.  The products, ``delta``,
-``delta_inv``, ``exterior_d`` and ``index_form``, the one builder of a form
-from an index formula, add each term, times an integer scalar, into
-``algebra._Sum``, which reduces each output coefficient once.  ``moyal``
-forms each pair's coefficient product once, as its entries share it;
-``moyal_sigma`` and ``moyal_y_free`` multiply each pair's two coefficients
-straight into the sum (``_Sum.add_product``), so they never form or reduce
-the product polynomial.
+One row walk, ``_contracted``, reads the fully contracted pairs: it walks
+the row of each left exponent, its contraction partners, and looks each
+partner up in an index of the right operand by y-exponent, so it visits
+only the pairs that contract, and it keeps their dx factors, wedge signs
+included.  ``moyal_sigma`` and ``moyal_y_free`` are its two views: the
+dx-free keys as an hbar series, and every key as the y-free part of the
+product (the square u o u read by the curvature identities and
+``analysis.beta_form``/``gamma_form``); neither builds the product's other
+keys.  ``moyal`` reads the pieces of y^ua o y^ub, split scalars included,
+from ``Geometry.moyal_weights(ua, ub, bracket)``, which the chart sums in
+integers over the same rows, d <= ua and e <= ub.  The products,
+``delta``, ``delta_inv``, ``exterior_d`` and ``index_form``, the one
+builder of a form from an index formula, add each term, times an integer
+scalar, into ``algebra._Sum``, which reduces each output coefficient once.
+``moyal`` forms each pair's coefficient product once, as its entries share
+it; the row walk multiplies each pair's two coefficients straight into the
+sum (``_Sum.add_product``), so it never forms or reduces the product
+polynomial.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -346,72 +347,27 @@ def odd_bracket(a, b, geom):
     return moyal(a, b, geom, bracket=True)
 
 
-def moyal_sigma(a, b, geom, order=None):
-    """The scalar projection of a o b through hbar^order, without building
-    the full product.
-
-    Only fully contracted pairs survive the projection: both monomials must
-    be dx-free with equal y-degree k, and the pair y^u, y^v contributes the
-    chart's cached scalar ``geom.contraction_numerators(k)[u][v]``, stored
-    as Gaussian-integer numerators over a denominator.  The right operand's
-    dx-free terms are indexed once by y-exponent, every hbar power kept;
-    each left term walks its row ``contraction_numerators(k)[u]``, one
-    partner v per entry (exactly one on the block structure matrix), and
-    looks v up in that index, so no pair that cannot contract is visited.
-    Each pair's coefficients are multiplied term pair by term pair straight
-    into one integer accumulator keyed by the hbar power, which reduces each
-    coefficient once.  ``order`` is the only bound: a pair that lands above
-    hbar^order is skipped before it is multiplied.  With ``order=None``
-    every pair is kept, and the result's order is its top power.
-    """
-    _check_dims(a, b, geom)
-    acc = _Sum(a.dim)
-    add = acc.add_product
-    weights = geom.contraction_numerators
-    right = {}
-    for (hb, ub, Ib), pb in b.terms.items():
-        if not Ib:
-            right.setdefault(ub, []).append((hb, pb))
-    degrees = {sum(ub) for ub in right}
-    for (ha, ua, Ia), pa in a.terms.items():
-        if Ia:
-            continue
-        k = sum(ua)
-        if k not in degrees:
-            continue
-        row = weights(k).get(ua)
-        if row is None:
-            continue
-        for ub, c in row.items():
-            partners = right.get(ub)
-            if partners is None:
-                continue
-            for hb, pb in partners:
-                h = ha + hb + k
-                if order is not None and h > order:
-                    continue
-                add(h, pa, pb, c[0], c[1], c[2])
-    out = acc.polys()
-    return HbarSeries(max(out, default=0) if order is None else order, out)
-
-
-def moyal_y_free(a, b, geom):
-    """The y-free part of a o b, ``moyal(a, b, geom).y_free()``, without
-    building the full product.
+def _contracted(a, b, geom, order=None):
+    """The fully contracted part of a o b, the one row walk behind
+    ``moyal_sigma`` and ``moyal_y_free``: {(h, dx form): Polynomial}.
 
     Only fully contracted pairs leave no y: the monomials y^u and y^v have
     equal y-degree k, and the pair contributes the chart's cached scalar
-    ``geom.contraction_numerators(k)[u][v]`` at hbar^(ha + hb + k), with
-    the wedge of its dx factors and that wedge's sign.  As in
-    ``moyal_sigma``, the right operand is indexed once by y-exponent, each
-    left term walks its row, and each pair's coefficients are multiplied
-    straight into one integer accumulator.
+    ``geom.contraction_numerators(k)[u][v]``, stored as Gaussian-integer
+    numerators over a denominator, at hbar^(ha + hb + k), with the wedge of
+    its dx factors and that wedge's sign.  The right operand is indexed
+    once by y-exponent, every hbar power kept; each left term walks its row
+    ``contraction_numerators(k)[u]``, one partner v per entry (exactly one
+    on the block structure matrix), and looks v up in that index, so no
+    pair that cannot contract is visited.  Each pair's coefficients are
+    multiplied term pair by term pair straight into one integer accumulator,
+    which reduces each coefficient once.  A pair that lands above
+    hbar^order is skipped before it is multiplied.
     """
     _check_dims(a, b, geom)
     acc = _Sum(a.dim)
     add = acc.add_product
     weights = geom.contraction_numerators
-    zero = (0,) * a.dim
     right = {}
     for (hb, ub, Ib), pb in b.terms.items():
         right.setdefault(ub, []).append((hb, Ib, pb))
@@ -422,11 +378,32 @@ def moyal_y_free(a, b, geom):
             continue
         for ub, (re, im, den) in weights(k).get(ua, {}).items():
             for hb, Ib, pb in right.get(ub, ()):
+                h = ha + hb + k
+                if order is not None and h > order:
+                    continue
                 merged = wedge_merge(Ia, Ib)
                 if merged is not None:
                     sign, IJ = merged
-                    add((ha + hb + k, zero, IJ), pa, pb, sign * re, sign * im, den)
-    return WeylForm._make(a.dim, acc.polys())
+                    add((h, IJ), pa, pb, sign * re, sign * im, den)
+    return acc.polys()
+
+
+def moyal_sigma(a, b, geom, order=None):
+    """The scalar projection of a o b through hbar^order, without building
+    the full product: the dx-free keys of ``_contracted``.  ``order`` is
+    the only bound; with ``order=None`` every pair is kept, and the
+    result's order is its top power.
+    """
+    out = {h: p for (h, form), p in _contracted(a, b, geom, order).items() if not form}
+    return HbarSeries(max(out, default=0) if order is None else order, out)
+
+
+def moyal_y_free(a, b, geom):
+    """The y-free part of a o b, ``moyal(a, b, geom).y_free()``, without
+    building the full product: ``_contracted`` with y-free keys."""
+    zero = (0,) * a.dim
+    return WeylForm._make(a.dim, {(h, zero, form): p
+                                  for (h, form), p in _contracted(a, b, geom).items()})
 
 
 def commutator(a, b, geom):

@@ -10,6 +10,8 @@ listed in the module's ``__all__`` counts as used.
 The same scan keeps ``Polynomial``'s stored format (its ``_num``/``_den``
 numerators and its ``_reduced`` constructor) inside ``algebra``: no other
 package module reads it, so sums of polynomials go through ``algebra._Sum``.
+It also keeps the walk over the chart's contraction rows in one function of
+``weyl``.
 """
 
 import ast
@@ -81,3 +83,16 @@ def test_scan_finds_a_format_access():
 def test_only_algebra_reads_the_polynomial_format(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert format_accesses(fh.read()) == []
+
+
+def functions_reading(source, attr):
+    """Names of the functions whose bodies read the attribute ``attr``."""
+    return sorted(fn.name for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(node, ast.Attribute) and node.attr == attr
+                          for node in ast.walk(fn)))
+
+
+def test_one_weyl_function_walks_the_contraction_rows():
+    with open(os.path.join(PACKAGE, "weyl.py"), encoding="utf-8") as fh:
+        assert functions_reading(fh.read(), "contraction_numerators") == ["_contracted"]
