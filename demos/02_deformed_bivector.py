@@ -64,7 +64,7 @@ print("coordinate products equal -(i/2) * inverse(omega + hbar alpha)"
 
 # The deformed bivector series is itself Poisson: its Schouten bracket with
 # itself vanishes identically at every order.
-sch = series_schouten(obar, obar, order)
+sch = series_schouten(obar, obar)
 assert all(t.is_zero() for t in sch.coeffs.values())
 print("Schouten bracket of the deformed bivector with itself: 0.")
 print()

@@ -744,10 +744,10 @@ class HbarSeries:
             raise ValueError("negative shift")
         return HbarSeries(self.order, {n + k: v for n, v in self.coeffs.items() if n + k <= self.order})
 
-    def convolve(self, other, mul=None, order=None):
-        """Cauchy product, truncated at ``order`` (default: min of the two)."""
-        if order is None:
-            order = min(self.order, other.order)
+    def convolve(self, other, mul=None):
+        """Cauchy product, truncated at the lower of the two orders: past it
+        the factors do not fix the product's coefficients."""
+        order = min(self.order, other.order)
         out = {}
         for n1, v1 in self.coeffs.items():
             for n2, v2 in other.coeffs.items():

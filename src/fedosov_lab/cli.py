@@ -192,7 +192,7 @@ def _poisson_checks(scenario, order):
     inv = series_inverse(alpha + HbarSeries(order, {0: geom.omega}), order)
     agree = obar == inv
     checks.append(Check("poisson.inverse-cross-check", "0" if agree else "mismatch", agree))
-    sch_zero = series_schouten(obar, obar, order).is_zero()
+    sch_zero = series_schouten(obar, obar).is_zero()
     checks.append(Check("poisson.schouten-residual",
                         "0" if sch_zero else "nonzero", sch_zero))
     return checks

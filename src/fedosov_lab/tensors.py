@@ -19,16 +19,25 @@ raise and lower both indices at once:
 contractions, and those of ``series_inverse`` and the curvature, is a product
 of ``matmul``, the one exact matrix product of the package.
 
+``Tensor3`` stores a fully antisymmetric rank-3 tensor on its triples
+i < j < k and reads any other order with the sign of its index inversions.
+The Schouten bracket and the exterior derivative of a two-form are its two
+producers, both built by ``_triples`` from one component function.
+
 A tensor series is a plain ``HbarSeries`` of ``Tensor2``, built with its
 shapes checked by ``TensorSeries.from_terms``; a reader of a missing
-coefficient passes ``Tensor2.zeros`` to ``coeff``.  ``formal_poisson``
-assembles the deformed bivector series from a perturbation of the symplectic
-form, and ``series_inverse`` inverts a form-valued series order by order; the
-two must agree, which the tests exploit as a dual-route check.
+coefficient passes ``Tensor2.zeros`` to ``coeff``.  Its products,
+``series_diamond`` and ``series_schouten``, stop at the lower of the two
+factors' orders, past which the factors do not fix the coefficients.
+``formal_poisson`` assembles the deformed bivector series from a
+perturbation of the symplectic form, and ``series_inverse`` inverts a series
+of either variance order by order, a form-valued series to a bivector series
+and back; the two must agree, which the tests exploit as a dual-route check.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import add, sub
 
 from .algebra import GaussianRational, HbarSeries, Polynomial, ONE, ZERO, accumulate
@@ -194,14 +203,10 @@ class Tensor3:
         self.entries = clean
 
     def entry(self, i, j, k):
-        if len({i, j, k}) < 3:
-            return Polynomial.zero(self.dim)
-        order = sorted([i, j, k])
-        v = self.entries.get(tuple(order))
+        v = self.entries.get(tuple(sorted((i, j, k))))
         if v is None:
             return Polynomial.zero(self.dim)
-        sign = _perm_sign((i, j, k))
-        return v if sign == 1 else -v
+        return -v if ((i > j) + (i > k) + (j > k)) % 2 else v
 
     def is_zero(self):
         return not self.entries
@@ -221,21 +226,6 @@ class Tensor3:
         body = ", ".join("(%d,%d,%d): %s" % (i + 1, j + 1, k + 1, v)
                          for (i, j, k), v in sorted(self.entries.items()))
         return "Tensor3(%d, {%s})" % (self.dim, body)
-
-
-def _perm_sign(triple):
-    i, j, k = triple
-    sign = 1
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    if j > k:
-        j, k = k, j
-        sign = -sign
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    return sign
 
 
 # -- structure-matrix contractions ------------------------------------------
@@ -297,6 +287,11 @@ def mu_inv(A, geom):
 # -- brackets and derivatives --------------------------------------------------
 
 
+def _triples(dim, component):
+    """The Tensor3 of ``component(i, j, k)`` over the triples i < j < k."""
+    return Tensor3(dim, {t: component(*t) for t in combinations(range(dim), 3)})
+
+
 def schouten(A, B):
     """Schouten bracket of two skew upper tensors, as a rank-3 tensor.
 
@@ -308,50 +303,29 @@ def schouten(A, B):
         raise VarianceError("schouten expects upper tensors")
     A._check(B)
     dim = A.dim
-    out = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                v = _schouten_component(A, B, i, j, k)
-                if not v.is_zero():
-                    out[(i, j, k)] = v
-    return Tensor3(dim, out)
 
+    def component(i, j, k):
+        out = Polynomial.zero(dim)
+        for c0, c1, c2 in ((i, j, k), (j, k, i), (k, i, j)):
+            for l in range(dim):
+                for P, Q in ((A, B), (B, A)):
+                    a = P.rows[l][c0]
+                    if not a.is_zero():
+                        d = Q.rows[c1][c2].partial(l)
+                        if not d.is_zero():
+                            out = out + a * d
+        return out
 
-def _schouten_component(A, B, i, j, k):
-    dim = A.dim
-    out = Polynomial.zero(dim)
-    for (c0, c1, c2) in ((i, j, k), (j, k, i), (k, i, j)):
-        for l in range(dim):
-            a = A.rows[l][c0]
-            b = B.rows[c1][c2]
-            if not a.is_zero():
-                d = b.partial(l)
-                if not d.is_zero():
-                    out = out + a * d
-            a2 = B.rows[l][c0]
-            if not a2.is_zero():
-                d2 = A.rows[c1][c2].partial(l)
-                if not d2.is_zero():
-                    out = out + a2 * d2
-    return out
+    return _triples(dim, component)
 
 
 def two_form_d(alpha):
     """Exterior derivative of a lower skew tensor: (d a)_{ijk} = d_i a_{jk} - d_j a_{ik} + d_k a_{ij}."""
     if alpha.variance != "lower":
         raise VarianceError("exterior derivative expects a lower tensor")
-    dim = alpha.dim
-    out = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                v = (alpha.rows[j][k].partial(i)
-                     - alpha.rows[i][k].partial(j)
-                     + alpha.rows[i][j].partial(k))
-                if not v.is_zero():
-                    out[(i, j, k)] = v
-    return Tensor3(dim, out)
+    a = alpha.rows
+    return _triples(alpha.dim, lambda i, j, k: (a[j][k].partial(i) - a[i][k].partial(j)
+                                                + a[i][j].partial(k)))
 
 
 def is_closed(alpha):
@@ -378,18 +352,18 @@ class TensorSeries:
         return HbarSeries(order, coeffs)
 
 
-def series_diamond(A, B, geom, order=None):
+def series_diamond(A, B, geom):
     """Order-by-order diamond product of two like-variance tensor series."""
-    return A.convolve(B, mul=lambda a, b: diamond(a, b, geom), order=order)
+    return A.convolve(B, mul=lambda a, b: diamond(a, b, geom))
 
 
-def series_schouten(A, B, order=None):
+def series_schouten(A, B):
     """Order-by-order Schouten bracket of two upper tensor series.
 
-    Returns the HbarSeries of Tensor3 brackets; zero iff the series bracket
-    vanishes through the truncation order.
+    Returns the HbarSeries of Tensor3 brackets, truncated at the lower of
+    the two orders; zero iff the series bracket vanishes through it.
     """
-    return A.convolve(B, mul=schouten, order=order)
+    return A.convolve(B, mul=schouten)
 
 
 def formal_poisson(perturbation, geom, order):
@@ -419,32 +393,35 @@ def formal_poisson(perturbation, geom, order):
     power = abar
     while not power.is_zero():
         acc = acc - power
-        power = series_diamond(abar, power, geom, order)
+        power = series_diamond(abar, power, geom)
     return acc
 
 
-def series_inverse(omega_series, order):
-    """Invert a lower tensor series order by order.
+def series_inverse(series, order):
+    """Invert a tensor series of either variance order by order.
 
-    The hbar^0 coefficient must be a constant invertible matrix.  Returns the
-    upper series Obar with  O_{ij} Obar^{jk} = delta_i^k  through ``order``.
+    The hbar^0 coefficient must be a constant invertible matrix.  A lower
+    series O gives the upper series Obar with  O_{ij} Obar^{jk} = delta_i^k
+    through ``order``, and an upper series gives the lower one; the output
+    variance is the opposite of the hbar^0 coefficient's.
     """
-    if any(t.variance != "lower" for t in omega_series.coeffs.values()):
-        raise VarianceError("series_inverse expects a lower tensor series")
-    o0 = omega_series.coeff(0)
+    if len({t.variance for t in series.coeffs.values()}) > 1:
+        raise VarianceError("series_inverse expects a series of one variance")
+    o0 = series.coeff(0)
     if o0 is None:
         raise SingularMatrixError("series has no hbar^0 term")
     dim = o0.dim
-    w0 = Tensor2(dim, "upper", invert_scalar_matrix(o0.constant_rows()))
+    variance = "upper" if o0.variance == "lower" else "lower"
+    w0 = Tensor2(dim, variance, invert_scalar_matrix(o0.constant_rows()))
     inv = {0: w0}
-    higher = {n: t for n, t in omega_series.coeffs.items() if 0 < n <= order}
+    higher = {n: t for n, t in series.coeffs.items() if 0 < n <= order}
     for n in range(1, order + 1):
         # O_0 inv_n = -sum_{l >= 1} O_l inv_{n-l}
-        acc = Tensor2.zeros(dim, "upper")
+        acc = Tensor2.zeros(dim, variance)
         for l, el in higher.items():
             if l <= n:
-                acc = acc + Tensor2(dim, "upper", matmul(el.rows, inv[n - l].rows))
-        inv[n] = -Tensor2(dim, "upper", matmul(w0.rows, acc.rows))
+                acc = acc + Tensor2(dim, variance, matmul(el.rows, inv[n - l].rows))
+        inv[n] = -Tensor2(dim, variance, matmul(w0.rows, acc.rows))
     return HbarSeries(order, inv)
 
 

@@ -619,7 +619,7 @@ def test_criterion_6_structural_suite():
                 alpha = rand_closed_skew_poly(rng, dim, deg=2)
             series = TensorSeries.from_terms(dim, "lower", 6, {1: alpha}.items())
             obar = formal_poisson(series, geom, 6)
-            sch = series_schouten(obar, obar, 6)
+            sch = series_schouten(obar, obar)
             ok = ok and all(t.is_zero() for t in sch.coeffs.values())
             count += 1
     record("poisson-schouten-residual", count, ok)

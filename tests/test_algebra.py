@@ -190,16 +190,19 @@ def test_hbar_series_convolution_matches_manual(rng):
     dim = 2
     a = HbarSeries(4, {0: rand_poly(rng, dim), 2: rand_poly(rng, dim)})
     b = HbarSeries(4, {1: rand_poly(rng, dim), 3: rand_poly(rng, dim)})
-    prod = a.convolve(b)
-    for n in range(5):
-        want = Polynomial.zero(dim)
-        for m in range(n + 1):
-            va = a.coeff(m)
-            vb = b.coeff(n - m)
-            if va is not None and vb is not None:
-                want = want + va * vb
-        got = prod.coeff(n, Polynomial.zero(dim))
-        assert got == want, n
+    c = HbarSeries(2, {0: rand_poly(rng, dim), 1: rand_poly(rng, dim)})
+    for x, y in ((a, b), (a, c)):
+        prod = x.convolve(y)
+        assert prod.order == min(x.order, y.order)
+        for n in range(prod.order + 1):
+            want = Polynomial.zero(dim)
+            for m in range(n + 1):
+                va = x.coeff(m)
+                vb = y.coeff(n - m)
+                if va is not None and vb is not None:
+                    want = want + va * vb
+            got = prod.coeff(n, Polynomial.zero(dim))
+            assert got == want, n
 
 
 def test_hbar_series_truncation_and_shift(rng):

@@ -1047,6 +1047,44 @@ def test_the_products_bivector_series_is_poisson_at_every_order(rng, chart):
     assert not series_schouten(doubled, doubled).is_zero()
 
 
+@pytest.mark.parametrize("name, order", [
+    *((name, 3) for name in ("curved_r4_k1_poly", "curved_r4_k1_const", "curved_r4_k2_const")),
+    *((name, 5) for name in ("flat_r2_k1_const", "flat_r2_k1_poly", "flat_r2_k2_const",
+                             "flat_r4_formal", "flat_r4_k1_const", "flat_r4_k1_poly",
+                             "flat_r4_k2_const"))])
+def test_the_inverse_bivector_series_reads_back_the_perturbation(name, order):
+    """The paper's second claim, that the characteristic class can be read
+    off the product: omega_h = pi_h^{-1} of the perturbed product minus
+    omega_h of the unperturbed one is Omega = sum_k hbar^k alpha_k at every
+    order the bivector series carries, hbar^2 on the curved scenarios at
+    order 3 and hbar^4 on the flat ones at order 5.  On the curved charts
+    the unperturbed omega_h is omega + hbar^2 (1/8) dx2^dx4, whose closed
+    form is still open.  Control, on curved_r4_k1_poly: doubling pi_1^{34} =
+    -pi_1^{43} = -2 x2 leaves a nonzero remainder at hbar^1."""
+    spec = load_scenario(os.path.join(SCENARIOS, name + ".json")).build_spec()
+    top = order - 1
+    bare = series_inverse(bivector_series(StarEngine(spec.unperturbed(), order)), top)
+
+    def remainder(pi):
+        return series_inverse(pi, top) - bare - spec.alpha_series(top)
+
+    pi = bivector_series(StarEngine(spec, order))
+    assert remainder(pi).is_zero()
+    if spec.geometry.is_flat():
+        return
+    eighth = Polynomial.constant(4, F(1, 8))
+    rows = [[Polynomial.zero(4)] * 4 for _ in range(4)]
+    rows[1][3], rows[3][1] = eighth, -eighth
+    assert bare == HbarSeries(top, {0: spec.geometry.omega, 2: Tensor2(4, "lower", rows)})
+    if name != "curved_r4_k1_poly":
+        return
+    rows = [list(row) for row in pi.coeff(1).rows]
+    assert rows[2][3] == -rows[3][2] == Polynomial.variable(4, 1).scale(-2)
+    rows[2][3], rows[3][2] = rows[2][3].scale(2), rows[3][2].scale(2)
+    doubled = HbarSeries(top, {**pi.coeffs, 1: Tensor2(4, "upper", rows)})
+    assert remainder(doubled).coeff(1) is not None
+
+
 # -- the solves against a Picard oracle ----------------------------------------------
 
 

@@ -11,7 +11,7 @@ The same scan keeps ``Polynomial``'s stored format (its ``_num``/``_den``
 numerators and its ``_reduced`` constructor) inside ``algebra``: no other
 package module reads it, so sums of polynomials go through ``algebra._Sum``.
 It also keeps the walk over the chart's contraction rows in one function of
-``weyl``.
+``weyl``, and the building of rank-3 tensors in one function of ``tensors``.
 """
 
 import ast
@@ -96,3 +96,19 @@ def functions_reading(source, attr):
 def test_one_weyl_function_walks_the_contraction_rows():
     with open(os.path.join(PACKAGE, "weyl.py"), encoding="utf-8") as fh:
         assert functions_reading(fh.read(), "contraction_numerators") == ["_contracted"]
+
+
+def functions_calling(source, name, outside):
+    """Names of the functions, outside the class ``outside``, whose bodies
+    call ``name``."""
+    tops = [node for node in ast.parse(source).body
+            if not (isinstance(node, ast.ClassDef) and node.name == outside)]
+    return sorted(fn.name for top in tops for fn in ast.walk(top)
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == name for node in ast.walk(fn)))
+
+
+def test_one_tensors_function_builds_rank3_tensors():
+    with open(os.path.join(PACKAGE, "tensors.py"), encoding="utf-8") as fh:
+        assert functions_calling(fh.read(), "Tensor3", "Tensor3") == ["_triples"]

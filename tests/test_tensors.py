@@ -1,11 +1,11 @@
 """Two-tensors, the diamond contraction, mu, Schouten bracket, series inverses."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, Polynomial
+from fedosov_lab.algebra import GaussianRational, HbarSeries, Polynomial
 from fedosov_lab.geometry import Geometry
 from fedosov_lab.tensors import (SingularMatrixError, Tensor2, TensorSeries,
                                  VarianceError, diamond, diamond_power, formal_poisson,
@@ -267,6 +267,23 @@ def test_two_form_d_and_is_closed(rng):
     assert is_closed(rand_skew_constant(rng, dim))
 
 
+def test_tensor3_entry_signs_every_index_order(rng):
+    """entry reads a stored triple i < j < k under each of its six orders
+    times that order's sign, and any triple with a repeated index as zero."""
+    dim = 4
+    A = Tensor2(dim, "upper", rand_skew_poly(rng, dim, deg=2).rows)
+    signed = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+              ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]
+    for t in (schouten(A, A), two_form_d(rand_skew_poly(rng, dim, deg=2))):
+        assert t.entries
+        for triple, v in t.entries.items():
+            for perm, sign in signed:
+                assert t.entry(*(triple[p] for p in perm)) == v.scale(sign)
+        for i, k in permutations(range(dim), 2):
+            for repeated in ((i, i, k), (i, k, i), (k, i, i), (i, i, i)):
+                assert t.entry(*repeated).is_zero()
+
+
 # -- series ------------------------------------------------------------------------
 
 
@@ -291,6 +308,26 @@ def test_series_inverse_is_two_sided_inverse(rng):
                         s = s + lo.entry(i, j) * hi.entry(j, k)
                 want = Polynomial.one(dim) if (n == 0 and i == k) else Polynomial.zero(dim)
                 assert s == want, (n, i, k)
+
+
+def test_series_inverse_of_an_upper_series_is_lower_and_round_trips(rng):
+    """An upper series inverts to a lower one, and back to itself; the
+    deformed bivector of a perturbation inverts to omega plus it."""
+    dim = 4
+    geom = Geometry(dim)
+    order = 5
+    series = TensorSeries.from_terms(dim, "upper", order, {
+        0: geom.omega_bar,
+        1: Tensor2(dim, "upper", rand_skew_constant(rng, dim).rows),
+        2: Tensor2(dim, "upper", rand_skew_poly(rng, dim).rows)}.items())
+    inv = series_inverse(series, order)
+    assert inv.coeff(0) == geom.omega
+    assert all(t.variance == "lower" for t in inv.coeffs.values())
+    assert series_inverse(inv, order) == series
+    alpha = TensorSeries.from_terms(dim, "lower", order,
+                                    {1: rand_closed_skew_poly(rng, dim)}.items())
+    assert (series_inverse(formal_poisson(alpha, geom, order), order)
+            == alpha + HbarSeries(order, {0: geom.omega}))
 
 
 def test_formal_poisson_equals_series_inverse(rng):
@@ -323,8 +360,22 @@ def test_formal_poisson_is_formal_poisson_bivector(rng):
     alpha_h = TensorSeries.from_terms(dim, "lower", order,
                                       {1: rand_closed_skew_poly(rng, dim)}.items())
     fp = formal_poisson(alpha_h, geom, order)
-    res = series_schouten(fp, fp, order)
+    res = series_schouten(fp, fp)
     assert all(t.is_zero() for t in res.coeffs.values())
+
+
+def test_series_schouten_stops_at_the_lower_order(rng):
+    """Past the lower of the two orders the factors do not fix the bracket:
+    the Schouten square of a deformed bivector truncated at order 2 has
+    order 2 and is zero, paired with itself or with the order-3 series."""
+    dim = 4
+    geom = Geometry(dim)
+    alpha = rand_closed_skew_poly(rng, dim, deg=2)
+    fp3 = formal_poisson(TensorSeries.from_terms(dim, "lower", 3, [(1, alpha)]), geom, 3)
+    fp2 = fp3.with_order(2)
+    for a, b in ((fp2, fp2), (fp3, fp2), (fp2, fp3)):
+        res = series_schouten(a, b)
+        assert res.order == 2 and res.is_zero()
 
 
 def test_series_diamond_is_hbar_convolution(rng):
@@ -384,7 +435,7 @@ def test_formal_poisson_rejects_bad_perturbations():
 def test_series_inverse_rejects_bad_series():
     geom = Geometry(2)
     with pytest.raises(VarianceError):
-        series_inverse(TensorSeries.from_terms(2, "upper", 3, [(0, geom.omega_bar)]), 3)
+        series_inverse(HbarSeries(3, {0: geom.omega, 1: geom.omega_bar}), 3)
     al = Tensor2(2, "lower", [[0, 1], [-1, 0]])
     with pytest.raises(SingularMatrixError):
         series_inverse(TensorSeries.from_terms(2, "lower", 3, [(1, al)]), 3)
