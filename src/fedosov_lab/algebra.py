@@ -29,16 +29,21 @@ monomial sections) goes through ``_Sum``, which adds numerators in place and
 reduces each key once; ``_Sum.add_product`` adds a weighted product of
 two polynomials term pair by term pair, so the scalar projection of a Weyl
 product forms no product polynomial; other sums of whole values go through
-``accumulate``, which drops the key when the sum cancels.
+``accumulate``, which drops the key when the sum cancels.  A row (``_row``)
+holds a whole hbar-series of polynomials as one numerator dict keyed by
+``(h, packed exp)`` over one denominator, as ``StarEngine``'s pair table
+does; ``_RowSum`` adds scaled rows, one call per row, and reduces each hbar
+power once at the end.
 
-Three integer kernels do the term arithmetic of ``Polynomial`` and ``_Sum``
-alike: ``_scaled`` returns a Gaussian-integer multiple of a numerator dict
-as a new dict, in one pass (``scale``, the first operand of ``+`` and
-``-``, and a key's first ``_Sum.add``); ``_add_scaled`` adds such a
-multiple in place into a plain dict (the second operand, and every later
-``_Sum.add`` of a key) and ``_add_product`` a multiple of the product of
-two (``*``, ``_Sum.add_product``).  Only a product with a one-term factor
-and the term maps of ``partial`` and ``-`` run loops of their own.
+Three integer kernels do the term arithmetic of ``Polynomial``, ``_Sum``
+and ``_RowSum`` alike: ``_scaled`` returns a Gaussian-integer multiple of a
+numerator dict as a new dict, in one pass (``scale``, the first operand of
+``+`` and ``-``, and a key's first ``_Sum.add``); ``_add_scaled`` adds such
+a multiple in place into a plain dict (the second operand, every later
+``_Sum.add`` of a key, and each ``_RowSum.add``) and ``_add_product`` a
+multiple of the product of two (``*``, ``_Sum.add_product``).  Only a
+product with a one-term factor and the term maps of ``partial`` and ``-``
+run loops of their own.
 """
 
 from __future__ import annotations
@@ -112,8 +117,9 @@ def _overflow(dim, e):
 
 
 # The three integer kernels, over plain dicts of numerators {packed exp:
-# (re, im)}.  The two that add in place keep a sum that cancels as (0, 0);
-# the caller drops those once (``Polynomial._settled``).
+# (re, im)} (a row's keys are (h, packed exp)).  The two that add in place
+# keep a sum that cancels as (0, 0); the caller drops those once
+# (``Polynomial._settled``, ``_RowSum.series``).
 
 def _scaled(num, re, im):
     """(re + im*i) times the numerators ``num``, as a new dict in one pass;
@@ -615,9 +621,10 @@ def _term_str(exp, q, imag):
 
 
 def _lift(slot, den):
-    """The numerators of a ``_Sum`` key's ``slot`` over a denominator that
-    ``den`` divides, and that denominator's quotient by ``den``; a slot
-    whose denominator ``den`` does not divide is first lifted to the lcm."""
+    """The numerators of a ``_Sum`` key's ``slot`` (or a ``_RowSum``'s) over
+    a denominator that ``den`` divides, and that denominator's quotient by
+    ``den``; a slot whose denominator ``den`` does not divide is first
+    lifted to the lcm."""
     top, acc = slot
     if top == den:
         return acc, 1
@@ -690,6 +697,65 @@ class _Sum:
             if p:
                 out[key] = p
         return out
+
+
+def _row(series):
+    """An hbar-series of polynomials as one integer row ``(den, num)``:
+    Gaussian-integer numerators ``num`` keyed by ``(h, packed exp)`` over
+    ``den``, the lcm of the coefficients' denominators.  The keys share the
+    polynomials' exponent key objects."""
+    coeffs = series.coeffs
+    den = lcm(1, *(p._den for p in coeffs.values()))
+    num = {}
+    for h, p in coeffs.items():
+        m = den // p._den
+        for e, (a, b) in p._num.items():
+            num[(h, e)] = (a * m, b * m)
+    return den, num
+
+
+class _RowSum:
+    """An in-place sum of scaled rows (``_row``), such as the pair-table
+    rows of a star product.
+
+    One numerator dict keyed by the rows' own ``(h, packed exp)`` keys over
+    one running positive denominator, lifted to the lcm only when a row
+    brings a denominator it does not divide (``_lift``).  ``add`` adds one
+    whole row per call (``_add_scaled``); ``series`` splits the sum by hbar
+    power and reduces each power once, dropping sums that cancel.
+    """
+
+    __slots__ = ("dim", "slot")
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.slot = [1, {}]
+
+    def add(self, row, re, im, den):
+        """Add (re + im*i) / den times ``row``; ints, ``den > 0``."""
+        rden, num = row
+        den *= rden
+        slot = self.slot
+        if slot[0] % den:
+            acc, m = _lift(slot, den)
+        else:
+            acc, m = slot[1], slot[0] // den
+        _add_scaled(acc, num, re * m, im * m)
+
+    def series(self, order):
+        """The sum as an HbarSeries of reduced polynomials at ``order``:
+        one pass finds each power's common factor, a second divides it out."""
+        den, acc = self.slot
+        factors = {}
+        for (h, _), (a, b) in acc.items():
+            factors[h] = gcd(factors.get(h, den), a, b)
+        powers = {h: {} for h in factors}
+        for (h, e), (a, b) in acc.items():
+            if a or b:
+                g = factors[h]
+                powers[h][e] = (a // g, b // g)
+        return HbarSeries(order, {h: Polynomial._make(self.dim, num, den // factors[h])
+                                  for h, num in powers.items() if num})
 
 
 class HbarSeries:

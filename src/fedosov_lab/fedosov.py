@@ -42,13 +42,16 @@ adds every term of every monomial section, times its coefficient, into one
 bilinear as well, a product is the sum of
 c d sigma(section(hbar^n x^m) o section(hbar^n' x^m')) over the term pairs
 of f and g; the pair table holds that projection once per ordered monomial
-pair, so a product of observables whose pairs are known solves, assembles
-and projects nothing.  The table is unbounded and grows with the distinct
-ordered monomial pairs an engine multiplies.  A power n above the engine
-order is skipped throughout, since the section of hbar^n x^m starts at
-degree 2n, above every stored one.  ``flat_section`` solves a whole
-observable directly; it is the reference the assembled sections and the
-products are tested against, and it extends them.
+pair, as one integer row (``algebra._row``: Gaussian-integer numerators
+keyed by hbar power and packed exponent over one denominator).  A product
+adds one scaled row per term pair into one ``algebra._RowSum`` and reduces
+each hbar power once, so a product of observables whose pairs are known
+solves, assembles and projects nothing.  The table is unbounded and grows
+with the distinct ordered monomial pairs an engine multiplies.  A power n
+above the engine order is skipped throughout, since the section of
+hbar^n x^m starts at degree 2n, above every stored one.  ``flat_section``
+solves a whole observable directly; it is the reference the assembled
+sections and the products are tested against, and it extends them.
 
 The module also houses the scalar sequences sigma_p, kappa_p, c_p that
 govern the perturbation series in the flat/constant case: they satisfy
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import HbarSeries, Polynomial, _Sum
+from .algebra import HbarSeries, Polynomial, _RowSum, _Sum, _row
 from .tensors import is_closed
 from .weyl import (WeylForm, central_two_form, delta, delta_inv, i_over_hbar,
                    moyal, moyal_sigma, odd_bracket)
@@ -384,11 +387,13 @@ class StarEngine:
     The engine caches r, the section of each monomial hbar^n x^m, solved
     once by ``flat_section``, and the pair table, which maps an ordered pair
     of monomials to the coefficients of sigma(section o section) through the
-    order.  Sections of other observables and the grid of coordinate
-    products are assembled from those on each call; a product reads only
-    the pair table once it holds the operands' pairs.  The table is not
-    bounded: it grows with the distinct ordered monomial pairs that the
-    engine multiplies.  A polynomial observable f is the hbar-series {0: f}.
+    order, held as one integer row (``algebra._row``) per pair and grouped
+    by the left monomial.  Sections of other observables and the grid of
+    coordinate products are assembled from those on each call; a product
+    reads only the pair table once it holds the operands' pairs.  The table
+    is not bounded: it grows with the distinct ordered monomial pairs that
+    the engine multiplies.  A polynomial observable f is the hbar-series
+    {0: f}; an observable of another dim than the chart's raises ValueError.
     ``order`` is an int of at least 1.
     """
 
@@ -402,7 +407,9 @@ class StarEngine:
         self.cap = 2 * order + 1
         self._r = None
         self._monomials = {}  # (hbar power, exponent) -> section of hbar^n x^exp
-        self._pairs = {}      # ((n, exp), (n', exp')) -> ((h, coefficient), ...)
+        # (n, exp) -> {(n', exp'): (den, {(h, packed exp): (re, im)})}, the
+        # row of sigma(section o section) for each right monomial
+        self._pairs = {}
 
     def r(self):
         if self._r is None:
@@ -421,7 +428,8 @@ class StarEngine:
         """The terms c hbar^n x^exp of f with n <= order, as
         ((n, exp), (re, im, den)) with c = (re + im*i) / den.  The section of
         hbar^n x^m starts at degree 2n, so above the order it is zero at every
-        stored degree."""
+        stored degree.  A coefficient whose dim is not the chart's raises
+        ValueError, so a product fails before it reads any pair."""
         if isinstance(f, Polynomial):
             series = {0: f}
         elif isinstance(f, HbarSeries):
@@ -429,6 +437,11 @@ class StarEngine:
         else:
             raise TypeError("expected a Polynomial or an HbarSeries, got %s"
                             % type(f).__name__)
+        dim = self.spec.dim
+        for p in series.values():
+            if p.dim != dim:
+                raise ValueError("operand dim %d does not match the engine's dim %d"
+                                 % (p.dim, dim))
         return [((n, exp), c) for n, p in series.items() if n <= self.order
                 for exp, c in p.integer_terms()]
 
@@ -445,17 +458,16 @@ class StarEngine:
         return WeylForm._make(self.spec.dim, acc.polys())
 
     def _pair(self, a, b):
-        """The pair table's entry for the monomials a = (n, exp) and b, filled
+        """The pair table's row for the monomials a = (n, exp) and b, filled
         from the engine's own sections on first use."""
-        entry = self._pairs.get((a, b))
-        if entry is None:
+        rows = self._pairs.setdefault(a, {})
+        row = rows.get(b)
+        if row is None:
             dim = self.spec.dim
             sa, sb = (self.section(HbarSeries(self.order, {n: Polynomial.monomial(dim, exp)}))
                       for n, exp in (a, b))
-            entry = tuple(moyal_sigma(sa, sb, self.spec.geometry,
-                                      order=self.order).coeffs.items())
-            self._pairs[(a, b)] = entry
-        return entry
+            row = rows[b] = _row(moyal_sigma(sa, sb, self.spec.geometry, order=self.order))
+        return row
 
     def star(self, f, g):
         """The StarResult of two polynomial observables."""
@@ -478,17 +490,18 @@ class StarEngine:
         The section is linear over constants and the projection bilinear,
         so the product is the sum of
         c d P(m, m') over the terms c hbar^n x^exp of f and d hbar^n' x^exp'
-        of g, with P(m, m') the pair table's entry; each pair's scalar is
-        multiplied as integers and added into one ``algebra._Sum`` keyed by
-        the hbar power, which reduces each coefficient once."""
+        of g, with P(m, m') the pair table's row; each pair's scalar is
+        multiplied as integers and its whole row added in one call into one
+        ``algebra._RowSum``, which splits the sum by hbar power at the end
+        and reduces each power once."""
         left, right = self._terms(f), self._terms(g)
-        acc = _Sum(self.spec.dim)
+        acc = _RowSum(self.spec.dim)
         for a, (re1, im1, den1) in left:
+            rows = self._pairs.get(a, {})
             for b, (re2, im2, den2) in right:
-                re, im = re1 * re2 - im1 * im2, re1 * im2 + im1 * re2
-                for h, q in self._pair(a, b):
-                    acc.add(h, q, re, im, den1 * den2)
-        return HbarSeries(self.order, acc.polys())
+                row = rows.get(b) or self._pair(a, b)
+                acc.add(row, re1 * re2 - im1 * im2, re1 * im2 + im1 * re2, den1 * den2)
+        return acc.series(self.order)
 
 
 def star(f, g, spec, order):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov_lab import cli, fedosov
+from fedosov_lab import algebra, cli, fedosov
 from fedosov_lab.algebra import GaussianRational, HbarSeries, I, ONE, Polynomial
 from fedosov_lab.fedosov import (PerturbationError, StarEngine,
                                  WeylCurvatureSpec, abelian_residual,
@@ -826,6 +826,93 @@ def test_warm_products_read_only_the_pair_table(rng, monkeypatch):
     assert calls == []
     assert eng.star_series(f, g) == moyal_sigma(
         eng.section(f), eng.section(g), eng.spec.geometry, order=2)
+
+
+def test_star_rejects_an_operand_of_another_dim(monkeypatch):
+    """An operand whose dim is not the engine's fails with one ValueError
+    naming both dims, on either side, before any pair is read."""
+    eng = StarEngine(load_scenario(os.path.join(SCENARIOS, "flat_r4_formal.json"))
+                     .build_spec(), order=2)
+    x1 = Polynomial.variable(4, 0)
+    y1 = Polynomial.variable(2, 0)
+    pairs = []
+    monkeypatch.setattr(StarEngine, "_pair", lambda self, a, b: pairs.append((a, b)))
+    for other in (y1, HbarSeries(2, {0: x1.scale(0), 1: y1})):
+        for f, g in ((other, x1), (x1, other)):
+            with pytest.raises(ValueError, match="operand dim 2 does not match "
+                               "the engine's dim 4"):
+                eng.star_series(f, g)
+            if isinstance(other, Polynomial):
+                with pytest.raises(ValueError, match="operand dim 2 .* dim 4"):
+                    eng.star(f, g)
+    assert pairs == []
+
+
+def _pair_table_oracle(eng, f, g):
+    """The bilinear sum of c d moyal_sigma(section(m), section(m')) over the
+    terms c m of f and d m' of g, from the engine's own monomial sections
+    and no pair table; powers above the order add their zero sections."""
+    order, dim = eng.order, eng.spec.dim
+    sections = {}
+
+    def terms(p):
+        series = {0: p} if isinstance(p, Polynomial) else p.coeffs
+        for n, q in series.items():
+            for exp, c in q.terms.items():
+                if (n, exp) not in sections:
+                    sections[(n, exp)] = eng.section(
+                        HbarSeries(n, {n: Polynomial.monomial(dim, exp)}))
+                yield sections[(n, exp)], c
+
+    total = HbarSeries(order)
+    for a, c in terms(f):
+        for b, d in terms(g):
+            total = total + moyal_sigma(a, b, eng.spec.geometry, order=order).map(
+                lambda p, cd=c * d: p.scale(cd))
+    return total
+
+
+@pytest.mark.parametrize("chart, order", [("curved", 2), ("curved_r4_k1_poly", 2),
+                                          ("flat_r4_formal", 6)])
+def test_star_series_is_the_bilinear_sum_of_the_monomial_projections(
+        rng, monkeypatch, chart, order):
+    """Cold and warm products equal the bilinear sum of the monomial-pair
+    projections exactly, on hbar-series operands with terms at hbar^1 and
+    one power above the order, a Gaussian coefficient and denominators that
+    make the product's running denominator grow.  The oracle with one
+    scalar conjugated differs."""
+    if chart == "curved":
+        spec = _perturbed_chart(rng, chart, order)
+    else:
+        spec = load_scenario(os.path.join(SCENARIOS, chart + ".json")).build_spec()
+    eng = StarEngine(spec, order)
+    dim = spec.dim
+    x = [Polynomial.variable(dim, i) for i in range(dim)]
+
+    def operand(gauss):
+        return HbarSeries(order + 1, {
+            0: (x[0] * x[1]).scale(gauss) + x[1].scale(F(3, 7)),
+            1: (x[0] * x[0]).scale(F(1, 2)) + x[-1].scale(F(5, 11)),
+            order + 1: x[1]})
+
+    f = operand(GaussianRational(F(2, 3), F(-1, 5)))
+    g = HbarSeries(order + 1, {0: x[0].scale(F(-3, 4)) + (x[1] * x[-1]).scale(F(1, 9)),
+                               1: x[1].scale(F(7, 13)),
+                               order + 1: x[0] * x[1]})
+    want = _pair_table_oracle(eng, f, g)
+    assert want.coeffs
+    lifts = []
+    real_lift = algebra._lift
+    monkeypatch.setattr(algebra, "_lift",
+                        lambda slot, den: lifts.append(den) or real_lift(slot, den))
+    for _ in range(2):
+        lifts.clear()
+        got = eng.star_series(f, g)
+        assert got == want
+        assert str(got) == str(want)
+    # the warm product lifted its running denominator after its first row
+    assert len(lifts) >= 2
+    assert _pair_table_oracle(eng, operand(GaussianRational(F(2, 3), F(1, 5))), g) != got
 
 
 @pytest.mark.parametrize("order, message", [

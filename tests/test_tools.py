@@ -1,11 +1,14 @@
 """The paired order-3 runner in ``tools/``."""
 
+import hashlib
 import importlib.util
 import json
 import os
 import statistics
 import subprocess
 import sys
+
+from fedosov_lab import cli, io
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 RUNNER = os.path.join(ROOT, "tools", "order3_pairs.py")
@@ -79,6 +82,32 @@ def test_order3_runner_pairs_a_checkout_with_itself_in_process(tmp_path):
     assert "in-process CPU %8.2f -> %8.2f s (ratio %.3f, won %d/2)" % (
         inner["parent"]["median_cpu_s"], inner["change"]["median_cpu_s"],
         inner["cpu_ratio"], inner["pairs_won"]) in proc.stdout
+
+
+def test_order3_runner_runs_the_command_it_is_given(tmp_path):
+    """``--command star`` runs ``star`` on both sides, out of process and in
+    process, and records it; without the flag the runs are ``verify``."""
+    spec = io.load_scenario(os.path.join(ROOT, "scenarios", "flat_r2_k1_const.json"))
+    want = {command: hashlib.sha256(cli.run(command, spec, order=2).to_json()
+                                    .encode("utf-8")).hexdigest()
+            for command in ("verify", "star")}
+    assert want["star"] != want["verify"]
+    out = tmp_path / "pairs.json"
+    proc = _run(ROOT, ROOT, "--command", "star", "--order", "2", "--scenario",
+                "flat_r2_k1_const", "--in-process", "--json", str(out))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["command"] == "star" and data["reports_match"]
+    rows = data["scenarios"]["flat_r2_k1_const"]
+    for side in ("parent", "change"):
+        assert rows[side]["sha256"] == [want["star"]]
+        assert rows["in_process"][side]["sha256"] == [want["star"]]
+    proc = _run(ROOT, ROOT, "--order", "2", "--scenario", "flat_r2_k1_const",
+                "--json", str(out))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["command"] == "verify"
+    assert data["scenarios"]["flat_r2_k1_const"]["parent"]["sha256"] == [want["verify"]]
 
 
 def test_order3_runner_verdict_needs_more_than_the_parent_spread():

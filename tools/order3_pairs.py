@@ -1,14 +1,17 @@
-"""Paired parent/change runs of ``fedosov-lab verify --out`` at order 3.
+"""Paired parent/change runs of a ``fedosov-lab`` command at order 3.
 
 Standard library only.  Run from anywhere, with two checkouts of the
 repository (for example a ``git archive`` of the parent commit and the
 working tree):
 
     python3 tools/order3_pairs.py PARENT CHANGE --pairs 2 --json pairs.json
+    python3 tools/order3_pairs.py PARENT CHANGE --command star --order 4
 
-Each side runs ``python3 -m fedosov_lab.cli verify --scenario
-<checkout>/scenarios/<name>.json --order N --out <report>`` in a fresh
-process that imports the package from ``<checkout>/src``.  For every
+``--command`` picks the command both sides run: ``verify`` (the default),
+``star`` or ``compare``.  Each side runs ``python3 -m fedosov_lab.cli
+COMMAND --scenario <checkout>/scenarios/<name>.json --order N --out
+<report>`` in a fresh process that imports the package from
+``<checkout>/src``.  For every
 scenario and pair the two sides run back to back, one at a time, and the
 side that goes first alternates (the parent first in even pairs), so slow
 spells of a shared machine fall on both.  Each run records its wall time,
@@ -29,16 +32,17 @@ verdict can resolve smaller changes.
 With ``--in-process`` it also copies both checkouts' packages into a
 temporary directory under distinct names, imports both into this one
 interpreter, and, after every separate process has run, runs the same
-number of pairs there, alternating the two sides' ``cli.run("verify",
+number of pairs there, alternating the two sides' ``cli.run(COMMAND,
 ...)`` calls as above.  Each in-process run records its CPU time
 (``time.process_time``) and the sha256 of its report; per scenario the
 tool reports the median of the pairs' CPU ratios (change over parent) and
 the pairs the change won, next to the verdicts.  Process start-up and
 imports stay out of these times.
 
-The default scenarios are the four bundled ``curved_r4_*`` ones.  The exit
-status is 1 when a run fails or when the two sides' reports differ in any
-pair, and 0 otherwise.
+The default scenarios are the four bundled ``curved_r4_*`` ones;
+``compare`` needs a perturbed one, so it exits 2 on ``curved_r4_plain``.
+The exit status is 1 when a run fails or when the two sides' reports
+differ in any pair, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -59,13 +63,14 @@ import time
 SCENARIOS = ("curved_r4_k1_poly", "curved_r4_k1_const", "curved_r4_k2_const",
              "curved_r4_plain")
 SIDES = ("parent", "change")
+COMMANDS = ("verify", "star", "compare")
 
 
-def run_verify(checkout, scenario, order, out):
-    """One ``verify --out`` in a fresh process: (exit code, wall s, CPU s
+def run_command(checkout, scenario, order, out, command="verify"):
+    """One ``COMMAND --out`` in a fresh process: (exit code, wall s, CPU s
     (user + system), max RSS MB, report sha256 or None)."""
     checkout = os.path.abspath(checkout)
-    cmd = [sys.executable, "-m", "fedosov_lab.cli", "verify",
+    cmd = [sys.executable, "-m", "fedosov_lab.cli", command,
            "--scenario", os.path.join(checkout, "scenarios", scenario + ".json"),
            "--order", str(order), "--out", out]
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
@@ -100,19 +105,19 @@ def load_packages(paths, tmp):
     return out
 
 
-def run_in_process(package, checkout, scenario, order):
-    """One in-process ``verify``: (CPU s, report sha256)."""
+def run_in_process(package, checkout, scenario, order, command="verify"):
+    """One in-process ``COMMAND``: (CPU s, report sha256)."""
     cli, io = package
     spec = io.load_scenario(os.path.join(os.path.abspath(checkout), "scenarios",
                                          scenario + ".json"))
     gc.collect()
     t0 = time.process_time()
-    report = cli.run("verify", spec, order=order)
+    report = cli.run(command, spec, order=order)
     cpu = time.process_time() - t0
     return cpu, hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
 
 
-def in_process_pairs(packages, paths, name, order, pairs, log=print):
+def in_process_pairs(packages, paths, name, order, pairs, log=print, command="verify"):
     """The alternating in-process runs of one scenario, the median paired
     CPU ratio (change over parent), the pairs won, and whether every pair's
     reports agreed."""
@@ -120,7 +125,7 @@ def in_process_pairs(packages, paths, name, order, pairs, log=print):
     ok = True
     for i in range(pairs):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            cpu, sha = run_in_process(packages[side], paths[side], name, order)
+            cpu, sha = run_in_process(packages[side], paths[side], name, order, command)
             rows[side]["cpu_s"].append(round(cpu, 6))
             rows[side]["sha256"].append(sha)
             log("%-20s pair %d %-6s in process  %8.2f s CPU  %s" % (name, i, side, cpu, sha[:8]))
@@ -157,7 +162,8 @@ def compare(rows, metric="wall"):
             prefix + "verdict": verdict}
 
 
-def run_pairs(paths, scenarios, order, pairs, log=print, in_process=False):
+def run_pairs(paths, scenarios, order, pairs, log=print, in_process=False,
+              command="verify"):
     """Every run, per scenario and side, and whether every pair agreed;
     with ``in_process`` each scenario also holds its in-process pairs.
     Those run after every separate process: a child's max RSS counts the
@@ -173,7 +179,8 @@ def run_pairs(paths, scenarios, order, pairs, log=print, in_process=False):
                 order_in_pair = SIDES if i % 2 == 0 else SIDES[::-1]
                 shas = {}
                 for side in order_in_pair:
-                    code, wall, cpu, rss, sha = run_verify(paths[side], name, order, out)
+                    code, wall, cpu, rss, sha = run_command(paths[side], name, order, out,
+                                                            command)
                     row = rows[side]
                     row["exit"].append(code)
                     row["wall_s"].append(round(wall, 3))
@@ -196,7 +203,7 @@ def run_pairs(paths, scenarios, order, pairs, log=print, in_process=False):
             packages = load_packages(paths, tmp)
             for name in scenarios:
                 results[name]["in_process"], agreed = in_process_pairs(
-                    packages, paths, name, order, pairs, log)
+                    packages, paths, name, order, pairs, log, command)
                 ok = ok and agreed
     return results, ok
 
@@ -206,12 +213,14 @@ def main(argv=None):
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=1, help="pairs per scenario")
-    parser.add_argument("--order", type=int, default=3, help="verify --order")
+    parser.add_argument("--command", choices=COMMANDS, default="verify",
+                        help="the command both sides run (default: verify)")
+    parser.add_argument("--order", type=int, default=3, help="the command's --order")
     parser.add_argument("--scenario", action="append",
                         help="a bundled scenario name (repeatable); default: the "
                         "four curved_r4_* scenarios")
     parser.add_argument("--in-process", action="store_true",
-                        help="also pair both packages' verify runs inside this process")
+                        help="also pair both packages' runs inside this process")
     parser.add_argument("--json", help="write every run, the medians and the "
                         "per-scenario comparison to this file")
     args = parser.parse_args(argv)
@@ -219,7 +228,7 @@ def main(argv=None):
         parser.error("--pairs must be at least 1")
     results, ok = run_pairs({"parent": args.parent, "change": args.change},
                             args.scenario or SCENARIOS, args.order, args.pairs,
-                            in_process=args.in_process)
+                            in_process=args.in_process, command=args.command)
     for name, rows in results.items():
         line = ("%-20s median wall %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
                 "   CPU %8.2f -> %8.2f s (won %d/%d, parent IQR %.2f s, %s)"
@@ -238,7 +247,8 @@ def main(argv=None):
         print(line)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"order": args.order, "pairs": args.pairs, "in_process": args.in_process,
+            json.dump({"command": args.command, "order": args.order, "pairs": args.pairs,
+                       "in_process": args.in_process,
                        "first_in_pair": [SIDES[i % 2] for i in range(args.pairs)],
                        "reports_match": ok, "scenarios": results}, fh, indent=1)
             fh.write("\n")
