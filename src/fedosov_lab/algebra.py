@@ -232,13 +232,19 @@ class GaussianRational:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational._make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational._make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -248,7 +254,10 @@ class GaussianRational:
         return GaussianRational._make(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         return GaussianRational._make(a * c - b * d, a * d + b * c)
 

@@ -198,18 +198,24 @@ def _poisson_checks(scenario, order):
     return checks
 
 
-def run(command, scenario, order=None, coeff_limit=None):
+def run(command, scenario, order=None):
     """Run one command against a loaded Scenario and return a Report.
 
-    ``order`` and ``coeff_limit`` override the scenario's values for this
-    call only, within the size limits of ``io``; the scenario is not changed.
+    ``order`` overrides the scenario's order for this call only, within the
+    size limits of ``io``; the scenario is not changed.  For ``coeffs`` it
+    is the table limit, at most ``MAX_COEFF_LIMIT``, and without it the
+    table runs to the scenario's ``coeff_limit`` (``DEFAULT_COEFF_LIMIT``
+    without a scenario).
     """
-    if order is not None:
+    if command == "coeffs":
+        if order is not None:
+            _size(order, "order", MAX_COEFF_LIMIT)
+        else:
+            order = scenario.coeff_limit if scenario else DEFAULT_COEFF_LIMIT
+    elif order is not None:
         _size(order, "order", MAX_ORDER)
     elif scenario is not None:
         order = scenario.order
-    if coeff_limit is not None:
-        _size(coeff_limit, "coeff_limit", MAX_COEFF_LIMIT)
     if scenario is None and command in ("verify", "star", "compare", "poisson"):
         raise ScenarioError("command %r requires a scenario" % command)
     if command == "verify":
@@ -219,10 +225,7 @@ def run(command, scenario, order=None, coeff_limit=None):
     elif command == "compare":
         checks = _compare_checks(scenario, order)
     elif command == "coeffs":
-        limit = coeff_limit
-        if limit is None:
-            limit = scenario.coeff_limit if scenario else DEFAULT_COEFF_LIMIT
-        checks = _coeffs_checks(limit)
+        checks = _coeffs_checks(order)
     elif command == "poisson":
         checks = _poisson_checks(scenario, order)
     else:
@@ -256,9 +259,7 @@ def main(argv=None):
         if args.out and (os.path.isdir(args.out)
                          or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise OSError("--out %s is not a file in an existing directory" % args.out)
-        report = run(args.command, scenario,
-                     order=None if args.command == "coeffs" else args.order,
-                     coeff_limit=args.order if args.command == "coeffs" else None)
+        report = run(args.command, scenario, order=args.order)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(report.to_json())

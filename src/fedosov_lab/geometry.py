@@ -33,7 +33,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .algebra import GaussianRational, Polynomial, _Sum, accumulate
+from .algebra import GaussianRational, Polynomial, _Sum
 from .tensors import SingularMatrixError, Tensor2, invert_scalar_matrix, matmul
 from .weyl import WeylForm, exterior_d, index_form, odd_bracket, wedge_merge
 
@@ -88,7 +88,7 @@ class Geometry:
         self.omega_bar = Tensor2(dim, "upper", inv)
 
         self.gamma = self._canonical_gamma(gamma or {})
-        self._contractions = {}
+        self._numerators = {}
         self._rows_under = {}
         self._weights = {}
         self._gamma_weyl = None
@@ -121,69 +121,42 @@ class Geometry:
 
     # -- cached derived structures -----------------------------------------
 
-    def contractions(self, k):
-        """{(d, e): c} for the fully contracted pairs y^d o_k y^e, built once
-        per chart and k.
-
-        Choose a multiset of k nonzero entries wbar^{rs}, entry t taken m_t
-        times, with weight prod(wbar_t^{m_t} / m_t!).  It contracts y^d in
-        the left factor (one y^r per chosen entry) with y^e in the right
-        (one y^s), and c = (-i/2)^k * d! * e! * (the summed weights of the
-        multisets that give (d, e)): the whole scalar of the pair.  Off the
-        block form several multisets give one (d, e), and a key whose
-        weights cancel is not stored.  The weights are summed per left
-        exponent, so the keys of each d sit together, in the row order of
-        ``contraction_numerators(k)``; on the block form each d has one
-        partner e.  The k = 0 table maps the pair of zero exponents to 1.
-        When every entry is real the weights are Fraction products, and
-        (-i/2)^k enters once per key; a non-real structure matrix sums
-        GaussianRational products.  The tables are not shared between
-        charts.
-        """
-        return self._record(k)[0]
-
     def contraction_numerators(self, k):
-        """``contractions(k)`` as integer rows by left exponent, {d: {e:
-        (re, im, den)}}, in that table's order, built once per chart and k:
-        each scalar is c = (re + im*i) / den over one denominator den for
-        the whole table, the lcm of its scalars' denominators, so a scalar
-        need not be in lowest terms."""
-        return self._record(k)[1]
+        """The scalars of the fully contracted pairs y^d o_k y^e as integer
+        rows by left exponent, {d: {e: (re, im, den)}}, built once per chart
+        and k: the scalar is c = (re + im*i) / den over one denominator den
+        for the whole table, the lcm of its scalars' denominators, so a
+        scalar need not be in lowest terms.
 
-    def _record(self, k):
-        """(``contractions(k)``, ``contraction_numerators(k)``), built in
-        one pass and cached per chart and k."""
-        record = self._contractions.get(k)
-        if record is None:
+        With W = wbar^{rs} a_r b_s in the 2*dim variables (a, b), the
+        coefficient of a^d b^e in W^k / k! sums, over the multisets of k
+        nonzero entries wbar^{rs} that contract y^d in the left factor (one
+        y^r per entry) with y^e in the right (one y^s), their weights
+        prod(wbar_t^{m_t} / m_t!), and c = (-i/2)^k * d! * e! * that
+        coefficient.  A key whose weights cancel is not stored.  The rows
+        follow the terms of W^k, each d's partners together; on the block
+        form each d has one partner e.  The k = 0 table maps the pair of
+        zero exponents to 1.  The tables are not shared between charts.
+        """
+        rows = self._numerators.get(k)
+        if rows is None:
             dim = self.dim
-            entries = [(r, s, v) for r, row in enumerate(self.omega_bar.constant_rows())
-                       for s, v in enumerate(row) if v]
-            if not any(v.im for _r, _s, v in entries):
-                entries = [(r, s, v.re) for r, s, v in entries]
-            sums = {}
-            for combo in itertools.combinations_with_replacement(entries, k):
-                d = [0] * dim
-                e = [0] * dim
-                w = 1
-                prev, mult = None, 0
-                for t in combo:
-                    r, s, v = t
-                    d[r] += 1
-                    e[s] += 1
-                    mult = mult + 1 if t == prev else 1
-                    prev = t
-                    w = w * v / mult
-                accumulate(sums.setdefault(tuple(d), {}), tuple(e), w)
-            pre = _MINUS_I_HALF ** k
-            table = {(d, e): pre * (w * math.prod(map(math.factorial, d + e)))
-                     for d, row in sums.items() for e, w in row.items()}
-            den = math.lcm(*(q.denominator for c in table.values() for q in (c.re, c.im)))
-            rows = {}
-            for (d, e), c in table.items():
-                rows.setdefault(d, {})[e] = (c.re.numerator * (den // c.re.denominator),
-                                             c.im.numerator * (den // c.im.denominator), den)
-            record = self._contractions[k] = (table, rows)
-        return record
+            unit = [(0,) * r + (1,) + (0,) * (dim - 1 - r) for r in range(dim)]
+            w = Polynomial(2 * dim, {unit[r] + unit[s]: v
+                                     for r, row in enumerate(self.omega_bar.constant_rows())
+                                     for s, v in enumerate(row)})
+            terms = []
+            for exp, (re, im, den) in (w ** k).scale(
+                    _MINUS_I_HALF ** k / math.factorial(k)).integer_terms():
+                f = math.prod(map(math.factorial, exp))
+                terms.append((exp, re * f, im * f, den))
+            # one den for all terms: the lcm of the reduced scalars' denominators
+            # is den over the gcd of den and every numerator
+            g = math.gcd(*(x for _e, re, im, den in terms for x in (re, im, den)))
+            rows = self._numerators[k] = {}
+            for exp, re, im, den in terms:
+                rows.setdefault(exp[:dim], {})[exp[dim:]] = (re // g, im // g, den // g)
+        return rows
 
     def moyal_weights(self, ua, ub, bracket):
         """Every contraction of y^ua o y^ub, as a tuple of (dh, u, re, im,
@@ -192,24 +165,25 @@ class Geometry:
         The product y^ua o y^ub is the sum of c * hbar^dh * y^u over the
         entries, c = (re + im*i) / den: the scalar is stored pre-split into
         Gaussian-integer numerators over a reduced positive denominator, so
-        a product adds it as integers.  A key (d, e) of ``contractions(k)``
-        with d <= ua and e <= ub leaves u = ua - d + ub - e with its scalar
-        times binom(ua, d) * binom(ub, e), since the falling factorial
-        (ua)_d = binom(ua, d) * d!; c sums the keys that leave the same u,
-        and dh = k.  With ``bracket`` only odd k enter, with c times 2i and
-        dh = k - 1: the odd pieces of (i/hbar)[y^ua, y^ub].  No entry has
-        c = 0, and the caller applies the wedge sign of the dx factors.
+        a product adds it as integers.  An entry (d, e) of
+        ``contraction_numerators(k)`` with d <= ua and e <= ub leaves
+        u = ua - d + ub - e with its scalar times binom(ua, d) * binom(ub,
+        e), since the falling factorial (ua)_d = binom(ua, d) * d!; c sums
+        the keys that leave the same u, and dh = k.  With ``bracket`` only
+        odd k enter, with c times 2i and dh = k - 1: the odd pieces of
+        (i/hbar)[y^ua, y^ub].  No entry has c = 0, and the caller applies
+        the wedge sign of the dx factors.
 
         A miss walks the rows of ``contraction_numerators(k)`` with d <=
         ua, skipping an entry whose e is not <= ub, and sums plain integer
         numerators over the table's one denominator, so its entries, and
-        their order, are those of a Fraction sum over ``contractions(k)``;
-        each entry is reduced once.  Those rows, each with its factor
-        binom(ua, d), are found once per chart and (k, ua) and cached, as
-        misses repeat their left exponents (an order-2 ``verify`` of
-        ``curved_r4_k1_poly`` misses 1858 keys over 119 distinct ua).
-        math.comb is 0 when d_i > ua_i, so a row's factor is also its test
-        d <= ua, and likewise binom(ub, e) for an entry.
+        their order, are those of a Fraction sum over the rows' scalars in
+        row order; each entry is reduced once.  Those rows, each with its
+        factor binom(ua, d), are found once per chart and (k, ua) and
+        cached, as misses repeat their left exponents (an order-2
+        ``verify`` of ``curved_r4_k1_poly`` misses 1858 keys over 119
+        distinct ua).  math.comb is 0 when d_i > ua_i, so a row's factor
+        is also its test d <= ua, and likewise binom(ub, e) for an entry.
         """
         key = (ua, ub, bracket)
         entries = self._weights.get(key)

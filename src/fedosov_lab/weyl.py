@@ -20,11 +20,11 @@ The fiberwise product is
 with dx factors multiplied by wedge.  Each graded piece preserves the
 filtration degree of a product exactly, so the product of homogeneous parts
 of degrees i and j is homogeneous of degree i + j.
-This module holds no contraction weights.  The chart caches one record per
-k: ``Geometry.contractions(k)``, the whole scalar of each fully contracted
-pair y^d o_k y^e, and ``Geometry.contraction_numerators(k)``, the same
-scalars as integer rows by left exponent, {d: {e: (re, im, den)}}, in that
-table's order, Gaussian-integer numerators over one denominator per table.
+This module holds no contraction weights.  The chart caches one table per
+k, ``Geometry.contraction_numerators(k)``: the whole scalar of each fully
+contracted pair y^d o_k y^e, read off the coefficient of a^d b^e in W^k/k!
+with W = wbar^{rs} a_r b_s, as integer rows by left exponent, {d: {e: (re,
+im, den)}}, Gaussian-integer numerators over one denominator per table.
 One row walk, ``_contracted``, reads the fully contracted pairs: it walks
 the row of each left exponent, its contraction partners, and looks each
 partner up in an index of the right operand by y-exponent, so it visits

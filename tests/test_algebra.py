@@ -125,6 +125,40 @@ def test_polynomial_scale_fast_paths(rng):
         assert p.scale(c) == p * Polynomial.constant(dim, c)
 
 
+def test_scalar_and_reflected_operations(rng):
+    # a scalar on either side of * is scale; an operand of another type, a
+    # polynomial of another dim, a negative power or a negative shift raises
+    dim = 2
+    p = rand_poly(rng, dim)
+    for c in (3, F(-2, 5), GaussianRational(F(1, 3), F(-4, 7))):
+        assert p * c == c * p == p.scale(c)
+    c = GaussianRational(F(1, 3), F(-4, 7))
+    assert c + p == p + c and c - p == -(p - c)
+    with pytest.raises(TypeError):
+        p * "x"
+    with pytest.raises(TypeError):
+        c * 0.5
+    with pytest.raises(TypeError):
+        "x" * p
+    assert 1 - p == Polynomial.one(dim) - p == -(p - 1)
+    with pytest.raises(ValueError, match="dims differ"):
+        p * Polynomial.variable(3, 0)
+    with pytest.raises(ValueError):
+        p.partial(-1)
+    with pytest.raises(ValueError):
+        p ** -1
+    z = GaussianRational(F(2, 3), F(-1, 4))
+    assert 1 - z == ONE - z == GaussianRational(F(1, 3), F(1, 4))
+    assert 1 / z == z.inverse() and (1 / z) * z == ONE
+    with pytest.raises(ValueError):
+        z ** -1
+    s = HbarSeries(2, {0: p, 2: Polynomial.one(dim)})
+    assert -s == HbarSeries(2, {0: -p, 2: -Polynomial.one(dim)})
+    assert (s + -s).is_zero()
+    with pytest.raises(ValueError, match="negative shift"):
+        s.shift(-1)
+
+
 def test_polynomial_partial_leibniz(rng):
     dim = 3
     for _ in range(20):

@@ -87,7 +87,7 @@ def test_verify_number_past_the_digit_limit_exits_two_with_one_line(tmp_path, ca
 
 def test_failing_report_exits_one_and_names_anchors(tmp_path, capsys,
                                                     monkeypatch):
-    def fake_run(command, scenario, order=None, coeff_limit=None):
+    def fake_run(command, scenario, order=None):
         return Report(command, "cli-toy", [
             Check("star.unit-neutral", "0", True),
             Check("connection.flatness-residual", "y1*dx_{1}", False),
@@ -213,14 +213,14 @@ def test_coeffs_order_zero_without_scenario_is_usage_error(capsys):
 
 def test_run_coeffs_limit_zero_is_not_the_default():
     with pytest.raises(ValueError):
-        cli.run("coeffs", None, coeff_limit=0)
+        cli.run("coeffs", None, order=0)
 
 
 @pytest.mark.parametrize("command, override", [
     ("star", {"order": 0}),
     ("star", {"order": MAX_ORDER + 1}),
     ("verify", {"order": MAX_ORDER + 1}),
-    ("coeffs", {"coeff_limit": MAX_COEFF_LIMIT + 1}),
+    ("coeffs", {"order": MAX_COEFF_LIMIT + 1}),
 ], ids=["order-0", "star-order-9", "verify-order-9", "coeff_limit-65"])
 def test_run_bounds_its_overrides(monkeypatch, command, override):
     # the Python entry point keeps the size limits that main applies to --order
@@ -229,7 +229,7 @@ def test_run_bounds_its_overrides(monkeypatch, command, override):
         monkeypatch.setattr(cli, body, lambda *a: pytest.fail("command body ran"))
     sc = load_scenario(FLAT_PERTURBED)
     with pytest.raises(ScenarioError):
-        cli.run(command, sc if "order" in override else None, **override)
+        cli.run(command, sc, **override)
     assert sc.order == FLAT_PERTURBED["order"]
 
 
@@ -241,6 +241,23 @@ def test_run_order_override_leaves_the_scenario_alone():
     assert sc.order == FLAT_PERTURBED["order"] == 3
     assert [c.anchor for c in low.checks] == ["star.coefficient.h0", "star.coefficient.h1"]
     assert [c.anchor for c in again.checks] == ["star.coefficient.h%d" % n for n in range(4)]
+
+
+def test_run_coeffs_reads_order_as_its_table_limit():
+    # coeffs takes its table limit from order, else from the scenario's
+    # coeff_limit, and never from the scenario's order
+    from fedosov_lab.io import DEFAULT_COEFF_LIMIT, load_scenario
+    sc = load_scenario(dict(FLAT_PERTURBED, coeff_limit=2))
+    assert sc.order == 3
+
+    def rows(report):
+        return [c.anchor for c in report.checks if c.anchor.startswith("coeffs.row-")]
+
+    assert rows(cli.run("coeffs", sc)) == ["coeffs.row-%d" % n for n in range(3)]
+    assert rows(cli.run("coeffs", sc, order=5)) == ["coeffs.row-%d" % n for n in range(6)]
+    assert rows(cli.run("coeffs", None)) == [
+        "coeffs.row-%d" % n for n in range(DEFAULT_COEFF_LIMIT + 1)]
+    assert sc.order == 3 and sc.coeff_limit == 2
 
 
 def _assert_one_line_error(capsys):
@@ -305,7 +322,7 @@ def run_calls(monkeypatch):
     slipped through would be recorded instead of run."""
     calls = []
 
-    def fake_run(command, scenario, order=None, coeff_limit=None):
+    def fake_run(command, scenario, order=None):
         calls.append(command)
         return Report(command, "stub", [])
 

@@ -76,6 +76,22 @@ def test_asymmetric_gamma_rejected():
         validate_geometry(g)
 
 
+def test_christoffel_input_is_validated():
+    # an index out of range, an entry of another dim and two orderings of one
+    # triple with different values are each rejected on construction
+    for idx in ((0, 0, 2), (-1, 0, 1)):
+        with pytest.raises(GeometryError, match="out of range"):
+            Geometry(2, gamma={idx: 1})
+    with pytest.raises(GeometryError, match="dim mismatch"):
+        Geometry(2, gamma={(0, 0, 1): Polynomial.one(4)})
+    with pytest.raises(GeometryError, match="full symmetry"):
+        Geometry(2, gamma={(0, 0, 1): 1, (1, 0, 0): 2})
+    # a scalar entry is read as the constant polynomial
+    g = Geometry(2, gamma={(0, 0, 1): F(3, 2), (1, 0, 0): F(3, 2), (1, 1, 1): 0})
+    assert g.christoffel(0, 1, 0) == Polynomial.constant(2, F(3, 2))
+    assert g.gamma == {(0, 0, 1): Polynomial.constant(2, F(3, 2))}
+
+
 def test_christoffel_fully_symmetric(rng):
     g = rand_curved_geometry(rng, 4)
     idx = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)]
@@ -123,36 +139,46 @@ def oracle_contractions(geom, k):
     return out
 
 
+def scalars(geom, k):
+    """{(d, e): c} read off the rows of ``contraction_numerators(k)``, in
+    row order."""
+    return {(d, e): GaussianRational(F(re, den), F(im, den))
+            for d, row in geom.contraction_numerators(k).items()
+            for e, (re, im, den) in row.items()}
+
+
 def test_contractions_match_multiset_oracle(rng):
-    # Each chart caches (-i/2)^k * d! * e! * (summed multiset weights) per
-    # key (d, e); off the block form several multisets share a key, and a
-    # key whose weights cancel is not stored.  Checked on the block chart and
-    # on a random non-block one.
+    # Each chart's rows hold (-i/2)^k * d! * e! * (summed multiset weights)
+    # per key (d, e); off the block form several multisets share a key, and
+    # a key whose weights cancel is not stored.  Checked on the block chart,
+    # on random non-block ones in 4D and, through k = 3, in 6D.
     shared = []
-    for g in (Geometry(4), rand_structure_geometry(rng, 4)):
+    for g, top in ((Geometry(4), 4), (rand_structure_geometry(rng, 4), 4),
+                   (rand_structure_geometry(rng, 6), 4)):
         shared.append(0)
-        for k in range(4):
+        for k in range(top):
             oracle = oracle_contractions(g, k)
-            table = g.contractions(k)
+            rows = g.contraction_numerators(k)
+            table = scalars(g, k)
             assert set(table) <= set(oracle)
             pre = GaussianRational(0, F(-1, 2)) ** k
             for (d, e), ws in oracle.items():
                 shared[-1] += len(ws) > 1
                 fact = math.prod(math.factorial(x) for x in d + e)
                 assert table.get((d, e), 0) == pre * sum(ws, GaussianRational(0)) * fact
-            assert g.contractions(k) is table  # built once per chart and k
+            assert g.contraction_numerators(k) is rows  # built once per chart and k
         # the k=1 table is (-i/2) wbar, entry by entry
         omb = g.omega_bar.constant_rows()
-        unit = [tuple(1 if t == i else 0 for t in range(4)) for i in range(4)]
-        assert g.contractions(1) == {
+        unit = [tuple(1 if t == i else 0 for t in range(g.dim)) for i in range(g.dim)]
+        assert scalars(g, 1) == {
             (unit[i], unit[j]): GaussianRational(0, F(-1, 2)) * omb[i][j]
-            for i in range(4) for j in range(4) if omb[i][j]}
-    assert shared[1]  # the non-block chart exercises summed multisets
+            for i in range(g.dim) for j in range(g.dim) if omb[i][j]}
+    assert shared[1] and shared[2]  # the non-block charts exercise summed multisets
 
 
 def test_contractions_of_a_non_real_structure_matrix_match_the_oracle():
-    # A real wbar sums its multiset weights in Fraction; a non-real one
-    # keeps GaussianRational products, checked here against the oracle.
+    # A non-real wbar takes the same path as a real one, Gaussian-integer
+    # numerators throughout, checked here against the oracle.
     i1 = GaussianRational(1, 1)
     block = standard_omega(4)
     for g in (Geometry(2, omega=[[0, i1], [-i1, 0]]),
@@ -160,7 +186,7 @@ def test_contractions_of_a_non_real_structure_matrix_match_the_oracle():
         assert any(v.im for row in g.omega_bar.constant_rows() for v in row)
         for k in range(5):
             oracle = oracle_contractions(g, k)
-            table = g.contractions(k)
+            table = scalars(g, k)
             assert set(table) <= set(oracle)
             pre = GaussianRational(0, F(-1, 2)) ** k
             for (d, e), ws in oracle.items():
@@ -174,18 +200,17 @@ def test_contractions_of_a_non_real_structure_matrix_match_the_oracle():
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_contractions_sit_in_the_rows_of_their_numerators(rng, dim):
-    # contractions(k) lists each left exponent's keys together, in the row
-    # order of contraction_numerators(k), whose entries hold the same
-    # scalars over one denominator per table: so a moyal_weights miss that
-    # walks the rows meets the keys in the table's order.
+    # contraction_numerators(k) holds every scalar of a table over one
+    # denominator, the lcm of the scalars' reduced denominators, so a
+    # moyal_weights miss sums plain integer numerators.
     for g in (Geometry(dim), rand_structure_geometry(rng, dim), rand_structure_geometry(rng, dim)):
         for k in range(5):
-            table = g.contractions(k)
+            table = scalars(g, k)
             rows = g.contraction_numerators(k)
-            assert list(table) == [(d, e) for d, row in rows.items() for e in row]
             dens = {den for row in rows.values() for _re, _im, den in row.values()}
             assert len(dens) == 1
             [den] = dens
+            assert den == math.lcm(*(q.denominator for c in table.values() for q in (c.re, c.im)))
             for (d, e), c in table.items():
                 re, im, _den = rows[d][e]
                 assert c == GaussianRational(F(re, den), F(im, den))

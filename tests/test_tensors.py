@@ -7,7 +7,7 @@ import pytest
 
 from fedosov_lab.algebra import GaussianRational, HbarSeries, Polynomial
 from fedosov_lab.geometry import Geometry
-from fedosov_lab.tensors import (SingularMatrixError, Tensor2, TensorSeries,
+from fedosov_lab.tensors import (SingularMatrixError, Tensor2, Tensor3, TensorSeries,
                                  VarianceError, diamond, diamond_power, formal_poisson,
                                  invert_scalar_matrix, is_closed, matmul, mu,
                                  mu_inv, schouten, series_diamond, series_inverse,
@@ -282,6 +282,63 @@ def test_tensor3_entry_signs_every_index_order(rng):
         for i, k in permutations(range(dim), 2):
             for repeated in ((i, i, k), (i, k, i), (k, i, i), (i, i, i)):
                 assert t.entry(*repeated).is_zero()
+
+
+# -- rejected inputs ---------------------------------------------------------------
+
+
+def test_tensor2_rejects_bad_variance_shape_and_entry_dim():
+    with pytest.raises(VarianceError):
+        Tensor2(2, "mixed", [[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="2 x 2"):
+        Tensor2(2, "lower", [[0, 1]])
+    with pytest.raises(ValueError, match="2 x 2"):
+        Tensor2(2, "lower", [[0, 1], [-1, 0, 0]])
+    with pytest.raises(ValueError, match="entry dim"):
+        Tensor2(2, "lower", [[0, Polynomial.one(4)], [0, 0]])
+
+
+def test_tensor2_sum_rejects_mismatched_dims_and_variances():
+    a = Tensor2.zeros(2, "lower")
+    with pytest.raises(ValueError, match="dims differ"):
+        a + Tensor2.zeros(4, "lower")
+    with pytest.raises(VarianceError):
+        a - Tensor2.zeros(2, "upper")
+
+
+def test_tensor2_constant_rows_and_pair_reject_their_inputs():
+    x1 = Polynomial.variable(2, 0)
+    with pytest.raises(ValueError, match="not constant"):
+        Tensor2(2, "lower", [[0, x1], [-x1, 0]]).constant_rows()
+    with pytest.raises(VarianceError):
+        Geometry(2).omega.pair(x1, Polynomial.variable(2, 1))
+
+
+def test_tensor3_rejects_a_non_increasing_triple_and_compares_only_tensors():
+    for triple in ((1, 0, 2), (0, 0, 1), (0, 1, 4)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Tensor3(4, {triple: 1})
+    t = Tensor3(4, {(0, 1, 2): 1})
+    assert t == Tensor3(4, {(0, 1, 2): Polynomial.one(4)})
+    assert t != object() and not t == "t"
+
+
+def test_diamond_and_lowering_reject_bad_operands():
+    geom = Geometry(2)
+    with pytest.raises(TypeError):
+        diamond(geom.omega, [[0, 1], [-1, 0]], geom)
+    with pytest.raises(ValueError, match="chart dim"):
+        diamond(Tensor2.zeros(4, "lower"), Tensor2.zeros(4, "lower"), geom)
+    with pytest.raises(ValueError, match="n >= 1"):
+        diamond_power(geom.omega, 0, geom)
+    with pytest.raises(VarianceError):
+        mu_inv(geom.omega, geom)
+    with pytest.raises(VarianceError):
+        schouten(geom.omega, geom.omega)
+    with pytest.raises(VarianceError):
+        schouten(geom.omega_bar, geom.omega)
+    with pytest.raises(VarianceError):
+        two_form_d(geom.omega_bar)
 
 
 # -- series ------------------------------------------------------------------------

@@ -284,13 +284,16 @@ def test_moyal_and_odd_bracket_match_per_row_oracle(rng, dim):
 
 
 def fraction_moyal_weights(geom, ua, ub, bracket):
-    """The weights of y^ua o y^ub summed in Fraction over the flat table
-    ``contractions(k)``, key by key in its order."""
+    """The weights of y^ua o y^ub summed in Fraction over every key of the
+    rows of ``contraction_numerators(k)``, key by key in row order."""
     shift = 1 if bracket else 0
     entries = []
     for k in range(shift, min(sum(ua), sum(ub)) + 1, 1 + shift):
         sums = {}
-        for (d, e), c in geom.contractions(k).items():
+        keys = ((d, e, GaussianRational(Fraction(re, den), Fraction(im, den)))
+                for d, row in geom.contraction_numerators(k).items()
+                for e, (re, im, den) in row.items())
+        for d, e, c in keys:
             n = math.prod(map(math.comb, ua + ub, d + e))
             if n:
                 u = tuple(x - y + z - t for x, y, z, t in zip(ua, d, ub, e))
@@ -303,8 +306,8 @@ def fraction_moyal_weights(geom, ua, ub, bracket):
 def test_moyal_weights_match_fraction_reference(rng):
     # The integer sum over the rows d <= ua of contraction_numerators(k)
     # must give the Fraction sum's entries in the Fraction sum's order.  Off
-    # the block form one left exponent has several right partners, so the
-    # rows interleave in contractions(k) and the order is a real check.
+    # the block form one left exponent has several right partners, and the
+    # walk skips whole rows, so the order is a real check.
     for dim in (2, 4):
         scaled = Geometry(dim, omega=[[2 * v for v in row] for row in standard_omega(dim)])
         top = 3 if dim == 4 else 5
