@@ -22,14 +22,18 @@ through 2N, so StarEngine uses D = 2N+1.  Both residuals are truncated at
 degree D-2, the top degree whose every term reads stored degrees only.
 Since degree d reads only lower ones, a solve at a lower cap is resumed,
 not repeated: verify extends the engine's own r and sections by the one
-degree 2N+1 its residuals read, and checks those.  The solve of a
-section's degree D-1 forms the body B_{D-2}, par a_{D-2} plus the brackets
-[r_i, a_j] with i + j = D, which are also the abelian residual's degree
-D-2 terms but - delta a_{D-1}; so an extended section keeps that body
-(``_Extension``), and ``abelian_residual`` adds it in place of those terms
-when its own parts of r and a name the operands the solve read, by
-identity or by value, and computes them otherwise.  Each top-degree pair
-is then bracketed once per verify, and the residual is unchanged.
+degree 2N+1 its residuals read, and checks those.  The solve of degree
+D-1 forms the body B_{D-2}: for a section, par a_{D-2} plus the brackets
+[r_i, a_j] with i + j = D; for r, par r_{D-2} plus the brackets [r_i, r_j]
+with i <= j and i + j = D, halved when i = j.  That body is also the
+residual's degree D-2 terms but delta x_{D-1} (and, for r, Q_{D-2}); so
+an extended r or section keeps it (``_Extension``), and
+``curvature_residual`` or ``abelian_residual`` adds it in place of those
+terms when its own parts name the operands the solve read, by identity or
+by value, and computes them otherwise.  Each top-degree pair is then
+bracketed once per verify, and the residual is unchanged.  The body and
+the other terms of each degree are added into one ``algebra._Sum``:
+``cov_ext_deriv`` adds par x into the caller's sum.
 
 The section equation is linear over constants in f, so
 
@@ -206,7 +210,7 @@ def _solve(base, pairs, geom, what, cap, below=None, keep=None):
         acc = _Sum(base.dim)
         part, operands = xs.get(d - 1), pairs(xs, d - 1)
         if part is not None:
-            _add_form(acc, cov_ext_deriv(part, geom))
+            cov_ext_deriv(part, geom, acc)
         for left, right in operands.values():
             _add_form(acc, odd_bracket(left, right, geom))
         b = WeylForm._make(base.dim, acc.polys())
@@ -221,6 +225,13 @@ def _solve(base, pairs, geom, what, cap, below=None, keep=None):
     return sum(xs.values(), zero)
 
 
+def _r_pairs(rs, e):
+    """The operand pairs of r's body B_e: the parts r_i, r_j with i <= j and
+    i + j = e + 2, the left one halved when i = j."""
+    return {(i, e + 2 - i): (ri.scale(_HALF) if 2 * i == e + 2 else ri, rs[e + 2 - i])
+            for i, ri in rs.items() if 2 * i <= e + 2 and e + 2 - i in rs}
+
+
 def solve_r(spec, cap, below=None):
     """Solve  r = delta_inv(Q + par r + (i/hbar) r o r)  below the cap.
 
@@ -229,21 +240,20 @@ def solve_r(spec, cap, below=None):
     degree cap or more.  For 1-forms r_i o r_j + r_j o r_i = [r_i, r_j], so
     each pair of parts i <= j is bracketed once, and halved when i = j.
     ``below``, a solve at a lower cap, is extended: only the degrees above
-    its top one are computed.
+    its top one are computed, and the result, an ``_Extension``, also holds
+    the body its top degree was solved from until ``curvature_residual``
+    reads it.  A solve from degree 0 keeps nothing.
     """
     if cap < 3:
         raise ValueError("degree cap must be at least 3")
-
-    def pairs(rs, e):
-        return {(i, e + 2 - i): (ri.scale(_HALF) if 2 * i == e + 2 else ri, rs[e + 2 - i])
-                for i, ri in rs.items() if 2 * i <= e + 2 and e + 2 - i in rs}
-
-    r = _solve(delta_inv(spec.q_form()), pairs, spec.geometry, "r-recursion", cap, below)
+    kept = None if below is None else {}
+    r = _solve(delta_inv(spec.q_form()), _r_pairs, spec.geometry, "r-recursion", cap,
+               below, kept)
     if not delta_inv(r).is_zero():
         raise ConvergenceError("fixed point violates the delta_inv(r) = 0 gauge")
     if not r.is_zero() and r.min_degree() < 3:
         raise ConvergenceError("fixed point has terms below degree 3")
-    return r
+    return _Extension.keeping(r, kept)
 
 
 def flat_section(f, spec, r, cap, below=None):
@@ -270,20 +280,26 @@ def flat_section(f, spec, r, cap, below=None):
     kept = None if below is None else {}
     a = _solve(WeylForm.from_series(f, spec.dim), pairs, spec.geometry,
                "section recursion", cap, below, kept)
-    if not kept:
-        return a
-    a = _Extension._make(a.dim, a.terms)
-    a.kept = kept
-    return a
+    return _Extension.keeping(a, kept)
 
 
 class _Extension(WeylForm):
-    """A section that ``flat_section`` extended, with ``kept``: the body
-    B_{cap-2} of its top solved degree and what that body read (see
-    ``_solve``), until ``abelian_residual`` takes them.  Every operation on
-    it returns a plain ``WeylForm``, which keeps nothing."""
+    """A solution that ``solve_r`` or ``flat_section`` extended, with
+    ``kept``: the body B_{cap-2} of its top solved degree and what that
+    body read (see ``_solve``), until ``curvature_residual`` or
+    ``abelian_residual`` takes them.  Every operation on it returns a plain
+    ``WeylForm``, which keeps nothing."""
 
     __slots__ = ("kept",)
+
+    @classmethod
+    def keeping(cls, x, kept):
+        """x holding the record ``kept``, or x itself when that is empty."""
+        if not kept:
+            return x
+        out = cls._make(x.dim, x.terms)
+        out.kept = kept
+        return out
 
 
 def _add_form(acc, form, sign=1):
@@ -330,7 +346,7 @@ def abelian_residual(a, spec, r, cap):
         _add_form(acc, kept.pop("body"))
         top -= 1
     kept.clear()
-    _add_form(acc, cov_ext_deriv(a.capped(top), geom))
+    cov_ext_deriv(a.capped(top), geom, acc)
     _add_form(acc, delta(a), -1)
     _add_pairs(acc, odd_bracket, rs, parts, geom, top + 2)
     return WeylForm._make(a.dim, acc.polys()).capped(cap - 2)
@@ -339,17 +355,37 @@ def abelian_residual(a, spec, r, cap):
 def curvature_residual(r, spec, cap):
     """delta r - (Q + par r + (i/hbar) r o r): the defining equation of r.
 
-    It takes r o r whole, over ordered pairs of parts, so it shares no
-    bracket with solve_r.  Like ``abelian_residual`` it is truncated at
-    degree cap - 2 for an r solved at ``cap``, and computes nothing above.
+    Like ``abelian_residual`` it is truncated at degree cap - 2 for an r
+    solved at ``cap``, and computes nothing above.  It takes r o r whole,
+    over ordered pairs of parts, below its top degree.
+
+    Its degree cap - 2 holds par r_{cap-2} and (i/hbar) r_i o r_j over the
+    ordered pairs with i + j = cap, which for 1-forms sum to the brackets
+    of the pairs i <= j, halved when i = j: the body B_{cap-2} that the
+    solve of r_{cap-1} formed.  When ``r`` is an extension that ``solve_r``
+    left holding that body (``_Extension``), the residual adds the body in
+    place of those terms, first, releasing it, only when its own parts of r
+    name the operands the solve read, by identity or by value, on the same
+    chart and degree.  Otherwise it computes them.  So a top pair is
+    bracketed once per ``verify``, the result is the same, and a solve that
+    skipped a pair, or a part changed after the solve, still leaves a
+    nonzero residual.
     """
     geom = spec.geometry
     acc = _Sum(r.dim)
     rs = _parts(r)
-    _add_pairs(acc, moyal, rs, rs, geom, cap)
-    body = (spec.q_form() + cov_ext_deriv(r.capped(cap - 2), geom)
-            + i_over_hbar(WeylForm._make(r.dim, acc.polys())))
-    return (delta(r) - body).capped(cap - 2)
+    top = cap - 2
+    kept = r.kept if isinstance(r, _Extension) else {}
+    if kept and kept.pop("read") == (geom, top, rs.get(top), _r_pairs(rs, top)):
+        _add_form(acc, kept.pop("body"))
+        top -= 1
+    kept.clear()
+    products = _Sum(r.dim)
+    _add_pairs(products, moyal, rs, rs, geom, top + 2)
+    _add_form(acc, i_over_hbar(WeylForm._make(r.dim, products.polys())))
+    _add_form(acc, spec.q_form())
+    cov_ext_deriv(r.capped(top), geom, acc)
+    return (delta(r) - WeylForm._make(r.dim, acc.polys())).capped(cap - 2)
 
 
 class StarResult:

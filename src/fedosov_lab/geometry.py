@@ -344,36 +344,36 @@ def validate_geometry(geom):
     return checks
 
 
-def cov_ext_deriv(a, geom):
+def cov_ext_deriv(a, geom, acc=None):
     """Covariant exterior derivative: par a = d a + (i/hbar) [Gamma_w, a].
 
     Preserves the filtration degree.  The connection term is a derivation
     of the fibre algebra (see ``Geometry.connection_fields``): a term
     c hbar^h y^u dx^I adds u_s c V_s with y^s lowered, each dx^k of V_s
     wedged in front of dx^I.  Those terms and the terms of ``exterior_d``
-    go into one ``algebra._Sum``, which reduces each output key once.  Its
+    go into one ``algebra._Sum``, which reduces each output key once.
+    Given ``acc``, that sum is the caller's: the terms are added into it and
+    None is returned, so a solve adds par a straight into its body.  Its
     equality with d a + ``odd_bracket(Gamma_w, a)`` is a tested identity.
     """
-    out = exterior_d(a)
-    if geom.is_flat():
-        return out
-    fields = geom.connection_fields()
-    acc = _Sum(a.dim)
-    add = acc.add_product
-    for k, p in out.terms.items():
-        acc.add(k, p, 1)
-    for (h, u, form), c in a.terms.items():
-        wedges = [wedge_merge((k,), form) for k in range(a.dim)]
-        for s, e in enumerate(u):
-            if not e:
-                continue
-            for t, row in fields[s]:
-                nu = list(u)
-                nu[s] -= 1
-                nu[t] += 1
-                nu = tuple(nu)
-                for k, v in row:
-                    merged = wedges[k]
-                    if merged is not None:
-                        add((h, nu, merged[1]), c, v, e * merged[0])
-    return WeylForm._make(a.dim, acc.polys())
+    out = _Sum(a.dim) if acc is None else acc
+    exterior_d(a, out)
+    if not geom.is_flat():
+        fields = geom.connection_fields()
+        add = out.add_product
+        for (h, u, form), c in a.terms.items():
+            wedges = [wedge_merge((k,), form) for k in range(a.dim)]
+            for s, e in enumerate(u):
+                if not e:
+                    continue
+                for t, row in fields[s]:
+                    nu = list(u)
+                    nu[s] -= 1
+                    nu[t] += 1
+                    nu = tuple(nu)
+                    for k, v in row:
+                        merged = wedges[k]
+                        if merged is not None:
+                            add((h, nu, merged[1]), c, v, e * merged[0])
+    if acc is None:
+        return WeylForm._make(a.dim, out.polys())

@@ -39,10 +39,12 @@ integers over the same rows, d <= ua and e <= ub.  The products,
 ``delta``, ``delta_inv``, ``exterior_d`` and ``index_form``, the one
 builder of a form from an index formula, add each term, times an integer
 scalar, into ``algebra._Sum``, which reduces each output coefficient once.
-``moyal`` forms each pair's coefficient product once, as its entries share
-it; the row walk multiplies each pair's two coefficients straight into the
-sum (``_Sum.add_product``), so it never forms or reduces the product
-polynomial.
+The row walk, and ``moyal`` on a pair with one entry, multiply the pair's
+two coefficients straight into the sum (``_Sum.add_product``), so they
+never form or reduce the product polynomial; ``moyal`` forms the product
+once for a pair with several entries, as those share it.  Given a sum,
+``exterior_d`` adds into it and returns nothing, as does
+``geometry.cov_ext_deriv``, so a solve adds par a straight into its body.
 
 In the graded commutator [a, b] = a o b - (-1)^{q1 q2} b o a the even pieces
 cancel and the odd ones double, so ``odd_bracket`` computes (i/hbar)[a, b] in
@@ -313,26 +315,35 @@ def moyal(a, b, geom, bracket=False):
 
     Each monomial pair reads its contractions from the chart's cached table
     ``geom.moyal_weights(ua, ub, bracket)``, whose scalars are stored as
-    Gaussian-integer numerators over a denominator.  The pair's coefficient
-    product is formed once, and each entry adds it, times its scalar, into
-    one integer accumulator that reduces each output coefficient once.
-    ``bracket`` returns (i/hbar)[a, b] instead (see the module docstring).
+    Gaussian-integer numerators over a denominator.  The entries are looked
+    up before the dx factors are merged, as far more pairs have no entry
+    than fail the wedge.  A pair with one entry multiplies its two
+    coefficients, times the scalar, term pair by term pair into one integer
+    accumulator (``_Sum.add_product``), which reduces each output
+    coefficient once; a pair with several entries forms its coefficient
+    product once, and each entry adds it, times its scalar, into the same
+    accumulator.  ``bracket`` returns (i/hbar)[a, b] instead (see the
+    module docstring).
     """
     _check_dims(a, b, geom)
     acc = _Sum(geom.dim)
-    add = acc.add
+    add, add_product = acc.add, acc.add_product
     weights = geom.moyal_weights
     for (ha, ua, Ia), pa in a.terms.items():
         for (hb, ub, Ib), pb in b.terms.items():
-            merged = wedge_merge(Ia, Ib)
-            if merged is None:
-                continue
             entries = weights(ua, ub, bracket)
             if not entries:
                 continue
+            merged = wedge_merge(Ia, Ib)
+            if merged is None:
+                continue
             sign, IJ = merged
-            pab = pa * pb
             h = ha + hb
+            if len(entries) == 1:
+                (dh, u, re, im, cden), = entries
+                add_product((h + dh, u, IJ), pa, pb, sign * re, sign * im, cden)
+                continue
+            pab = pa * pb
             for dh, u, re, im, cden in entries:
                 add((h + dh, u, IJ), pab, sign * re, sign * im, cden)
     return WeylForm._make(geom.dim, acc.polys())
@@ -469,9 +480,13 @@ def sigma(a):
     return HbarSeries(order, coeffs)
 
 
-def exterior_d(a):
-    """Exterior derivative in the base variables: dx^m ^ (da/dx^m)."""
-    acc = _Sum(a.dim)
+def exterior_d(a, acc=None):
+    """Exterior derivative in the base variables: dx^m ^ (da/dx^m).
+
+    Given ``acc``, an ``algebra._Sum``, it adds its terms into that sum and
+    returns None, so a caller that sums several forms reduces each key
+    once; otherwise it returns the form."""
+    out = _Sum(a.dim) if acc is None else acc
     for (h, u, form), p in a.terms.items():
         for m in range(a.dim):
             dp = p.partial(m)
@@ -481,8 +496,9 @@ def exterior_d(a):
             if merged is None:
                 continue
             sign, nf = merged
-            acc.add((h, u, nf), dp, sign)
-    return WeylForm._make(a.dim, acc.polys())
+            out.add((h, u, nf), dp, sign)
+    if acc is None:
+        return WeylForm._make(a.dim, out.polys())
 
 
 # -- builders bridging tensors and Weyl forms ------------------------------------------

@@ -485,9 +485,9 @@ def test_verify_resumes_the_engine_forms_by_one_degree(monkeypatch):
             assert any(below is form for form in handed)
             read = []
 
-            def recording(a, geom):
+            def recording(a, geom, acc=None):
                 read.extend({2 * h + sum(u) for (h, u, _form) in a.terms})
-                return real_cov(a, geom)
+                return real_cov(a, geom, acc)
             monkeypatch.setattr(fedosov, "cov_ext_deriv", recording)
             try:
                 return solve(*args, below=below)

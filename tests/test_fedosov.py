@@ -935,9 +935,9 @@ def test_resumed_solves_equal_fresh_solves(rng, monkeypatch, block):
     read = []
     real = fedosov.cov_ext_deriv
 
-    def recording(a, geom):
+    def recording(a, geom, acc=None):
         read.extend(degrees(a))
-        return real(a, geom)
+        return real(a, geom, acc)
 
     def resumed(solve, *args, **kw):
         read.clear()
@@ -1231,8 +1231,11 @@ def degree_keeping_update(monkeypatch):
     that B_e has no term off degree e reports."""
     from fedosov_lab.weyl import delta
     real = fedosov.cov_ext_deriv
-    monkeypatch.setattr(fedosov, "cov_ext_deriv",
-                        lambda a, geom: real(a, geom) + delta(a))
+
+    def update(a, geom, acc):
+        real(a, geom, acc)
+        fedosov._add_form(acc, delta(a))
+    monkeypatch.setattr(fedosov, "cov_ext_deriv", update)
 
 
 def test_solve_r_guard_stops_a_sweep_that_keeps_degree(degree_keeping_update):
@@ -1419,3 +1422,114 @@ def test_extension_and_its_residual_bracket_each_part_pair_once(rng, monkeypatch
     assert abelian_residual(a, spec, r, cap).is_zero()
     assert sorted(seen) == [(i, j) for i in range(3, cap) for j in range(cap)
                             if i + j <= cap]
+
+
+# -- verify's flatness residual reads the top body solve_r's extension kept ------------
+
+
+def multiplied(monkeypatch):
+    """The degrees (i, j) of every whole product fedosov takes, as it takes it."""
+    seen = []
+    real = fedosov.moyal
+
+    def recording(x, y, geom, bracket=False):
+        (i,), (j,) = degrees(x), degrees(y)
+        seen.append((i, j))
+        return real(x, y, geom, bracket)
+
+    monkeypatch.setattr(fedosov, "moyal", recording)
+    return seen
+
+
+def flatness_pair(r, spec, cap, seen):
+    """The flatness residual of the extension r, whose products are left in
+    seen, and the standalone residual of the same form, which keeps no body."""
+    want = curvature_residual(WeylForm(r.dim, r.terms), spec, cap)
+    seen.clear()
+    return curvature_residual(r, spec, cap), want
+
+
+@pytest.mark.parametrize("name, order", [
+    ("curved_r4_plain", 2), ("curved_r4_k1_poly", 2), ("curved_r4_k1_const", 2),
+    ("curved_r4_k2_const", 2), ("curved_r4_k1_poly", 3)])
+def test_verify_flatness_residual_equals_the_standalone_one(monkeypatch, name, order):
+    """verify's flatness residual, of r extended by one degree from the
+    engine's r, equals the standalone residual of the same form and prints
+    the same.  It adds the body the extension kept in place of par r_{cap-2}
+    and the top products r_i o r_j with i + j = cap, which it no longer
+    takes, and releases the body."""
+    scenario = load_scenario(os.path.join(SCENARIOS, name + ".json"))
+    spec = scenario.build_spec()
+    engine = StarEngine(spec, order)
+    cap = engine.cap + 1
+    r = solve_r(spec, cap, below=engine.r())
+    assert set(r.kept) == {"body", "read"}
+    seen = multiplied(monkeypatch)
+    got, want = flatness_pair(r, spec, cap, seen)
+    assert got == want and str(got) == str(want) == "0"
+    parts = degrees(r)
+    assert sorted(seen) == [(i, j) for i in sorted(parts) for j in sorted(parts)
+                            if i + j < cap]
+    assert r.kept == {}
+
+
+@pytest.mark.parametrize("cap", [6, 7, 8])
+def test_shared_flatness_residual_equals_the_standalone_one_on_random_charts(
+        rng, monkeypatch, cap):
+    """On seeded random curved 2D charts the flatness residual of a
+    one-degree extension of r equals the standalone one: zero on the solved
+    r, and nonzero once the extension's top degree gains the term
+    x1 y1^{cap-1} dx2 while its record stays.  The operands still match, so
+    the residual reads the body, and the term shows as delta of it.  A solve
+    from degree 0 keeps nothing."""
+    spec, _f = _curved_poly_chart(rng)
+    below = solve_r(spec, cap - 1)
+    assert type(below) is WeylForm
+    seen = multiplied(monkeypatch)
+    r = solve_r(spec, cap, below=below)
+    assert seen == [] and r.kept
+    got, want = flatness_pair(r, spec, cap, seen)
+    assert got == want and got.is_zero()
+    assert all(i + j < cap for i, j in seen) and r.kept == {}
+    r = solve_r(spec, cap, below=below)
+    top = WeylForm(2, {(0, (cap - 1, 0), (1,)): Polynomial.variable(2, 0)})
+    got, want = flatness_pair(keeping(r + top, r), spec, cap, seen)
+    assert got == want and str(got) == str(want)
+    assert got == delta(top) and all(i + j < cap for i, j in seen)
+
+
+def test_shared_flatness_residual_keeps_its_strength(rng, monkeypatch):
+    """Two broken extensions of r at cap 7, each with a nonzero residual
+    equal to the standalone one, which takes every top product itself:
+    - the extension's solve skips the top pair (3, cap - 3), so its part of
+      degree cap - 1 is wrong, and its record lacks that pair;
+    - r's part of degree cap - 2 gains Z = delta(x2 y1^{cap-1}) after the
+      solve.  delta Z = 0, so only degree cap - 2 shows Z, through par Z.
+      The body kept there holds par of the part without Z, so a residual
+      that took it would read zero; the operand no longer matches the one
+      the solve read, and the residual computes that degree."""
+    spec, _f = _curved_poly_chart(rng)
+    cap = 7
+    below = solve_r(spec, cap - 1)
+    real = fedosov._r_pairs
+
+    def skipping(rs, e):
+        pairs = real(rs, e)
+        pairs.pop((3, e - 1), None)
+        return pairs
+
+    monkeypatch.setattr(fedosov, "_r_pairs", skipping)
+    skipped = solve_r(spec, cap, below=below)
+    monkeypatch.setattr(fedosov, "_r_pairs", real)
+    assert (3, cap - 3) not in skipped.kept["read"][3]
+    r = solve_r(spec, cap, below=below)
+    assert skipped != r
+    z = delta(WeylForm(2, {(0, (cap - 1, 0), ()): Polynomial.variable(2, 1)}))
+    assert delta(z).is_zero() and degrees(z) == {cap - 2}
+    seen = multiplied(monkeypatch)
+    for broken in (skipped, keeping(r + z, r)):
+        got, want = flatness_pair(broken, spec, cap, seen)
+        assert got == want and str(got) == str(want) and not got.is_zero()
+        assert max(i + j for i, j in seen) == cap
+        assert broken.kept == {}
+    assert got.capped(cap - 3).is_zero()

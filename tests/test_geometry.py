@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov_lab.algebra import GaussianRational, Polynomial
+from fedosov_lab.algebra import GaussianRational, Polynomial, _Sum
 from fedosov_lab.geometry import (Geometry, GeometryError, cov_ext_deriv,
                                   standard_omega, validate_geometry)
 from fedosov_lab.tensors import Tensor2
@@ -342,6 +342,53 @@ def test_flat_partial_is_exterior_d(rng):
     for _ in range(10):
         a = rand_form(rng, 2, cap=8)
         assert cov_ext_deriv(a, g) == __import__("fedosov_lab.weyl", fromlist=["exterior_d"]).exterior_d(a)
+
+
+def _held_sum(rng, a, dim):
+    """A ``_Sum`` that already holds terms over the denominators 3 and 7 and
+    an imaginary 1/5, on keys of a's derivative and on other keys, and the
+    form of those terms."""
+    held = rand_form(rng, dim, None, nterms=4, max_ydeg=2) + exterior_d(a).scale(F(-2, 3))
+    acc = _Sum(dim)
+    for k, p in held.terms.items():
+        acc.add(k, p, 1, 0, 7)
+        acc.add(k, p, 0, 1, 5)
+    return acc, held.scale(GaussianRational(F(1, 7), F(1, 5)))
+
+
+@pytest.mark.parametrize("chart", ["flat", "curved", "curved-non-block"])
+def test_derivatives_add_into_a_given_sum(rng, chart):
+    """cov_ext_deriv(a, geom, acc) and exterior_d(a, acc) add into a _Sum that
+    already holds terms and return None; the sum then reduces to the held
+    form plus the derivative's own form, exactly."""
+    dim = 2
+    omega = rand_structure_geometry(rng, dim).omega if chart == "curved-non-block" else None
+    g = Geometry(dim) if chart == "flat" else rand_curved_geometry(rng, dim, omega=omega)
+    for _ in range(3):
+        a = rand_form(rng, dim, None, nterms=5, max_h=2, max_ydeg=3)
+        for op, want in ((exterior_d, exterior_d(a)),
+                         (lambda x, acc: cov_ext_deriv(x, g, acc), cov_ext_deriv(a, g))):
+            acc, held = _held_sum(rng, a, dim)
+            assert op(a, acc) is None
+            assert WeylForm(dim, acc.polys()) == held + want
+            assert not want.is_zero()
+
+
+def test_cov_ext_deriv_into_a_sum_without_d_a_fails(rng, monkeypatch):
+    """Control: a cov_ext_deriv whose exterior_d returns its form instead of
+    adding into the given sum loses d a, so the sum no longer equals the
+    held form plus par a."""
+    from fedosov_lab import geometry
+    g = rand_curved_geometry(rng, 2)
+    a = rand_form(rng, 2, None, nterms=5, max_h=2, max_ydeg=3)
+    want, d_a = cov_ext_deriv(a, g), exterior_d(a)
+    acc, held = _held_sum(rng, a, 2)
+    real = geometry.exterior_d
+    monkeypatch.setattr(geometry, "exterior_d", lambda x, acc=None: real(x))
+    cov_ext_deriv(a, g, acc)
+    got = WeylForm(2, acc.polys())
+    assert not d_a.is_zero() and got != held + want
+    assert got == held + want - d_a
 
 
 @pytest.mark.parametrize("dim", [2, 4])

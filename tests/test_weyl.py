@@ -1,5 +1,6 @@
 """Weyl algebra: fiberwise product, graded pieces, commutator, delta operators."""
 
+import collections
 import itertools
 import math
 import random
@@ -318,6 +319,78 @@ def test_moyal_weights_match_fraction_reference(rng):
                     for bracket in (False, True):
                         assert (geom.moyal_weights(ua, ub, bracket)
                                 == fraction_moyal_weights(geom, ua, ub, bracket)), (ua, ub)
+
+
+def fraction_moyal(a, b, geom, bracket=False):
+    """a o b, or (i/hbar)[a, b] with ``bracket``, summed in Fraction-level
+    GaussianRationals: each pair's weights from ``fraction_moyal_weights``,
+    times the wedge sign, times the coefficients' terms pair by pair."""
+    out = {}
+    for (ha, ua, Ia), pa in a.terms.items():
+        for (hb, ub, Ib), pb in b.terms.items():
+            merged = wedge_merge(Ia, Ib)
+            if merged is None:
+                continue
+            sign, IJ = merged
+            for dh, u, re, im, den in fraction_moyal_weights(geom, ua, ub, bracket):
+                c = GaussianRational(F(sign * re, den), F(sign * im, den))
+                coeffs = out.setdefault((ha + hb + dh, u, IJ), {})
+                for ea, ca in pa.terms.items():
+                    for eb, cb in pb.terms.items():
+                        accumulate(coeffs, tuple(x + y for x, y in zip(ea, eb)), c * ca * cb)
+    return WeylForm(a.dim, {k: Polynomial(a.dim, t) for k, t in out.items()})
+
+
+def _product_charts_and_forms(rng):
+    """Seeded random forms on block and non-block charts in dims 2 and 4,
+    each with a y-free term, and the number of monomial pairs of each op
+    with zero, one and several contraction entries."""
+    cases = []
+    for dim in (2, 4):
+        for geom in (Geometry(dim), rand_structure_geometry(rng, dim)):
+            zero = (0,) * dim
+            a, b = (rand_form(rng, dim, None, nterms=5, max_ydeg=3)
+                    + WeylForm(dim, {(1, zero, ()): rand_poly(rng, dim, 1) + 1})
+                    for _ in range(2))
+            cases.append((geom, a, b))
+    counts = collections.Counter()
+    for geom, a, b in cases:
+        for bracket in (False, True):
+            for x, y in ((a, b), (b, a)):
+                for (_ha, ua, _Ia), (_hb, ub, _Ib) in itertools.product(x.terms, y.terms):
+                    counts[(bracket, min(len(geom.moyal_weights(ua, ub, bracket)), 2))] += 1
+    return cases, counts
+
+
+def test_moyal_and_odd_bracket_match_a_fraction_reference(rng):
+    """moyal and odd_bracket equal a Fraction-level product on seeded random
+    forms whose monomial pairs have no contraction entry (brackets only: a
+    product always has its k = 0 piece), one entry, which adds its
+    coefficient product term pair by term pair into the sum, and several,
+    which share one product polynomial."""
+    cases, counts = _product_charts_and_forms(rng)
+    assert all(counts[(False, n)] for n in (1, 2)) and counts[(False, 0)] == 0
+    assert all(counts[(True, n)] for n in (0, 1, 2))
+    for geom, a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            assert moyal(x, y, geom) == fraction_moyal(x, y, geom)
+            assert odd_bracket(x, y, geom) == fraction_moyal(x, y, geom, bracket=True)
+
+
+def test_fraction_reference_catches_a_wrong_single_entry_pair(rng, monkeypatch):
+    """Control: a moyal whose single-entry pairs add their product with the
+    wrong sign differs from the reference, for the product and the bracket
+    on every chart."""
+    from fedosov_lab import algebra
+    real = algebra._Sum.add_product
+
+    def negated(self, key, pa, pb, re, im=0, den=1):
+        real(self, key, pa, pb, -re, -im, den)
+    cases, _counts = _product_charts_and_forms(rng)
+    monkeypatch.setattr(algebra._Sum, "add_product", negated)
+    for geom, a, b in cases:
+        assert moyal(a, b, geom) != fraction_moyal(a, b, geom)
+        assert odd_bracket(a, b, geom) != fraction_moyal(a, b, geom, bracket=True)
 
 
 def test_moyal_weights_row_index_is_per_chart():
