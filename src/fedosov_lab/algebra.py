@@ -41,9 +41,8 @@ numerator dict as a new dict, in one pass (``scale``, the first operand of
 ``+`` and ``-``, and a key's first ``_Sum.add``); ``_add_scaled`` adds such
 a multiple in place into a plain dict (the second operand, every later
 ``_Sum.add`` of a key, and each ``_RowSum.add``) and ``_add_product`` a
-multiple of the product of two (``*``, ``_Sum.add_product``).  Only a
-product with a one-term factor and the term maps of ``partial`` and ``-``
-run loops of their own.
+multiple of the product of two (``*``, ``_Sum.add_product``).  Only the
+term maps of ``partial`` and ``-`` run loops of their own.
 """
 
 from __future__ import annotations
@@ -128,8 +127,6 @@ def _scaled(num, re, im):
         if re == 1:
             return num.copy()
         return {e: (a * re, b * re) for e, (a, b) in num.items()}
-    if not re:
-        return {e: (-b * im, a * im) for e, (a, b) in num.items()}
     return {e: (a * re - b * im, a * im + b * re) for e, (a, b) in num.items()}
 
 
@@ -141,11 +138,6 @@ def _add_scaled(out, num, re, im):
             prev = get(e)
             out[e] = ((a * re, b * re) if prev is None
                       else (prev[0] + a * re, prev[1] + b * re))
-    elif not re:
-        for e, (a, b) in num.items():
-            prev = get(e)
-            out[e] = ((-b * im, a * im) if prev is None
-                      else (prev[0] - b * im, prev[1] + a * im))
     else:
         for e, (a, b) in num.items():
             x, y = a * re - b * im, a * im + b * re
@@ -495,12 +487,6 @@ class Polynomial:
         c = GaussianRational.coerce(c)
         if not c:
             return Polynomial.zero(self.dim)
-        if not c.im:
-            cr = c.re
-            if cr == 1:
-                return self
-            if cr == -1:
-                return -self
         p, q, s = _split(c)
         # a nonzero Gaussian integer times a nonzero one is nonzero
         den = self._den * s
@@ -513,20 +499,6 @@ class Polynomial:
             return NotImplemented
         self._check(other)
         den = self._den * other._den
-        if len(self._num) == 1 or len(other._num) == 1:
-            # A one-term factor maps distinct keys to distinct keys, and a
-            # product of nonzero Gaussian integers is nonzero: no key
-            # collides and no zero is filtered.
-            many, one = (self, other) if len(other._num) == 1 else (other, self)
-            (e2, (c, d)), = one._num.items()
-            guard = _guard(self.dim)
-            num = {}
-            for e1, (a, b) in many._num.items():
-                e = e1 + e2
-                if e & guard:
-                    raise _overflow(self.dim, e)
-                num[e] = (a * c - b * d, a * d + b * c)
-            return Polynomial._reduced(self.dim, num, den, den)
         out = {}
         _add_product(out, self.dim, self._num, other._num, 1, 0)
         return Polynomial._settled(self.dim, out, den, den)

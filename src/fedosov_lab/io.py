@@ -61,9 +61,9 @@ class ScenarioError(ValueError):
 
 
 # Size limits, checked when a scenario loads, before any chart is built: the
-# exact recursions grow fast in each (curved 4D verify took 7-15 s at order
-# 3 on 2 shared vCPUs, CPython 3.11), so a value past one is a ScenarioError,
-# not a run without end.  MAX_ORDER also bounds ``--order``;
+# exact recursions grow fast in each (curved 4D verify took 2.6-3.0 s CPU at
+# order 3 on 2 shared vCPUs, CPython 3.11), so a value past one is a
+# ScenarioError, not a run without end.  MAX_ORDER also bounds ``--order``;
 # a perturbation power k above it never reaches a computed coefficient;
 # MAX_EXPONENT bounds each variable's exponent in a scenario polynomial;
 # parse_poly itself rejects one past algebra.MAX_PACKED_EXPONENT (32767), the

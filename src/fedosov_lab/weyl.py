@@ -39,10 +39,10 @@ integers over the same rows, d <= ua and e <= ub.  The products,
 ``delta``, ``delta_inv``, ``exterior_d`` and ``index_form``, the one
 builder of a form from an index formula, add each term, times an integer
 scalar, into ``algebra._Sum``, which reduces each output coefficient once.
-The row walk, and ``moyal`` on a pair with one entry, multiply the pair's
-two coefficients straight into the sum (``_Sum.add_product``), so they
-never form or reduce the product polynomial; ``moyal`` forms the product
-once for a pair with several entries, as those share it.  Given a sum,
+The row walk and ``moyal`` multiply each pair's two coefficients, times
+each of its entries' scalars, straight into the sum
+(``_Sum.add_product``), so they never form or reduce the product
+polynomial.  Given a sum,
 ``exterior_d`` adds into it and returns nothing, as does
 ``geometry.cov_ext_deriv``, so a solve adds par a straight into its body.
 
@@ -317,17 +317,15 @@ def moyal(a, b, geom, bracket=False):
     ``geom.moyal_weights(ua, ub, bracket)``, whose scalars are stored as
     Gaussian-integer numerators over a denominator.  The entries are looked
     up before the dx factors are merged, as far more pairs have no entry
-    than fail the wedge.  A pair with one entry multiplies its two
-    coefficients, times the scalar, term pair by term pair into one integer
-    accumulator (``_Sum.add_product``), which reduces each output
-    coefficient once; a pair with several entries forms its coefficient
-    product once, and each entry adds it, times its scalar, into the same
-    accumulator.  ``bracket`` returns (i/hbar)[a, b] instead (see the
+    than fail the wedge.  Each entry of a pair multiplies the pair's two
+    coefficients, times the entry's scalar, term pair by term pair into one
+    integer accumulator (``_Sum.add_product``), which reduces each output
+    coefficient once.  ``bracket`` returns (i/hbar)[a, b] instead (see the
     module docstring).
     """
     _check_dims(a, b, geom)
     acc = _Sum(geom.dim)
-    add, add_product = acc.add, acc.add_product
+    add = acc.add_product
     weights = geom.moyal_weights
     for (ha, ua, Ia), pa in a.terms.items():
         for (hb, ub, Ib), pb in b.terms.items():
@@ -339,13 +337,8 @@ def moyal(a, b, geom, bracket=False):
                 continue
             sign, IJ = merged
             h = ha + hb
-            if len(entries) == 1:
-                (dh, u, re, im, cden), = entries
-                add_product((h + dh, u, IJ), pa, pb, sign * re, sign * im, cden)
-                continue
-            pab = pa * pb
             for dh, u, re, im, cden in entries:
-                add((h + dh, u, IJ), pab, sign * re, sign * im, cden)
+                add((h + dh, u, IJ), pa, pb, sign * re, sign * im, cden)
     return WeylForm._make(geom.dim, acc.polys())
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from fedosov_lab.algebra import (MAX_PACKED_EXPONENT, GaussianRational, HbarSeries, I, ONE,
-                                 Polynomial, ZERO, _split, _Sum, _unpack, accumulate)
+                                 Polynomial, ZERO, _row, _RowSum, _split, _Sum, _unpack,
+                                 accumulate)
 from fedosov_lab.geometry import Geometry
 from fedosov_lab.weyl import WeylForm, delta, delta_inv, exterior_d, moyal, moyal_sigma
 
@@ -113,11 +114,11 @@ def test_polynomial_ring_axioms(rng):
         assert (p * Polynomial.zero(dim)).is_zero()
 
 
-def test_polynomial_scale_fast_paths(rng):
+def test_polynomial_scale_by_unit_and_zero_matches_product(rng):
     dim = 3
     for _ in range(20):
         p = rand_poly(rng, dim)
-        # the +-1 and 0 shortcuts must agree with generic scaling
+        # scaling by +-1 and 0 agrees with the product by a constant
         assert p.scale(1) == p * Polynomial.one(dim)
         assert p.scale(-1) == -p
         assert p.scale(0).is_zero()
@@ -310,6 +311,20 @@ def test_keyed_sum_matches_scale_and_add(rng):
     # the cancelled keys are absent, and x2's zero numerator is dropped
     assert out == {"a": x1.scale(F(1, 2)) + x2.scale(GaussianRational(0, F(1, 3))),
                    "c": x1.scale(F(1, 2))}
+    # a purely imaginary and a general multiplier, each added into a key
+    # that already holds terms, in a _Sum and in a _RowSum
+    imag, general = GaussianRational(0, F(2, 3)), GaussianRational(F(3, 2), F(-1, 2))
+    acc = _Sum(dim)
+    acc.add("e", x1, 1)
+    acc.add("e", x1 + x2, 0, 2, 3)
+    acc.add("e", x2, 3, -1, 2)
+    assert acc.polys() == {"e": x1 + (x1 + x2).scale(imag) + x2.scale(general)}
+    p, q = HbarSeries(1, {0: x1, 1: x2.scale(F(1, 5))}), HbarSeries(1, {1: x1 + x2})
+    rows = _RowSum(dim)
+    rows.add(_row(p), 1, 0, 1)
+    rows.add(_row(q), 0, 2, 3)
+    rows.add(_row(p), 3, -1, 2)
+    assert rows.series(1) == p + q.map(lambda v: v.scale(imag)) + p.map(lambda v: v.scale(general))
     for _ in range(40):
         acc = _Sum(dim)
         oracle = {}
@@ -375,6 +390,15 @@ def test_add_product_matches_add_of_product(rng):
     acc.add_product("b", x2, x2, 1)
     out = acc.polys()
     assert out == {"a": (x1 * x2).scale(F(1, 6))}  # "b" cancels to nothing
+    # a purely imaginary and a general multiplier, each added into a key
+    # that already holds terms
+    imag, general = GaussianRational(0, F(2, 3)), GaussianRational(F(3, 2), F(-1, 2))
+    fused, oracle = _Sum(dim), _Sum(dim)
+    for pa, pb, c in ((x1, x2, ONE), (x1 + x2, x2, imag), (x1, x1 - x2, general)):
+        fused.add_product("e", pa, pb, *_split(c))
+        oracle.add("e", pa * pb, *_split(c))
+    expected = x1 * x2 + ((x1 + x2) * x2).scale(imag) + (x1 * (x1 - x2)).scale(general)
+    assert fused.polys() == oracle.polys() == {"e": expected}
     for _ in range(40):
         fused, oracle = _Sum(dim), _Sum(dim)
         added = []

@@ -5,8 +5,8 @@ dict exp -> GaussianRational, one ``Fraction`` normalisation per coefficient
 product and per sum.  ``Polynomial`` itself stores Gaussian-integer
 numerators over one shared denominator, keyed by packed exponents; on
 seeded random inputs both must agree coefficient by coefficient and in their
-printed form, in 1 to 6 variables, for one-term factors (the product's fast
-path) and for exponents up to the stored bound 32767.
+printed form, in 1 to 6 variables, for one-term and many-term factors and
+for exponents up to the stored bound 32767.
 """
 
 import random
@@ -123,7 +123,7 @@ def _terms(rng, dim):
     if shape < 0.2:
         return {(0,) * dim: _coeff(rng)}             # constant
     if shape < 0.4:
-        return {_exponent(rng, dim, 3): _coeff(rng)}  # one term: __mul__'s fast path
+        return {_exponent(rng, dim, 3): _coeff(rng)}  # one term
     return {_exponent(rng, dim, 3): _coeff(rng) for _ in range(rng.randint(1, 6))}
 
 
